@@ -19,6 +19,7 @@ END_TO_END = {
 #: Public functions the loops call, as ``<module>.<function>`` span names.
 LAYER_CALLS = (
     "generate.random_state",
+    "pauli.pauli_coords",
     "states.gram",
     "states.standard_form",
     "states.lu_equivalent",

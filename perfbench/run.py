@@ -6,8 +6,9 @@ Usage, from the root of a checkout::
     python3 perfbench/run.py --workload all            # every workload in turn
 
 Each run starts ``WORKERS`` fresh worker processes one after another (never
-two at once), each pinned to one CPU.  Each sets up its workload from its own seed and measures for
-its share of ``--seconds``; the run pools their samples.  ``setup_s`` and
+two at once), each pinned to one CPU.  Each sets up its workload from its own
+seed and runs a fixed number of whole rounds, sized by ``--seconds``; the run
+pools their samples.  ``setup_s`` and
 ``peak_rss_mb`` are medians over the workers.  With ``--trace 0`` the last
 line of standard output is the end-to-end metrics; with ``--trace 1`` it is
 the per-layer metrics, and every span is written to
@@ -42,18 +43,30 @@ from metrics import (
 WORKLOADS = ("decide", "audit", "synthesize", "cli")
 DEFAULT_SEED = 20151110
 DEFAULT_SECONDS = 20
-#: Workers per run.  Each is pinned to one CPU, round robin, so that every
-#: run spreads its measuring time over the CPUs in the same proportions: on
-#: a shared machine the CPUs can differ in speed by a third.
-WORKERS = 4
+#: Workers per run, one after another.  Each is pinned to one CPU, round
+#: robin, so that every run spreads its measuring time over the CPUs of a
+#: two-CPU machine in the same proportions: on a shared machine the CPUs can
+#: differ in speed by a third.
+WORKERS = 2
 
 #: BLAS and OpenMP threads per process, set before numpy is first imported.
 #: One thread keeps a worker on one core of the machine's two and makes the
 #: timings independent of what else runs on the other.
 BLAS_THREADS = "1"
 
-#: A run must finish well within 180 s, whatever the machine.
-DEADLINE_S = 170
+#: Whole rounds per worker at the default ``--seconds``.  On the reference
+#: machine a run then measures about 20 s (``audit`` 14 s, whose eight rounds
+#: put ``latency_tail_ms`` inside its eight ``symmetry_audit`` calls; ``cli``
+#: 35 s, as one round is 15 processes).  The count scales with ``--seconds``
+#: and never with how fast the rounds run, so that a faster or slower program
+#: is measured on the same operations.
+ROUNDS_PER_WORKER = {"decide": 8, "audit": 4, "synthesize": 72, "cli": 3}
+
+#: A run is stopped as overrun after this margin for the workers' set-up plus
+#: five times ``--seconds``: 160 s at the default, inside the 180 s a run at
+#: that size must end within.
+DEADLINE_MARGIN_S = 60
+DEADLINE_PER_SECOND = 5
 
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
@@ -68,6 +81,16 @@ def _worker_env() -> dict[str, str]:
     return env
 
 
+def rounds_per_worker(workload: str, seconds: float) -> int:
+    """Whole rounds each worker runs: fixed by the workload and ``--seconds``."""
+    return max(1, round(ROUNDS_PER_WORKER[workload] * seconds / DEFAULT_SECONDS))
+
+
+def deadline_s(seconds: float) -> float:
+    """Wall time after which a run is stopped as overrun."""
+    return DEADLINE_MARGIN_S + DEADLINE_PER_SECOND * seconds
+
+
 def _run_worker(cfg: dict, env: dict[str, str], timeout: float) -> dict:
     cfg = dict(cfg, spawn=time.perf_counter())
     proc = subprocess.Popen(
@@ -79,7 +102,7 @@ def _run_worker(cfg: dict, env: dict[str, str], timeout: float) -> dict:
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        raise RuntimeError(f"worker {cfg['worker']} overran the {DEADLINE_S} s deadline")
+        raise RuntimeError(f"worker {cfg['worker']} overran the run's deadline")
     if proc.returncode != 0:
         raise RuntimeError(f"worker {cfg['worker']} exited with code {proc.returncode}")
     return json.loads(out.strip().splitlines()[-1])
@@ -93,13 +116,15 @@ def run_workload(
     *,
     tiny: bool = False,
     inject_wrong_verdict: bool = False,
+    inject_abstention: bool = False,
 ) -> tuple[dict, list[str]]:
     """Run one workload; return the result object and the summary lines."""
     OUT_DIR.mkdir(exist_ok=True)
     env = _worker_env()
     workers = 1 if tiny else WORKERS
     cpus = sorted(os.sched_getaffinity(0))
-    deadline = time.monotonic() + DEADLINE_S
+    rounds = rounds_per_worker(workload, seconds)
+    deadline = time.monotonic() + deadline_s(seconds)
     results = []
     for worker in range(workers):
         cfg = {
@@ -109,9 +134,10 @@ def run_workload(
             "cpu": cpus[worker % len(cpus)],
             "trace": int(trace),
             "tiny": tiny,
-            "window_s": seconds / workers,
+            "rounds": rounds,
             "tmp_root": str(OUT_DIR),
             "inject_wrong_verdict": inject_wrong_verdict and worker == 0,
+            "inject_abstention": inject_abstention,
         }
         results.append(_run_worker(cfg, env, deadline - time.monotonic()))
 
@@ -119,19 +145,22 @@ def run_workload(
     attempted = len(latencies)
     failed = sum(r["failed"] for r in results)
     tally: dict[str, float] = {}
+    totals: dict[str, float] = {}
     for r in results:
         for key, value in r["tally"].items():
             tally[key] = tally.get(key, 0) + value
+        for key, value in r["totals"].items():
+            totals[key] = totals.get(key, 0) + value
     problems = [msg for r in results for msg in r["failures"]]
-    total_error = audit_totals_error(tally)
+    total_error = audit_totals_error(totals)
     if total_error:
         problems.append(total_error)
     correct = failed == 0 and not problems
 
     tail_p, tail_s = tail(latencies)
     lines = [
-        f"# workload {workload}: seed {seed}, {workers} workers x {seconds / workers:.3g} s, "
-        f"{attempted} operations in {sum(r['rounds'] for r in results)} rounds",
+        f"# workload {workload}: seed {seed}, {workers} workers x {rounds} rounds, "
+        f"{attempted} operations in {sum(latencies):.3g} s",
         f"# env: python {results[0]['env']['python']}, numpy {results[0]['env']['numpy']}, "
         f"{results[0]['env']['blas']}, nproc {os.cpu_count()}, BLAS threads {BLAS_THREADS}, "
         f"workers pinned to CPUs {[cpus[w % len(cpus)] for w in range(workers)]}",
@@ -186,7 +215,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="one worker and the smallest round of each workload (self-tests)")
     parser.add_argument("--inject-wrong-verdict", action="store_true",
                         help="flip one expected verdict, to show that checks fail the run (self-tests)")
+    parser.add_argument("--inject-abstention", action="store_true",
+                        help="make the oracle abstain after each worker's first round (self-tests)")
     args = parser.parse_args(argv)
+    if args.seconds <= 0:
+        parser.error("--seconds must be positive")
 
     if not (ROOT / "src" / "qutritlocc" / "__init__.py").is_file():
         print(f"error: no package source at {ROOT / 'src' / 'qutritlocc'}", file=sys.stderr)
@@ -197,7 +230,9 @@ def main(argv: list[str] | None = None) -> int:
         try:
             result, lines = run_workload(
                 name, args.seed, args.seconds, bool(args.trace),
-                tiny=args.tiny, inject_wrong_verdict=args.inject_wrong_verdict,
+                tiny=args.tiny,
+                inject_wrong_verdict=args.inject_wrong_verdict,
+                inject_abstention=args.inject_abstention,
             )
         except RuntimeError as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)

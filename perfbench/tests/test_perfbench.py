@@ -95,6 +95,61 @@ def test_layer_metrics_split_verdicts_and_zero_unused_layers():
     assert out["oracle.brute_force_sep.p50_ms"] == 0.0
 
 
+def test_a_run_measures_the_same_operations_at_any_speed():
+    import time
+    from collections import Counter
+
+    from workloads import Op
+    from worker import measure
+
+    def round_of(cost_s):
+        def run(tr):
+            end = time.perf_counter() + cost_s
+            while time.perf_counter() < end:
+                pass
+            return cost_s
+
+        def check(out, tally: Counter):
+            tally["calls"] += 1
+            return None
+
+        return [Op("slow", run, check), Op("fast", lambda tr: 0.0, check)]
+
+    fast = measure([round_of(0.0005)], 3, Tracer())
+    slow = measure([round_of(0.005)], 3, Tracer())
+    assert len(fast["latencies_s"]) == len(slow["latencies_s"]) == 6
+    assert fast["tally"] == slow["tally"] == {"calls": 2}
+    assert fast["totals"] == slow["totals"] == {"calls": 6}
+    # so the tail percentile lands on the same operation kind
+    assert tail(fast["latencies_s"])[0] == tail(slow["latencies_s"])[0]
+
+
+def test_round_count_and_deadline_follow_seconds_only():
+    import run
+
+    for workload, per_worker in run.ROUNDS_PER_WORKER.items():
+        assert run.rounds_per_worker(workload, run.DEFAULT_SECONDS) == per_worker
+        assert run.rounds_per_worker(workload, 0.1) == 1
+    assert run.rounds_per_worker("audit", 3 * run.DEFAULT_SECONDS) == 3 * run.ROUNDS_PER_WORKER["audit"]
+    assert run.deadline_s(run.DEFAULT_SECONDS) < 180
+    assert run.deadline_s(200) > 200
+
+
+def test_coords_check_catches_wrong_coordinates():
+    import numpy as np
+    import workloads
+    from qutritlocc.generate import random_state
+    from qutritlocc.pauli import pauli_coords
+    from qutritlocc.states import gram
+
+    mats = gram(random_state("confined", np.random.default_rng(0))).mats
+    coords = [pauli_coords(m) for m in mats]
+    assert workloads.coords_error(mats, coords) is None
+    g0, g = coords[1]
+    bent = coords[:1] + [(g0, g * (1 + 1e-6))] + coords[2:]
+    assert workloads.coords_error(mats, bent)
+
+
 # ---------------------------------------------------------------------------
 # the declared benchmark and the harness agree
 # ---------------------------------------------------------------------------
@@ -155,15 +210,16 @@ def test_tiny_run_passes_its_checks(workload):
 @pytest.mark.parametrize(
     "workload, layers",
     [
-        ("decide", ["sep.sep_feasible", "classify.classify", "states.lu_equivalent", "generate.random_state"]),
+        ("decide", ["sep.sep_feasible", "pauli.pauli_coords", "classify.classify", "states.lu_equivalent",
+                    "generate.random_state"]),
         ("audit", ["oracle.brute_force_sep", "oracle.numeric_symmetry_search", "seeds.symmetry_audit"]),
         ("synthesize", ["protocols.simulate_branches", "statefile.protocol_from_json", "states.gram"]),
     ],
 )
 def test_tiny_traced_run_reports_its_layers(workload, layers):
     # a traced run traces every other operation, alternating between rounds:
-    # three seconds give every tiny round at least two passes
-    code, lines, result = _run("--workload", workload, "--tiny", "--seconds", "3", "--trace", "1")
+    # the default run length gives each worker at least two rounds
+    code, lines, result = _run("--workload", workload, "--tiny", "--seconds", "20", "--trace", "1")
     assert code == 0, lines
     metrics = result["metrics"]
     assert {k: v["unit"] for k, v in metrics.items()} == per_layer_units()
@@ -193,6 +249,19 @@ def test_injected_wrong_verdict_fails_the_run():
     assert any(line.startswith("# check failed: injected wrong expected verdict") for line in lines)
     fail_line = next(line for line in lines if line.startswith("# fail_ratio"))
     assert float(fail_line.split()[2]) > 0
+
+
+def test_abstention_after_the_first_round_fails_the_run():
+    import run
+
+    rounds = run.rounds_per_worker("audit", 20)
+    assert rounds >= 2
+    code, lines, result = _run("--workload", "audit", "--tiny", "--seconds", "20", "--inject-abstention")
+    assert code != 0
+    assert not result["correct"]
+    # a tiny audit round has one cross-check of each of the four classes
+    expected = f"# check failed: oracle abstained on {4 * (rounds - 1)} of {4 * rounds} calls"
+    assert any(line.startswith(expected) for line in lines), lines
 
 
 def test_refuses_to_run_without_the_package(tmp_path):

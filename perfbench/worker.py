@@ -3,10 +3,10 @@
 Usage (from ``run.py``): ``python3 perfbench/worker.py '<config json>'``.
 
 The worker sets up its workload (import, input generation through
-``qutritlocc.generate``, untimed warm-up), then runs whole rounds of the
-workload as a closed loop, one operation at a time, until the next round
-would overrun its share of the measuring time.  It prints one JSON object
-with the samples, the checks' verdicts and, when traced, its spans.
+``qutritlocc.generate``, untimed warm-up), then runs a fixed number of whole
+rounds of the workload as a closed loop, one operation at a time.  It prints
+one JSON object with the samples, the checks' verdicts and, when traced, its
+spans.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def _build(cfg: dict, tracer: Tracer, workdir: Path):
         ops, warm = workloads.build_cli(rng, tiny, workdir)
         return [ops], warm
     build, count = workloads.ROUND_BUILDERS[name]
-    rounds = [build(tracer, rng, tiny) for _ in range(1 if tiny else count)]
+    rounds = [build(tracer, rng, tiny) for _ in range(1 if tiny else min(count, cfg["rounds"]))]
     # one untimed call of each operation kind warms numpy's dispatch and the
     # package's lazily built tables (the audit's candidate cache among them)
     first = {}
@@ -56,6 +56,72 @@ def _environment() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+    }
+
+
+def measure(
+    rounds: list[list],
+    count: int,
+    tracer: Tracer,
+    *,
+    trace: bool = False,
+    worker: int = 0,
+    inject_abstention: bool = False,
+) -> dict:
+    """Run ``count`` whole rounds, cycling through ``rounds``, one operation
+    at a time; time and check each operation.
+
+    The number of operations is fixed by ``count``, never by how fast they
+    run, so that every run of a workload measures the same mix and the tail
+    percentile falls on the same operation.  Checks add to a fresh tally per
+    operation: the tallies of the first round are the repeatable counters,
+    those of every round are the totals that the run-wide gates read.
+    """
+    latencies: list[float] = []
+    failures: list[str] = []
+    failed = 0
+    tally: Counter = Counter()
+    totals: Counter = Counter()
+    # operation kind -> [traced seconds, traced count, untraced seconds, untraced count]
+    by_kind: dict[str, list[float]] = {}
+    for rnd in range(count):
+        for index, op in enumerate(rounds[rnd % len(rounds)]):
+            # a traced run traces every other operation, alternating
+            # between rounds, so that each kind is traced half the time
+            traced = trace and (worker + rnd + index) % 2 == 0
+            tracer.enabled = traced
+            tracer.op += 1
+            t0 = time.perf_counter()
+            try:
+                out = tracer.call("bench.op", op.run, tracer, tag=op.kind)
+                error = None
+            except Exception as exc:  # counted as a failed operation
+                out, error = None, f"{op.kind}: {type(exc).__name__}: {exc}"
+            t1 = time.perf_counter()
+            latencies.append(t1 - t0)
+            sums = by_kind.setdefault(op.kind, [0.0, 0, 0.0, 0])
+            sums[0 if traced else 2] += t1 - t0
+            sums[1 if traced else 3] += 1
+            if error is None:
+                if inject_abstention and rnd > 0 and op.kind == "cross":
+                    # the oracle abstains on every cross-check after the first round
+                    out = (out[0], replace(out[1], feasible=None))
+                seen: Counter = Counter()
+                error = op.check(out, seen)
+                totals.update(seen)
+                if rnd == 0:
+                    tally.update(seen)
+            if error is not None:
+                failed += 1
+                if len(failures) < 5:
+                    failures.append(error)
+    return {
+        "latencies_s": latencies,
+        "failed": failed,
+        "failures": failures,
+        "tally": dict(tally),
+        "totals": dict(totals),
+        "by_kind": by_kind,
     }
 
 
@@ -83,46 +149,12 @@ def run(cfg: dict) -> dict:
                 check=lambda out, tally: None if original(out, tally) else "injected wrong expected verdict",
             )
 
-        latencies: list[float] = []
-        failures: list[str] = []
-        failed = 0
-        tally: Counter = Counter()
-        spare: Counter = Counter()
-        # operation kind -> [traced seconds, traced count, untraced seconds, untraced count]
-        by_kind: dict[str, list[float]] = {}
-        window = cfg["window_s"]
         start = time.perf_counter()
         setup_s = start - cfg["spawn"]
-        rnd = 0
-        while True:
-            round_start = time.perf_counter()
-            for index, op in enumerate(rounds[rnd % len(rounds)]):
-                # a traced run traces every other operation, alternating
-                # between rounds, so that each kind is traced half the time
-                traced = bool(cfg["trace"]) and (cfg["worker"] + rnd + index) % 2 == 0
-                tracer.enabled = traced
-                tracer.op += 1
-                t0 = time.perf_counter()
-                try:
-                    out = tracer.call("bench.op", op.run, tracer, tag=op.kind)
-                    error = None
-                except Exception as exc:  # counted as a failed operation
-                    out, error = None, f"{op.kind}: {type(exc).__name__}: {exc}"
-                t1 = time.perf_counter()
-                latencies.append(t1 - t0)
-                sums = by_kind.setdefault(op.kind, [0.0, 0, 0.0, 0])
-                sums[0 if traced else 2] += t1 - t0
-                sums[1 if traced else 3] += 1
-                if error is None:
-                    error = op.check(out, tally if rnd == 0 else spare)
-                if error is not None:
-                    failed += 1
-                    if len(failures) < 5:
-                        failures.append(error)
-            rnd += 1
-            now = time.perf_counter()
-            if now - start + (now - round_start) > window:
-                break
+        measured = measure(
+            rounds, cfg["rounds"], tracer,
+            trace=bool(cfg["trace"]), worker=cfg["worker"], inject_abstention=cfg["inject_abstention"],
+        )
         tracer.enabled = bool(cfg["trace"])
         if cfg["trace"] and cfg["workload"] == "cli":
             import workloads
@@ -133,12 +165,8 @@ def run(cfg: dict) -> dict:
     who = resource.RUSAGE_CHILDREN if cfg["workload"] == "cli" else resource.RUSAGE_SELF
     result = {
         "setup_s": setup_s,
-        "latencies_s": latencies,
-        "rounds": rnd,
-        "failed": failed,
-        "failures": failures,
-        "tally": dict(tally),
-        "by_kind": by_kind,
+        "rounds": cfg["rounds"],
+        **measured,
         "peak_rss_mb": resource.getrusage(who).ru_maxrss / 1024.0,
         "env": _environment(),
     }

@@ -30,7 +30,7 @@ import numpy as np
 from qutritlocc.classify import Classification, classify
 from qutritlocc.generate import random_seed_params, random_state, random_unitary
 from qutritlocc.oracle import OracleBudget, brute_force_sep, numeric_symmetry_search
-from qutritlocc.pauli import INDEX_ORDER
+from qutritlocc.pauli import COORD_ORDER, INDEX_ORDER, pauli_coords
 from qutritlocc.protocols import (
     BRANCH_MATCH_TOL,
     POVM_TOL,
@@ -69,6 +69,7 @@ ALS_STARTS = 4
 ALS_ITERS = 1500
 
 PROB_SUM_TOL = 1e-10
+COORDS_TOL = 1e-10
 UNIFORM_WITNESS_TOL = 1e-8
 MAX_DRAWS = 500
 
@@ -165,22 +166,46 @@ def _lattice_error(cls: Classification) -> str | None:
     return None
 
 
+#: The displacement operators X^a Z^b, built here from their definition
+#: (X|j> = |j-1>, Z|j> = omega^j |j>) to check ``pauli_coords`` against.
+_OMEGA = np.exp(2j * np.pi / 3)
+_SHIFT = np.roll(np.eye(3), -1, axis=0)
+_CLOCK = np.diag(_OMEGA ** np.arange(3))
+_DISPLACEMENTS = [
+    np.linalg.matrix_power(_SHIFT, a) @ np.linalg.matrix_power(_CLOCK, b) for a, b in COORD_ORDER
+]
+
+
+def coords_error(mats, coords) -> str | None:
+    """Each matrix must equal ``g0 I + sum_k g_k X^a Z^b`` from its coordinates."""
+    for m, (g0, g) in zip(mats, coords):
+        rebuilt = g0 * np.eye(3) + sum(c * s for c, s in zip(g, _DISPLACEMENTS))
+        if np.abs(rebuilt - m).max() > COORDS_TOL * max(1.0, np.abs(m).max()):
+            return "pauli_coords do not rebuild the Gram matrix"
+    return None
+
+
 def _source_op(inst, target: GenericState, other: GenericState, equivalent: bool, reachable: bool) -> Op:
     """The target against a generic same-seed source, plus the target's
-    classification, standard form and one local-unitary query."""
+    Gram matrices in the displacement basis, its classification, standard
+    form and one local-unitary query."""
     sep_check = _sep_check(False, False)
 
     def run(tr: Tracer):
         d = tr.call("sep.sep_feasible", sep_feasible, inst, tag=_verdict)
-        tr.call("states.gram", gram, target)
+        mats = tr.call("states.gram", gram, target).mats
+        coords = [tr.call("pauli.pauli_coords", pauli_coords, m) for m in mats]
         cls = tr.call("classify.classify", classify, target)
         form = tr.call("states.standard_form", standard_form, target)
         same = tr.call("states.lu_equivalent", lu_equivalent, target, other)
-        return d, cls, form, same
+        return d, mats, coords, cls, form, same
 
     def check(out, tally: Counter) -> str | None:
-        d, cls, form, same = out
+        d, mats, coords, cls, form, same = out
         tally["warnings"] += len(cls.warnings)
+        error = coords_error(mats, coords)
+        if error:
+            return error
         if same != equivalent:
             return f"lu_equivalent gave {same}, the pair was built {'' if equivalent else 'in'}equivalent"
         if cls.sep_reachable != reachable:
