@@ -8,8 +8,10 @@ Usage, from the root of a checkout::
 Each run starts ``WORKERS`` fresh worker processes one after another (never
 two at once), each pinned to one CPU.  Each sets up its workload from its own
 seed and runs a fixed number of whole rounds, sized by ``--seconds``; the run
-pools their samples.  ``setup_s`` and
-``peak_rss_mb`` are medians over the workers.  With ``--trace 0`` the last
+pools their samples.  ``SETUP_ONLY`` more processes then only set up.
+``setup_s`` is the median over every process, ``peak_rss_mb`` over the
+workers that measured.  End-to-end times are at reference speed
+(``reference.py``).  With ``--trace 0`` the last
 line of standard output is the end-to-end metrics; with ``--trace 1`` it is
 the per-layer metrics, and every span is written to
 ``.perfbench_out/trace-<workload>-<seed>.json``.  The exit code is 0 only
@@ -39,6 +41,7 @@ from metrics import (
     tail,
     trace_overhead,
 )
+from reference import REFERENCE_S
 
 WORKLOADS = ("decide", "audit", "synthesize", "cli")
 DEFAULT_SEED = 20151110
@@ -48,6 +51,10 @@ DEFAULT_SECONDS = 20
 #: two-CPU machine in the same proportions: on a shared machine the CPUs can
 #: differ in speed by a third.
 WORKERS = 2
+
+#: Processes per run, after the workers, that set up as a worker does and
+#: then end, so that ``setup_s`` is the median of three set-ups.
+SETUP_ONLY = 1
 
 #: BLAS and OpenMP threads per process, set before numpy is first imported.
 #: One thread keeps a worker on one core of the machine's two and makes the
@@ -126,7 +133,9 @@ def run_workload(
     rounds = rounds_per_worker(workload, seconds)
     deadline = time.monotonic() + deadline_s(seconds)
     results = []
-    for worker in range(workers):
+    setups = []
+    # set-up time is an end-to-end metric, reported untraced only
+    for worker in range(workers + (0 if tiny or trace else SETUP_ONLY)):
         cfg = {
             "workload": workload,
             "seed": seed,
@@ -135,13 +144,19 @@ def run_workload(
             "trace": int(trace),
             "tiny": tiny,
             "rounds": rounds,
+            "measure": worker < workers,
             "tmp_root": str(OUT_DIR),
             "inject_wrong_verdict": inject_wrong_verdict and worker == 0,
             "inject_abstention": inject_abstention,
         }
-        results.append(_run_worker(cfg, env, deadline - time.monotonic()))
+        result = _run_worker(cfg, env, deadline - time.monotonic())
+        setups.append(result)
+        if cfg["measure"]:
+            results.append(result)
 
-    latencies = [x for r in results for x in r["latencies_s"]]
+    latencies = [x for r in results for x in r["scaled_s"]]
+    tail_latencies = [x for r in results for x in r["tail_scaled_s"]]
+    raw = [x for r in results for x in r["latencies_s"]]
     attempted = len(latencies)
     failed = sum(r["failed"] for r in results)
     tally: dict[str, float] = {}
@@ -157,10 +172,21 @@ def run_workload(
         problems.append(total_error)
     correct = failed == 0 and not problems
 
-    tail_p, tail_s = tail(latencies)
+    tail_p, tail_s = tail(tail_latencies)
+    speeds = []
+    for kernel in sorted(results[0]["samples"]):
+        seen = [x for r in results for x in r["samples"][kernel]]
+        speeds.append(
+            f"{kernel} {REFERENCE_S[kernel] / statistics.median(seen):.3f} of its reference "
+            f"{REFERENCE_S[kernel] * 1e3:g} ms over {len(seen)} samples"
+        )
     lines = [
         f"# workload {workload}: seed {seed}, {workers} workers x {rounds} rounds, "
-        f"{attempted} operations in {sum(latencies):.3g} s",
+        f"{attempted} operations in {sum(raw):.3g} s; {len(setups)} set-ups",
+        f"# times are at reference speed; the machine ran the {', '.join(speeds)}",
+        f"# unscaled: ops_per_s {ratio(attempted, sum(raw)):.6g} 1/s, latency_p50_ms "
+        f"{quantile(raw, 0.5) * 1e3:.6g} ms, latency_tail_ms {tail(raw)[1] * 1e3:.6g} ms, "
+        f"setup_s {statistics.median(r['setup_s'] for r in setups):.6g} s",
         f"# env: python {results[0]['env']['python']}, numpy {results[0]['env']['numpy']}, "
         f"{results[0]['env']['blas']}, nproc {os.cpu_count()}, BLAS threads {BLAS_THREADS}, "
         f"workers pinned to CPUs {[cpus[w % len(cpus)] for w in range(workers)]}",
@@ -174,7 +200,7 @@ def run_workload(
             "ops_per_s": ratio(attempted, sum(latencies)),
             "latency_p50_ms": quantile(latencies, 0.5) * 1e3,
             "latency_tail_ms": tail_s * 1e3,
-            "setup_s": statistics.median(r["setup_s"] for r in results),
+            "setup_s": statistics.median(r["setup_scaled_s"] for r in setups),
             "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in results),
         }
         units = END_TO_END

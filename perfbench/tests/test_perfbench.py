@@ -9,6 +9,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -115,13 +116,81 @@ def test_a_run_measures_the_same_operations_at_any_speed():
 
         return [Op("slow", run, check), Op("fast", lambda tr: 0.0, check)]
 
-    fast = measure([round_of(0.0005)], 3, Tracer())
-    slow = measure([round_of(0.005)], 3, Tracer())
+    fast = measure([round_of(0.0005)], 3, Tracer(), lambda kind: 1.0)
+    slow = measure([round_of(0.005)], 3, Tracer(), lambda kind: 1.0)
     assert len(fast["latencies_s"]) == len(slow["latencies_s"]) == 6
     assert fast["tally"] == slow["tally"] == {"calls": 2}
     assert fast["totals"] == slow["totals"] == {"calls": 6}
     # so the tail percentile lands on the same operation kind
     assert tail(fast["latencies_s"])[0] == tail(slow["latencies_s"])[0]
+
+
+def test_each_operation_is_bracketed_by_two_samples_of_its_kernel(monkeypatch):
+    import reference
+    from workloads import Op
+    from worker import measure
+
+    def op(kind, kernel, cost):
+        def run(tr):
+            end = time.perf_counter() + cost
+            while time.perf_counter() < end:
+                pass
+
+        return Op(kind, run, lambda out, tally: None, kernel=kernel)
+
+    # linalg after every operation, interp after every second one
+    monkeypatch.setattr(reference, "CALIBRATE_EVERY_S", {"linalg": 0.0, "interp": 0.003})
+    counter = iter(range(1, 100))
+    ops = [op("a", "linalg", 0.002), op("b", "interp", 0.002)]
+    out = measure([ops], 2, Tracer(), lambda kind: float(next(counter)))
+    assert out["kernels"] == ["linalg", "interp"] * 2
+    assert out["samples"] == {"interp": [1.0, 4.0, 7.0, 9.0], "linalg": [2.0, 3.0, 5.0, 6.0, 8.0, 10.0]}
+    # each operation is bracketed by the last sample of its kernel before it
+    # and the next one; the final samples close the last brackets
+    assert out["brackets"] == [0, 0, 2, 1]
+
+    # a process that only sets up measures nothing
+    out = measure([ops], 0, Tracer(), lambda kind: 5.0)
+    assert out["latencies_s"] == out["brackets"] == []
+
+
+def test_scaling_cancels_a_machine_slowdown():
+    from reference import REFERENCE_S, scale
+
+    fast, slow = REFERENCE_S["linalg"], 2 * REFERENCE_S["linalg"]
+    # the same 10 ms operation, with the machine (and so the kernel) running
+    # at reference speed, twice as slowly, and twice as slowly for one of the
+    # two samples that bracket it and 1.5 times for the other
+    samples = {"linalg": [fast, fast, slow, slow, 1.5 * fast], "interp": [1.0] * 5}
+    latencies = [0.010, 0.020, 0.0175]
+    assert scale(latencies, ["linalg"] * 3, [0, 2, 3], samples) == pytest.approx([0.010] * 3)
+    # an operation is scaled by its own kernel only
+    half = REFERENCE_S["interp"] / 2
+    assert scale([0.010], ["interp"], [0], {"interp": [half, half]}) == pytest.approx([0.020])
+
+
+def test_tail_scaling_uses_the_runs_slow_end():
+    from reference import REFERENCE_S, TAIL_QUANTILE, scale_to_slow_end
+
+    assert TAIL_QUANTILE == 0.9
+    ref = REFERENCE_S["interp"]
+    # ten samples: the 0.9 quantile is the slowest, twice the reference time
+    samples = {"interp": [ref] * 9 + [2 * ref], "linalg": [REFERENCE_S["linalg"]] * 2}
+    out = scale_to_slow_end([0.010, 0.004], ["interp", "linalg"], samples)
+    assert out == pytest.approx([0.005, 0.004])
+
+
+def test_calibrator_times_each_kernel_in_its_own_process():
+    import os
+
+    import reference
+
+    with reference.Calibrator() as calibrator:
+        pid = calibrator.proc.pid
+        assert pid != os.getpid()
+        for kind in sorted(reference.REFERENCE_S):
+            assert 0 < calibrator(kind) < 10 * reference.REFERENCE_S[kind] + 1
+    assert calibrator.proc.returncode == 0
 
 
 def test_round_count_and_deadline_follow_seconds_only():
@@ -205,6 +274,7 @@ def test_tiny_run_passes_its_checks(workload):
     assert result["correct"] and result["failed"] == 0 and result["attempted"] >= 1
     assert {k: v["unit"] for k, v in result["metrics"].items()} == END_TO_END
     assert all(v["value"] > 0 for v in result["metrics"].values())
+    assert any(line.startswith("# unscaled: ops_per_s") for line in lines)
 
 
 @pytest.mark.parametrize(

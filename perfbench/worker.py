@@ -15,13 +15,16 @@ import gc
 import json
 import os
 import resource
+import statistics
 import sys
 import tempfile
 import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
+import reference
 from spans import Tracer, self_times
 
 
@@ -63,6 +66,7 @@ def measure(
     rounds: list[list],
     count: int,
     tracer: Tracer,
+    calibrate: Callable[[str], float],
     *,
     trace: bool = False,
     worker: int = 0,
@@ -76,8 +80,19 @@ def measure(
     percentile falls on the same operation.  Checks add to a fresh tally per
     operation: the tallies of the first round are the repeatable counters,
     those of every round are the totals that the run-wide gates read.
+
+    ``calibrate`` times a reference kernel by name.  Every kernel that an
+    operation of ``rounds`` names is timed before the first operation, after
+    each ``reference.CALIBRATE_EVERY_S[kernel]`` of operations and after the
+    last.  Operation ``i`` ran between the samples ``brackets[i]`` and
+    ``brackets[i] + 1`` of its kernel ``kernels[i]``.
     """
+    names = sorted({op.kernel for ops in rounds for op in ops})
+    samples = {name: [calibrate(name)] for name in names}
+    since = dict.fromkeys(names, 0.0)
     latencies: list[float] = []
+    kernels: list[str] = []
+    brackets: list[int] = []
     failures: list[str] = []
     failed = 0
     tally: Counter = Counter()
@@ -99,6 +114,8 @@ def measure(
                 out, error = None, f"{op.kind}: {type(exc).__name__}: {exc}"
             t1 = time.perf_counter()
             latencies.append(t1 - t0)
+            kernels.append(op.kernel)
+            brackets.append(len(samples[op.kernel]) - 1)
             sums = by_kind.setdefault(op.kind, [0.0, 0, 0.0, 0])
             sums[0 if traced else 2] += t1 - t0
             sums[1 if traced else 3] += 1
@@ -115,8 +132,19 @@ def measure(
                 failed += 1
                 if len(failures) < 5:
                     failures.append(error)
+            for name in names:
+                since[name] += t1 - t0
+                if since[name] >= reference.CALIBRATE_EVERY_S[name]:
+                    samples[name].append(calibrate(name))
+                    since[name] = 0.0
+    if latencies:
+        for name in names:
+            samples[name].append(calibrate(name))
     return {
         "latencies_s": latencies,
+        "kernels": kernels,
+        "brackets": brackets,
+        "samples": samples,
         "failed": failed,
         "failures": failures,
         "tally": dict(tally),
@@ -149,12 +177,15 @@ def run(cfg: dict) -> dict:
                 check=lambda out, tally: None if original(out, tally) else "injected wrong expected verdict",
             )
 
-        start = time.perf_counter()
-        setup_s = start - cfg["spawn"]
-        measured = measure(
-            rounds, cfg["rounds"], tracer,
-            trace=bool(cfg["trace"]), worker=cfg["worker"], inject_abstention=cfg["inject_abstention"],
-        )
+        setup_s = time.perf_counter() - cfg["spawn"]
+        with reference.Calibrator() as calibrator:
+            setup_kernel_s = statistics.median(
+                calibrator(reference.SETUP_KERNEL) for _ in range(reference.SETUP_SAMPLES)
+            )
+            measured = measure(
+                rounds, cfg["rounds"] if cfg["measure"] else 0, tracer, calibrator,
+                trace=bool(cfg["trace"]), worker=cfg["worker"], inject_abstention=cfg["inject_abstention"],
+            )
         tracer.enabled = bool(cfg["trace"])
         if cfg["trace"] and cfg["workload"] == "cli":
             import workloads
@@ -165,6 +196,13 @@ def run(cfg: dict) -> dict:
     who = resource.RUSAGE_CHILDREN if cfg["workload"] == "cli" else resource.RUSAGE_SELF
     result = {
         "setup_s": setup_s,
+        "setup_scaled_s": setup_s * reference.REFERENCE_S[reference.SETUP_KERNEL] / setup_kernel_s,
+        "scaled_s": reference.scale(
+            measured["latencies_s"], measured["kernels"], measured["brackets"], measured["samples"],
+        ),
+        "tail_scaled_s": reference.scale_to_slow_end(
+            measured["latencies_s"], measured["kernels"], measured["samples"],
+        ),
         "rounds": cfg["rounds"],
         **measured,
         "peak_rss_mb": resource.getrusage(who).ru_maxrss / 1024.0,

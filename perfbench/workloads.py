@@ -89,6 +89,9 @@ class Op:
     check: Check
     #: a cheaper call of the same functions for the untimed warm-up
     warm: Callable[[Tracer], Any] | None = None
+    #: the reference kernel whose work is most like this operation's: its
+    #: latency is scaled to reference speed by that kernel (reference.py)
+    kernel: str = "interp"
 
 
 def _draw_state(tr: Tracer, kind: str, rng: np.random.Generator, params=None) -> GenericState:
@@ -240,6 +243,9 @@ def build_decide(tr: Tracer, rng: np.random.Generator, tiny: bool) -> list[Op]:
                     "reachable" if expected else "unreachable",
                     lambda tr, inst=inst: tr.call("sep.sep_feasible", sep_feasible, inst, tag=_verdict),
                     _sep_check(expected, kind == "tiling" and label == "seed"),
+                    # the least-squares fit and full SVD of the 1458 x 9
+                    # system are the bulk of a bare sep_feasible call
+                    kernel="linalg",
                 ))
             # a generic source on the same seed lies off the 8-parameter
             # family the target's depolarizations span: never feasible.
@@ -284,7 +290,10 @@ def _cross_op(inst, structural: bool) -> Op:
             return f"oracle says {v.feasible}, engine says {engine}"
         return None
 
-    return Op("cross", run, check)
+    # the engine's least-squares fit and SVD take about half, the oracle's
+    # face enumeration the rest: array work bound by memory more than by
+    # the interpreter
+    return Op("cross", run, check, kernel="linalg")
 
 
 def build_audit(tr: Tracer, rng: np.random.Generator, tiny: bool) -> list[Op]:
@@ -318,7 +327,12 @@ def build_audit(tr: Tracer, rng: np.random.Generator, tiny: bool) -> list[Op]:
             return f"ALS labels {report.found} outside the group"
         return None
 
-    ops.append(Op("symmetry_audit", lambda tr: tr.call("seeds.symmetry_audit", symmetry_audit, params), audit_check))
+    ops.append(Op(
+        "symmetry_audit",
+        lambda tr: tr.call("seeds.symmetry_audit", symmetry_audit, params),
+        audit_check,
+        kernel="linalg",  # einsum contractions over the candidate tensors
+    ))
     ops.append(Op(
         "als",
         lambda tr: tr.call("oracle.numeric_symmetry_search", numeric_symmetry_search, params, budget),
@@ -597,7 +611,10 @@ def _cli_op(call: CliCall, cwd: Path) -> Op:
                 return f"{' '.join(call.argv)}: line {index} lacks {text!r}"
         return None
 
-    return Op(call.name, run, check)
+    # a fresh interpreter's start-up (mapping shared libraries, page faults,
+    # reading the bytecode of numpy and the package) outweighs the work of
+    # any subcommand, and slows with the machine as the linalg kernel does
+    return Op(call.name, run, check, kernel="linalg")
 
 
 #: One untimed run of every subcommand, reading only the file the first
