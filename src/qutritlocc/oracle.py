@@ -3,11 +3,11 @@
 Two oracles live here.  ``brute_force_sep`` re-decides a separable
 conversion instance by globally minimizing the mixing residual over the
 probability simplex — exhaustive stationary-point enumeration over all
-511 faces plus a vectorized projected-gradient sweep — without touching
-the polytope machinery it is meant to audit.  ``numeric_symmetry_search``
-hunts for product operators fixing a seed state by alternating least
-squares from random starts, recovering the symmetry group numerically
-instead of algebraically.
+511 faces, solved stacked by face size, plus a vectorized
+projected-gradient sweep — without touching the polytope machinery it is
+meant to audit.  ``numeric_symmetry_search`` hunts for product operators
+fixing a seed state by alternating least squares from random starts,
+recovering the symmetry group numerically instead of algebraically.
 """
 
 from __future__ import annotations
@@ -100,34 +100,37 @@ def _face_minima(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     """Global minimum of ``p^T q p - 2 c^T p`` over the simplex.
 
     The minimum lies in the relative interior of some face, where it is a
-    stationary point of the face's equality-constrained problem; all 511
-    face systems are solved and the feasible candidates compared.
+    stationary point of the face's equality-constrained problem.  The KKT
+    systems of all 511 faces are solved stacked by face size, one
+    pseudoinverse per size with the cutoff ``lstsq`` uses (so singular
+    faces get the minimum-norm solution), and the feasible candidates are
+    compared; the first minimum in size-then-lexicographic face order wins.
     """
     n = q.shape[0]
     best_val = np.inf
     best_p = None
     for size in range(1, n + 1):
-        for face in combinations(range(n), size):
-            idx = list(face)
-            kkt = np.zeros((size + 1, size + 1))
-            kkt[:size, :size] = 2.0 * q[np.ix_(idx, idx)]
-            kkt[:size, size] = 1.0
-            kkt[size, :size] = 1.0
-            rhs = np.concatenate([2.0 * c[idx], [1.0]])
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            p_face = sol[:size]
-            if p_face.min() < -1e-10:
-                continue
-            p = np.zeros(n)
-            p[idx] = np.clip(p_face, 0.0, None)
-            total = p.sum()
-            if total <= 0:
-                continue
-            p /= total
-            val = p @ q @ p - 2.0 * c @ p
-            if val < best_val:
-                best_val = val
-                best_p = p
+        faces = np.array(list(combinations(range(n), size)))
+        kkt = np.zeros((len(faces), size + 1, size + 1))
+        kkt[:, :size, :size] = 2.0 * q[faces[:, :, None], faces[:, None, :]]
+        kkt[:, :size, size] = 1.0
+        kkt[:, size, :size] = 1.0
+        rhs = np.ones((len(faces), size + 1, 1))
+        rhs[:, :size, 0] = 2.0 * c[faces]
+        sol = np.linalg.pinv(kkt, rcond=np.finfo(float).eps * (size + 1)) @ rhs
+        p_face = sol[:, :size, 0]
+        p = np.zeros((len(faces), n))
+        np.put_along_axis(p, faces, np.clip(p_face, 0.0, None), axis=1)
+        total = p.sum(axis=1)
+        keep = (p_face.min(axis=1) >= -1e-10) & (total > 0)
+        if not keep.any():
+            continue
+        p = p[keep] / total[keep, None]
+        vals = np.einsum("fi,ij,fj->f", p, q, p) - 2.0 * p @ c
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val = float(vals[i])
+            best_p = p[i]
     return best_p, best_val
 
 

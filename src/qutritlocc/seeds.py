@@ -154,7 +154,15 @@ def check_generic(params: SeedParams, threshold: float = GENERIC_THRESHOLD) -> G
 
     Each polynomial is divided by ``norm(a,b,c)**degree`` before comparison,
     which makes the verdict independent of the overall scale of the triple.
+    A NaN or infinite amplitude is reported as a violated ``finite``
+    condition with margin 0.
     """
+    amplitudes = (("a", params.a), ("b", params.b), ("c", params.c))
+    non_finite = tuple(
+        (f"finite {name}", 0.0) for name, z in amplitudes if not np.isfinite(z)
+    )
+    if non_finite:
+        return GenericityReport(False, non_finite, 0.0)
     n = params.norm()
     if n == 0:
         return GenericityReport(False, (("a", 0.0), ("b", 0.0), ("c", 0.0)), 0.0)
@@ -400,8 +408,10 @@ def symmetry_audit(
     Every pair (B, C) from the monomial and dense candidate families is run
     through the projection screen; survivors get their first-party factor
     recovered by least squares and are checked as full product symmetries.
-    The audit refuses non-generic seeds, for which the candidate narrowing
-    arguments do not apply.
+    The screen's contraction runs one probe state at a time, which bounds
+    its memory to one probe's block of pair residuals.  The audit refuses
+    non-generic seeds, for which the candidate narrowing arguments do not
+    apply.
     """
     genericity = check_generic(params, threshold)
     if not genericity.generic:
@@ -414,14 +424,20 @@ def symmetry_audit(
     probes = probe_states(params).conj()
 
     mats, labels = _all_candidates()
-    norms = np.linalg.norm(mats.reshape(len(mats), 9), axis=1)
+    n = len(mats)
+    norms = np.linalg.norm(mats.reshape(n, 9), axis=1)
     unit = mats / norms[:, None, None]
+    unit_rows = unit.reshape(n, 9)
 
     # residual[b, c, i, x] = sum_{r,s,u,v} B[b,r,s] probes[i,r,u] C[c,u,v] t[x,s,v]
+    # contracted one probe i at a time, as a (n x 9) @ (9 x 3n) product,
+    # so that only one probe's (n, n, 3) block is held in memory
     k0 = np.einsum("cuv,xsv->cuxs", unit, t)
-    k1 = np.einsum("iru,cuxs->icrxs", probes, k0)
-    res = np.einsum("brs,icrxs->bcix", unit, k1)
-    resid = np.max(np.linalg.norm(res, axis=3), axis=2)
+    k1 = np.einsum("iru,cuxs->irscx", probes, k0).reshape(len(probes), 9, 3 * n)
+    resid = np.zeros((n, n))
+    for k1_probe in k1:
+        block = (unit_rows @ k1_probe).reshape(n, n, 3)
+        np.maximum(resid, np.linalg.norm(block, axis=2), out=resid)
 
     survivors: list[SurvivorRecord] = []
     surplus: list[SurvivorRecord] = []

@@ -254,11 +254,16 @@ def _polytope_vertices(p0: np.ndarray, nullspace: np.ndarray, feas_tol: float = 
 def sep_feasible(inst: SepInstance, tol: float | None = None) -> SepFeasibility:
     """Decide an instance by exact polytope analysis.
 
-    Builds the 27x27 constraint in a real vectorization, solves for the
-    affine solution set, and enumerates polytope vertices.  Feasible means
-    a distribution reproduces the initial Gram product to within the
-    tolerance (absolute Frobenius, default 1e-9).
+    Builds the 729-row complex system (one row per entry of the 27x27 Gram
+    product), stacks it as 1459 real rows including the normalisation row,
+    solves for the affine solution set by least squares and a thin SVD,
+    and enumerates polytope vertices.  Feasible means a distribution
+    reproduces the initial Gram product to within the tolerance (absolute
+    Frobenius, default 1e-9).  Raises ``ValueError`` for a seed outside
+    the canonical gauge.
     """
+    if not inst.seed.is_canonical():
+        raise ValueError("seed parameters must be in canonical gauge")
     t = resolve_tol(tol)
     h1, h2, h3 = inst.target_gram.mats
     columns = []
@@ -281,9 +286,6 @@ def sep_feasible(inst: SepInstance, tol: float | None = None) -> SepFeasibility:
     p_ls, _, _, _ = np.linalg.lstsq(a_real, b_real, rcond=None)
     affine_residual = float(np.linalg.norm(a_real @ p_ls - b_real))
 
-    sf_source = standard_form_of_gram(inst.seed, inst.source_gram)
-    sf_target = standard_form_of_gram(inst.seed, inst.target_gram)
-
     if affine_residual > t:
         return SepFeasibility(
             feasible=False,
@@ -297,7 +299,7 @@ def sep_feasible(inst: SepInstance, tol: float | None = None) -> SepFeasibility:
             reason="affine-infeasible",
         )
 
-    _, sv, vh = np.linalg.svd(a_real)
+    _, sv, vh = np.linalg.svd(a_real, full_matrices=False)
     rank = int(np.sum(sv > 1e-9 * sv[0]))
     nullspace = vh[rank:].T  # (9, 9-rank)
 
@@ -327,6 +329,7 @@ def sep_feasible(inst: SepInstance, tol: float | None = None) -> SepFeasibility:
         dsv = np.linalg.svd(diffs, compute_uv=False)
         affine_dim = int(np.sum(dsv > 1e-9 * max(dsv[0], 1e-300)))
 
+    sf_target = standard_form_of_gram(inst.seed, inst.target_gram)
     vertex_trivial = []
     for v in vertices:
         induced = induced_initial(inst.target_gram, v)

@@ -113,7 +113,10 @@ def _parse_num(value: Any, path: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
     ):
         raise SchemaError(path, "expected a [re, im] pair of numbers")
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError as exc:
+        raise SchemaError(path, "non-finite number: an integer overflows a float") from exc
 
 
 def _parse_mat(value: Any, path: str) -> np.ndarray:
@@ -267,12 +270,27 @@ def load_protocol(path: str | Path) -> KrausSet | LoccProtocol:
     return protocol_from_json(read_json(path))
 
 
+def _reject_constant(literal: str) -> float:
+    raise SchemaError("$", f"non-finite number {literal} is not allowed")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not np.isfinite(value):
+        _reject_constant(literal)
+    return value
+
+
 def read_json(path: str | Path) -> Any:
+    """Parse a JSON file; ``NaN``, ``Infinity`` and overflowing numbers are
+    rejected, since no field of the format may hold a non-finite value."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise SchemaError("$", f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(
+            text, parse_constant=_reject_constant, parse_float=_finite_float
+        )
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from exc

@@ -185,6 +185,18 @@ def test_classify_tiling_text(capsys, files):
         assert flag in out
 
 
+def test_classify_rejects_nan_seed(capsys, tmp_path, files):
+    with open(files["seed"]) as fh:
+        doc = json.load(fh)
+    doc["seed"]["a"][0] = "PLACEHOLDER"
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc).replace('"PLACEHOLDER"', "NaN"))
+    code, out, err = run(capsys, "classify", str(bad))
+    assert code == 1
+    assert out == ""
+    assert "non-finite" in err
+
+
 def test_sep_decide_feasible(capsys, files):
     code, out, _ = run(
         capsys, "sep-decide", "--from", files["seed"], "--to", files["tiling"], "--json"

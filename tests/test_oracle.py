@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from qutritlocc.oracle import (
     REJECT_TOL,
     WITNESS_TOL,
     OracleBudget,
+    _face_minima,
+    _mixing_system,
     brute_force_sep,
     numeric_symmetry_search,
 )
@@ -129,6 +133,71 @@ def test_oracle_agrees_with_engine_on_mixed_batch(params, rng):
         verdict = brute_force_sep(instance, BUDGET)
         assert verdict.feasible is not None
         assert verdict.feasible == decision.feasible
+
+
+def face_minima_reference(q, c):
+    """One ``lstsq`` KKT solve per face, in size-then-lexicographic order."""
+    n = q.shape[0]
+    best_val, best_p = np.inf, None
+    for size in range(1, n + 1):
+        for face in combinations(range(n), size):
+            idx = list(face)
+            kkt = np.zeros((size + 1, size + 1))
+            kkt[:size, :size] = 2.0 * q[np.ix_(idx, idx)]
+            kkt[:size, size] = 1.0
+            kkt[size, :size] = 1.0
+            rhs = np.concatenate([2.0 * c[idx], [1.0]])
+            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+            if sol[:size].min() < -1e-10:
+                continue
+            p = np.zeros(n)
+            p[idx] = np.clip(sol[:size], 0.0, None)
+            if p.sum() <= 0:
+                continue
+            p /= p.sum()
+            val = p @ q @ p - 2.0 * c @ p
+            if val < best_val:
+                best_val, best_p = val, p
+    return best_p, best_val
+
+
+def _quadratic(kind, params, rng):
+    if kind in ("random-psd", "rank-5-psd"):
+        m = rng.normal(size=(12 if kind == "random-psd" else 5, 9))
+        return m.T @ m, rng.normal(size=9)
+    if kind == "seed":
+        factors = (np.eye(3),) * 3
+    elif kind == "tiling":
+        factors = (
+            positive_factor(two_pair_mat((1, 0), (0, 1))),
+            positive_factor(two_pair_mat((1, 1), (1, 2))),
+            np.eye(3),
+        )
+    else:
+        factors = tuple(dense_factor(rng) for _ in range(3))
+    a, b = _mixing_system(
+        gram_instance(params, seed_gram(), gram(GenericState(params, factors)))
+    )
+    return a.T @ a, a.T @ b
+
+
+@pytest.mark.parametrize("kind", ["seed", "tiling", "dense", "random-psd", "rank-5-psd"])
+def test_face_minima_matches_per_face_lstsq(params, rng, kind):
+    """The stacked solve agrees with one ``lstsq`` per face.  Seed to seed
+    (rank 1) and the rank-5 ``q`` make the KKT systems of large faces
+    singular, so they need the same minimum-norm solution."""
+    q, c = _quadratic(kind, params, rng)
+    if kind == "seed":
+        assert np.linalg.matrix_rank(q) == 1
+    if kind == "rank-5-psd":
+        assert np.linalg.matrix_rank(q) == 5
+    p, val = _face_minima(q, c)
+    p_ref, val_ref = face_minima_reference(q, c)
+    assert abs(val - val_ref) <= 1e-12 * max(1.0, abs(val_ref))
+    # seed to seed: every simplex point is a minimizer, so the support
+    # is set by rounding in the tie-break
+    if kind != "seed":
+        np.testing.assert_array_equal(p > 1e-9, p_ref > 1e-9)
 
 
 def test_symmetry_search_recovers_full_group(params):

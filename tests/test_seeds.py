@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qutritlocc.pauli import INDEX_ORDER, OMEGA, PAULIS, apply3
 from qutritlocc.seeds import (
+    AUDIT_PROJ_TOL,
     GENERIC_THRESHOLD,
     SeedParams,
     adjugate,
@@ -17,6 +18,7 @@ from qutritlocc.seeds import (
     seed_circulant_blocks,
     symmetry_audit,
     verify_symmetries,
+    _all_candidates,
     _exclusion_polynomials,
 )
 
@@ -102,6 +104,22 @@ def test_equal_amplitudes_are_excluded():
     assert any("a^9" in name or "b^9" in name for name, _ in report.violations)
     report = check_generic(SeedParams(1, 1, 1).canonical())
     assert not report.generic
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        SeedParams(np.nan, 1, 0.5),
+        SeedParams(1, complex(0.5, np.nan), 0.5),
+        SeedParams(1, 0.5, np.inf),
+    ],
+    ids=["nan", "complex-nan", "inf"],
+)
+def test_non_finite_parameters_are_not_generic(seed):
+    report = check_generic(seed)
+    assert not report.generic
+    assert report.violations
+    assert report.margin == 0.0
 
 
 def test_scale_invariance_of_margin():
@@ -213,6 +231,31 @@ def test_audit_is_clean_on_generic_seed(params):
     for r in report.survivors:
         assert r.projection_residual <= 1e-8
         assert r.b_label.startswith("monomial:")
+
+
+@pytest.mark.parametrize("proj_tol", [AUDIT_PROJ_TOL, 0.05])
+def test_audit_screen_matches_einsum_reference(params, proj_tol):
+    """The per-probe matrix products give the residuals of the direct
+    three-``einsum`` contraction, and the same survivor set.  The loose
+    tolerance lets 432 pairs with residuals up to ~0.05 through."""
+    report = symmetry_audit(params, proj_tol=proj_tol)
+    psi = build_seed(params)
+    t = (psi / np.linalg.norm(psi)).reshape(3, 3, 3)
+    probes = probe_states(params).conj()
+    mats, labels = _all_candidates()
+    unit = mats / np.linalg.norm(mats.reshape(len(mats), 9), axis=1)[:, None, None]
+    k0 = np.einsum("cuv,xsv->cuxs", unit, t)
+    k1 = np.einsum("iru,cuxs->icrxs", probes, k0)
+    res = np.einsum("brs,icrxs->bcix", unit, k1)
+    resid = np.max(np.linalg.norm(res, axis=3), axis=2)
+
+    index = {label: i for i, label in enumerate(labels)}
+    records = report.survivors + report.surplus
+    screened = {(index[r.b_label], index[r.c_label]) for r in records}
+    assert screened == set(zip(*np.nonzero(resid <= proj_tol)))
+    for r in records:
+        ref = resid[index[r.b_label], index[r.c_label]]
+        assert abs(r.projection_residual - ref) <= 1e-12
 
 
 def test_audit_refuses_non_generic():

@@ -212,6 +212,25 @@ def test_instance_requires_canonical_seed():
         gram_instance(SeedParams(2, 3, 5), seed_gram(), seed_gram())
 
 
+@pytest.mark.parametrize("target_kind", ["dense", "seed"])
+def test_sep_feasible_rejects_non_canonical_seed(rng, target_kind):
+    """An instance built without ``gram_instance`` still has its seed
+    checked, on the affine-infeasible early return and on a feasible one."""
+    if target_kind == "dense":
+        target = gram_triple(dense_mat(rng), dense_mat(rng), dense_mat(rng))
+    else:
+        target = seed_gram()
+    inst = SepInstance(
+        seed=SeedParams(2, 3, 5),
+        source=None,
+        target=None,
+        source_gram=seed_gram(),
+        target_gram=target,
+    )
+    with pytest.raises(ValueError, match="canonical"):
+        sep_feasible(inst)
+
+
 def test_instance_requires_same_seed(params, rng):
     other = SeedParams(2, 3, 5).canonical()
     s1 = GenericState(params, (np.eye(3),) * 3)

@@ -184,6 +184,20 @@ def test_correction_party_must_differ_from_measurer(params, rng):
     assert err.value.path.endswith(".party")
 
 
+@pytest.mark.parametrize(
+    "literal",
+    ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+    ids=["nan", "inf", "minus-inf", "float-overflow", "int-overflow"],
+)
+def test_non_finite_numbers_are_rejected(tmp_path, state, literal):
+    doc = state_to_json(state)
+    doc["g"][0][1][2][0] = "PLACEHOLDER"
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
+    with pytest.raises(SchemaError, match="non-finite"):
+        load_state(path)
+
+
 def test_unreadable_and_invalid_files(tmp_path):
     with pytest.raises(SchemaError) as err:
         load_state(tmp_path / "nope.json")
