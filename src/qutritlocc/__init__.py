@@ -64,7 +64,6 @@ from .seeds import (
     build_seed,
     check_generic,
     probe_states,
-    seed_circulant_blocks,
     symmetry_audit,
     verify_symmetries,
 )

@@ -113,23 +113,15 @@ class CaseMatch:
     pair: Pair | None
 
 
-def _party_perms(cyclic_only: bool) -> tuple[tuple[int, int, int], ...]:
-    if cyclic_only:
-        return ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    return tuple(itertools.permutations(range(3)))  # type: ignore[return-value]
-
-
 def _confined(pairs: frozenset[Pair], w: Pair) -> bool:
     return pairs <= {w}
 
 
-def detect_sep_cases(
-    pattern: SupportPattern, cyclic_only: bool = False
-) -> tuple[CaseMatch, ...]:
+def detect_sep_cases(pattern: SupportPattern) -> tuple[CaseMatch, ...]:
     """All structural matches that certify separable reachability."""
     out: list[CaseMatch] = []
     seen: set[tuple] = set()
-    for i, j, k in _party_perms(cyclic_only):
+    for i, j, k in itertools.permutations(range(3)):
         pi, pj, pk = pattern.pairs[i], pattern.pairs[j], pattern.pairs[k]
         if not pk and (pi or pj) and not (pi & pj):
             key = ("disjoint", frozenset((i, j)), k)
@@ -147,21 +139,17 @@ def detect_sep_cases(
     return tuple(out)
 
 
-def detect_locc_cases(
-    pattern: SupportPattern, cyclic_only: bool = False
-) -> tuple[CaseMatch, ...]:
+def detect_locc_cases(pattern: SupportPattern) -> tuple[CaseMatch, ...]:
     """Structural matches certifying local (LOCC) reachability.
 
     Identical to the confined separable case: two parties confined to one
     common negation pair (a trivial party is confined to every pair), the
     remaining party not confined to it.
     """
-    return tuple(m for m in detect_sep_cases(pattern, cyclic_only) if m.kind == "confined")
+    return tuple(m for m in detect_sep_cases(pattern) if m.kind == "confined")
 
 
-def convert_witnesses(
-    pattern: SupportPattern, cyclic_only: bool = False
-) -> tuple[CaseMatch, ...]:
+def convert_witnesses(pattern: SupportPattern) -> tuple[CaseMatch, ...]:
     """Structural witnesses of local one-step convertibility.
 
     Two parties confined to a common negation pair; the remaining party is
@@ -169,7 +157,7 @@ def convert_witnesses(
     """
     out: list[CaseMatch] = []
     seen: set[tuple] = set()
-    for i, j, k in _party_perms(cyclic_only):
+    for i, j, k in itertools.permutations(range(3)):
         for w in PAIR_REPS:
             if _confined(pattern.pairs[j], w) and _confined(pattern.pairs[k], w):
                 key = (i, frozenset((j, k)), w)
@@ -180,35 +168,36 @@ def convert_witnesses(
     return tuple(out)
 
 
-def is_sep_reachable(gt: GramTriple, tol: float | None = None, cyclic_only: bool = False) -> bool:
+def is_sep_reachable(gt: GramTriple, tol: float | None = None) -> bool:
     """Whether some LU-inequivalent state of the class maps to this Gram
     triple under a separable transformation."""
-    return bool(detect_sep_cases(support_pattern(gt, tol), cyclic_only))
+    return bool(detect_sep_cases(support_pattern(gt, tol)))
 
 
-def is_locc_reachable(gt: GramTriple, tol: float | None = None, cyclic_only: bool = False) -> bool:
+def is_locc_reachable(gt: GramTriple, tol: float | None = None) -> bool:
     """Whether some LU-inequivalent state of the class reaches this Gram
     triple by a local protocol."""
-    return bool(detect_locc_cases(support_pattern(gt, tol), cyclic_only))
+    return bool(detect_locc_cases(support_pattern(gt, tol)))
 
 
-def is_locc_convertible(
-    gt: GramTriple, tol: float | None = None, cyclic_only: bool = False
-) -> bool:
+def is_locc_convertible(gt: GramTriple, tol: float | None = None) -> bool:
     """Whether this Gram triple admits a local transformation to some
     LU-inequivalent state of the class."""
-    return bool(convert_witnesses(support_pattern(gt, tol), cyclic_only))
+    return bool(convert_witnesses(support_pattern(gt, tol)))
 
 
-def is_support_tiling(gt: GramTriple, tol: float | None = None, cyclic_only: bool = False) -> bool:
-    """Whether the supports tile the nonzero indices two pairs + two pairs
-    with one trivial party (separably reachable only from the seed)."""
-    pattern = support_pattern(gt, tol)
-    for i, j, k in _party_perms(cyclic_only):
+def _tiles(pattern: SupportPattern) -> bool:
+    for i, j, k in itertools.permutations(range(3)):
         pi, pj, pk = pattern.pairs[i], pattern.pairs[j], pattern.pairs[k]
         if not pk and len(pi) == 2 and len(pj) == 2 and not (pi & pj):
             return True
     return False
+
+
+def is_support_tiling(gt: GramTriple, tol: float | None = None) -> bool:
+    """Whether the supports tile the nonzero indices two pairs + two pairs
+    with one trivial party (separably reachable only from the seed)."""
+    return _tiles(support_pattern(gt, tol))
 
 
 @dataclass(frozen=True)
@@ -226,25 +215,21 @@ class Classification:
     sep_only: bool
     in_mes: bool
     isolated: bool
-    cyclic_only: bool
 
     @property
     def warnings(self) -> tuple[str, ...]:
         return self.pattern.warnings
 
 
-def classify_gram(
-    gt: GramTriple, tol: float | None = None, cyclic_only: bool = False
-) -> Classification:
+def classify_gram(gt: GramTriple, tol: float | None = None) -> Classification:
     """Classify a Gram triple structurally (see the module docstring)."""
     pattern = support_pattern(gt, tol)
-    sep_cases = detect_sep_cases(pattern, cyclic_only)
+    sep_cases = detect_sep_cases(pattern)
     locc_cases = tuple(m for m in sep_cases if m.kind == "confined")
-    convert_cases = convert_witnesses(pattern, cyclic_only)
+    convert_cases = convert_witnesses(pattern)
     sep_reachable = bool(sep_cases)
     locc_reachable = bool(locc_cases)
     locc_convertible = bool(convert_cases)
-    tiling = is_support_tiling(gt, tol, cyclic_only)
     in_mes = not locc_reachable
     return Classification(
         pattern=pattern,
@@ -254,16 +239,13 @@ def classify_gram(
         locc_cases=locc_cases,
         locc_convertible=locc_convertible,
         convert_cases=convert_cases,
-        support_tiling=tiling,
+        support_tiling=_tiles(pattern),
         sep_only=sep_reachable and not locc_reachable,
         in_mes=in_mes,
         isolated=in_mes and not locc_convertible,
-        cyclic_only=cyclic_only,
     )
 
 
-def classify(
-    state: GenericState, tol: float | None = None, cyclic_only: bool = False
-) -> Classification:
+def classify(state: GenericState, tol: float | None = None) -> Classification:
     """Classify a state via the Gram triple of its factors."""
-    return classify_gram(gram(state), tol, cyclic_only)
+    return classify_gram(gram(state), tol)

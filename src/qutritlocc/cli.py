@@ -38,6 +38,7 @@ from .statefile import (
     save_protocol,
     save_state,
     seed_from_json,
+    seed_to_json,
     state_to_json,
 )
 from .states import SeedMismatchError, lu_equivalent, standard_form
@@ -68,14 +69,6 @@ def _load_seed_file(path: str) -> SeedParams:
     return seed_from_json(obj, "$")
 
 
-def _num(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _seed_json(seed: SeedParams) -> dict[str, Any]:
-    return {"a": _num(seed.a), "b": _num(seed.b), "c": _num(seed.c)}
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -91,7 +84,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         save_state(args.out, state, metadata)
         _emit(
             args,
-            {"written": args.out, "kind": args.kind, "seed": _seed_json(state.seed)},
+            {"written": args.out, "kind": args.kind, "seed": seed_to_json(state.seed)},
             [f"wrote {args.kind} state to {args.out}"],
         )
     else:
@@ -132,9 +125,9 @@ def _cmd_standard_form(args: argparse.Namespace) -> int:
         reports.append(
             {
                 "file": path,
-                "seed": _seed_json(form.seed),
+                "seed": seed_to_json(form.seed),
                 "gauge": list(form.gauge),
-                "coords": [[_num(z) for z in row] for row in form.coords],
+                "coords": [[[float(z.real), float(z.imag)] for z in row] for row in form.coords],
             }
         )
         lines.append(f"{path}: gauge {form.gauge}")
@@ -184,7 +177,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     lines = []
     for path in args.files:
         state = load_state(path)
-        cls = classify(state, cyclic_only=args.cyclic_perms_only)
+        cls = classify(state)
         report = {"file": path, **_classification_json(cls)}
         reports.append(report)
         flags = [
@@ -329,7 +322,7 @@ def _cmd_symmetry_audit(args: argparse.Namespace) -> int:
     seed = _load_seed_file(args.file).canonical()
     report = symmetry_audit(seed)
     payload = {
-        "seed": _seed_json(seed),
+        "seed": seed_to_json(seed),
         "generic": report.genericity.generic,
         "candidates": report.n_candidates,
         "pairs_screened": report.n_pairs,
@@ -391,12 +384,6 @@ def _common_flags() -> argparse.ArgumentParser:
         help="cross-check decisions with the brute-force oracle",
     )
     common.add_argument(
-        "--cyclic-perms-only",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="restrict case detection to cyclic party permutations",
-    )
-    common.add_argument(
         "--json",
         action="store_true",
         default=argparse.SUPPRESS,
@@ -414,9 +401,7 @@ def _build_parser() -> _Parser:
         ),
         parents=[_common_flags()],
     )
-    parser.set_defaults(
-        tolerance=None, rng_seed=0, oracle=False, cyclic_perms_only=False, json=False
-    )
+    parser.set_defaults(tolerance=None, rng_seed=0, oracle=False, json=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name: str, help: str):

@@ -94,9 +94,7 @@ def _draw_factors(
 
     if kind == "seed":
         return tuple(factors)
-    if kind == "generic":
-        return tuple(_dense_factor(rng) for _ in range(3))
-    if kind == "dense":
+    if kind in ("generic", "dense"):
         return tuple(_dense_factor(rng) for _ in range(3))
 
     if kind == "disjoint":

@@ -8,10 +8,15 @@ trivially on the seed: a branch operator of the form
 ``(h1 S_k (x) h2 S_k (x) h3 S_k)`` applied to the seed equals
 ``(h1 (x) h2 (x) h3)`` applied to it, for every label k.
 
-Unitary dressings of target factors are handled uniformly: the correction
-applied at a non-measuring party with current factor f and desired factor
-h after outcome k is ``h S_k f^{-1}``, which is unitary in every situation
-these constructions produce (and is verified to be).
+Every branch operator is built in one place, the kernel :func:`_branches`:
+from initial factors g_i to target factors h_i, the branch for label k is
+``sqrt(p_k) (h1 S_k g1^{-1} (x) h2 S_k g2^{-1} (x) h3 S_k g3^{-1})`` with the
+weight on one party's factor (the separable form of Gour and Wallach, NJP
+13, 073013, 2011).  The adapter :func:`_round` turns such a set into one
+local round: that party measures, and the other two apply their factors
+``h S_k g^{-1}`` as outcome-conditioned corrections, which are unitary in
+every situation these constructions produce (and are verified to be).
+The public constructions only choose the factors and the weights.
 """
 
 from __future__ import annotations
@@ -227,15 +232,42 @@ def simulate_branches(
 # Construction helpers
 # ---------------------------------------------------------------------------
 
-def _correction(current: np.ndarray, desired: np.ndarray, k: Pair) -> np.ndarray:
-    """Correction unitary turning current factor into the desired one."""
-    u = desired @ PAULIS[k] @ np.linalg.inv(current)
-    if np.linalg.norm(dagger(u) @ u - np.eye(3)) > 1e-8:
-        raise ProtocolError(
-            "correction operator is not unitary; the requested factors do not "
-            "fit this construction"
-        )
-    return u
+def _branches(
+    initial_factors, target_factors, weights: dict[Pair, float], party: int
+) -> tuple[KrausElement, ...]:
+    """Branch operators ``h_i S_k g_i^{-1}`` from initial factors g to
+    target factors h, one per label of ``weights`` in its order, with
+    ``sqrt(p_k)`` on ``party``'s factor."""
+    ginvs = [np.linalg.inv(g) for g in initial_factors]
+    elements = []
+    for k, weight in weights.items():
+        factors = [h @ PAULIS[k] @ ginv for h, ginv in zip(target_factors, ginvs)]
+        factors[party] = np.sqrt(max(weight, 0.0)) * factors[party]
+        elements.append(KrausElement(label=k, factors=tuple(factors)))
+    return tuple(elements)
+
+
+def _round(parties: tuple[int, int, int], elements) -> LoccRound:
+    """One local round from a Kraus set: ``parties[0]`` measures its
+    factors, ``parties[1:]`` apply theirs, in that order, as corrections."""
+    party, others = parties[0], parties[1:]
+    for el in elements:
+        for c in others:
+            u = el.factors[c]
+            if np.linalg.norm(dagger(u) @ u - np.eye(3)) > 1e-8:
+                raise ProtocolError(
+                    "correction operator is not unitary; the requested factors "
+                    "do not fit this construction"
+                )
+    return LoccRound(
+        party=party,
+        povm=tuple((el.label, el.factors[party]) for el in elements),
+        corrections=tuple(tuple((c, el.factors[c]) for c in others) for el in elements),
+    )
+
+
+def _uniform(labels) -> dict[Pair, float]:
+    return dict.fromkeys(labels, 1.0 / len(labels))
 
 
 def _triple(w: Pair) -> tuple[Pair, Pair, Pair]:
@@ -263,6 +295,11 @@ def _scale_to_trace3(h: np.ndarray) -> tuple[np.ndarray, float]:
     return lam * h, lam
 
 
+def _unitized(h: np.ndarray) -> np.ndarray:
+    """The unitary part of a factor's polar decomposition."""
+    return h @ np.linalg.inv(positive_factor(dagger(h) @ h))
+
+
 # ---------------------------------------------------------------------------
 # Separable maps
 # ---------------------------------------------------------------------------
@@ -278,21 +315,10 @@ def sep_map_disjoint(h1: np.ndarray, h2: np.ndarray, seed) -> KrausSet:
     h1, lam1 = _scale_to_trace3(np.asarray(h1, dtype=complex))
     h2, lam2 = _scale_to_trace3(np.asarray(h2, dtype=complex))
     eye = np.eye(3, dtype=complex)
-    elements = tuple(
-        KrausElement(
-            label=k,
-            factors=(
-                (h1 @ PAULIS[k]) / 3.0,
-                h2 @ PAULIS[k],
-                np.asarray(PAULIS[k]),
-            ),
-        )
-        for k in INDEX_ORDER
-    )
     initial = GenericState(seed=seed, factors=(eye, eye, eye))
     target = GenericState(seed=seed, factors=(h1, h2, eye))
     kraus = KrausSet(
-        elements=elements,
+        elements=_branches(initial.factors, target.factors, _uniform(INDEX_ORDER), 0),
         initial=initial,
         target=target,
         construction="sep-disjoint",
@@ -321,24 +347,14 @@ def sep_map_confined(
     eye = np.eye(3, dtype=complex)
     h2 = eye if h2 is None else np.asarray(h2, dtype=complex)
     h3 = eye if h3 is None else np.asarray(h3, dtype=complex)
-
     g1w = span_factor(_triple_depolarized(dagger(h1) @ h1, w), w)
-    ginv = np.linalg.inv(g1w)
-    # At parties 2 and 3 the branch operator h S_k h^{-1} is unitary exactly
-    # because the factor's Gram lives in the pair's commuting span.
-    elements = [
-        KrausElement(
-            label=k,
-            factors=(
-                (h1 @ PAULIS[k] @ ginv) / np.sqrt(3.0),
-                _correction(h2, h2, k),
-                _correction(h3, h3, k),
-            ),
-        )
-        for k in _triple(w)
-    ]
     initial = GenericState(seed=seed, factors=(g1w, h2, h3))
     target = GenericState(seed=seed, factors=(h1, h2, h3))
+    elements = _branches(initial.factors, target.factors, _uniform(_triple(w)), 0)
+    # At parties 2 and 3 the branch operator h S_k h^{-1} is unitary exactly
+    # because the factor's Gram lives in the pair's commuting span, so the
+    # map is one local round; building that round verifies it.
+    _round((0, 1, 2), elements)
     notes = []
     try:
         if lu_equivalent(initial, target):
@@ -346,7 +362,7 @@ def sep_map_confined(
     except ValueError:
         pass
     kraus = KrausSet(
-        elements=tuple(elements),
+        elements=elements,
         initial=initial,
         target=target,
         construction="sep-confined",
@@ -370,25 +386,11 @@ def sep_map_from_witness(
     tr_g = np.prod([np.trace(dagger(g) @ g).real for g in source.factors])
     tr_h = np.prod([np.trace(dagger(h) @ h).real for h in target.factors])
     scale = (tr_g / tr_h) ** (1.0 / 6.0)
-    hs = [scale * h for h in target.factors]
-    ginvs = [np.linalg.inv(g) for g in source.factors]
-    elements = []
-    for weight, k in zip(p, INDEX_ORDER):
-        root = np.sqrt(max(weight, 0.0))
-        elements.append(
-            KrausElement(
-                label=k,
-                factors=(
-                    root * (hs[0] @ PAULIS[k] @ ginvs[0]),
-                    hs[1] @ PAULIS[k] @ ginvs[1],
-                    hs[2] @ PAULIS[k] @ ginvs[2],
-                ),
-            )
-        )
+    target = GenericState(seed=target.seed, factors=tuple(scale * h for h in target.factors))
     kraus = KrausSet(
-        elements=tuple(elements),
+        elements=_branches(source.factors, target.factors, dict(zip(INDEX_ORDER, p)), 0),
         initial=source,
-        target=GenericState(seed=target.seed, factors=tuple(hs)),
+        target=target,
         construction="sep-witness",
         notes=(f"target rescale {scale:.6g}",),
     )
@@ -435,22 +437,14 @@ def _one_round_protocol(
     """Party f measures three outcomes; confined parties apply dressed
     symmetry corrections.  Initial: f's Gram depolarized over the pair's
     triple, other factors as in the target."""
-    h = list(target.factors)
-    g_fw = span_factor(_triple_depolarized(dagger(h[f]) @ h[f], w), w)
-    ginv = np.linalg.inv(g_fw)
-    povm = []
-    corrections = []
-    for k in _triple(w):
-        povm.append((k, (h[f] @ PAULIS[k] @ ginv) / np.sqrt(3.0)))
-        corrections.append(
-            tuple((c, _correction(h[c], h[c], k)) for c in (c1, c2))
-        )
+    h = target.factors
     initial_factors = list(h)
-    initial_factors[f] = g_fw
+    initial_factors[f] = span_factor(_triple_depolarized(dagger(h[f]) @ h[f], w), w)
     initial = GenericState(seed=target.seed, factors=tuple(initial_factors))
+    elements = _branches(initial.factors, h, _uniform(_triple(w)), f)
     protocol = LoccProtocol(
         initial=initial,
-        rounds=(LoccRound(party=f, povm=tuple(povm), corrections=tuple(corrections)),),
+        rounds=(_round((f, c1, c2), elements),),
         target=target,
         construction="locc-one-round",
     )
@@ -462,28 +456,16 @@ def _nine_outcome_protocol(target: GenericState, f: int, c1: int, c2: int) -> Lo
     """From the bare seed: party f measures all nine symmetry labels; the
     other parties (trivial Grams) apply their dressing unitaries times the
     matching symmetry."""
-    h = list(target.factors)
-    hf, lam = _scale_to_trace3(h[f])
+    h = target.factors
     eye = np.eye(3, dtype=complex)
-    unitized = {}
+    declared = [eye, eye, eye]
+    declared[f], lam = _scale_to_trace3(h[f])
     for c in (c1, c2):
-        r = positive_factor(dagger(h[c]) @ h[c])
-        unitized[c] = h[c] @ np.linalg.inv(r)
-    povm = []
-    corrections = []
-    for k in INDEX_ORDER:
-        povm.append((k, (hf @ PAULIS[k]) / 3.0))
-        corrections.append(
-            tuple((c, _correction(eye, unitized[c], k)) for c in (c1, c2))
-        )
-    declared = [None, None, None]
-    declared[f] = hf
-    declared[c1] = unitized[c1]
-    declared[c2] = unitized[c2]
-    initial = GenericState(seed=target.seed, factors=(eye, eye, eye))
+        declared[c] = _unitized(h[c])
+    elements = _branches((eye, eye, eye), declared, _uniform(INDEX_ORDER), f)
     protocol = LoccProtocol(
-        initial=initial,
-        rounds=(LoccRound(party=f, povm=tuple(povm), corrections=tuple(corrections)),),
+        initial=GenericState(seed=target.seed, factors=(eye, eye, eye)),
+        rounds=(_round((f, c1, c2), elements),),
         target=GenericState(seed=target.seed, factors=tuple(declared)),
         construction="locc-nine-outcome",
         notes=(f"measuring factor rescaled by {lam:.6g}; trivial factors unitized",),
@@ -498,42 +480,20 @@ def _two_stage_protocol(
     """From the bare seed, for targets with one occupied confined party
     and free-party support disjoint from the pair: first the confined
     party measures nine outcomes, then the free party measures the pair's
-    triple."""
-    h = list(target.factors)
-    hcn, lam_n = _scale_to_trace3(h[cn])
-    hf, lam_f = _scale_to_trace3(h[f])
-    r_ct = positive_factor(dagger(h[ct]) @ h[ct])
-    u_ct = h[ct] @ np.linalg.inv(r_ct)
+    triple.  The first round ends on the middle factors, the occupied
+    party's factor and identities elsewhere."""
+    h = target.factors
     eye = np.eye(3, dtype=complex)
-
-    povm1 = []
-    corr1 = []
-    for k in INDEX_ORDER:
-        povm1.append((k, (hcn @ PAULIS[k]) / 3.0))
-        corr1.append(tuple((c, _correction(eye, eye, k)) for c in (f, ct)))
-
-    povm2 = []
-    corr2 = []
-    for j in _triple(w):
-        povm2.append((j, (hf @ PAULIS[j]) / np.sqrt(3.0)))
-        corr2.append(
-            (
-                (cn, _correction(hcn, hcn, j)),
-                (ct, _correction(eye, u_ct, j)),
-            )
-        )
-
-    declared = [None, None, None]
-    declared[f] = hf
-    declared[cn] = hcn
-    declared[ct] = u_ct
-    initial = GenericState(seed=target.seed, factors=(eye, eye, eye))
+    middle = [eye, eye, eye]
+    middle[cn], lam_n = _scale_to_trace3(h[cn])
+    declared = list(middle)
+    declared[f], lam_f = _scale_to_trace3(h[f])
+    declared[ct] = _unitized(h[ct])
+    first = _branches((eye, eye, eye), middle, _uniform(INDEX_ORDER), cn)
+    second = _branches(middle, declared, _uniform(_triple(w)), f)
     protocol = LoccProtocol(
-        initial=initial,
-        rounds=(
-            LoccRound(party=cn, povm=tuple(povm1), corrections=tuple(corr1)),
-            LoccRound(party=f, povm=tuple(povm2), corrections=tuple(corr2)),
-        ),
+        initial=GenericState(seed=target.seed, factors=(eye, eye, eye)),
+        rounds=(_round((cn, f, ct), first), _round((f, cn, ct), second)),
         target=GenericState(seed=target.seed, factors=tuple(declared)),
         construction="locc-two-stage",
         notes=(
@@ -572,7 +532,7 @@ def locc_convert_step(
         if not witnesses:
             raise ValueError(f"no conversion witness with pair {pair}")
     match = witnesses[0]
-    m_party, c1, c2 = match.parties
+    m_party = match.parties[0]
     w = match.pair
     assert w is not None
 
@@ -582,7 +542,6 @@ def locc_convert_step(
     ghat = g_gram / trace
     _, gc = pauli_coords(ghat)
     confined = pattern.pairs[m_party] <= {w}
-    triple = _triple(w)
     notes = []
 
     if not confined:
@@ -615,10 +574,7 @@ def locc_convert_step(
                     f"step size {eps} drives the target Gram below the "
                     f"positivity margin {POS_MARGIN}"
                 )
-        p = np.zeros(9)
-        p[INDEX_POS[(0, 0)]] = 1.0 - 2.0 * eps / 3.0
-        p[INDEX_POS[w]] = eps / 3.0
-        p[INDEX_POS[idx_neg(w)]] = eps / 3.0
+        weights = dict(zip(_triple(w), (1.0 - 2.0 * eps / 3.0, eps / 3.0, eps / 3.0)))
         notes.append(f"step size {eps:.6g} on pair {w}")
     else:
         u_star = next(u for u in PAIR_REPS if u != w)
@@ -633,37 +589,24 @@ def locc_convert_step(
             raise ProtocolError(
                 f"no perturbation above {EPS_MIN} keeps the target Gram positive"
             )
-        p = np.zeros(9)
-        for k in triple:
-            p[INDEX_POS[k]] = 1.0 / 3.0
+        weights = _uniform(_triple(w))
         notes.append(
             f"measuring party confined to {w}: uniform triple weights with a "
             f"fresh coordinate pair at {u_star} (size {delta:.6g})"
         )
 
-    h_new = positive_factor(hhat * trace)
-    ginv = np.linalg.inv(g_m)
-    povm = []
-    corrections = []
-    for k in triple:
-        weight = np.sqrt(p[INDEX_POS[k]])
-        povm.append((k, weight * (h_new @ PAULIS[k] @ ginv)))
-        corrections.append(
-            tuple((c, _correction(source.factors[c], source.factors[c], k)) for c in (c1, c2))
-        )
     target_factors = list(source.factors)
-    target_factors[m_party] = h_new
+    target_factors[m_party] = positive_factor(hhat * trace)
     target = GenericState(seed=source.seed, factors=tuple(target_factors))
     try:
         if lu_equivalent(source, target):
             notes.append("trivial step: source and target are LU-equivalent")
     except ValueError:
         pass
+    elements = _branches(source.factors, target.factors, weights, m_party)
     protocol = LoccProtocol(
         initial=source,
-        rounds=(
-            LoccRound(party=m_party, povm=tuple(povm), corrections=tuple(corrections)),
-        ),
+        rounds=(_round(match.parties, elements),),
         target=target,
         construction="locc-convert-step",
         notes=tuple(notes),

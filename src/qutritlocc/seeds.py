@@ -230,57 +230,6 @@ def probe_states(params: SeedParams) -> np.ndarray:
     return probes
 
 
-def projection_residual(b_mat: np.ndarray, c_mat: np.ndarray, params: SeedParams) -> float:
-    """Largest probe-projection norm of ``(I (x) B (x) C)`` on the seed.
-
-    Vanishes (to float noise) exactly when ``B (x) C`` can be completed by
-    an invertible first-party factor to a symmetry of the seed.  The scale
-    is the caller's: no normalization is applied.
-    """
-    psi = build_seed(params)
-    t = apply3(np.eye(3, dtype=complex), b_mat, c_mat, psi).reshape(3, 3, 3)
-    out = np.einsum("ijk,xjk->ix", probe_states(params).conj(), t)
-    return float(np.max(np.linalg.norm(out, axis=1)))
-
-
-# ---------------------------------------------------------------------------
-# Structure used by the audit's algebraic cross-checks
-# ---------------------------------------------------------------------------
-
-def seed_circulant_blocks(b_mat: np.ndarray, params: SeedParams) -> np.ndarray:
-    """The three Hadamard-masked circulant blocks of a candidate's rows.
-
-    Block i is the circulant of (a, c, b) masked entrywise with a fixed
-    shuffle of row i of the candidate matrix; these blocks carry the linear
-    constraints that the projection screen imposes on the third-party
-    factor.  Shape (3, 3, 3).
-    """
-    a, b, c = params.a, params.b, params.c
-    circ = np.array([[a, c, b], [b, a, c], [c, b, a]], dtype=complex)
-    blocks = np.empty((3, 3, 3), dtype=complex)
-    for i in range(3):
-        r = b_mat[i]
-        mask = np.array(
-            [[r[0], r[2], r[1]], [r[2], r[1], r[0]], [r[1], r[0], r[2]]],
-            dtype=complex,
-        )
-        blocks[i] = circ * mask
-    return blocks
-
-
-def adjugate(m: np.ndarray) -> np.ndarray:
-    """Adjugate (transposed cofactor matrix) of a 3x3 matrix.
-
-    Defined for singular matrices too; satisfies ``adj(m) m = det(m) I``.
-    """
-    cof = np.empty((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(m, i, axis=0), j, axis=1)
-            cof[i, j] = (-1) ** (i + j) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
-    return cof.T
-
-
 # ---------------------------------------------------------------------------
 # Candidate enumeration
 # ---------------------------------------------------------------------------

@@ -41,16 +41,16 @@ def _mat(m: np.ndarray) -> list[list[list[float]]]:
     return [[_num(z) for z in row] for row in np.asarray(m)]
 
 
+def seed_to_json(seed: SeedParams) -> dict[str, Any]:
+    return {"a": _num(seed.a), "b": _num(seed.b), "c": _num(seed.c)}
+
+
 def state_to_json(
     state: GenericState, metadata: dict[str, Any] | None = None
 ) -> dict[str, Any]:
     out: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
-        "seed": {
-            "a": _num(state.seed.a),
-            "b": _num(state.seed.b),
-            "c": _num(state.seed.c),
-        },
+        "seed": seed_to_json(state.seed),
         "g": [_mat(f) for f in state.factors],
     }
     if metadata is not None:

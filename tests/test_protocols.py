@@ -129,6 +129,24 @@ def test_confined_map_with_occupied_partners(params, rng):
     assert_valid(kraus, n_branches=3)
 
 
+def test_confined_map_rejects_partner_outside_the_pair_span(params, rng):
+    # a partner factor occupying a second pair makes h S_k h^{-1} non-unitary
+    h2 = positive_factor(two_pair_mat((0, 1), (1, 0)))
+    with pytest.raises(ProtocolError, match="not unitary"):
+        sep_map_confined(dense_factor(rng), (0, 1), params, h2=h2)
+
+
+def test_disjoint_map_is_the_uniform_witness_map(params, seed_state):
+    h1 = positive_factor(two_pair_mat((1, 0), (1, 1)))
+    h2 = positive_factor(pair_mat((0, 1), 0.06))
+    disjoint = sep_map_disjoint(h1, h2, params)
+    witness = sep_map_from_witness(seed_state, disjoint.target, np.full(9, 1 / 9))
+    assert [el.label for el in witness.elements] == [el.label for el in disjoint.elements]
+    for a, b in zip(disjoint.elements, witness.elements):
+        for fa, fb in zip(a.factors, b.factors):
+            np.testing.assert_allclose(fa, fb, rtol=0, atol=1e-12)
+
+
 def test_confined_map_flags_trivial_conversion(params):
     w = (1, 0)
     h1 = span_positive(w, 0.07)

@@ -8,14 +8,11 @@ from qutritlocc.seeds import (
     AUDIT_PROJ_TOL,
     GENERIC_THRESHOLD,
     SeedParams,
-    adjugate,
     build_seed,
     check_generic,
     dense_candidates,
     monomial_candidates,
     probe_states,
-    projection_residual,
-    seed_circulant_blocks,
     symmetry_audit,
     verify_symmetries,
     _all_candidates,
@@ -146,48 +143,6 @@ def test_probes_annihilate_seed():
         t = build_seed(params).reshape(3, 3, 3)
         out = np.einsum("ijk,xjk->ix", probe_states(params).conj(), t)
         np.testing.assert_allclose(out, np.zeros((9, 3)), atol=1e-12)
-
-
-def test_projection_residual_on_symmetries(params):
-    assert projection_residual(np.eye(3), np.eye(3), params) <= 1e-12
-    for k in INDEX_ORDER:
-        assert projection_residual(PAULIS[k], PAULIS[k], params) <= 1e-12
-
-
-def test_projection_residual_rejects_mismatch(params, rng):
-    # mismatched Pauli pairs fail the screen
-    assert projection_residual(PAULIS[(1, 0)], PAULIS[(0, 1)], params) > 1e-3
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert projection_residual(b, c, params) > 1e-2
-
-
-def test_circulant_blocks_shape_and_content():
-    params = SeedParams(2, 3, 5)
-    blocks = seed_circulant_blocks(np.eye(3, dtype=complex), params)
-    assert blocks.shape == (3, 3, 3)
-    # identity candidate keeps one circulant entry per block row,
-    # anchored at the a-amplitude in the corner
-    assert blocks[0][0, 0] == 2
-    for i in range(3):
-        assert np.count_nonzero(blocks[i]) == 3
-    blocks_x = seed_circulant_blocks(PAULIS[(1, 0)], params)
-    for i in range(3):
-        assert np.count_nonzero(blocks_x[i]) == 3
-        assert abs(np.linalg.det(blocks_x[i])) > 0
-
-
-def test_adjugate_identity(rng):
-    for _ in range(20):
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        np.testing.assert_allclose(
-            adjugate(m) @ m, np.linalg.det(m) * np.eye(3), atol=1e-10
-        )
-
-
-def test_adjugate_of_singular():
-    m = np.array([[1, 2, 3], [4, 5, 6], [5, 7, 9]], dtype=complex)  # rank 2
-    np.testing.assert_allclose(adjugate(m) @ m, np.zeros((3, 3)), atol=1e-12)
 
 
 def test_monomial_candidates():
