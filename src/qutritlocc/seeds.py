@@ -19,15 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import (
-    COORD_ORDER,
-    INDEX_ORDER,
-    OMEGA,
-    PAULIS,
-    apply3,
-    dagger,
-    kron3,
-)
+from .pauli import INDEX_ORDER, OMEGA, PAULIS, apply3
 
 #: Default genericity margin: every scale-normalized exclusion polynomial
 #: must exceed this in absolute value.

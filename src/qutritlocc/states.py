@@ -26,6 +26,7 @@ from .pauli import (
     is_hermitian,
     is_invertible,
     pauli_coords,
+    scaled_into_range,
 )
 from .seeds import GenericityReport, SeedParams, build_seed, check_generic
 
@@ -137,8 +138,14 @@ def gram_triple(m1: np.ndarray, m2: np.ndarray, m3: np.ndarray) -> GramTriple:
 
 
 def gram(state: GenericState) -> GramTriple:
-    """Gram triple ``g_i^dag g_i`` of a state's factors, trace-normalized."""
-    return gram_triple(*(dagger(g) @ g for g in state.factors))
+    """Gram triple ``g_i^dag g_i`` of a state's factors, trace-normalized.
+
+    Each factor passes through :func:`scaled_into_range` first; the trace
+    normalization undoes its exact rescaling, so factors of any magnitude
+    give the same triple.
+    """
+    scaled = (scaled_into_range(g) for g in state.factors)
+    return gram_triple(*(dagger(g) @ g for g in scaled))
 
 
 def seed_gram() -> GramTriple:

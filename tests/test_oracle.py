@@ -1,18 +1,25 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from qutritlocc import oracle
+from qutritlocc.generate import random_seed_params
 from qutritlocc.oracle import (
+    ALS_CONVERGED_TOL,
     REJECT_TOL,
     WITNESS_TOL,
     OracleBudget,
+    _als_sweep,
     _face_minima,
+    _gram_solve,
     _mixing_system,
     brute_force_sep,
     numeric_symmetry_search,
 )
 from qutritlocc.pauli import INDEX_ORDER, PAULIS, dagger, idx_neg
+from qutritlocc.seeds import build_seed
 from qutritlocc.sep import candidate_initial_grams, gram_instance, sep_feasible
 from qutritlocc.states import (
     GenericState,
@@ -213,3 +220,127 @@ def test_symmetry_search_small_budget_is_partial_but_clean(params):
     assert set(report.found) <= set(INDEX_ORDER)
     assert report.extras == 0
     assert report.starts == 6
+
+
+# ---------------------------------------------------------------------------
+# ALS update: the Gram solve against the pseudoinverse it replaces
+# ---------------------------------------------------------------------------
+
+
+def pinv_update(t, m):
+    """The reference axis update: ``t @ pinv(m)`` from a thin SVD."""
+    return t @ np.linalg.pinv(m)
+
+
+def pinv_sweep(tensor, batch, iters, rng):
+    """The reference sweep: einsum partials, a pseudoinverse per update and
+    no early stop.  It draws its starts exactly like ``_als_sweep``."""
+    shape = (batch, 3, 3)
+    ops = [
+        (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+        for _ in range(3)
+    ]
+    t0 = tensor.reshape(3, 9)
+    t1 = tensor.transpose(1, 0, 2).reshape(3, 9)
+    t2 = tensor.transpose(2, 0, 1).reshape(3, 9)
+    for _ in range(iters):
+        m = np.einsum("nbj,nck,ijk->nibc", ops[1], ops[2], tensor).reshape(-1, 3, 9)
+        ops[0] = pinv_update(t0, m)
+        m = np.einsum("nai,nck,ijk->njac", ops[0], ops[2], tensor).reshape(-1, 3, 9)
+        ops[1] = pinv_update(t1, m)
+        m = np.einsum("nai,nbj,ijk->nkab", ops[0], ops[1], tensor).reshape(-1, 3, 9)
+        ops[2] = pinv_update(t2, m)
+    out = np.einsum("nai,nbj,nck,ijk->nabc", *ops, tensor)
+    res = np.linalg.norm((out - tensor).reshape(batch, -1), axis=1)
+    return ops[0], ops[1], ops[2], res / np.linalg.norm(tensor)
+
+
+def complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def relative_errors(got, ref):
+    return np.linalg.norm(got - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+
+
+def test_gram_solve_matches_pinv_on_full_rank(rng):
+    t = complex_normal(rng, 3, 9)
+    m = complex_normal(rng, 200, 3, 9)
+    assert np.all(np.linalg.matrix_rank(m) == 3)
+    assert relative_errors(_gram_solve(t, m), pinv_update(t, m)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_gram_solve_is_minimum_norm_on_rank_deficient(rng, rank):
+    t = complex_normal(rng, 3, 9)
+    m = complex_normal(rng, 200, 3, rank) @ complex_normal(rng, 200, rank, 9)
+    m *= 10.0 ** rng.uniform(-100, 100, size=(200, 1, 1))
+    assert np.all(np.linalg.matrix_rank(m) == rank)
+    # x m = t in the least-squares sense, minimum-norm x: mᵀ xᵀ = tᵀ
+    ref = np.array([np.linalg.lstsq(mi.T, t.T, rcond=None)[0].T for mi in m])
+    assert relative_errors(_gram_solve(t, m), ref).max() <= 1e-10
+
+
+def test_gram_solve_of_zero_is_zero(rng):
+    t = complex_normal(rng, 3, 9)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        x = _gram_solve(t, np.zeros((4, 3, 9), dtype=complex))
+    np.testing.assert_array_equal(x, 0)
+
+
+class DegenerateStarts:
+    """Stands in for the sweep's generator: every start factor is the same
+    rank-1 matrix (or zero), so every partial the sweep forms is
+    rank-deficient from the first update on."""
+
+    def __init__(self, rng, zero):
+        self.start = 0.0 if zero else np.outer(rng.normal(size=3), rng.normal(size=3))
+
+    def standard_normal(self, shape):
+        return np.broadcast_to(self.start, shape).copy()
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["rank-1", "zero"])
+def test_sweep_from_degenerate_starts_stays_finite(params, rng, zero):
+    tensor = build_seed(params).reshape(3, 3, 3)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        *ops, res = _als_sweep(tensor, 4, 60, DegenerateStarts(rng, zero))
+    for op in ops:
+        assert np.all(np.isfinite(op))
+        assert np.all(np.linalg.matrix_rank(op) <= 1)
+    assert np.all(np.isfinite(res))
+    if zero:
+        np.testing.assert_allclose(res, 1.0, rtol=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_symmetry_search_matches_pinv_sweep(monkeypatch, seed):
+    params = random_seed_params(np.random.default_rng(seed))
+    budget = OracleBudget(starts=4, iters=300, rng_seed=seed)
+    report = numeric_symmetry_search(params, budget)
+    monkeypatch.setattr(oracle, "_als_sweep", pinv_sweep)
+    ref = numeric_symmetry_search(params, budget)
+    assert (report.found, report.converged, report.extras) == (
+        ref.found,
+        ref.converged,
+        ref.extras,
+    )
+
+
+def test_sweep_stops_once_every_start_has_converged(params, monkeypatch):
+    tensor = build_seed(params).reshape(3, 3, 3)
+    updates = []
+
+    def counting(t, m):
+        updates.append(len(m))
+        return _gram_solve(t, m)
+
+    monkeypatch.setattr(oracle, "_gram_solve", counting)
+    *_, res = _als_sweep(tensor, 1, 1500, np.random.default_rng(4))
+    *_, res_ref = pinv_sweep(tensor, 1, 1500, np.random.default_rng(4))
+    assert res[0] <= ALS_CONVERGED_TOL and res_ref[0] <= ALS_CONVERGED_TOL
+    iterations = len(updates) // 3
+    assert iterations < 1500
+    assert iterations % 25 == 0

@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -222,3 +223,23 @@ def test_predicates():
     assert not is_positive_definite(np.diag([-0.1, 1.0, 2.0]))
     assert is_invertible(np.diag([1e-3, 1.0, 1.0]))
     assert not is_invertible(np.diag([0.0, 1.0, 1.0]))
+
+
+SCALES = [1e120, 1e-120, 1e150, 1e-150, 1e200, 1e-200, 1e300, 1e-300]
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_is_invertible_is_scale_invariant(rng, c):
+    """States are rays: scaling a factor must not change whether it is
+    invertible, even where det and the Frobenius norm over- or underflow."""
+    dense = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    for m in (dense, np.diag([1e-3, 1.0, 1.0]), np.diag([0.0, 1.0, 1.0])):
+        assert is_invertible(c * m) == is_invertible(m)
+    assert is_invertible(c * dense)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_non_finite_matrix_is_not_invertible(bad):
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = bad
+    assert not is_invertible(m)

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qutritlocc.classify import is_locc_reachable
-from qutritlocc.pauli import PAULIS, dagger
+from qutritlocc.classify import is_locc_reachable, support_pattern
+from qutritlocc.pauli import PAULIS, dagger, frob, idx_neg, is_positive_definite
 from qutritlocc.protocols import (
     BRANCH_MATCH_TOL,
     POVM_TOL,
@@ -109,13 +109,19 @@ def test_confined_map(params, rng):
     kraus = sep_map_confined(h1, w, params)
     assert len(kraus.elements) == 3
     assert_valid(kraus, n_branches=3)
-    # initial carries the measuring party's confined positive factor
+    # initial carries the measuring party's Gram depolarized over the
+    # triple {0, w, -w}, through its positive confined factor
     g1 = kraus.initial.factors[0]
     init_gram = gram(kraus.initial)
-    from qutritlocc.classify import support_pattern
-
     assert support_pattern(init_gram).pairs[0] <= {w}
-    np.testing.assert_allclose(dagger(g1) @ g1, dagger(g1) @ g1, atol=0)
+    h_gram = dagger(h1) @ h1
+    triple = ((0, 0), w, idx_neg(w))
+    depolarized = sum(dagger(PAULIS[k]) @ h_gram @ PAULIS[k] for k in triple) / 3
+    np.testing.assert_allclose(dagger(g1) @ g1, depolarized, atol=1e-12 * frob(depolarized))
+    np.testing.assert_allclose(
+        init_gram.mats[0], depolarized / np.trace(depolarized).real, atol=1e-12
+    )
+    assert is_positive_definite(g1)
 
 
 def test_confined_map_with_occupied_partners(params, rng):

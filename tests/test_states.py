@@ -50,6 +50,26 @@ def test_rejects_singular_factor(params):
         GenericState(params, (np.diag([1.0, 1.0, 0.0]), np.eye(3), np.eye(3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_factor(params, bad):
+    g = np.eye(3, dtype=complex)
+    g[0, 1] = bad
+    with pytest.raises(ValueError, match="factor 0"):
+        GenericState(params, (g, np.eye(3), np.eye(3)))
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+def test_scaled_factor_builds_with_the_same_gram(params, rng, c):
+    """States are rays: a factor scaled far out of the range where its
+    Gram's entries are representable still gives the same Gram triple."""
+    factors = random_factors(rng)
+    scaled = GenericState(params, (c * factors[0],) + factors[1:])
+    plain = gram(GenericState(params, factors))
+    for m, ref in zip(gram(scaled).mats, plain.mats):
+        np.testing.assert_allclose(m, ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gram(scaled).coords, plain.coords, rtol=0, atol=1e-12)
+
+
 def test_rejects_bad_shape(params):
     with pytest.raises(ValueError, match="3x3"):
         GenericState(params, (np.eye(2), np.eye(3), np.eye(3)))
