@@ -18,7 +18,7 @@ import numpy as np
 from .classify import Classification, classify
 from .config import set_default_tol
 from .generate import KINDS, random_state
-from .oracle import OracleBudget, brute_force_sep
+from .oracle import brute_force_sep
 from .protocols import (
     POVM_TOL,
     ProtocolError,
@@ -229,13 +229,15 @@ def _cmd_sep_decide(args: argparse.Namespace) -> int:
             + (", nontrivial" if result.nontrivial else ", trivial only")
         )
     if args.oracle:
-        verdict = brute_force_sep(inst, OracleBudget(starts=2000, iters=400))
+        verdict = brute_force_sep(inst)
         payload["oracle"] = {
             "feasible": verdict.feasible,
             "best_residual": verdict.best_residual,
+            "lower_bound": verdict.lower_bound,
         }
         lines.append(
-            f"  oracle: {verdict.feasible} (best residual {verdict.best_residual:.3e})"
+            f"  oracle: {verdict.feasible} (best residual {verdict.best_residual:.3e}, "
+            f"lower bound {verdict.lower_bound:.3e})"
         )
         if verdict.feasible is not None and verdict.feasible != result.feasible:
             _emit(args, payload, lines)
@@ -381,7 +383,7 @@ def _common_flags() -> argparse.ArgumentParser:
         "--oracle",
         action="store_true",
         default=argparse.SUPPRESS,
-        help="cross-check decisions with the brute-force oracle",
+        help="cross-check sep-decide with the certified brute-force oracle",
     )
     common.add_argument(
         "--json",

@@ -1,13 +1,12 @@
 """Slow, independent cross-checks for the fast decision engines.
 
 Two oracles live here.  ``brute_force_sep`` re-decides a separable
-conversion instance by globally minimizing the mixing residual over the
-probability simplex — exhaustive stationary-point enumeration over all
-511 faces, solved stacked by face size, plus a vectorized
-projected-gradient sweep — without touching the polytope machinery it is
-meant to audit.  ``numeric_symmetry_search`` hunts for product operators
-fixing a seed state by alternating least squares from random starts,
-recovering the symmetry group numerically instead of algebraically.  Each
+conversion instance by minimizing the mixing residual over the simplex —
+exhaustive stationary-point enumeration over all 511 faces, certified by
+the Frank–Wolfe duality gap of this convex problem — without touching the
+polytope machinery it is meant to audit.  ``numeric_symmetry_search`` hunts
+for product operators fixing a seed state by alternating least squares from
+random starts, recovering the symmetry group numerically.  Each
 ALS axis update is ``t @ pinv(m)`` for a 3x9 partial ``m``, computed from
 the eigendecomposition of the 3x3 Gram ``m mᴴ`` with eigenvalues at or
 below ``9 eps`` times the largest dropped, so collapsed (rank-deficient)
@@ -30,8 +29,8 @@ from .sep import SepInstance
 #: feasibility outright.
 WITNESS_TOL = 1e-9
 
-#: Residuals above this from *both* search strategies certify
-#: infeasibility; the band between the two thresholds is inconclusive.
+#: A certified lower bound on the residual above this proves
+#: infeasibility; anything between the two thresholds is inconclusive.
 REJECT_TOL = 1e-7
 
 #: An ALS start whose relative residual is at or below this has converged
@@ -53,10 +52,11 @@ Pair = tuple[int, int]
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Effort knobs for the randomized part of an oracle run."""
+    """Effort for the ALS search of ``numeric_symmetry_search``; the
+    defaults are its effort when it is given no budget."""
 
-    starts: int = 10_000
-    iters: int = 1_000
+    starts: int = 240
+    iters: int = 1500
     rng_seed: int = 0
 
 
@@ -64,13 +64,14 @@ class OracleBudget:
 class OracleVerdict:
     """Outcome of a brute-force feasibility decision.
 
-    ``feasible`` is ``None`` when the best residual found lands between
-    the witness and rejection thresholds.
+    ``best_residual`` is the face minimizer's residual; no simplex point's
+    residual is below ``lower_bound``.  ``feasible`` is ``None`` when
+    neither settles the instance against the two thresholds.
     """
 
     feasible: bool | None
     best_residual: float
-    sample_count: int
+    lower_bound: float
     witness: np.ndarray | None
 
 
@@ -103,16 +104,6 @@ def _mixing_system(instance: SepInstance) -> tuple[np.ndarray, np.ndarray]:
     a = np.vstack([d.real, d.imag])
     b = np.concatenate([target.real, target.imag])
     return a, b
-
-
-def _project_simplex(points: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    u = -np.sort(-points, axis=1)
-    css = np.cumsum(u, axis=1) - 1.0
-    ind = np.arange(1, points.shape[1] + 1)
-    rho = np.count_nonzero(u - css / ind > 0, axis=1)
-    theta = css[np.arange(len(points)), rho - 1] / rho
-    return np.maximum(points - theta[:, None], 0.0)
 
 
 def _face_minima(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
@@ -153,58 +144,44 @@ def _face_minima(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     return best_p, best_val
 
 
-def _projected_gradient(
-    q: np.ndarray, c: np.ndarray, budget: OracleBudget
-) -> tuple[np.ndarray, float]:
-    """Vectorized multi-start projected gradient descent on the simplex."""
-    rng = np.random.default_rng(budget.rng_seed)
-    points = rng.dirichlet(np.ones(q.shape[0]), size=budget.starts)
-    lam_max = float(np.linalg.eigvalsh(q)[-1])
-    step = 1.0 / (2.0 * lam_max) if lam_max > 0 else 1.0
-    for _ in range(budget.iters):
-        grad = 2.0 * (points @ q - c)
-        points = _project_simplex(points - step * grad)
-    values = np.einsum("ij,jk,ik->i", points, q, points) - 2.0 * points @ c
-    best = int(np.argmin(values))
-    return points[best], float(values[best])
+def _certificate(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> tuple[float, float, float]:
+    """``(residual, gap, lower)`` at a simplex point ``p``.
+
+    With ``r = A p - b`` and ``g = Aᵀ r``, convexity of ``f(x) = ||A x - b||²``
+    gives ``f(x) >= ||r||² - 2 gap`` for every simplex point ``x``, where
+    ``gap = gᵀp - min_i g_i`` is the Frank–Wolfe duality gap (zero exactly
+    when ``p`` meets the KKT conditions; Boyd and Vandenberghe, *Convex
+    Optimization*, §5.5).  ``lower`` is the square root of that bound.  The
+    residual is ``||r||`` itself: the quadratic form cancels near a solution.
+    """
+    r = a @ p - b
+    g = a.T @ r
+    residual = float(np.linalg.norm(r))
+    gap = float(g @ p - g.min())
+    return residual, gap, float(np.sqrt(max(residual**2 - 2.0 * gap, 0.0)))
 
 
 def brute_force_sep(
     instance: SepInstance, budget: OracleBudget | None = None
 ) -> OracleVerdict:
-    """Decide separable convertibility by global residual minimization.
+    """Decide separable convertibility by certified residual minimization.
 
     Feasible iff some simplex point mixes the conjugated target Grams to
-    the source Grams exactly; the verdict compares the smallest residual
-    found against :data:`WITNESS_TOL` and :data:`REJECT_TOL` and abstains
-    in between.
+    the source Grams exactly.  The face minimizer's residual decides
+    feasible (at most :data:`WITNESS_TOL`); its :func:`_certificate` bound,
+    valid even for a wrong minimizer, decides infeasible (above
+    :data:`REJECT_TOL`); otherwise the oracle abstains.  ``budget`` is
+    ignored, as the search is exhaustive; it stays because
+    ``perfbench/workloads.py`` still passes one positionally.
     """
-    if budget is None:
-        budget = OracleBudget()
     a, b = _mixing_system(instance)
-    q = a.T @ a
-    c = a.T @ b
-
-    # Candidates are ranked by the quadratic form, but the winners are
-    # re-evaluated as ||A p - b|| directly: near a solution the quadratic
-    # evaluation cancels down to sqrt(machine epsilon).
-    p_face, _ = _face_minima(q, c)
-    p_grad, _ = _projected_gradient(q, c, budget)
-
-    res_face = float(np.linalg.norm(a @ p_face - b))
-    res_grad = float(np.linalg.norm(a @ p_grad - b))
-    sample_count = 2**9 - 1 + budget.starts
-
-    if res_face <= res_grad:
-        best_p, best_res = p_face, res_face
-    else:
-        best_p, best_res = p_grad, res_grad
-
-    if best_res <= WITNESS_TOL:
-        return OracleVerdict(True, best_res, sample_count, best_p)
-    if min(res_face, res_grad) > REJECT_TOL:
-        return OracleVerdict(False, best_res, sample_count, None)
-    return OracleVerdict(None, best_res, sample_count, best_p)
+    p, _ = _face_minima(a.T @ a, a.T @ b)
+    residual, _, lower = _certificate(a, b, p)
+    if residual <= WITNESS_TOL:
+        return OracleVerdict(True, residual, lower, p)
+    if lower > REJECT_TOL:
+        return OracleVerdict(False, residual, lower, None)
+    return OracleVerdict(None, residual, lower, p)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +265,7 @@ def numeric_symmetry_search(
     an extra (generic seeds should produce zero).
     """
     if budget is None:
-        budget = OracleBudget(starts=240, iters=1500)
+        budget = OracleBudget()
     rng = np.random.default_rng(budget.rng_seed)
     tensor = build_seed(params).reshape(3, 3, 3)
 

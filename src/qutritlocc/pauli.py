@@ -166,16 +166,21 @@ _check_tables()
 # ---------------------------------------------------------------------------
 
 def is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
-    """Whether ``m`` is Hermitian relative to its Frobenius norm."""
-    t = resolve_tol(tol)
-    scale = max(frob(m), 1e-300)
-    return frob(m - dagger(m)) <= t * scale
+    """Whether ``||m - mᴴ|| <= tol ||m||`` (Frobenius), scale-invariantly
+    like :func:`is_invertible`.  Non-finite matrices are not Hermitian."""
+    m = scaled_into_range(m)
+    norm2 = abs(np.vdot(m, m))
+    if not math.isfinite(norm2):
+        return False
+    skew = m - dagger(m)
+    return bool(abs(np.vdot(skew, skew)) <= resolve_tol(tol) ** 2 * norm2)
 
 
 def is_positive_definite(m: np.ndarray, tol: float | None = None) -> bool:
     """Whether Hermitian ``m`` has strictly positive spectrum."""
     if not is_hermitian(m, tol):
         return False
+    m = scaled_into_range(m)
     w = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
     return bool(w[0] > 0.0)
 

@@ -38,6 +38,7 @@ from .pauli import (
     idx_neg,
     kron3,
     pauli_coords,
+    scaled_into_range,
 )
 from .sep import depolarize
 from .states import (
@@ -188,16 +189,17 @@ def simulate_branches(
     """Run every branch on the (normalized) input and compare to the target.
 
     Zero-probability branches are reported, marked vacuous, and do not
-    count against the match verdict.
+    count against the match verdict.  Input and target are rays, taken
+    through :func:`scaled_into_range` so their norms cannot overflow.
     """
     if input_vec is None:
         input_vec = assemble(obj.initial)
-    v0 = np.asarray(input_vec, dtype=complex)
+    v0 = scaled_into_range(np.asarray(input_vec, dtype=complex))
     n0 = np.linalg.norm(v0)
     if n0 == 0:
         raise ValueError("input state must be nonzero")
     v0 = v0 / n0
-    target_vec = assemble(obj.target)
+    target_vec = scaled_into_range(assemble(obj.target))
 
     records = []
     total = 0.0
@@ -341,13 +343,17 @@ def sep_map_confined(
     Three branches labeled by the pair's symmetry triple.  The initial
     state carries the first party's Gram depolarized over the triple (its
     positive confined factor), with the confined factors riding along.
-    Completeness is exact for any scaling of ``h1``.
+    Completeness is exact for any scaling of ``h1``: the Gram is formed
+    from :func:`scaled_into_range` of ``h1`` and the power of two goes back
+    onto the initial factor.
     """
     h1 = np.asarray(h1, dtype=complex)
     eye = np.eye(3, dtype=complex)
     h2 = eye if h2 is None else np.asarray(h2, dtype=complex)
     h3 = eye if h3 is None else np.asarray(h3, dtype=complex)
-    g1w = span_factor(_triple_depolarized(dagger(h1) @ h1, w), w)
+    h1s = scaled_into_range(h1)  # h1 = 2**shift * h1s exactly
+    shift = np.frexp(np.abs(h1).max())[1] - np.frexp(np.abs(h1s).max())[1]
+    g1w = np.ldexp(1.0, shift) * span_factor(_triple_depolarized(dagger(h1s) @ h1s, w), w)
     initial = GenericState(seed=seed, factors=(g1w, h2, h3))
     target = GenericState(seed=seed, factors=(h1, h2, h3))
     elements = _branches(initial.factors, target.factors, _uniform(_triple(w)), 0)

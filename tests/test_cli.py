@@ -227,6 +227,23 @@ def test_sep_decide_with_oracle(capsys, files):
     assert code == 0
     report = json.loads(out)
     assert report["oracle"]["feasible"] is True
+    assert 0.0 <= report["oracle"]["lower_bound"] <= report["oracle"]["best_residual"]
+
+    code, out, _ = run(
+        capsys, "sep-decide", "--from", files["seed"], "--to", files["tiling"], "--oracle"
+    )
+    assert code == 0
+    line = next(line for line in out.splitlines() if "oracle:" in line)
+    assert line.strip().startswith("oracle: True (best residual ")
+    assert ", lower bound " in line
+
+    code, out, _ = run(
+        capsys, "sep-decide", "--from", files["seed"], "--to", files["dense"], "--oracle", "--json"
+    )
+    assert code == 2
+    oracle = json.loads(out)["oracle"]
+    assert oracle["feasible"] is False
+    assert 1e-7 < oracle["lower_bound"] <= oracle["best_residual"]
 
 
 def test_synth_protocol_reachable_target(capsys, files):

@@ -1,10 +1,15 @@
-"""Lint: every name a package module imports is used in that module.
+"""Lints: unused imports and orphaned private definitions.
 
-ruff and pyflakes are not dependencies of the project, so this check reads
-each module with the standard library's ``ast``.  A name counts as used
-when it appears as an identifier anywhere in the module, including inside
-a string annotation such as ``"np.ndarray"``.  ``__init__.py`` is exempt:
-its imports are the package's re-exports.
+ruff and pyflakes are not dependencies of the project, so these checks
+read each module with the standard library's ``ast``.
+
+- Every name a package module imports is used in that module.  A name
+  counts as used when it appears as an identifier anywhere in the module,
+  including inside a string annotation such as ``"np.ndarray"``.
+  ``__init__.py`` is exempt: its imports are the package's re-exports.
+- Every ``_``-prefixed module-level function, class or constant of the
+  package is read somewhere in the package, so deleting a caller cannot
+  leave its private helpers behind.
 """
 
 import ast
@@ -43,15 +48,21 @@ def annotations(tree: ast.Module):
             yield node.annotation
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    """Every identifier the module reads, plus those in string annotations."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def string_annotation_names(tree: ast.Module) -> set[str]:
+    """Every identifier inside a string annotation of the module."""
+    names = set()
     for annotation in annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 expr = ast.parse(node.value, mode="eval")
-                used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
-    return used
+                names |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Every identifier the module reads, plus those in string annotations."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return used | string_annotation_names(tree)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -80,3 +91,69 @@ def test_package_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each ``_``-prefixed, non-dunder name a module defines at top level
+    (function, class or assigned constant), with its line number."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads: loaded identifiers, attribute names
+    such as ``module._helper``, and names in string annotations.  Names
+    that are only assigned do not count."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read | string_annotation_names(tree)
+
+
+def orphans(sources: dict[str, str]) -> list[str]:
+    """Private top-level definitions that no module of ``sources`` reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*(read_names(tree) for tree in trees.values()))
+    return sorted(
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in read
+    )
+
+
+def test_orphan_lint_sees_unread_private_definitions():
+    a = (
+        "_K = 1\n_L: int = 2\n__all__ = []\n\n"
+        "def _orphan(): ...\n\ndef _used(): ...\n\nclass _Box: ...\n"
+    )
+    b = "from a import _used\n\nprint(_used(), a._L)\n"
+    assert orphans({"a.py": a, "b.py": b}) == [
+        "a.py: _Box (line 9)",
+        "a.py: _K (line 1)",
+        "a.py: _orphan (line 5)",
+    ]
+
+
+def test_orphan_lint_counts_a_string_annotation_as_read():
+    assert orphans({"a.py": "class _T: ...\n\ndef f(a: '_T') -> None: ...\n"}) == []
+
+
+def test_no_orphaned_private_definitions():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert orphans(sources) == []

@@ -12,6 +12,7 @@ from qutritlocc.oracle import (
     WITNESS_TOL,
     OracleBudget,
     _als_sweep,
+    _certificate,
     _face_minima,
     _gram_solve,
     _mixing_system,
@@ -29,8 +30,8 @@ from qutritlocc.states import (
     span_factor,
 )
 
-# Small but sufficient search effort for the well-separated instances
-# used here; the defaults are sized for adversarial batches.
+# Effort for the reference projected-gradient sweep below; the oracle
+# itself is exhaustive and takes no budget.
 BUDGET = OracleBudget(starts=200, iters=200, rng_seed=11)
 
 
@@ -51,17 +52,17 @@ def dense_factor(rng):
 
 
 def test_seed_to_seed_is_feasible(params):
-    verdict = brute_force_sep(gram_instance(params, seed_gram(), seed_gram()), BUDGET)
+    verdict = brute_force_sep(gram_instance(params, seed_gram(), seed_gram()))
     assert verdict.feasible is True
     assert verdict.best_residual <= WITNESS_TOL
+    assert 0.0 <= verdict.lower_bound <= verdict.best_residual
     assert verdict.witness.min() >= 0
     assert verdict.witness.sum() == pytest.approx(1.0, abs=1e-12)
-    assert verdict.sample_count == 511 + BUDGET.starts
 
 
-def test_tiling_witness_is_uniform(params):
-    """The tiling polytope is a single point, so the oracle's global
-    minimizer must land on the same uniform distribution the engine finds."""
+def tiling_instance(params):
+    """Seed to tiling target: feasible, with the uniform distribution as
+    its only witness."""
     target = gram(
         GenericState(
             params,
@@ -72,9 +73,15 @@ def test_tiling_witness_is_uniform(params):
             ),
         )
     )
-    instance = gram_instance(params, seed_gram(), target)
+    return gram_instance(params, seed_gram(), target)
+
+
+def test_tiling_witness_is_uniform(params):
+    """The tiling polytope is a single point, so the oracle's global
+    minimizer must land on the same uniform distribution the engine finds."""
+    instance = tiling_instance(params)
     decision = sep_feasible(instance)
-    verdict = brute_force_sep(instance, BUDGET)
+    verdict = brute_force_sep(instance)
     assert decision.feasible and verdict.feasible
     np.testing.assert_allclose(verdict.witness, np.full(9, 1 / 9), atol=1e-8)
     np.testing.assert_allclose(verdict.witness, decision.witness, atol=1e-8)
@@ -82,10 +89,10 @@ def test_tiling_witness_is_uniform(params):
 
 def test_dense_target_is_rejected(params, rng):
     target = gram(GenericState(params, tuple(dense_factor(rng) for _ in range(3))))
-    verdict = brute_force_sep(gram_instance(params, seed_gram(), target), BUDGET)
+    verdict = brute_force_sep(gram_instance(params, seed_gram(), target))
     assert verdict.feasible is False
     assert verdict.witness is None
-    assert verdict.best_residual > REJECT_TOL
+    assert REJECT_TOL < verdict.lower_bound <= verdict.best_residual
 
 
 def test_confined_target_unreachable_from_seed(params, rng):
@@ -96,7 +103,7 @@ def test_confined_target_unreachable_from_seed(params, rng):
             (dense_factor(rng), span_factor(pair_mat(w), w), span_factor(pair_mat(w, 0.04), w)),
         )
     )
-    verdict = brute_force_sep(gram_instance(params, seed_gram(), target), BUDGET)
+    verdict = brute_force_sep(gram_instance(params, seed_gram(), target))
     assert verdict.feasible is False
 
 
@@ -109,7 +116,7 @@ def test_confined_target_feasible_from_induced_initial(params, rng):
         )
     )
     init = dict(candidate_initial_grams(target))[f"confined-{w}"]
-    verdict = brute_force_sep(gram_instance(params, init, target), BUDGET)
+    verdict = brute_force_sep(gram_instance(params, init, target))
     assert verdict.feasible is True
     # the witness lives on the triple {identity, w, -w}
     triple = {INDEX_ORDER.index(k) for k in ((0, 0), w, idx_neg(w))}
@@ -137,7 +144,7 @@ def test_oracle_agrees_with_engine_on_mixed_batch(params, rng):
         instances.append(gram_instance(params, seed_gram(), target))
     for instance in instances:
         decision = sep_feasible(instance)
-        verdict = brute_force_sep(instance, BUDGET)
+        verdict = brute_force_sep(instance)
         assert verdict.feasible is not None
         assert verdict.feasible == decision.feasible
 
@@ -168,10 +175,15 @@ def face_minima_reference(q, c):
     return best_p, best_val
 
 
-def _quadratic(kind, params, rng):
+KINDS = ["seed", "tiling", "dense", "random-psd", "rank-5-psd"]
+
+
+def _least_squares(kind, params, rng):
+    """Data ``(A, b)`` of ``min ||A p - b||`` over the simplex: the mixing
+    system of an instance, or a random ``A`` with 12 or 5 rows."""
     if kind in ("random-psd", "rank-5-psd"):
-        m = rng.normal(size=(12 if kind == "random-psd" else 5, 9))
-        return m.T @ m, rng.normal(size=9)
+        rows = 12 if kind == "random-psd" else 5
+        return rng.normal(size=(rows, 9)), rng.normal(size=rows)
     if kind == "seed":
         factors = (np.eye(3),) * 3
     elif kind == "tiling":
@@ -182,13 +194,20 @@ def _quadratic(kind, params, rng):
         )
     else:
         factors = tuple(dense_factor(rng) for _ in range(3))
-    a, b = _mixing_system(
+    return _mixing_system(
         gram_instance(params, seed_gram(), gram(GenericState(params, factors)))
     )
+
+
+def _quadratic(kind, params, rng):
+    if kind in ("random-psd", "rank-5-psd"):
+        m = rng.normal(size=(12 if kind == "random-psd" else 5, 9))
+        return m.T @ m, rng.normal(size=9)
+    a, b = _least_squares(kind, params, rng)
     return a.T @ a, a.T @ b
 
 
-@pytest.mark.parametrize("kind", ["seed", "tiling", "dense", "random-psd", "rank-5-psd"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_face_minima_matches_per_face_lstsq(params, rng, kind):
     """The stacked solve agrees with one ``lstsq`` per face.  Seed to seed
     (rank 1) and the rank-5 ``q`` make the KKT systems of large faces
@@ -205,6 +224,82 @@ def test_face_minima_matches_per_face_lstsq(params, rng, kind):
     # is set by rounding in the tie-break
     if kind != "seed":
         np.testing.assert_array_equal(p > 1e-9, p_ref > 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The certificate: Frank–Wolfe gap at the face minimizer
+# ---------------------------------------------------------------------------
+
+
+def project_simplex(points):
+    """Euclidean projection of each row onto the probability simplex."""
+    u = -np.sort(-points, axis=1)
+    css = np.cumsum(u, axis=1) - 1.0
+    ind = np.arange(1, points.shape[1] + 1)
+    rho = np.count_nonzero(u - css / ind > 0, axis=1)
+    theta = css[np.arange(len(points)), rho - 1] / rho
+    return np.maximum(points - theta[:, None], 0.0)
+
+
+def projected_gradient_sweep(q, c, budget):
+    """The reference search: multi-start projected gradient descent on
+    ``p^T q p - 2 c^T p`` over the simplex, from Dirichlet starts."""
+    rng = np.random.default_rng(budget.rng_seed)
+    points = rng.dirichlet(np.ones(q.shape[0]), size=budget.starts)
+    lam_max = float(np.linalg.eigvalsh(q)[-1])
+    step = 1.0 / (2.0 * lam_max) if lam_max > 0 else 1.0
+    for _ in range(budget.iters):
+        points = project_simplex(points - step * 2.0 * (points @ q - c))
+    values = np.einsum("ij,jk,ik->i", points, q, points) - 2.0 * points @ c
+    return points[int(np.argmin(values))]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lower_bound_is_sound(params, rng, kind):
+    """No simplex point, the minimizer or any other, certifies a bound above
+    the true minimum of ``||A p - b||²``."""
+    a, b = _least_squares(kind, params, rng)
+    _, val_ref = face_minima_reference(a.T @ a, a.T @ b)
+    minimum = val_ref + b @ b
+    slack = 1e-12 * max(1.0, b @ b)
+    p_face, _ = _face_minima(a.T @ a, a.T @ b)
+    points = np.vstack([p_face, np.eye(9), rng.dirichlet(np.ones(9), size=200)])
+    for p in points:
+        residual, gap, lower = _certificate(a, b, p)
+        assert gap >= -slack
+        assert lower**2 <= minimum + slack
+        assert lower <= residual
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_face_minimizer_is_certified(params, rng, kind):
+    """At the face minimizer the gap vanishes (KKT holds), and the gradient
+    sweep finds no smaller residual."""
+    a, b = _least_squares(kind, params, rng)
+    q, c = a.T @ a, a.T @ b
+    p_face, _ = _face_minima(q, c)
+    residual, gap, _ = _certificate(a, b, p_face)
+    assert abs(gap) <= 1e-12 * max(1.0, residual**2)
+    p_grad = projected_gradient_sweep(q, c, BUDGET)
+    assert residual <= np.linalg.norm(a @ p_grad - b) + 1e-12
+
+
+@pytest.mark.parametrize("wrong", [*range(9), "nudged"])
+def test_wrong_minimizer_abstains_never_rejects(params, monkeypatch, wrong):
+    """A face search that misses the witness of a feasible instance must
+    not produce a rejection: the bound it certifies is at most the true
+    minimum, 0, so the oracle abstains."""
+    instance = tiling_instance(params)
+    assert brute_force_sep(instance).feasible is True
+    if wrong == "nudged":
+        p = np.full(9, 1 / 9) + 1e-4 * (np.arange(9) - 4)
+    else:
+        p = np.eye(9)[wrong]
+    monkeypatch.setattr(oracle, "_face_minima", lambda q, c: (p, np.nan))
+    verdict = brute_force_sep(instance)
+    assert verdict.best_residual > WITNESS_TOL
+    assert verdict.lower_bound <= REJECT_TOL
+    assert verdict.feasible is None
 
 
 def test_symmetry_search_recovers_full_group(params):

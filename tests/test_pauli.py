@@ -238,6 +238,31 @@ def test_is_invertible_is_scale_invariant(rng, c):
     assert is_invertible(c * dense)
 
 
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+def test_hermitian_and_positive_definite_are_scale_invariant(c):
+    """At 1e200 the Frobenius norms overflow and the check would read
+    ``inf <= inf``; at 1e-200 they underflow to 0 <= 0.  Either way a
+    non-Hermitian matrix must stay non-Hermitian."""
+    skew = np.array([[1.0, 2.0], [0.0, 1.0]])
+    lopsided = np.array([[1.0, 0.5], [0.0, 1.0]])
+    herm = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
+    indefinite = np.diag([-0.1, 1.0, 2.0])
+    assert not is_hermitian(c * skew)
+    assert not is_positive_definite(c * lopsided)
+    assert is_hermitian(c * herm)
+    assert is_positive_definite(c * herm)
+    assert is_hermitian(c * indefinite)
+    assert not is_positive_definite(c * indefinite)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_non_finite_matrix_is_not_hermitian(bad):
+    m = np.eye(3, dtype=complex)
+    m[1, 1] = bad
+    assert not is_hermitian(m)
+    assert not is_positive_definite(m)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
 def test_non_finite_matrix_is_not_invertible(bad):
     m = np.eye(3, dtype=complex)

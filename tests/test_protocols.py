@@ -103,15 +103,18 @@ def test_disjoint_map_rejects_overlap(params):
     assert err.value.residual > 1e-3
 
 
-def test_confined_map(params, rng):
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_confined_map(params, rng, scale):
+    """States are rays, so the factor's scale must not matter, even where
+    its Gram ``h1ᴴh1`` would over- or underflow."""
     w = (1, 1)
     h1 = dense_factor(rng)
-    kraus = sep_map_confined(h1, w, params)
+    kraus = sep_map_confined(scale * h1, w, params)
     assert len(kraus.elements) == 3
     assert_valid(kraus, n_branches=3)
     # initial carries the measuring party's Gram depolarized over the
     # triple {0, w, -w}, through its positive confined factor
-    g1 = kraus.initial.factors[0]
+    g1 = kraus.initial.factors[0] / scale
     init_gram = gram(kraus.initial)
     assert support_pattern(init_gram).pairs[0] <= {w}
     h_gram = dagger(h1) @ h1
