@@ -77,7 +77,6 @@ from .sep import (
     induced_initial,
     sep_feasible,
     sep_instance,
-    spectrum_conditions,
 )
 from .statefile import (
     SchemaError,

@@ -110,10 +110,15 @@ def _build_phase_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             sl = PAULIS[l]
             conj[i, j] = np.trace(dagger(sk) @ dagger(sl) @ sk @ sl) / 3.0
             comp[i, j] = np.trace(dagger(PAULIS[idx_add(k, l)]) @ sk @ sl) / 3.0
-    return conj, adj, comp
+    return _frozen(conj), _frozen(adj), _frozen(comp)
 
 
-_CONJ_TABLE, _ADJ_TABLE, _COMP_TABLE = _build_phase_tables()
+#: The conjugation phases as a read-only 9x9 table over INDEX_ORDER:
+#: ``CONJ_TABLE[i, j]`` is :func:`conj_phase` of ``(INDEX_ORDER[i],
+#: INDEX_ORDER[j])``.  Row l is the character ``k -> phase(l, k)`` of Z3 x Z3,
+#: so ``CONJ_TABLE @ p`` is the depolarization spectrum of a distribution p:
+#: depolarizing by p multiplies displacement coordinate l by its entry l.
+CONJ_TABLE, _ADJ_TABLE, _COMP_TABLE = _build_phase_tables()
 
 
 def conj_phase(k: tuple[int, int], l: tuple[int, int]) -> complex:
@@ -122,7 +127,7 @@ def conj_phase(k: tuple[int, int], l: tuple[int, int]) -> complex:
     Always a cube root of unity; conjugation permutes no operators, it only
     dresses them with phases.
     """
-    return complex(_CONJ_TABLE[INDEX_POS[k], INDEX_POS[l]])
+    return complex(CONJ_TABLE[INDEX_POS[k], INDEX_POS[l]])
 
 
 def dagger_phase(k: tuple[int, int]) -> complex:
@@ -144,7 +149,7 @@ def _check_tables() -> None:
             raise RuntimeError(f"adjoint phase identity failed for {k}: {r}")
         for j, l in enumerate(INDEX_ORDER):
             sl = PAULIS[l]
-            r = np.linalg.norm(dagger(sl) @ sk @ sl - _CONJ_TABLE[i, j] * sk)
+            r = np.linalg.norm(dagger(sl) @ sk @ sl - CONJ_TABLE[i, j] * sk)
             if r > 1e-12:
                 raise RuntimeError(f"conjugation phase identity failed for {k},{l}: {r}")
             kl = idx_add(k, l)

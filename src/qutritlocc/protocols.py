@@ -40,10 +40,10 @@ from .pauli import (
     pauli_coords,
     scaled_into_range,
 )
+from .seeds import build_seed
 from .sep import depolarize
 from .states import (
     GenericState,
-    assemble,
     gram,
     lu_equivalent,
     positive_factor,
@@ -163,6 +163,14 @@ def validate_povm(obj: KrausSet | LoccRound | LoccProtocol) -> float:
     raise TypeError(f"cannot validate {type(obj).__name__}")
 
 
+def _ray_vector(state: GenericState) -> np.ndarray:
+    """The state's vector assembled from its factors taken through
+    :func:`scaled_into_range`: the same ray, at a scale that cannot over-
+    or underflow however large or small the factors are."""
+    factors = (scaled_into_range(g) for g in state.factors)
+    return scaled_into_range(apply3(*factors, build_seed(state.seed)))
+
+
 def _branch_vectors(obj: KrausSet | LoccProtocol, v0: np.ndarray):
     eye = np.eye(3, dtype=complex)
     if isinstance(obj, KrausSet):
@@ -190,16 +198,17 @@ def simulate_branches(
 
     Zero-probability branches are reported, marked vacuous, and do not
     count against the match verdict.  Input and target are rays, taken
-    through :func:`scaled_into_range` so their norms cannot overflow.
+    through :func:`scaled_into_range` (factor by factor for the declared
+    states) so their norms cannot overflow.
     """
     if input_vec is None:
-        input_vec = assemble(obj.initial)
+        input_vec = _ray_vector(obj.initial)
     v0 = scaled_into_range(np.asarray(input_vec, dtype=complex))
     n0 = np.linalg.norm(v0)
     if n0 == 0:
         raise ValueError("input state must be nonzero")
     v0 = v0 / n0
-    target_vec = scaled_into_range(assemble(obj.target))
+    target_vec = _ray_vector(obj.target)
 
     records = []
     total = 0.0
@@ -283,6 +292,22 @@ def _triple_depolarized(h: np.ndarray, w: Pair) -> np.ndarray:
     return depolarize(h, p)
 
 
+def _split_scale(h: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(hs, e)`` with ``hs = scaled_into_range(h)`` and ``h = 2**e hs``
+    exactly.  Grams and traces are formed from ``hs``, which cannot over-
+    or underflow, and the power of two is carried back onto the result;
+    for a factor of ordinary scale ``hs`` is ``h`` and ``e`` is 0."""
+    hs = scaled_into_range(h)
+    return hs, int(np.frexp(np.abs(h).max())[1] - np.frexp(np.abs(hs).max())[1])
+
+
+def _confined_factor(h: np.ndarray, w: Pair) -> np.ndarray:
+    """Positive confined factor of ``h``'s Gram depolarized over the
+    triple of ``w``, at ``h``'s own scale."""
+    hs, e = _split_scale(h)
+    return np.ldexp(1.0, e) * span_factor(_triple_depolarized(dagger(hs) @ hs, w), w)
+
+
 def _check_complete(obj: KrausSet | LoccProtocol, what: str) -> None:
     residual = validate_povm(obj)
     if residual > POVM_TOL:
@@ -292,13 +317,14 @@ def _check_complete(obj: KrausSet | LoccProtocol, what: str) -> None:
 
 
 def _scale_to_trace3(h: np.ndarray) -> tuple[np.ndarray, float]:
-    tr = float(np.trace(dagger(h) @ h).real)
-    lam = np.sqrt(3.0 / tr)
-    return lam * h, lam
+    hs, e = _split_scale(h)
+    lam = np.sqrt(3.0 / float(np.trace(dagger(hs) @ hs).real))
+    return lam * hs, np.ldexp(lam, -e)
 
 
 def _unitized(h: np.ndarray) -> np.ndarray:
-    """The unitary part of a factor's polar decomposition."""
+    """The unitary part of a factor's polar decomposition (scale-free)."""
+    h = scaled_into_range(h)
     return h @ np.linalg.inv(positive_factor(dagger(h) @ h))
 
 
@@ -351,10 +377,7 @@ def sep_map_confined(
     eye = np.eye(3, dtype=complex)
     h2 = eye if h2 is None else np.asarray(h2, dtype=complex)
     h3 = eye if h3 is None else np.asarray(h3, dtype=complex)
-    h1s = scaled_into_range(h1)  # h1 = 2**shift * h1s exactly
-    shift = np.frexp(np.abs(h1).max())[1] - np.frexp(np.abs(h1s).max())[1]
-    g1w = np.ldexp(1.0, shift) * span_factor(_triple_depolarized(dagger(h1s) @ h1s, w), w)
-    initial = GenericState(seed=seed, factors=(g1w, h2, h3))
+    initial = GenericState(seed=seed, factors=(_confined_factor(h1, w), h2, h3))
     target = GenericState(seed=seed, factors=(h1, h2, h3))
     elements = _branches(initial.factors, target.factors, _uniform(_triple(w)), 0)
     # At parties 2 and 3 the branch operator h S_k h^{-1} is unitary exactly
@@ -385,14 +408,21 @@ def sep_map_from_witness(
 
     Given a distribution solving the conversion instance, the branch for
     label k applies ``sqrt(p_k) h_i S_k g_i^{-1}`` at each party.  The
-    target factors are rescaled so the Gram traces match the source's
-    (ray-preserving); completeness then follows from the witness equation.
+    target factors are rescaled so the product of their Gram traces
+    matches the source's (ray-preserving); completeness then follows from
+    the witness equation.  The traces are taken at the factors' scaled-
+    into-range values, and target factor i carries source factor i's
+    power of two, which leaves the product of the three factors as a
+    common rescale would.
     """
     p = np.asarray(p, dtype=float)
-    tr_g = np.prod([np.trace(dagger(g) @ g).real for g in source.factors])
-    tr_h = np.prod([np.trace(dagger(h) @ h).real for h in target.factors])
+    gs = [_split_scale(g) for g in source.factors]
+    hs = [scaled_into_range(h) for h in target.factors]
+    tr_g = np.prod([np.trace(dagger(g) @ g).real for g, _ in gs])
+    tr_h = np.prod([np.trace(dagger(h) @ h).real for h in hs])
     scale = (tr_g / tr_h) ** (1.0 / 6.0)
-    target = GenericState(seed=target.seed, factors=tuple(scale * h for h in target.factors))
+    factors = tuple(np.ldexp(1.0, e) * (scale * h) for h, (_, e) in zip(hs, gs))
+    target = GenericState(seed=target.seed, factors=factors)
     kraus = KrausSet(
         elements=_branches(source.factors, target.factors, dict(zip(INDEX_ORDER, p)), 0),
         initial=source,
@@ -445,7 +475,7 @@ def _one_round_protocol(
     triple, other factors as in the target."""
     h = target.factors
     initial_factors = list(h)
-    initial_factors[f] = span_factor(_triple_depolarized(dagger(h[f]) @ h[f], w), w)
+    initial_factors[f] = _confined_factor(h[f], w)
     initial = GenericState(seed=target.seed, factors=tuple(initial_factors))
     elements = _branches(initial.factors, h, _uniform(_triple(w)), f)
     protocol = LoccProtocol(
@@ -542,7 +572,7 @@ def locc_convert_step(
     w = match.pair
     assert w is not None
 
-    g_m = source.factors[m_party]
+    g_m, g_exp = _split_scale(source.factors[m_party])
     g_gram = dagger(g_m) @ g_m
     trace = float(np.trace(g_gram).real)
     ghat = g_gram / trace
@@ -602,7 +632,7 @@ def locc_convert_step(
         )
 
     target_factors = list(source.factors)
-    target_factors[m_party] = positive_factor(hhat * trace)
+    target_factors[m_party] = np.ldexp(1.0, g_exp) * positive_factor(hhat * trace)
     target = GenericState(seed=source.seed, factors=tuple(target_factors))
     try:
         if lu_equivalent(source, target):

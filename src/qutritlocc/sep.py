@@ -7,14 +7,17 @@ the nine symmetry labels satisfies
     sum_k p_k (S_k^dag)^(x3) (H1 (x) H2 (x) H3) (S_k)^(x3) = G1 (x) G2 (x) G3
 
 with both sides trace-normalized.  The solution set is a polytope: an
-affine subspace of distributions intersected with the simplex.  This
-module solves the linear system exactly (least squares plus nullspace),
-enumerates the polytope's vertices, and reports feasibility, uniqueness
-and nontriviality of the conversion.
+affine subspace of distributions intersected with the simplex.
 
-The spectrum ``eta_l = sum_k p_k phase(l, k)`` of a distribution (its
-transform under the conjugation characters) drives the per-party picture:
-depolarizing a Gram matrix by p multiplies coordinate l by eta_l.
+The conjugation phases are characters of Z3 x Z3, so the condition lives
+in the nine-dimensional character domain.  The spectrum
+``eta_l = sum_k p_k phase(l, k)`` of a distribution multiplies coordinate
+l of a depolarized Gram matrix, and coordinate (l, m, n) of the mixed
+product above by ``eta_{l+m+n}``.  The 729 entries of the product thus
+reduce exactly to one scalar fit per character; this module solves that
+19-row real system (least squares plus nullspace), enumerates the
+polytope's vertices, and reports feasibility, uniqueness and
+nontriviality of the conversion.
 """
 
 from __future__ import annotations
@@ -26,16 +29,7 @@ import numpy as np
 
 from .classify import detect_sep_cases, support_pattern
 from .config import resolve_tol
-from .pauli import (
-    INDEX_ORDER,
-    INDEX_POS,
-    PAULIS,
-    conj_phase,
-    dagger,
-    idx_add,
-    idx_neg,
-    kron3,
-)
+from .pauli import CONJ_TABLE, INDEX_ORDER, INDEX_POS, PAULIS, dagger, idx_add, idx_neg
 from .seeds import SeedParams
 from .states import (
     GenericState,
@@ -66,17 +60,6 @@ def depolarize(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spectrum_table() -> np.ndarray:
-    tab = np.empty((9, 9), dtype=complex)
-    for li, l in enumerate(INDEX_ORDER):
-        for ki, k in enumerate(INDEX_ORDER):
-            tab[li, ki] = conj_phase(l, k)
-    return tab
-
-
-_SPECTRUM_TABLE = _spectrum_table()
-
-
 def dep_spectrum(p: np.ndarray) -> np.ndarray:
     """Spectrum of a distribution under the nine conjugation characters.
 
@@ -87,68 +70,7 @@ def dep_spectrum(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (9,):
         raise ValueError(f"expected 9 probabilities, got shape {p.shape}")
-    return _SPECTRUM_TABLE @ p
-
-
-def spectrum_conditions(
-    coords: np.ndarray,
-    eta: np.ndarray,
-    tol: float = 1e-9,
-) -> tuple[bool, tuple[tuple[str, tuple, float], ...]]:
-    """Check the spectrum compatibility conditions for a coordinate table.
-
-    ``coords`` is the (3, 8) coordinate table of the final Gram triple and
-    ``eta`` a spectrum vector.  Two families are verified on the
-    thresholded supports:
-
-    * triple products: ``eta_l eta_m eta_n = eta_{l+m+n}`` whenever the
-      three parties have nonvanishing coordinates at l, m, n (the identity
-      coordinate 1/3 counts as nonvanishing at the zero index);
-    * the pairwise matrix form: for each ordered party pair, the outer
-      product of their coordinate vectors masks the difference between
-      ``eta_l eta_m`` and ``eta_{l+m}``.
-
-    Returns (ok, violations) with each violation a (family, indices,
-    magnitude) triple.
-    """
-    coords = np.asarray(coords, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
-    full = np.empty((3, 9), dtype=complex)
-    full[:, 0] = 1.0 / 3.0
-    full[:, 1:] = coords
-    mask = np.abs(full) > tol * (1.0 / 3.0)
-
-    violations: list[tuple[str, tuple, float]] = []
-    for li, l in enumerate(INDEX_ORDER):
-        if not mask[0, li]:
-            continue
-        for mi, m in enumerate(INDEX_ORDER):
-            if not mask[1, mi]:
-                continue
-            for ni, n in enumerate(INDEX_ORDER):
-                if not mask[2, ni]:
-                    continue
-                lhs = eta[li] * eta[mi] * eta[ni]
-                rhs = eta[INDEX_POS[idx_add(idx_add(l, m), n)]]
-                err = abs(lhs - rhs)
-                if err > tol:
-                    violations.append(("triple", (l, m, n), err))
-
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            for li, l in enumerate(INDEX_ORDER[1:], start=1):
-                if not mask[i, li]:
-                    continue
-                for mi, m in enumerate(INDEX_ORDER[1:], start=1):
-                    if not mask[j, mi]:
-                        continue
-                    err = abs(eta[li] * eta[mi] - eta[INDEX_POS[idx_add(l, m)]])
-                    if err > tol:
-                        violations.append(("pair", (i, j, l, m), err))
-
-    return (not violations, tuple(violations))
+    return CONJ_TABLE @ p
 
 
 def induced_initial(final: GramTriple, p: np.ndarray) -> GramTriple:
@@ -230,61 +152,101 @@ class SepFeasibility:
     reason: str | None
 
 
-def _polytope_vertices(p0: np.ndarray, nullspace: np.ndarray, feas_tol: float = 1e-10) -> list[np.ndarray]:
+#: Most negative probability a polytope vertex may carry.
+VERTEX_FEAS_TOL = 1e-10
+
+
+def _polytope_vertices(p0: np.ndarray, nullspace: np.ndarray) -> list[np.ndarray]:
     """Vertices of {p0 + N t : p >= 0} (a bounded polytope inside the simplex)."""
     d = nullspace.shape[1]
     if d == 0:
-        return [p0] if p0.min() >= -feas_tol else []
+        return [p0] if p0.min() >= -VERTEX_FEAS_TOL else []
     vertices: list[np.ndarray] = []
     for active in itertools.combinations(range(9), d):
         block = nullspace[list(active), :]
         scale = np.prod(np.maximum(np.linalg.norm(block, axis=1), 1e-300))
-        det = np.linalg.det(block) if d > 0 else 1.0
-        if abs(det) <= 1e-10 * scale:
+        if abs(np.linalg.det(block)) <= 1e-10 * scale:
             continue
         t = np.linalg.solve(block, -p0[list(active)])
         p = p0 + nullspace @ t
-        if p.min() < -feas_tol:
+        if p.min() < -VERTEX_FEAS_TOL:
             continue
         if all(np.max(np.abs(p - v)) > 1e-8 for v in vertices):
             vertices.append(p)
     return vertices
 
 
+def _block_index() -> np.ndarray:
+    """Row s lists the flat indices ``81 l + 9 m + n`` (positions in
+    INDEX_ORDER) of the 81 product coordinates with ``l + m + n = s``."""
+    labels = [
+        INDEX_POS[idx_add(idx_add(l, m), n)]
+        for l, m, n in itertools.product(INDEX_ORDER, repeat=3)
+    ]
+    return np.argsort(labels, kind="stable").reshape(9, 81)
+
+
+_BLOCKS = _block_index()
+
+
+def _product_blocks(gt: GramTriple) -> np.ndarray:
+    """Coordinates ``c1_l c2_m c3_n`` of ``G1 (x) G2 (x) G3`` in the basis
+    ``D_l (x) D_m (x) D_n`` (D_0 = I), grouped into blocks: shape (9, 81)."""
+    c = np.hstack([np.full((3, 1), 1.0 / 3.0), gt.coords])
+    return (c[0][:, None, None] * c[1][:, None] * c[2]).ravel()[_BLOCKS]
+
+
+def _block_system(inst: SepInstance) -> tuple[np.ndarray, np.ndarray, float]:
+    """The SEP condition as 19 real rows, an exact reduction of its
+    729-row Kronecker form.
+
+    Coordinate (l, m, n) of ``sum_k p_k (S_k^dag)^(x3) H S_k^(x3)`` is
+    ``h1_l h2_m h3_n eta_{l+m+n}`` with ``eta = CONJ_TABLE @ p``, and the
+    basis products are orthogonal with squared Frobenius norm 27.  So the
+    Kronecker rows fall into nine blocks by ``s = l + m + n``, each of rank
+    one: ``sqrt(27) h_s eta_s`` against ``sqrt(27) g_s``.  Block s becomes
+    the row ``sqrt(27) |h_s| CONJ_TABLE[s]`` with right-hand side
+    ``sqrt(27) <h_s/|h_s|, g_s>``.  The part of each ``g_s`` orthogonal to
+    ``h_s`` (all of it where ``h_s`` vanishes) is returned as
+    ``remainder``; the Kronecker residual at p is
+    ``hypot(|a p - b|, remainder)``.  Rows are the nine real parts, the
+    nine imaginary parts and the normalisation row.  The map is an
+    isometry, so singular values, nullspace and least-squares point equal
+    the Kronecker system's.
+    """
+    h = _product_blocks(inst.target_gram)
+    g = _product_blocks(inst.source_gram)
+    # Normalise by the largest entry first: |h_s|^2 can underflow.
+    peak = np.abs(h).max(axis=1, keepdims=True)
+    u = np.divide(h, peak, out=np.zeros_like(h), where=peak > 0)
+    length = np.linalg.norm(u, axis=1, keepdims=True)
+    u = np.divide(u, length, out=np.zeros_like(u), where=length > 0)
+    proj = np.sum(u.conj() * g, axis=1)
+    root27 = np.sqrt(27.0)
+    remainder = root27 * float(np.linalg.norm(g - proj[:, None] * u))
+    rows = root27 * (peak * length) * CONJ_TABLE
+    a = np.vstack([rows.real, rows.imag, np.ones((1, 9))])
+    b = np.concatenate([root27 * proj.real, root27 * proj.imag, [1.0]])
+    return a, b, remainder
+
+
 def sep_feasible(inst: SepInstance, tol: float | None = None) -> SepFeasibility:
     """Decide an instance by exact polytope analysis.
 
-    Builds the 729-row complex system (one row per entry of the 27x27 Gram
-    product), stacks it as 1459 real rows including the normalisation row,
-    solves for the affine solution set by least squares and a thin SVD,
-    and enumerates polytope vertices.  Feasible means a distribution
-    reproduces the initial Gram product to within the tolerance (absolute
-    Frobenius, default 1e-9).  Raises ``ValueError`` for a seed outside
-    the canonical gauge.
+    Solves the 19-row block form of the SEP condition
+    (:func:`_block_system`) for its affine solution set by least squares
+    and a thin SVD, and enumerates the polytope's vertices.  Feasible means
+    a distribution reproduces the initial Gram product to within the
+    tolerance (absolute Frobenius over the 27x27 product, default 1e-9).
+    Raises ``ValueError`` for a seed outside the canonical gauge.
     """
     if not inst.seed.is_canonical():
         raise ValueError("seed parameters must be in canonical gauge")
     t = resolve_tol(tol)
-    h1, h2, h3 = inst.target_gram.mats
-    columns = []
-    for k in INDEX_ORDER:
-        s = PAULIS[k]
-        sd = dagger(s)
-        columns.append(kron3(sd @ h1 @ s, sd @ h2 @ s, sd @ h3 @ s).ravel())
-    d_ops = np.array(columns).T  # (729, 9) complex
-    g_full = kron3(*inst.source_gram.mats).ravel()
-
-    a_real = np.vstack(
-        [
-            d_ops.real,
-            d_ops.imag,
-            np.ones((1, 9)),
-        ]
-    )
-    b_real = np.concatenate([g_full.real, g_full.imag, [1.0]])
+    a_real, b_real, remainder = _block_system(inst)
 
     p_ls, _, _, _ = np.linalg.lstsq(a_real, b_real, rcond=None)
-    affine_residual = float(np.linalg.norm(a_real @ p_ls - b_real))
+    affine_residual = float(np.hypot(np.linalg.norm(a_real @ p_ls - b_real), remainder))
 
     if affine_residual > t:
         return SepFeasibility(
@@ -320,7 +282,7 @@ def sep_feasible(inst: SepInstance, tol: float | None = None) -> SepFeasibility:
     witness = np.mean(vertices, axis=0)
     witness = np.clip(witness, 0.0, None)
     witness = witness / witness.sum()
-    residual = float(np.linalg.norm(a_real @ witness - b_real))
+    residual = float(np.hypot(np.linalg.norm(a_real @ witness - b_real), remainder))
 
     if len(vertices) == 1:
         affine_dim = 0

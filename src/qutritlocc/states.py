@@ -15,11 +15,11 @@ import numpy as np
 
 from .config import resolve_tol
 from .pauli import (
+    CONJ_TABLE,
     COORD_ORDER,
     INDEX_ORDER,
     PAULIS,
     apply3,
-    conj_phase,
     dagger,
     frob,
     idx_neg,
@@ -211,18 +211,6 @@ def span_factor(m: np.ndarray, w: tuple[int, int], tol: float | None = None) -> 
 # Standard form under the residual symmetry gauge
 # ---------------------------------------------------------------------------
 
-def _gauge_table() -> np.ndarray:
-    """tab[pos, li]: phase of coordinate COORD_ORDER[pos] under gauge li."""
-    tab = np.empty((8, 9), dtype=complex)
-    for pos, k in enumerate(COORD_ORDER):
-        for li, l in enumerate(INDEX_ORDER):
-            tab[pos, li] = conj_phase(k, l)
-    return tab
-
-
-_GAUGE_TABLE = _gauge_table()
-
-
 def _in_window(theta: float) -> bool:
     """Whether an argument lies in the canonical window [-snap, 2pi/3 - snap)."""
     t = (theta + STD_WINDOW_SNAP) % (2.0 * np.pi)
@@ -253,7 +241,7 @@ def standardize_coords(coords: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]
     surviving coordinate tables agree) is broken lexicographically.
     """
     coords = np.asarray(coords, dtype=complex)
-    variants = coords[None, :, :] * _GAUGE_TABLE.T[:, None, :]  # (9, 3, 8)
+    variants = coords[None, :, :] * CONJ_TABLE[1:].T[:, None, :]  # (9, 3, 8)
 
     fixers: list[tuple[int, int, tuple[int, int]]] = []
     for party in range(3):

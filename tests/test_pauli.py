@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qutritlocc.pauli import (
+    CONJ_TABLE,
     COORD_ORDER,
     INDEX_ORDER,
     OMEGA,
@@ -100,11 +101,14 @@ def test_conj_phase_values():
 
 
 def test_conj_phase_defining_identity():
-    """conj_phase(k, l) is the phase picked up by S_k under conjugation by S_l."""
-    for k in INDEX_ORDER:
-        for l in INDEX_ORDER:
+    """conj_phase(k, l) is the phase picked up by S_k under conjugation by
+    S_l, and entry (k, l) of the read-only CONJ_TABLE."""
+    assert not CONJ_TABLE.flags.writeable
+    for i, k in enumerate(INDEX_ORDER):
+        for j, l in enumerate(INDEX_ORDER):
             lhs = dagger(PAULIS[l]) @ PAULIS[k] @ PAULIS[l]
             np.testing.assert_allclose(lhs, conj_phase(k, l) * PAULIS[k], atol=ATOL)
+            assert CONJ_TABLE[i, j] == conj_phase(k, l)
 
 
 def test_conj_phase_additivity():

@@ -135,6 +135,73 @@ def test_confined_map_is_scale_invariant(params, rng, scale):
     check_confined_map(params, rng, scale)
 
 
+def scaled_state(params, factors, scale):
+    return GenericState(params, tuple(scale * np.asarray(f, dtype=complex) for f in factors))
+
+
+def build_disjoint(params, rng, scale):
+    h1 = positive_factor(pair_mat((1, 0)))
+    h2 = positive_factor(pair_mat((0, 1), 0.06))
+    return sep_map_disjoint(scale * h1, scale * h2, params)
+
+
+def build_witness(params, rng, scale):
+    tiling = (
+        positive_factor(two_pair_mat((1, 0), (0, 1))),
+        positive_factor(two_pair_mat((1, 1), (1, 2))),
+        np.eye(3),
+    )
+    target = scaled_state(params, tiling, scale)
+    dec = sep_feasible(gram_instance(params, seed_gram(), gram(target)))
+    source = scaled_state(params, (np.eye(3),) * 3, scale)
+    return sep_map_from_witness(source, target, dec.witness)
+
+
+def build_one_round(params, rng, scale):
+    w = (0, 1)
+    factors = (dense_factor(rng), span_positive(w, 0.09), span_positive(w, 0.05))
+    return locc_reach_protocol(scaled_state(params, factors, scale))
+
+
+def build_nine_outcome(params, rng, scale):
+    factors = (dense_factor(rng), np.eye(3), np.eye(3))
+    return locc_reach_protocol(scaled_state(params, factors, scale))
+
+
+def build_two_stage(params, rng, scale):
+    factors = (positive_factor(pair_mat((1, 0))), span_positive((0, 1), 0.08), np.eye(3))
+    return locc_reach_protocol(scaled_state(params, factors, scale))
+
+
+def build_convert_step(params, rng, scale):
+    w = (1, 2)
+    factors = (dense_factor(rng), span_positive(w), span_positive(w, 0.04))
+    return locc_convert_step(scaled_state(params, factors, scale), pair=w)
+
+
+SCALED_BUILDS = {
+    "sep-disjoint": build_disjoint,
+    "sep-witness": build_witness,
+    "locc-one-round": build_one_round,
+    "locc-nine-outcome": build_nine_outcome,
+    "locc-two-stage": build_two_stage,
+    "locc-convert-step": build_convert_step,
+}
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("construction", list(SCALED_BUILDS))
+def test_construction_is_scale_invariant(params, construction, scale):
+    """Every factor of the inputs scaled by 1e+-200 (states are rays, so
+    nothing may change): the construction still builds, every branch
+    reaches its target, and that target is the unscaled build's."""
+    build = SCALED_BUILDS[construction]
+    obj = build(params, np.random.default_rng(0), scale)
+    assert obj.construction == construction
+    assert simulate_branches(obj).all_matched
+    assert lu_equivalent(obj.target, build(params, np.random.default_rng(0), 1.0).target)
+
+
 def test_confined_map_with_occupied_partners(params, rng):
     w = (0, 1)
     h1 = dense_factor(rng)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qutritlocc import sep as sep_module
+from qutritlocc.generate import KINDS, random_state
 from qutritlocc.pauli import INDEX_ORDER, INDEX_POS, PAULIS, dagger, idx_neg, kron3
 from qutritlocc.sep import (
     SepInstance,
@@ -13,7 +15,6 @@ from qutritlocc.sep import (
     induced_initial,
     sep_feasible,
     sep_instance,
-    spectrum_conditions,
 )
 from qutritlocc.seeds import SeedParams
 from qutritlocc.states import GenericState, gram, gram_triple, seed_gram
@@ -145,30 +146,6 @@ def test_depolarize_scales_coordinates_by_spectrum(rng):
     _, before = pauli_coords(h)
     _, after = pauli_coords(depolarize(h, p))
     np.testing.assert_allclose(after, eta[1:] * before, atol=1e-13)
-
-
-# ---------------------------------------------------------------------------
-# spectrum compatibility conditions
-# ---------------------------------------------------------------------------
-
-
-def test_conditions_pass_for_point_mass(rng):
-    coords = gram_triple(dense_mat(rng), dense_mat(rng), dense_mat(rng)).coords
-    ok, violations = spectrum_conditions(coords, dep_spectrum(E0))
-    assert ok and violations == ()
-
-
-def test_conditions_pass_for_tiling_with_uniform():
-    gt = gram_triple(two_pair_mat((1, 0), (0, 1)), two_pair_mat((1, 1), (1, 2)), np.eye(3))
-    ok, violations = spectrum_conditions(gt.coords, dep_spectrum(UNIFORM))
-    assert ok, violations
-
-
-def test_conditions_flag_shared_support_with_damped_spectrum():
-    gt = gram_triple(pair_mat((1, 0)), pair_mat((1, 0), 0.05), np.eye(3))
-    ok, violations = spectrum_conditions(gt.coords, dep_spectrum(UNIFORM))
-    assert not ok
-    assert any(fam == "pair" for fam, _, _ in violations)
 
 
 # ---------------------------------------------------------------------------
@@ -330,24 +307,106 @@ def test_all_confined_self_instance_has_flat_polytope(params):
 
 
 def test_witness_solves_full_tensor_equation(params, rng):
-    """Independent 27-dimensional residual check of a returned witness."""
+    """Independent 27-dimensional residual check of a returned witness,
+    for a confined target from its induced initial and a tiling target
+    from the seed."""
     w = (1, 1)
-    target = gram_triple(dense_mat(rng), pair_mat(w), pair_mat(w, 0.05))
-    init = dict(candidate_initial_grams(target))[f"confined-{w}"]
-    dec = sep_feasible(gram_instance(params, init, target))
-    g_op = kron3(*init.mats)
-    h_op = kron3(*target.mats)
-    acc = np.zeros((27, 27), dtype=complex)
-    for p_k, k in zip(dec.witness, INDEX_ORDER):
-        s3 = kron3(PAULIS[k], PAULIS[k], PAULIS[k])
-        acc += p_k * (dagger(s3) @ h_op @ s3)
-    assert np.linalg.norm(acc - g_op) <= 1e-9
-
-
-def test_witness_spectrum_passes_conditions(params):
-    target = gram_triple(
+    confined = gram_triple(dense_mat(rng), pair_mat(w), pair_mat(w, 0.05))
+    tiling = gram_triple(
         two_pair_mat((1, 0), (0, 1)), two_pair_mat((1, 1), (1, 2)), np.eye(3)
     )
-    dec = sep_feasible(gram_instance(params, seed_gram(), target))
-    ok, violations = spectrum_conditions(target.coords, dep_spectrum(dec.witness))
-    assert ok, violations
+    cases = [
+        (dict(candidate_initial_grams(confined))[f"confined-{w}"], confined),
+        (seed_gram(), tiling),
+    ]
+    for init, target in cases:
+        dec = sep_feasible(gram_instance(params, init, target))
+        g_op = kron3(*init.mats)
+        h_op = kron3(*target.mats)
+        acc = np.zeros((27, 27), dtype=complex)
+        for p_k, k in zip(dec.witness, INDEX_ORDER):
+            s3 = kron3(PAULIS[k], PAULIS[k], PAULIS[k])
+            acc += p_k * (dagger(s3) @ h_op @ s3)
+        assert np.linalg.norm(acc - g_op) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the block reduction against the Kronecker system it replaces
+# ---------------------------------------------------------------------------
+
+
+def kronecker_system(inst):
+    """The SEP condition in Kronecker form: one complex row per entry of
+    the 27x27 Gram product, stacked as 1459 real rows (real parts,
+    imaginary parts, normalisation row), with no remainder.  This is the
+    formulation the engine's 19-row block system reduces."""
+    h1, h2, h3 = inst.target_gram.mats
+    columns = []
+    for k in INDEX_ORDER:
+        s = PAULIS[k]
+        sd = dagger(s)
+        columns.append(kron3(sd @ h1 @ s, sd @ h2 @ s, sd @ h3 @ s).ravel())
+    d_ops = np.array(columns).T  # (729, 9) complex
+    g_full = kron3(*inst.source_gram.mats).ravel()
+    a_real = np.vstack([d_ops.real, d_ops.imag, np.ones((1, 9))])
+    b_real = np.concatenate([g_full.real, g_full.imag, [1.0]])
+    return a_real, b_real, 0.0
+
+
+def reference_corpus(params):
+    """Every generator kind from every candidate initial, and from the
+    target depolarized by an asymmetric distribution (``p_k != p_-k``, so
+    the spectrum is complex); a target with one coordinate pair near 1e-60
+    and one near 1e-170 (where the squared norm of its block underflows);
+    and seed to seed (eight blocks empty or at rounding level)."""
+    rng = np.random.default_rng(1511)
+    cases = []
+    for kind in KINDS:
+        for _ in range(3):
+            state = random_state(kind, rng)
+            target = gram(state)
+            for label, init in candidate_initial_grams(target):
+                cases.append((f"{kind}/{label}", gram_instance(state.seed, init, target)))
+            mixed = induced_initial(target, rng.dirichlet(np.ones(9)))
+            cases.append((f"{kind}/mixed", gram_instance(state.seed, mixed, target)))
+    for z in (1e-60, 1e-170):
+        target = gram_triple(pair_mat((1, 0), z), pair_mat((0, 1)), np.eye(3))
+        cases.append((f"tiny-{z:g}", gram_instance(params, seed_gram(), target)))
+    cases.append(("seed-to-seed", gram_instance(params, seed_gram(), seed_gram())))
+    return cases
+
+
+def verdict(dec):
+    return (
+        dec.feasible,
+        dec.unique,
+        dec.nontrivial,
+        dec.affine_dim,
+        len(dec.vertices),
+        dec.vertex_trivial,
+        dec.reason,
+    )
+
+
+def test_block_system_matches_kronecker_reference(params, monkeypatch):
+    probes = np.vstack([np.eye(9), np.random.default_rng(0).dirichlet(np.ones(9), 4)])
+    for name, inst in reference_corpus(params):
+        a, b, remainder = sep_module._block_system(inst)
+        ka, kb, _ = kronecker_system(inst)
+        assert a.shape == (19, 9), name
+        ksv = np.linalg.svd(ka, compute_uv=False)
+        np.testing.assert_allclose(
+            np.linalg.svd(a, compute_uv=False), ksv, rtol=0, atol=1e-12 * ksv[0], err_msg=name
+        )
+        for p in probes:
+            got = np.hypot(np.linalg.norm(a @ p - b), remainder)
+            assert abs(got - np.linalg.norm(ka @ p - kb)) <= 1e-12, name
+
+        dec = sep_feasible(inst)
+        with monkeypatch.context() as m:
+            m.setattr(sep_module, "_block_system", kronecker_system)
+            ref = sep_feasible(inst)
+        assert verdict(dec) == verdict(ref), name
+        assert abs(dec.residual - ref.residual) <= 1e-12, name
+        if dec.feasible:
+            np.testing.assert_allclose(dec.witness, ref.witness, rtol=0, atol=1e-12, err_msg=name)
