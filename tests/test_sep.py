@@ -5,7 +5,15 @@ from hypothesis import strategies as st
 
 from qutritlocc import sep as sep_module
 from qutritlocc.generate import KINDS, random_state
-from qutritlocc.pauli import INDEX_ORDER, INDEX_POS, PAULIS, dagger, idx_neg, kron3
+from qutritlocc.pauli import (
+    INDEX_ORDER,
+    INDEX_POS,
+    PAULIS,
+    dagger,
+    idx_add,
+    idx_neg,
+    kron3,
+)
 from qutritlocc.sep import (
     SepInstance,
     candidate_initial_grams,
@@ -328,6 +336,46 @@ def test_witness_solves_full_tensor_equation(params, rng):
             s3 = kron3(PAULIS[k], PAULIS[k], PAULIS[k])
             acc += p_k * (dagger(s3) @ h_op @ s3)
         assert np.linalg.norm(acc - g_op) <= 1e-9
+
+
+def spectrum_violations(coords, eta, tol=1e-9):
+    """Violations of the spectrum compatibility conditions of a (3, 8)
+    coordinate table: ``eta_l eta_m eta_n = eta_{l+m+n}`` wherever the
+    three parties have nonvanishing coordinates at l, m, n (the identity
+    coordinate 1/3 counts at the zero index), and ``eta_l eta_m =
+    eta_{l+m}`` wherever two distinct parties do at nonzero l, m."""
+    full = np.hstack([np.full((3, 1), 1.0 / 3.0), np.asarray(coords, dtype=complex)])
+    support = [
+        [k for k, c in zip(INDEX_ORDER, row) if abs(c) > tol / 3.0] for row in full
+    ]
+    at = lambda k: eta[INDEX_POS[k]]  # noqa: E731
+    violations = [
+        ("triple", (l, m, n))
+        for l in support[0]
+        for m in support[1]
+        for n in support[2]
+        if abs(at(l) * at(m) * at(n) - at(idx_add(idx_add(l, m), n))) > tol
+    ]
+    violations += [
+        ("pair", (i, j, l, m))
+        for i in range(3)
+        for j in range(3)
+        if i != j
+        for l in support[i][1:]
+        for m in support[j][1:]
+        if abs(at(l) * at(m) - at(idx_add(l, m))) > tol
+    ]
+    return violations
+
+
+def test_witness_spectrum_passes_conditions(params):
+    target = gram_triple(
+        two_pair_mat((1, 0), (0, 1)), two_pair_mat((1, 1), (1, 2)), np.eye(3)
+    )
+    dec = sep_feasible(gram_instance(params, seed_gram(), target))
+    assert dec.feasible
+    violations = spectrum_violations(target.coords, dep_spectrum(dec.witness))
+    assert not violations, violations
 
 
 # ---------------------------------------------------------------------------
