@@ -8,13 +8,8 @@ from .classify import (
     SupportPattern,
     classify,
     classify_gram,
-    is_locc_convertible,
-    is_locc_reachable,
-    is_sep_reachable,
-    is_support_tiling,
     support_pattern,
 )
-from .config import default_tol, resolve_tol, set_default_tol
 from .generate import KINDS, random_seed_params, random_state, random_unitary
 from .oracle import (
     OracleBudget,
@@ -29,6 +24,7 @@ from .pauli import (
     OMEGA,
     PAIR_REPS,
     PAULIS,
+    ZERO_TOL,
     apply3,
     conj_phase,
     dagger_phase,

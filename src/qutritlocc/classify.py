@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import resolve_tol
-from .pauli import COORD_ORDER, PAIR_REPS, pair_rep
+from .pauli import COORD_ORDER, PAIR_REPS, ZERO_TOL, pair_rep
 from .states import GenericState, GramTriple, gram
 
 #: Largest possible magnitude of a trace-normalized Gram coordinate; the
@@ -57,10 +56,9 @@ class SupportPattern:
     warnings: tuple[str, ...]
 
 
-def support_pattern(gt: GramTriple, tol: float | None = None) -> SupportPattern:
+def support_pattern(gt: GramTriple, tol: float = ZERO_TOL) -> SupportPattern:
     """Extract the support pattern of a Gram triple at tolerance ``tol``."""
-    t = resolve_tol(tol)
-    cut = t * _COORD_SCALE
+    cut = tol * _COORD_SCALE
     mags = np.abs(gt.coords)
     supports = []
     pairs = []
@@ -113,93 +111,6 @@ class CaseMatch:
     pair: Pair | None
 
 
-def _confined(pairs: frozenset[Pair], w: Pair) -> bool:
-    return pairs <= {w}
-
-
-def detect_sep_cases(pattern: SupportPattern) -> tuple[CaseMatch, ...]:
-    """All structural matches that certify separable reachability."""
-    out: list[CaseMatch] = []
-    seen: set[tuple] = set()
-    for i, j, k in itertools.permutations(range(3)):
-        pi, pj, pk = pattern.pairs[i], pattern.pairs[j], pattern.pairs[k]
-        if not pk and (pi or pj) and not (pi & pj):
-            key = ("disjoint", frozenset((i, j)), k)
-            if key not in seen:
-                seen.add(key)
-                a, b = sorted((i, j))
-                out.append(CaseMatch("disjoint", (a, b, k), None))
-        for w in PAIR_REPS:
-            if _confined(pj, w) and _confined(pk, w) and not _confined(pi, w):
-                key = ("confined", i, frozenset((j, k)), w)
-                if key not in seen:
-                    seen.add(key)
-                    a, b = sorted((j, k))
-                    out.append(CaseMatch("confined", (i, a, b), w))
-    return tuple(out)
-
-
-def detect_locc_cases(pattern: SupportPattern) -> tuple[CaseMatch, ...]:
-    """Structural matches certifying local (LOCC) reachability.
-
-    Identical to the confined separable case: two parties confined to one
-    common negation pair (a trivial party is confined to every pair), the
-    remaining party not confined to it.
-    """
-    return tuple(m for m in detect_sep_cases(pattern) if m.kind == "confined")
-
-
-def convert_witnesses(pattern: SupportPattern) -> tuple[CaseMatch, ...]:
-    """Structural witnesses of local one-step convertibility.
-
-    Two parties confined to a common negation pair; the remaining party is
-    unrestricted and is the one that measures in the conversion step.
-    """
-    out: list[CaseMatch] = []
-    seen: set[tuple] = set()
-    for i, j, k in itertools.permutations(range(3)):
-        for w in PAIR_REPS:
-            if _confined(pattern.pairs[j], w) and _confined(pattern.pairs[k], w):
-                key = (i, frozenset((j, k)), w)
-                if key not in seen:
-                    seen.add(key)
-                    a, b = sorted((j, k))
-                    out.append(CaseMatch("confined", (i, a, b), w))
-    return tuple(out)
-
-
-def is_sep_reachable(gt: GramTriple, tol: float | None = None) -> bool:
-    """Whether some LU-inequivalent state of the class maps to this Gram
-    triple under a separable transformation."""
-    return bool(detect_sep_cases(support_pattern(gt, tol)))
-
-
-def is_locc_reachable(gt: GramTriple, tol: float | None = None) -> bool:
-    """Whether some LU-inequivalent state of the class reaches this Gram
-    triple by a local protocol."""
-    return bool(detect_locc_cases(support_pattern(gt, tol)))
-
-
-def is_locc_convertible(gt: GramTriple, tol: float | None = None) -> bool:
-    """Whether this Gram triple admits a local transformation to some
-    LU-inequivalent state of the class."""
-    return bool(convert_witnesses(support_pattern(gt, tol)))
-
-
-def _tiles(pattern: SupportPattern) -> bool:
-    for i, j, k in itertools.permutations(range(3)):
-        pi, pj, pk = pattern.pairs[i], pattern.pairs[j], pattern.pairs[k]
-        if not pk and len(pi) == 2 and len(pj) == 2 and not (pi & pj):
-            return True
-    return False
-
-
-def is_support_tiling(gt: GramTriple, tol: float | None = None) -> bool:
-    """Whether the supports tile the nonzero indices two pairs + two pairs
-    with one trivial party (separably reachable only from the seed)."""
-    return _tiles(support_pattern(gt, tol))
-
-
 @dataclass(frozen=True)
 class Classification:
     """Full structural verdict for one state."""
@@ -221,12 +132,34 @@ class Classification:
         return self.pattern.warnings
 
 
-def classify_gram(gt: GramTriple, tol: float | None = None) -> Classification:
-    """Classify a Gram triple structurally (see the module docstring)."""
+def classify_gram(gt: GramTriple, tol: float = ZERO_TOL) -> Classification:
+    """Classify a Gram triple structurally (see the module docstring).
+
+    One scan over party relabelings collects every match.  A disjoint
+    match lists its support parties in increasing order; a confined match
+    lists the free party, then the confined parties in increasing order.
+    ``convert_cases`` holds every confined match; those whose free party is
+    not itself confined to the pair certify reachability and appear in
+    ``sep_cases`` and ``locc_cases`` as well.
+    """
     pattern = support_pattern(gt, tol)
-    sep_cases = detect_sep_cases(pattern)
-    locc_cases = tuple(m for m in sep_cases if m.kind == "confined")
-    convert_cases = convert_witnesses(pattern)
+    sep_cases: list[CaseMatch] = []
+    locc_cases: list[CaseMatch] = []
+    convert_cases: list[CaseMatch] = []
+    support_tiling = False
+    for i, j, k in itertools.permutations(range(3)):
+        pi, pj, pk = pattern.pairs[i], pattern.pairs[j], pattern.pairs[k]
+        if i < j and not pk and (pi or pj) and not (pi & pj):
+            sep_cases.append(CaseMatch("disjoint", (i, j, k), None))
+            support_tiling |= len(pi) == len(pj) == 2
+        if j < k:
+            for w in PAIR_REPS:
+                if pj <= {w} and pk <= {w}:
+                    match = CaseMatch("confined", (i, j, k), w)
+                    convert_cases.append(match)
+                    if not pi <= {w}:
+                        sep_cases.append(match)
+                        locc_cases.append(match)
     sep_reachable = bool(sep_cases)
     locc_reachable = bool(locc_cases)
     locc_convertible = bool(convert_cases)
@@ -234,18 +167,18 @@ def classify_gram(gt: GramTriple, tol: float | None = None) -> Classification:
     return Classification(
         pattern=pattern,
         sep_reachable=sep_reachable,
-        sep_cases=sep_cases,
+        sep_cases=tuple(sep_cases),
         locc_reachable=locc_reachable,
-        locc_cases=locc_cases,
+        locc_cases=tuple(locc_cases),
         locc_convertible=locc_convertible,
-        convert_cases=convert_cases,
-        support_tiling=_tiles(pattern),
+        convert_cases=tuple(convert_cases),
+        support_tiling=support_tiling,
         sep_only=sep_reachable and not locc_reachable,
         in_mes=in_mes,
         isolated=in_mes and not locc_convertible,
     )
 
 
-def classify(state: GenericState, tol: float | None = None) -> Classification:
+def classify(state: GenericState, tol: float = ZERO_TOL) -> Classification:
     """Classify a state via the Gram triple of its factors."""
     return classify_gram(gram(state), tol)

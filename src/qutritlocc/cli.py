@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any
 
 import numpy as np
 
 from .classify import Classification, classify
-from .config import set_default_tol
 from .generate import KINDS, random_state
 from .oracle import brute_force_sep
+from .pauli import ZERO_TOL
 from .protocols import (
     POVM_TOL,
     ProtocolError,
@@ -177,7 +178,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     lines = []
     for path in args.files:
         state = load_state(path)
-        cls = classify(state)
+        cls = classify(state, args.tolerance)
         report = {"file": path, **_classification_json(cls)}
         reports.append(report)
         flags = [
@@ -208,7 +209,7 @@ def _cmd_sep_decide(args: argparse.Namespace) -> int:
     except SeedMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    result = sep_feasible(inst)
+    result = sep_feasible(inst, args.tolerance)
     payload: dict[str, Any] = {
         "feasible": result.feasible,
         "unique": result.unique,
@@ -251,7 +252,7 @@ def _cmd_synth_protocol(args: argparse.Namespace) -> int:
     target = load_state(args.target)
     if args.source is None:
         try:
-            obj = locc_reach_protocol(target)
+            obj = locc_reach_protocol(target, args.tolerance)
         except ValueError as exc:
             print(f"not synthesized: {exc}", file=sys.stderr)
             return 2
@@ -262,7 +263,7 @@ def _cmd_synth_protocol(args: argparse.Namespace) -> int:
         except SeedMismatchError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        result = sep_feasible(inst)
+        result = sep_feasible(inst, args.tolerance)
         if not result.feasible:
             print(
                 f"not synthesized: conversion is separably infeasible ({result.reason})",
@@ -371,7 +372,11 @@ def _common_flags() -> argparse.ArgumentParser:
         "--tolerance",
         type=float,
         default=argparse.SUPPRESS,
-        help="numerical tolerance override",
+        help=(
+            "zero cut of the verdicts of classify, sep-decide and synth-protocol "
+            f"(default ZERO_TOL = {ZERO_TOL:g}); input checks and protocol "
+            "constructions always use ZERO_TOL"
+        ),
     )
     common.add_argument(
         "--rng-seed",
@@ -403,7 +408,7 @@ def _build_parser() -> _Parser:
         ),
         parents=[_common_flags()],
     )
-    parser.set_defaults(tolerance=None, rng_seed=0, oracle=False, json=False)
+    parser.set_defaults(tolerance=ZERO_TOL, rng_seed=0, oracle=False, json=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name: str, help: str):
@@ -458,11 +463,9 @@ def _build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.tolerance is not None:
-        if args.tolerance <= 0:
-            print("error: --tolerance must be positive", file=sys.stderr)
-            return 1
-        set_default_tol(args.tolerance)
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        print("error: --tolerance must be a finite positive number", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except SchemaError as exc:

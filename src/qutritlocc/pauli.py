@@ -16,8 +16,6 @@ import math
 
 import numpy as np
 
-from .config import resolve_tol
-
 OMEGA = np.exp(2j * np.pi / 3)
 
 #: Canonical enumeration of Z3 x Z3 used for every 9-component object in the
@@ -37,7 +35,6 @@ INDEX_ORDER: tuple[tuple[int, int], ...] = (
 COORD_ORDER: tuple[tuple[int, int], ...] = INDEX_ORDER[1:]
 
 INDEX_POS = {k: i for i, k in enumerate(INDEX_ORDER)}
-COORD_POS = {k: i for i, k in enumerate(COORD_ORDER)}
 
 #: One representative per negation pair {k, -k} of the nonzero indices.
 PAIR_REPS: tuple[tuple[int, int], ...] = ((1, 0), (0, 1), (1, 1), (1, 2))
@@ -170,20 +167,26 @@ _check_tables()
 # Matrix predicates
 # ---------------------------------------------------------------------------
 
-def is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
-    """Whether ``||m - mᴴ|| <= tol ||m||`` (Frobenius), scale-invariantly
+#: The package's zero tolerance: relative cut for Hermiticity,
+#: invertibility and positivity of factors, the default support cut of the
+#: structural classifier and the default residual bound of the SEP decision.
+ZERO_TOL = 1e-9
+
+
+def is_hermitian(m: np.ndarray) -> bool:
+    """Whether ``||m - mᴴ|| <= ZERO_TOL ||m||`` (Frobenius), scale-invariantly
     like :func:`is_invertible`.  Non-finite matrices are not Hermitian."""
     m = scaled_into_range(m)
     norm2 = abs(np.vdot(m, m))
     if not math.isfinite(norm2):
         return False
     skew = m - dagger(m)
-    return bool(abs(np.vdot(skew, skew)) <= resolve_tol(tol) ** 2 * norm2)
+    return bool(abs(np.vdot(skew, skew)) <= ZERO_TOL**2 * norm2)
 
 
-def is_positive_definite(m: np.ndarray, tol: float | None = None) -> bool:
+def is_positive_definite(m: np.ndarray) -> bool:
     """Whether Hermitian ``m`` has strictly positive spectrum."""
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         return False
     m = scaled_into_range(m)
     w = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
@@ -208,7 +211,7 @@ def scaled_into_range(m: np.ndarray) -> np.ndarray:
     return np.ldexp(m.view(float), -exponent).view(complex)
 
 
-def is_invertible(m: np.ndarray, tol: float | None = None) -> bool:
+def is_invertible(m: np.ndarray) -> bool:
     """Whether ``|det m|`` clears the zero tolerance at the matrix's scale.
 
     The test is scale-invariant, as states are rays: it runs on
@@ -219,7 +222,7 @@ def is_invertible(m: np.ndarray, tol: float | None = None) -> bool:
     norm2 = abs(np.vdot(m, m))
     if not math.isfinite(norm2):
         return False
-    return bool(abs(np.linalg.det(m)) > resolve_tol(tol) * (norm2 / 3.0) ** 1.5)
+    return bool(abs(np.linalg.det(m)) > ZERO_TOL * (norm2 / 3.0) ** 1.5)
 
 
 # ---------------------------------------------------------------------------

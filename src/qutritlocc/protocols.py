@@ -25,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import convert_witnesses, detect_locc_cases, support_pattern
+from .classify import classify_gram
 from .pauli import (
     COORD_ORDER,
     INDEX_ORDER,
     INDEX_POS,
     PAIR_REPS,
     PAULIS,
+    ZERO_TOL,
     apply3,
     dagger,
     from_coords,
@@ -438,7 +439,7 @@ def sep_map_from_witness(
 # Local protocols
 # ---------------------------------------------------------------------------
 
-def locc_reach_protocol(target: GenericState, tol: float | None = None) -> LoccProtocol:
+def locc_reach_protocol(target: GenericState, tol: float = ZERO_TOL) -> LoccProtocol:
     """Local protocol reaching a locally reachable target.
 
     The construction is chosen from the target's support pattern: a
@@ -447,16 +448,14 @@ def locc_reach_protocol(target: GenericState, tol: float | None = None) -> LoccP
     both confined parties are trivial, and a two-stage composition from
     the bare seed in the mixed case with disjoint free-party support.
     """
-    gt = gram(target)
-    pattern = support_pattern(gt, tol)
-    matches = detect_locc_cases(pattern)
-    if not matches:
+    cls = classify_gram(gram(target), tol)
+    if not cls.locc_cases:
         raise ValueError("target is not locally reachable from any LU-inequivalent state")
-    match = matches[0]
+    match = cls.locc_cases[0]
     f, c1, c2 = match.parties
     w = match.pair
     assert w is not None
-    s_f, s_c1, s_c2 = pattern.pairs[f], pattern.pairs[c1], pattern.pairs[c2]
+    s_f, s_c1, s_c2 = (cls.pattern.pairs[p] for p in match.parties)
     if not s_c1 and not s_c2:
         return _nine_outcome_protocol(target, f, c1, c2)
     if s_c1 and s_c2:
@@ -545,7 +544,6 @@ def locc_convert_step(
     source: GenericState,
     pair: Pair | None = None,
     eps: float | None = None,
-    tol: float | None = None,
 ) -> LoccProtocol:
     """One conversion step away from a locally convertible state.
 
@@ -558,9 +556,8 @@ def locc_convert_step(
     (perturbations from 1/10) until the target Gram keeps a positive
     margin; explicit ``eps`` values are validated instead.
     """
-    gt = gram(source)
-    pattern = support_pattern(gt, tol)
-    witnesses = convert_witnesses(pattern)
+    cls = classify_gram(gram(source))
+    witnesses = cls.convert_cases
     if not witnesses:
         raise ValueError("source is not locally one-step convertible")
     if pair is not None:
@@ -577,7 +574,7 @@ def locc_convert_step(
     trace = float(np.trace(g_gram).real)
     ghat = g_gram / trace
     _, gc = pauli_coords(ghat)
-    confined = pattern.pairs[m_party] <= {w}
+    confined = cls.pattern.pairs[m_party] <= {w}
     notes = []
 
     if not confined:

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import detect_sep_cases, support_pattern
-from .config import resolve_tol
-from .pauli import CONJ_TABLE, INDEX_ORDER, INDEX_POS, PAULIS, dagger, idx_add, idx_neg
+from .classify import classify_gram
+from .pauli import CONJ_TABLE, INDEX_ORDER, INDEX_POS, PAULIS, ZERO_TOL, dagger, idx_add, idx_neg
 from .seeds import SeedParams
 from .states import (
     GenericState,
@@ -230,25 +229,25 @@ def _block_system(inst: SepInstance) -> tuple[np.ndarray, np.ndarray, float]:
     return a, b, remainder
 
 
-def sep_feasible(inst: SepInstance, tol: float | None = None) -> SepFeasibility:
+def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
     """Decide an instance by exact polytope analysis.
 
     Solves the 19-row block form of the SEP condition
     (:func:`_block_system`) for its affine solution set by least squares
     and a thin SVD, and enumerates the polytope's vertices.  Feasible means
     a distribution reproduces the initial Gram product to within the
-    tolerance (absolute Frobenius over the 27x27 product, default 1e-9).
+    tolerance ``tol`` (absolute Frobenius over the 27x27 product, default
+    ``ZERO_TOL``).
     Raises ``ValueError`` for a seed outside the canonical gauge.
     """
     if not inst.seed.is_canonical():
         raise ValueError("seed parameters must be in canonical gauge")
-    t = resolve_tol(tol)
     a_real, b_real, remainder = _block_system(inst)
 
     p_ls, _, _, _ = np.linalg.lstsq(a_real, b_real, rcond=None)
     affine_residual = float(np.hypot(np.linalg.norm(a_real @ p_ls - b_real), remainder))
 
-    if affine_residual > t:
+    if affine_residual > tol:
         return SepFeasibility(
             feasible=False,
             witness=None,
@@ -315,19 +314,16 @@ def sep_feasible(inst: SepInstance, tol: float | None = None) -> SepFeasibility:
 # Canonical initial candidates for reachability checks
 # ---------------------------------------------------------------------------
 
-def candidate_initial_grams(
-    final: GramTriple, tol: float | None = None
-) -> tuple[tuple[str, GramTriple], ...]:
+def candidate_initial_grams(final: GramTriple) -> tuple[tuple[str, GramTriple], ...]:
     """Initial Gram triples from which a structurally reachable target
     would be reached: the bare seed, plus, for every detected confined
     case, the final triple depolarized uniformly over the confined pair's
     symmetry labels (which leaves the confined parties untouched).
     """
     out: list[tuple[str, GramTriple]] = [("seed", seed_gram())]
-    pattern = support_pattern(final, tol)
     seen: set[Pair] = set()
-    for match in detect_sep_cases(pattern):
-        if match.kind != "confined" or match.pair is None or match.pair in seen:
+    for match in classify_gram(final).locc_cases:
+        if match.pair in seen:
             continue
         seen.add(match.pair)
         p = np.zeros(9)

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import resolve_tol
 from .pauli import (
     CONJ_TABLE,
     COORD_ORDER,
     INDEX_ORDER,
     PAULIS,
+    ZERO_TOL,
     apply3,
     dagger,
     frob,
@@ -107,10 +107,10 @@ class GramTriple:
         mats = []
         for i, m in enumerate(self.mats):
             m = np.asarray(m, dtype=complex)
-            if not is_hermitian(m, 1e-9):
+            if not is_hermitian(m):
                 raise ValueError(f"Gram {i} is not Hermitian")
             tr = np.trace(m).real
-            if abs(tr - 1.0) > 1e-9:
+            if abs(tr - 1.0) > ZERO_TOL:
                 raise ValueError(f"Gram {i} is not trace-normalized (trace {tr})")
             m = m.copy()
             m.setflags(write=False)
@@ -158,22 +158,22 @@ def seed_gram() -> GramTriple:
 # Factoring Gram matrices
 # ---------------------------------------------------------------------------
 
-def positive_factor(g: np.ndarray, tol: float | None = None) -> np.ndarray:
+def positive_factor(g: np.ndarray) -> np.ndarray:
     """Positive square root of a positive-definite matrix.
 
     The unique positive factor of a Gram matrix; all other factors with the
     same Gram are unitary dressings of it.
     """
     g = np.asarray(g, dtype=complex)
-    if not is_hermitian(g, 1e-9):
+    if not is_hermitian(g):
         raise ValueError("matrix is not Hermitian")
     w, u = np.linalg.eigh((g + dagger(g)) / 2.0)
-    if w[0] <= resolve_tol(tol) * max(abs(w[-1]), 1e-300):
+    if w[0] <= ZERO_TOL * max(abs(w[-1]), 1e-300):
         raise ValueError(f"matrix is not positive-definite (min eigenvalue {w[0]:.3e})")
     return (u * np.sqrt(w)) @ dagger(u)
 
 
-def span_factor(m: np.ndarray, w: tuple[int, int], tol: float | None = None) -> np.ndarray:
+def span_factor(m: np.ndarray, w: tuple[int, int]) -> np.ndarray:
     """Positive factor of a matrix confined to ``span{I, S_w, S_{-w}}``.
 
     The three spanning operators commute, so they diagonalize in a common
@@ -183,9 +183,8 @@ def span_factor(m: np.ndarray, w: tuple[int, int], tol: float | None = None) -> 
     if w == (0, 0):
         raise ValueError("the span direction must be a nonzero index")
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, 1e-9):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian")
-    t = resolve_tol(tol)
     s = PAULIS[w]
     cube = s @ s @ s
     if np.linalg.norm(cube - cube[0, 0] * np.eye(3)) > 1e-12:
@@ -199,10 +198,10 @@ def span_factor(m: np.ndarray, w: tuple[int, int], tol: float | None = None) -> 
     d = dagger(u) @ m @ u
     diag = np.diag(d)
     off = float(np.linalg.norm(d - np.diag(diag)))
-    if off > max(t * max(frob(m), 1e-300), 1e-12):
+    if off > max(ZERO_TOL * max(frob(m), 1e-300), 1e-12):
         raise ValueError(f"matrix is not confined to the span (off-diagonal {off:.3e})")
     vals = diag.real
-    if vals.min() <= t * max(abs(vals).max(), 1e-300):
+    if vals.min() <= ZERO_TOL * max(abs(vals).max(), 1e-300):
         raise ValueError(f"matrix is not positive-definite on the span (min {vals.min():.3e})")
     return (u * np.sqrt(vals)) @ dagger(u)
 

@@ -5,13 +5,6 @@ from qutritlocc.classify import (
     CaseMatch,
     classify,
     classify_gram,
-    convert_witnesses,
-    detect_locc_cases,
-    detect_sep_cases,
-    is_locc_convertible,
-    is_locc_reachable,
-    is_sep_reachable,
-    is_support_tiling,
     support_pattern,
 )
 from qutritlocc.pauli import COORD_ORDER, PAULIS, dagger
@@ -196,21 +189,6 @@ def test_dense_is_isolated(rng):
     assert cls.isolated
 
 
-def test_predicates_match_classification(rng):
-    for gt in (
-        seed_gram(),
-        gram_triple(pair_mat((1, 0)), pair_mat((0, 1)), eye3),
-        gram_triple(dense_mat(rng), pair_mat((1, 2)), pair_mat((1, 2))),
-        gram_triple(two_pair_mat((1, 0), (1, 1)), two_pair_mat((0, 1), (1, 2)), eye3),
-        gram_triple(dense_mat(rng), dense_mat(rng), dense_mat(rng)),
-    ):
-        cls = classify_gram(gt)
-        assert is_sep_reachable(gt) == cls.sep_reachable
-        assert is_locc_reachable(gt) == cls.locc_reachable
-        assert is_locc_convertible(gt) == cls.locc_convertible
-        assert is_support_tiling(gt) == cls.support_tiling
-
-
 def test_lattice_invariants(rng):
     for _ in range(25):
         mats = []
@@ -247,11 +225,10 @@ def test_permutation_robustness(rng):
 
 
 def test_detectors_report_structure(rng):
-    gt = gram_triple(dense_mat(rng), pair_mat((1, 2)), eye3)
-    pattern = support_pattern(gt)
-    sep = detect_sep_cases(pattern)
-    locc = detect_locc_cases(pattern)
-    conv = convert_witnesses(pattern)
+    cls = classify_gram(gram_triple(dense_mat(rng), pair_mat((1, 2)), eye3))
+    sep = cls.sep_cases
+    locc = cls.locc_cases
+    conv = cls.convert_cases
     assert all(m.kind == "confined" for m in locc)
     assert set(locc) <= set(sep)
     # the free party measures in the conversion step

@@ -3,19 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from qutritlocc.classify import classify
 from qutritlocc.cli import main
-from qutritlocc.config import default_tol, set_default_tol
+from qutritlocc.generate import random_state
 from qutritlocc.pauli import PAULIS, dagger
-from qutritlocc.statefile import load_state, protocol_from_json
+from qutritlocc.statefile import load_state, protocol_from_json, save_state
 from qutritlocc.states import GenericState, positive_factor, span_factor
 from qutritlocc.protocols import simulate_branches
-
-
-@pytest.fixture(autouse=True)
-def _restore_tolerance():
-    before = default_tol()
-    yield
-    set_default_tol(before)
 
 
 def pair_mat(w, z=0.08):
@@ -33,8 +27,6 @@ def two_pair_mat(w1, w2, z=0.05):
 @pytest.fixture(scope="module")
 def files(tmp_path_factory, params):
     """A small zoo of state files shared by the CLI tests."""
-    from qutritlocc.statefile import save_state
-
     root = tmp_path_factory.mktemp("states")
     rng = np.random.default_rng(17)
     dense = lambda: rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 3 * np.eye(3)
@@ -148,7 +140,6 @@ def test_standard_form_of_seed(capsys, files):
 
 def test_lu_equiv_detects_dressing(capsys, files, tmp_path, params):
     from qutritlocc.generate import random_unitary
-    from qutritlocc.statefile import save_state
 
     rng = np.random.default_rng(23)
     base = load_state(files["confined"])
@@ -321,9 +312,39 @@ def test_tolerance_flag_positions(capsys, files):
 
 
 def test_tolerance_must_be_positive(capsys, files):
-    code, _, err = run(capsys, "--tolerance", "-1", "classify", files["confined"])
-    assert code == 1
-    assert "positive" in err
+    for value in ("-1", "0", "nan", "inf"):
+        code, _, err = run(capsys, "--tolerance", value, "classify", files["confined"])
+        assert code == 1, value
+        assert "positive" in err, value
+
+
+@pytest.fixture(scope="module")
+def generated_confined(tmp_path_factory, params):
+    path = tmp_path_factory.mktemp("generated") / "confined.json"
+    save_state(path, random_state("confined", np.random.default_rng(8), params))
+    return str(path)
+
+
+def test_tolerance_moves_the_verdict(capsys, generated_confined):
+    """Trace-normalized Gram coordinates are at most 1/3 in magnitude, so
+    a tolerance of 3 cuts every support away; the file itself is still
+    checked at ZERO_TOL and loads."""
+    code, out, _ = run(capsys, "--json", "classify", generated_confined)
+    assert code == 0
+    default = json.loads(out)
+    code, out, err = run(capsys, "--json", "--tolerance", "3", "classify", generated_confined)
+    assert code == 0, err
+    cut = json.loads(out)
+    assert default["locc_reachable"] and not cut["locc_reachable"]
+    assert cut["supports"] == [[], [], []]
+
+
+def test_tolerance_does_not_outlive_the_call(capsys, generated_confined):
+    """A CLI run with a coarse cut leaves the library's default verdict alone."""
+    state = load_state(generated_confined)
+    before = classify(state)
+    run(capsys, "--tolerance", "0.9", "classify", generated_confined)
+    assert classify(state) == before
 
 
 def test_usage_errors_exit_one(capsys, files):

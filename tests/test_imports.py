@@ -1,4 +1,4 @@
-"""Lints: unused imports and orphaned private definitions.
+"""Lints: unused imports, orphaned private definitions and global state.
 
 ruff and pyflakes are not dependencies of the project, so these checks
 read each module with the standard library's ``ast``.
@@ -10,6 +10,9 @@ read each module with the standard library's ``ast``.
 - Every ``_``-prefixed module-level function, class or constant of the
   package is read somewhere in the package, so deleting a caller cannot
   leave its private helpers behind.
+- No package module contains a ``global`` statement: a module-level
+  setting that a call can rebind would change every later verdict of the
+  process, so settings are passed as arguments instead.
 """
 
 import ast
@@ -157,3 +160,22 @@ def test_orphan_lint_counts_a_string_annotation_as_read():
 def test_no_orphaned_private_definitions():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert orphans(sources) == []
+
+
+def global_statements(source: str) -> list[str]:
+    """Each ``global`` statement of a module, with its line and names."""
+    return [
+        f"line {node.lineno}: {', '.join(node.names)}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Global)
+    ]
+
+
+def test_global_lint_sees_a_rebinding_setting():
+    source = "_TOL = 1e-9\n\ndef set_tol(v):\n    global _TOL\n    _TOL = v\n"
+    assert global_statements(source) == ["line 4: _TOL"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_global_statements(path):
+    assert global_statements(path.read_text()) == []

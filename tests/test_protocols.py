@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qutritlocc.classify import is_locc_reachable, support_pattern
+from qutritlocc.classify import classify, support_pattern
 from qutritlocc.pauli import PAULIS, dagger, frob, idx_neg, is_positive_definite
 from qutritlocc.protocols import (
     BRANCH_MATCH_TOL,
@@ -413,7 +413,7 @@ def test_convert_step_scales_off_triple_coords(params, rng):
     h = proto.target.factors[0]
     hg = dagger(h) @ h
     assert np.linalg.eigvalsh(hg / np.trace(hg).real).min() >= POS_MARGIN
-    assert is_locc_reachable(gram(proto.target))
+    assert classify(proto.target).locc_reachable
 
 
 def test_convert_step_explicit_eps(params, rng):
@@ -468,7 +468,7 @@ def test_convert_step_from_seed(params, seed_state):
     proto = locc_convert_step(seed_state)
     assert_valid(proto, n_branches=3)
     assert any("fresh coordinate pair" in note for note in proto.notes)
-    assert is_locc_reachable(gram(proto.target))
+    assert classify(proto.target).locc_reachable
     assert not lu_equivalent(seed_state, proto.target)
     # the reach protocol for the step target starts back at the seed
     back = locc_reach_protocol(proto.target)
