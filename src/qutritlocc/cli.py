@@ -270,7 +270,15 @@ def _cmd_synth_protocol(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        obj = sep_map_from_witness(source, target, result.witness)
+        try:
+            obj = sep_map_from_witness(source, target, result.witness)
+        except ProtocolError as exc:
+            print(
+                f"not synthesized: the witness accepted at --tolerance "
+                f"{args.tolerance:g} gives no separable map ({exc})",
+                file=sys.stderr,
+            )
+            return 2
     if args.out:
         save_protocol(args.out, obj)
         _emit(

@@ -10,8 +10,10 @@ random starts, recovering the symmetry group numerically.  Each
 ALS axis update is ``t @ pinv(m)`` for a 3x9 partial ``m``, computed from
 the eigendecomposition of the 3x3 Gram ``m mᴴ`` with eigenvalues at or
 below ``9 eps`` times the largest dropped, so collapsed (rank-deficient)
-starts get the minimum-norm update and never a division by zero; the
-sweep stops early once every start has converged.
+starts get the minimum-norm update and never a division by zero.  Starts
+are retired one by one: at every check a start that has converged, or
+whose residual has stopped moving, leaves the batch with its factors, and
+the sweep ends when no start is left.
 """
 
 from __future__ import annotations
@@ -37,8 +39,11 @@ REJECT_TOL = 1e-7
 #: to a fixer of the seed.
 ALS_CONVERGED_TOL = 1e-8
 
-#: How often, in iterations, the ALS sweep checks whether every start has
-#: converged.
+#: An ALS start whose residual moved by at most this fraction since the
+#: previous check has stalled and is retired unconverged.
+ALS_STALL_TOL = 1e-12
+
+#: How often, in iterations, the ALS sweep checks which starts to retire.
 _ALS_CHECK_EVERY = 25
 
 #: Gram eigenvalues at or below this multiple of the largest are dropped
@@ -58,6 +63,11 @@ class OracleBudget:
     starts: int = 240
     iters: int = 1500
     rng_seed: int = 0
+
+    def __post_init__(self) -> None:
+        for field in ("starts", "iters"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"OracleBudget.{field} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -223,9 +233,20 @@ def _als_sweep(
     through the 3x3 Gram of the partial (:func:`_gram_solve`), so it is
     rank-safe: starts that collapse to rank-deficient factors get the
     minimum-norm update.  Every update is an exact least-squares
-    minimization, so no start's residual increases; every
-    ``_ALS_CHECK_EVERY`` iterations the sweep stops early once every
-    start's relative residual is at or below :data:`ALS_CONVERGED_TOL`.
+    minimization, so no start's residual increases.
+
+    Every ``_ALS_CHECK_EVERY`` iterations each live start is retired on
+    its own, its factors written out and dropped from the batch, when its
+    relative residual is at or below :data:`ALS_CONVERGED_TOL` or moved by
+    at most :data:`ALS_STALL_TOL` relative since the previous check; the
+    sweep ends when no start is live.  The stacked products and ``eigh``
+    act on each start alone, so retiring one leaves the others'
+    trajectories unchanged.  Stalled starts sit at a spurious stationary
+    point whose relative residual depends on the seed: 0.2967 for
+    ``random_seed_params(default_rng(31))``, 0.2277 and 0.2365 for
+    ``default_rng(2024)``.  Some seeds still run the whole budget: a start
+    there converges slowly and in a straight line, so it is neither
+    converged nor stalled at any check, and this rule leaves it live.
     Returns the three factor stacks and each start's relative residual.
     """
     shape = (batch, 3, 3)
@@ -238,6 +259,9 @@ def _als_sweep(
     t2 = tensor.transpose(2, 0, 1).reshape(3, 9)
     scale = np.linalg.norm(tensor)
 
+    out_a, out_b, out_c = np.empty_like(a), np.empty_like(b), np.empty_like(c)
+    live = np.arange(batch)
+    prev = np.full(batch, np.inf)
     for it in range(1, iters + 1):
         a = _gram_solve(t0, t0 @ _kron_t(b, c))
         b = _gram_solve(t1, t1 @ _kron_t(a, c))
@@ -245,13 +269,24 @@ def _als_sweep(
         c = _gram_solve(t2, m)
         if it % _ALS_CHECK_EVERY == 0:
             # c @ m is the product applied to the tensor, unfolded like t2
-            res = np.linalg.norm((c @ m - t2).reshape(batch, -1), axis=1)
-            if np.all(res <= ALS_CONVERGED_TOL * scale):
-                break
+            res = np.linalg.norm((c @ m - t2).reshape(len(live), -1), axis=1)
+            done = (res <= ALS_CONVERGED_TOL * scale) | (
+                np.abs(prev - res) <= ALS_STALL_TOL * res
+            )
+            if done.any():
+                out_a[live[done]], out_b[live[done]], out_c[live[done]] = (
+                    a[done], b[done], c[done]
+                )
+                keep = ~done
+                live, a, b, c, res = live[keep], a[keep], b[keep], c[keep], res[keep]
+                if not live.size:
+                    break
+            prev = res
+    out_a[live], out_b[live], out_c[live] = a, b, c
 
-    out = np.einsum("nai,nbj,nck,ijk->nabc", a, b, c, tensor)
+    out = np.einsum("nai,nbj,nck,ijk->nabc", out_a, out_b, out_c, tensor)
     res = np.linalg.norm((out - tensor).reshape(batch, -1), axis=1)
-    return a, b, c, res / scale
+    return out_a, out_b, out_c, res / scale
 
 
 def numeric_symmetry_search(

@@ -347,6 +347,29 @@ def test_tolerance_does_not_outlive_the_call(capsys, generated_confined):
     assert classify(state) == before
 
 
+def test_coarse_tolerance_witness_is_not_synthesized(capsys, tmp_path):
+    """A coarse cut lets ``sep_feasible`` accept a witness whose Kraus set
+    fails completeness; synthesis refuses it as "not synthesized" and names
+    the tolerance and the completeness residual."""
+    seed, generic = str(tmp_path / "seed.json"), str(tmp_path / "generic.json")
+    assert run(capsys, "generate", "seed", "--rng-seed", "1", "--out", seed)[0] == 0
+    code, _, _ = run(
+        capsys, "generate", "generic", "--rng-seed", "2", "--params-from", seed, "--out", generic
+    )
+    assert code == 0
+    argv = ("synth-protocol", "--source", seed, "--target", generic)
+    code, out, err = run(capsys, "--tolerance", "0.1", "sep-decide", "--from", seed, "--to", generic)
+    assert code == 0 and out.startswith("feasible"), err
+    code, out, err = run(capsys, "--tolerance", "0.1", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("not synthesized:")
+    assert "--tolerance 0.1" in err
+    assert "completeness fails (residual" in err
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "separably infeasible" in err
+
+
 def test_usage_errors_exit_one(capsys, files):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
