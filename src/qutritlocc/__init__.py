@@ -26,10 +26,7 @@ from .pauli import (
     PAULIS,
     ZERO_TOL,
     apply3,
-    conj_phase,
-    dagger_phase,
     from_coords,
-    group_compose,
     idx_add,
     idx_neg,
     kron3,
@@ -67,7 +64,6 @@ from .sep import (
     SepFeasibility,
     SepInstance,
     candidate_initial_grams,
-    dep_spectrum,
     depolarize,
     gram_instance,
     induced_initial,

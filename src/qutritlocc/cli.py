@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 2 on a mathematical negative (non-generic seed,
 inequivalent states, infeasible conversion, failed verification), 1 on
-input errors (bad files, bad flags).  ``--json`` switches every report to
+input errors (bad files, bad flags, and any input the library rejects with
+a ``ValueError``, such as an all-zero seed or states of different seeds),
+reported on one ``error:`` line.  ``--json`` switches every report to
 machine-readable output; file-producing commands write JSON regardless.
 """
 
@@ -28,10 +30,9 @@ from .protocols import (
     simulate_branches,
     validate_povm,
 )
-from .seeds import SeedParams, check_generic, symmetry_audit
+from .seeds import GenericityReport, SeedParams, check_generic, symmetry_audit
 from .sep import sep_feasible, sep_instance
 from .statefile import (
-    SchemaError,
     load_protocol,
     load_state,
     protocol_to_json,
@@ -42,7 +43,7 @@ from .statefile import (
     seed_to_json,
     state_to_json,
 )
-from .states import SeedMismatchError, lu_equivalent, standard_form
+from .states import lu_equivalent, standard_form
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,26 +94,31 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _genericity(path: str, report: GenericityReport) -> tuple[dict[str, Any], list[str]]:
+    """One file's genericity verdict as a JSON record and text lines."""
+    record = {
+        "file": path,
+        "generic": report.generic,
+        "margin": report.margin,
+        "violations": [name for name, _ in report.violations],
+    }
+    verdict = "generic" if report.generic else "NOT generic"
+    lines = [f"{path}: {verdict} (margin {report.margin:.3e})"]
+    for name, value in report.violations:
+        lines.append(f"  violated: {name} (normalized magnitude {value:.3e})")
+    return record, lines
+
+
 def _cmd_check_generic(args: argparse.Namespace) -> int:
     reports = []
     all_generic = True
     lines = []
     for path in args.files:
-        seed = _load_seed_file(path)
-        report = check_generic(seed)
+        report = check_generic(_load_seed_file(path))
         all_generic &= report.generic
-        reports.append(
-            {
-                "file": path,
-                "generic": report.generic,
-                "margin": report.margin,
-                "violations": [name for name, _ in report.violations],
-            }
-        )
-        verdict = "generic" if report.generic else "NOT generic"
-        lines.append(f"{path}: {verdict} (margin {report.margin:.3e})")
-        for name, value in report.violations:
-            lines.append(f"  violated: {name} (normalized magnitude {value:.3e})")
+        record, text = _genericity(path, report)
+        reports.append(record)
+        lines += text
     _emit(args, reports if len(reports) > 1 else reports[0], lines)
     return 0 if all_generic else 2
 
@@ -140,13 +146,7 @@ def _cmd_standard_form(args: argparse.Namespace) -> int:
 
 
 def _cmd_lu_equiv(args: argparse.Namespace) -> int:
-    a = load_state(args.first)
-    b = load_state(args.second)
-    try:
-        verdict = lu_equivalent(a, b)
-    except SeedMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    verdict = lu_equivalent(load_state(args.first), load_state(args.second))
     _emit(
         args,
         {"equivalent": verdict},
@@ -202,13 +202,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sep_decide(args: argparse.Namespace) -> int:
-    source = load_state(args.src)
-    target = load_state(args.to)
-    try:
-        inst = sep_instance(source, target)
-    except SeedMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    inst = sep_instance(load_state(args.src), load_state(args.to))
     result = sep_feasible(inst, args.tolerance)
     payload: dict[str, Any] = {
         "feasible": result.feasible,
@@ -258,12 +252,7 @@ def _cmd_synth_protocol(args: argparse.Namespace) -> int:
             return 2
     else:
         source = load_state(args.source)
-        try:
-            inst = sep_instance(source, target)
-        except SeedMismatchError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        result = sep_feasible(inst, args.tolerance)
+        result = sep_feasible(sep_instance(source, target), args.tolerance)
         if not result.feasible:
             print(
                 f"not synthesized: conversion is separably infeasible ({result.reason})",
@@ -331,6 +320,11 @@ def _cmd_verify_protocol(args: argparse.Namespace) -> int:
 
 def _cmd_symmetry_audit(args: argparse.Namespace) -> int:
     seed = _load_seed_file(args.file).canonical()
+    genericity = check_generic(seed)
+    if not genericity.generic:
+        record, lines = _genericity(args.file, genericity)
+        _emit(args, record, lines)
+        return 2
     report = symmetry_audit(seed)
     payload = {
         "seed": seed_to_json(seed),
@@ -476,15 +470,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ProtocolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -19,16 +19,19 @@ from .states import GenericState, positive_factor
 #: Give up on a rejection-sampling loop after this many draws.
 MAX_REJECTS = 10_000
 
+#: Genericity margin of the seeds :func:`random_seed_params` draws, far
+#: above the screen's own threshold.
+_SEED_MARGIN = 1e-3
+
 #: Instance kinds understood by :func:`random_state`.
 KINDS = ("seed", "generic", "disjoint", "confined", "tiling", "convertible", "dense")
 
 Pair = tuple[int, int]
 
 
-def random_seed_params(
-    rng: np.random.Generator, min_margin: float = 1e-3
-) -> SeedParams:
-    """Draw canonical seed amplitudes with a comfortable genericity margin."""
+def random_seed_params(rng: np.random.Generator) -> SeedParams:
+    """Draw canonical seed amplitudes with genericity margin at least
+    :data:`_SEED_MARGIN`."""
     for _ in range(MAX_REJECTS):
         raw = rng.standard_normal(6)
         params = SeedParams(
@@ -37,10 +40,10 @@ def random_seed_params(
             c=complex(raw[4], raw[5]),
         ).canonical()
         report = check_generic(params)
-        if report.generic and report.margin >= min_margin:
+        if report.generic and report.margin >= _SEED_MARGIN:
             return params
     raise RuntimeError(
-        f"no generic seed with margin {min_margin} found in {MAX_REJECTS} draws"
+        f"no generic seed with margin {_SEED_MARGIN} found in {MAX_REJECTS} draws"
     )
 
 

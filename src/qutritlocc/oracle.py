@@ -163,11 +163,14 @@ def _certificate(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> tuple[float, fl
     when ``p`` meets the KKT conditions; Boyd and Vandenberghe, *Convex
     Optimization*, §5.5).  ``lower`` is the square root of that bound.  The
     residual is ``||r||`` itself: the quadratic form cancels near a solution.
+    The gap is never negative, as ``gᵀp`` averages ``g`` over ``p``, so a
+    negative value is rounding and is taken as 0; otherwise ``lower``
+    could exceed the residual it bounds.
     """
     r = a @ p - b
     g = a.T @ r
     residual = float(np.linalg.norm(r))
-    gap = float(g @ p - g.min())
+    gap = max(float(g @ p - g.min()), 0.0)
     return residual, gap, float(np.sqrt(max(residual**2 - 2.0 * gap, 0.0)))
 
 

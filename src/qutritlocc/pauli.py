@@ -4,10 +4,11 @@ The nine displacement operators ``S_k = X^k1 Z^k2`` with ``k = (k1, k2)``
 ranging over Z3 x Z3 form an orthogonal basis of the 3x3 complex matrices
 (``tr(S_k^dag S_l) = 3 delta_kl``) and, applied to all three parties at
 once, the full local symmetry group of the generic three-qutrit seed
-states.  All phase relations between the operators (conjugation phases,
-composition phases, adjoint phases) are computed numerically from the
-matrices at import time and checked against their defining identities;
-nothing is hard-coded.
+states.  The one phase relation the package needs, the conjugation phase
+``S_l^dag S_k S_l = c S_k``, is computed numerically from the matrices at
+import time into :data:`CONJ_TABLE` and checked against its defining
+identity, together with the orthogonality of the basis; nothing is
+hard-coded.
 """
 
 from __future__ import annotations
@@ -90,70 +91,36 @@ def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def _build_phase_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compute the conjugation, adjoint and composition phase tables.
-
-    conj[k, l]    : phase c with  S_l^dag S_k S_l = c S_k
-    adj[k]        : phase c with  S_k^dag = c S_{-k}
-    comp[l, m]    : phase c with  S_l S_m = c S_{l+m}
-    """
+def _conj_table() -> np.ndarray:
+    """``conj[k, l]``: the phase c with ``S_l^dag S_k S_l = c S_k``."""
     conj = np.zeros((9, 9), dtype=complex)
-    adj = np.zeros(9, dtype=complex)
-    comp = np.zeros((9, 9), dtype=complex)
     for i, k in enumerate(INDEX_ORDER):
         sk = PAULIS[k]
-        adj[i] = np.trace(dagger(PAULIS[idx_neg(k)]) @ dagger(sk)) / 3.0
         for j, l in enumerate(INDEX_ORDER):
             sl = PAULIS[l]
             conj[i, j] = np.trace(dagger(sk) @ dagger(sl) @ sk @ sl) / 3.0
-            comp[i, j] = np.trace(dagger(PAULIS[idx_add(k, l)]) @ sk @ sl) / 3.0
-    return _frozen(conj), _frozen(adj), _frozen(comp)
+    return _frozen(conj)
 
 
 #: The conjugation phases as a read-only 9x9 table over INDEX_ORDER:
-#: ``CONJ_TABLE[i, j]`` is :func:`conj_phase` of ``(INDEX_ORDER[i],
-#: INDEX_ORDER[j])``.  Row l is the character ``k -> phase(l, k)`` of Z3 x Z3,
-#: so ``CONJ_TABLE @ p`` is the depolarization spectrum of a distribution p:
+#: ``CONJ_TABLE[i, j]`` is the phase c with ``S_l^dag S_k S_l = c S_k`` for
+#: ``k = INDEX_ORDER[i]``, ``l = INDEX_ORDER[j]``, always a cube root of
+#: unity.  Row l is the character ``k -> phase(l, k)`` of Z3 x Z3, so
+#: ``CONJ_TABLE @ p`` is the depolarization spectrum of a distribution p:
 #: depolarizing by p multiplies displacement coordinate l by its entry l.
-CONJ_TABLE, _ADJ_TABLE, _COMP_TABLE = _build_phase_tables()
-
-
-def conj_phase(k: tuple[int, int], l: tuple[int, int]) -> complex:
-    """Phase ``c`` such that ``S_l^dag S_k S_l = c S_k``.
-
-    Always a cube root of unity; conjugation permutes no operators, it only
-    dresses them with phases.
-    """
-    return complex(CONJ_TABLE[INDEX_POS[k], INDEX_POS[l]])
-
-
-def dagger_phase(k: tuple[int, int]) -> complex:
-    """Phase ``c`` such that ``S_k^dag = c S_{-k}``."""
-    return complex(_ADJ_TABLE[INDEX_POS[k]])
-
-
-def group_compose(l: tuple[int, int], m: tuple[int, int]) -> tuple[tuple[int, int], complex]:
-    """Product index and phase: ``S_l S_m = c S_{l+m}``."""
-    return idx_add(l, m), complex(_COMP_TABLE[INDEX_POS[l], INDEX_POS[m]])
+CONJ_TABLE = _conj_table()
 
 
 def _check_tables() -> None:
-    """Assert the defining identities of the phase tables (import-time)."""
+    """Assert the conjugation identity and the orthogonality of the basis
+    (import-time)."""
     for i, k in enumerate(INDEX_ORDER):
         sk = PAULIS[k]
-        r = np.linalg.norm(dagger(sk) - _ADJ_TABLE[i] * PAULIS[idx_neg(k)])
-        if r > 1e-12:
-            raise RuntimeError(f"adjoint phase identity failed for {k}: {r}")
         for j, l in enumerate(INDEX_ORDER):
             sl = PAULIS[l]
             r = np.linalg.norm(dagger(sl) @ sk @ sl - CONJ_TABLE[i, j] * sk)
             if r > 1e-12:
                 raise RuntimeError(f"conjugation phase identity failed for {k},{l}: {r}")
-            kl = idx_add(k, l)
-            r = np.linalg.norm(sk @ sl - _COMP_TABLE[i, j] * PAULIS[kl])
-            if r > 1e-12:
-                raise RuntimeError(f"composition phase identity failed for {k},{l}: {r}")
-            # orthogonality of the basis
             g = np.trace(dagger(sk) @ sl) / 3.0
             want = 1.0 if i == j else 0.0
             if abs(g - want) > 1e-12:
@@ -182,15 +149,6 @@ def is_hermitian(m: np.ndarray) -> bool:
         return False
     skew = m - dagger(m)
     return bool(abs(np.vdot(skew, skew)) <= ZERO_TOL**2 * norm2)
-
-
-def is_positive_definite(m: np.ndarray) -> bool:
-    """Whether Hermitian ``m`` has strictly positive spectrum."""
-    if not is_hermitian(m):
-        return False
-    m = scaled_into_range(m)
-    w = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
-    return bool(w[0] > 0.0)
 
 
 def scaled_into_range(m: np.ndarray) -> np.ndarray:
@@ -263,18 +221,3 @@ def apply3(a: np.ndarray, b: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.nda
     t = v.reshape(3, 3, 3)
     out = np.einsum("ai,bj,ck,ijk->abc", a, b, c, t)
     return out.reshape(27)
-
-
-def partial_gram(v: np.ndarray, party: int) -> np.ndarray:
-    """Single-party reduced density matrix of a 27-component vector.
-
-    ``party`` is 0-based.  The trace equals the squared norm of ``v``.
-    """
-    t = v.reshape(3, 3, 3)
-    if party == 0:
-        return np.einsum("ijk,ljk->il", t, t.conj())
-    if party == 1:
-        return np.einsum("ijk,imk->jm", t, t.conj())
-    if party == 2:
-        return np.einsum("ijk,ijm->km", t, t.conj())
-    raise ValueError(f"party must be 0, 1 or 2, got {party}")

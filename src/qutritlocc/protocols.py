@@ -29,7 +29,6 @@ from .classify import classify_gram
 from .pauli import (
     COORD_ORDER,
     INDEX_ORDER,
-    INDEX_POS,
     PAIR_REPS,
     PAULIS,
     ZERO_TOL,
@@ -41,10 +40,10 @@ from .pauli import (
     pauli_coords,
     scaled_into_range,
 )
-from .seeds import build_seed
-from .sep import depolarize
+from .sep import _triple_uniform, depolarize
 from .states import (
     GenericState,
+    assemble,
     gram,
     lu_equivalent,
     positive_factor,
@@ -85,9 +84,6 @@ class KrausElement:
 
     label: Pair
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def operator(self) -> np.ndarray:
-        return kron3(*self.factors)
 
 
 @dataclass(frozen=True)
@@ -164,14 +160,6 @@ def validate_povm(obj: KrausSet | LoccRound | LoccProtocol) -> float:
     raise TypeError(f"cannot validate {type(obj).__name__}")
 
 
-def _ray_vector(state: GenericState) -> np.ndarray:
-    """The state's vector assembled from its factors taken through
-    :func:`scaled_into_range`: the same ray, at a scale that cannot over-
-    or underflow however large or small the factors are."""
-    factors = (scaled_into_range(g) for g in state.factors)
-    return scaled_into_range(apply3(*factors, build_seed(state.seed)))
-
-
 def _branch_vectors(obj: KrausSet | LoccProtocol, v0: np.ndarray):
     eye = np.eye(3, dtype=complex)
     if isinstance(obj, KrausSet):
@@ -190,26 +178,18 @@ def _branch_vectors(obj: KrausSet | LoccProtocol, v0: np.ndarray):
     return branches
 
 
-def simulate_branches(
-    obj: KrausSet | LoccProtocol,
-    input_vec: np.ndarray | None = None,
-    match_tol: float = BRANCH_MATCH_TOL,
-) -> BranchReport:
-    """Run every branch on the (normalized) input and compare to the target.
+def simulate_branches(obj: KrausSet | LoccProtocol) -> BranchReport:
+    """Run every branch on the normalized initial state and compare each
+    to the target ray within :data:`BRANCH_MATCH_TOL`.
 
     Zero-probability branches are reported, marked vacuous, and do not
-    count against the match verdict.  Input and target are rays, taken
-    through :func:`scaled_into_range` (factor by factor for the declared
-    states) so their norms cannot overflow.
+    count against the match verdict.  Both declared states are assembled
+    as rays (:func:`~qutritlocc.states.assemble`), so their norms cannot
+    overflow.
     """
-    if input_vec is None:
-        input_vec = _ray_vector(obj.initial)
-    v0 = scaled_into_range(np.asarray(input_vec, dtype=complex))
-    n0 = np.linalg.norm(v0)
-    if n0 == 0:
-        raise ValueError("input state must be nonzero")
-    v0 = v0 / n0
-    target_vec = _ray_vector(obj.target)
+    v0 = assemble(obj.initial)
+    v0 = v0 / np.linalg.norm(v0)
+    target_vec = assemble(obj.target)
 
     records = []
     total = 0.0
@@ -229,7 +209,7 @@ def simulate_branches(
                 probability=prob,
                 residual=residual,
                 vacuous=vacuous,
-                matched=vacuous or residual <= match_tol,
+                matched=vacuous or residual <= BRANCH_MATCH_TOL,
             )
         )
     return BranchReport(
@@ -286,13 +266,6 @@ def _triple(w: Pair) -> tuple[Pair, Pair, Pair]:
     return ((0, 0), w, idx_neg(w))
 
 
-def _triple_depolarized(h: np.ndarray, w: Pair) -> np.ndarray:
-    p = np.zeros(9)
-    for k in _triple(w):
-        p[INDEX_POS[k]] = 1.0 / 3.0
-    return depolarize(h, p)
-
-
 def _split_scale(h: np.ndarray) -> tuple[np.ndarray, int]:
     """``(hs, e)`` with ``hs = scaled_into_range(h)`` and ``h = 2**e hs``
     exactly.  Grams and traces are formed from ``hs``, which cannot over-
@@ -306,7 +279,7 @@ def _confined_factor(h: np.ndarray, w: Pair) -> np.ndarray:
     """Positive confined factor of ``h``'s Gram depolarized over the
     triple of ``w``, at ``h``'s own scale."""
     hs, e = _split_scale(h)
-    return np.ldexp(1.0, e) * span_factor(_triple_depolarized(dagger(hs) @ hs, w), w)
+    return np.ldexp(1.0, e) * span_factor(depolarize(dagger(hs) @ hs, _triple_uniform(w)), w)
 
 
 def _check_complete(obj: KrausSet | LoccProtocol, what: str) -> None:

@@ -14,15 +14,16 @@ audit that re-derives the group from first principles.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import INDEX_ORDER, OMEGA, PAULIS, apply3
+from .pauli import INDEX_ORDER, OMEGA, PAULIS, ZERO_TOL, apply3
 
-#: Default genericity margin: every scale-normalized exclusion polynomial
-#: must exceed this in absolute value.
+#: Genericity margin: every scale-normalized exclusion polynomial must
+#: exceed this in absolute value.
 GENERIC_THRESHOLD = 1e-6
 
 #: Residual below which a candidate pair survives the projection screen of
@@ -65,13 +66,14 @@ class SeedParams:
                 break
         return SeedParams(complex(v[0]), complex(v[1]), complex(v[2]))
 
-    def is_canonical(self, tol: float = 1e-9) -> bool:
+    def is_canonical(self) -> bool:
+        """Whether the triple is in canonical gauge to within ``ZERO_TOL``."""
         v = self.as_array()
-        if abs(np.linalg.norm(v) - 1.0) > tol:
+        if abs(np.linalg.norm(v) - 1.0) > ZERO_TOL:
             return False
         for z in v:
             if abs(z) > 1e-12:
-                return abs(z.imag) <= tol and z.real > 0
+                return abs(z.imag) <= ZERO_TOL and z.real > 0
         return False
 
     def close_to(self, other: "SeedParams", tol: float = 1e-9) -> bool:
@@ -141,11 +143,12 @@ class GenericityReport:
     margin: float
 
 
-def check_generic(params: SeedParams, threshold: float = GENERIC_THRESHOLD) -> GenericityReport:
+def check_generic(params: SeedParams) -> GenericityReport:
     """Screen a seed triple against the 22 exclusion conditions.
 
-    Each polynomial is divided by ``norm(a,b,c)**degree`` before comparison,
-    which makes the verdict independent of the overall scale of the triple.
+    Each polynomial is divided by ``norm(a,b,c)**degree`` before comparison
+    with :data:`GENERIC_THRESHOLD`, which makes the verdict independent of
+    the overall scale of the triple.
     A NaN or infinite amplitude is reported as a violated ``finite``
     condition with margin 0.
     """
@@ -163,7 +166,7 @@ def check_generic(params: SeedParams, threshold: float = GENERIC_THRESHOLD) -> G
     for name, value, degree in _exclusion_polynomials(params.a, params.b, params.c):
         scaled = abs(value) / n**degree
         margin = min(margin, scaled)
-        if scaled < threshold:
+        if scaled < GENERIC_THRESHOLD:
             violations.append((name, scaled))
     return GenericityReport(not violations, tuple(violations), float(margin))
 
@@ -310,21 +313,15 @@ class AuditReport:
         return not self.surplus and found == set(INDEX_ORDER)
 
 
-_CANDIDATE_CACHE: dict[str, np.ndarray] = {}
-
-
+@functools.cache
 def _all_candidates() -> tuple[np.ndarray, list[str]]:
-    """Stacked candidate array (n, 3, 3) and parallel labels."""
-    if "mats" not in _CANDIDATE_CACHE:
-        mono = monomial_candidates()
-        dense = dense_candidates()
-        mats = np.concatenate([mono, dense])
-        labels = [f"monomial:{i}" for i in range(len(mono))] + [
-            f"dense:{i}" for i in range(len(dense))
-        ]
-        _CANDIDATE_CACHE["mats"] = mats
-        _CANDIDATE_CACHE["labels"] = labels  # type: ignore[assignment]
-    return _CANDIDATE_CACHE["mats"], _CANDIDATE_CACHE["labels"]  # type: ignore[return-value]
+    """Stacked candidate array (n, 3, 3) and parallel labels, built once."""
+    mono = monomial_candidates()
+    dense = dense_candidates()
+    labels = [f"monomial:{i}" for i in range(len(mono))] + [
+        f"dense:{i}" for i in range(len(dense))
+    ]
+    return np.concatenate([mono, dense]), labels
 
 
 def _pauli_match(m: np.ndarray) -> tuple[int, int] | None:
@@ -339,11 +336,7 @@ def _pauli_match(m: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
-def symmetry_audit(
-    params: SeedParams,
-    proj_tol: float = AUDIT_PROJ_TOL,
-    threshold: float = GENERIC_THRESHOLD,
-) -> AuditReport:
+def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> AuditReport:
     """Enumerate all candidate product symmetries of a generic seed.
 
     Every pair (B, C) from the monomial and dense candidate families is run
@@ -354,7 +347,7 @@ def symmetry_audit(
     non-generic seeds, for which the candidate narrowing arguments do not
     apply.
     """
-    genericity = check_generic(params, threshold)
+    genericity = check_generic(params)
     if not genericity.generic:
         names = ", ".join(name for name, _ in genericity.violations)
         raise ValueError(f"symmetry audit requires a generic seed (violated: {names})")

@@ -59,17 +59,11 @@ def depolarize(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def dep_spectrum(p: np.ndarray) -> np.ndarray:
-    """Spectrum of a distribution under the nine conjugation characters.
-
-    Component l is ``sum_k p_k phase(l, k)``; the zero component is always
-    1, components at k and -k are complex conjugates, and every component
-    lies in the closed triangle spanned by the three cube roots of unity.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (9,):
-        raise ValueError(f"expected 9 probabilities, got shape {p.shape}")
-    return CONJ_TABLE @ p
+def _triple_uniform(w: Pair) -> np.ndarray:
+    """The uniform distribution over the symmetry triple ``{0, w, -w}``."""
+    p = np.zeros(9)
+    p[[INDEX_POS[k] for k in ((0, 0), w, idx_neg(w))]] = 1.0 / 3.0
+    return p
 
 
 def induced_initial(final: GramTriple, p: np.ndarray) -> GramTriple:
@@ -83,14 +77,11 @@ def induced_initial(final: GramTriple, p: np.ndarray) -> GramTriple:
 
 @dataclass(frozen=True)
 class SepInstance:
-    """A conversion question: can ``source`` reach ``target`` separably?
-
-    Both states must be generic with identical canonical seed parameters.
+    """A conversion question: can a state with Gram triple ``source_gram``
+    reach one with ``target_gram`` separably, within the class of ``seed``?
     """
 
     seed: SeedParams
-    source: GenericState | None
-    target: GenericState | None
     source_gram: GramTriple
     target_gram: GramTriple
 
@@ -101,13 +92,7 @@ def gram_instance(
     """Instance posed directly at the Gram level (no explicit factors)."""
     if not seed.is_canonical():
         raise ValueError("seed parameters must be in canonical gauge")
-    return SepInstance(
-        seed=seed,
-        source=None,
-        target=None,
-        source_gram=source_gram,
-        target_gram=target_gram,
-    )
+    return SepInstance(seed=seed, source_gram=source_gram, target_gram=target_gram)
 
 
 def sep_instance(source: GenericState, target: GenericState) -> SepInstance:
@@ -119,13 +104,7 @@ def sep_instance(source: GenericState, target: GenericState) -> SepInstance:
             "source and target have different canonical seed parameters; "
             "they belong to different SLOCC classes"
         )
-    return SepInstance(
-        seed=source.seed,
-        source=source,
-        target=target,
-        source_gram=gram(source),
-        target_gram=gram(target),
-    )
+    return SepInstance(seed=source.seed, source_gram=gram(source), target_gram=gram(target))
 
 
 @dataclass(frozen=True)
@@ -149,6 +128,20 @@ class SepFeasibility:
     vertex_trivial: tuple[bool, ...]
     nontrivial: bool
     reason: str | None
+
+
+def _infeasible(residual: float, reason: str) -> SepFeasibility:
+    return SepFeasibility(
+        feasible=False,
+        witness=None,
+        residual=residual,
+        vertices=(),
+        unique=False,
+        affine_dim=-1,
+        vertex_trivial=(),
+        nontrivial=False,
+        reason=reason,
+    )
 
 
 #: Most negative probability a polytope vertex may carry.
@@ -248,17 +241,7 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
     affine_residual = float(np.hypot(np.linalg.norm(a_real @ p_ls - b_real), remainder))
 
     if affine_residual > tol:
-        return SepFeasibility(
-            feasible=False,
-            witness=None,
-            residual=affine_residual,
-            vertices=(),
-            unique=False,
-            affine_dim=-1,
-            vertex_trivial=(),
-            nontrivial=False,
-            reason="affine-infeasible",
-        )
+        return _infeasible(affine_residual, "affine-infeasible")
 
     _, sv, vh = np.linalg.svd(a_real, full_matrices=False)
     rank = int(np.sum(sv > 1e-9 * sv[0]))
@@ -266,17 +249,7 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
 
     vertices = _polytope_vertices(p_ls, nullspace)
     if not vertices:
-        return SepFeasibility(
-            feasible=False,
-            witness=None,
-            residual=affine_residual,
-            vertices=(),
-            unique=False,
-            affine_dim=-1,
-            vertex_trivial=(),
-            nontrivial=False,
-            reason="polytope-empty",
-        )
+        return _infeasible(affine_residual, "polytope-empty")
 
     witness = np.mean(vertices, axis=0)
     witness = np.clip(witness, 0.0, None)
@@ -326,8 +299,5 @@ def candidate_initial_grams(final: GramTriple) -> tuple[tuple[str, GramTriple], 
         if match.pair in seen:
             continue
         seen.add(match.pair)
-        p = np.zeros(9)
-        for k in ((0, 0), match.pair, idx_neg(match.pair)):
-            p[INDEX_POS[k]] = 1.0 / 3.0
-        out.append((f"confined-{match.pair}", induced_initial(final, p)))
+        out.append((f"confined-{match.pair}", induced_initial(final, _triple_uniform(match.pair))))
     return tuple(out)

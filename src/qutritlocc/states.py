@@ -28,7 +28,7 @@ from .pauli import (
     pauli_coords,
     scaled_into_range,
 )
-from .seeds import GenericityReport, SeedParams, build_seed, check_generic
+from .seeds import SeedParams, build_seed, check_generic
 
 #: Absolute threshold below which a trace-normalized Gram coordinate is
 #: treated as vanishing when choosing gauge-fixing entries.
@@ -80,14 +80,17 @@ class GenericState:
             mats.append(g)
         object.__setattr__(self, "factors", tuple(mats))
 
-    def genericity(self) -> GenericityReport:
-        return check_generic(self.seed)
-
 
 def assemble(state: GenericState) -> np.ndarray:
-    """The represented 27-component vector (not normalized)."""
-    g1, g2, g3 = state.factors
-    return apply3(g1, g2, g3, build_seed(state.seed))
+    """The represented 27-component vector (not normalized), as a ray.
+
+    Each factor, and the assembled vector, passes through
+    :func:`scaled_into_range`: the result is the same ray at a scale that
+    cannot over- or underflow however large or small the factors are, and
+    at ordinary scale it is the vector itself.
+    """
+    factors = (scaled_into_range(g) for g in state.factors)
+    return scaled_into_range(apply3(*factors, build_seed(state.seed)))
 
 
 @dataclass(frozen=True)
@@ -275,10 +278,11 @@ class StandardForm:
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
 
-    def close_to(self, other: "StandardForm", atol: float = STD_COMPARE_ATOL) -> bool:
-        if not self.seed.close_to(other.seed, atol):
+    def close_to(self, other: "StandardForm") -> bool:
+        """Whether the coordinate tables agree to :data:`STD_COMPARE_ATOL`."""
+        if not self.seed.close_to(other.seed, STD_COMPARE_ATOL):
             raise SeedMismatchError("standard forms belong to different seeds")
-        return bool(np.allclose(self.coords, other.coords, rtol=0.0, atol=atol))
+        return bool(np.allclose(self.coords, other.coords, rtol=0.0, atol=STD_COMPARE_ATOL))
 
 
 def standard_form_of_gram(seed: SeedParams, gt: GramTriple) -> StandardForm:
@@ -294,18 +298,18 @@ def standard_form(state: GenericState) -> StandardForm:
     return standard_form_of_gram(state.seed, gram(state))
 
 
-def lu_equivalent(s1: GenericState, s2: GenericState, atol: float = STD_COMPARE_ATOL) -> bool:
+def lu_equivalent(s1: GenericState, s2: GenericState) -> bool:
     """Whether two states of the same seed are local-unitary equivalent.
 
     Raises :class:`SeedMismatchError` when the canonical seed parameters
     differ; cross-seed comparisons are not supported.
     """
-    if not s1.seed.close_to(s2.seed, atol):
+    if not s1.seed.close_to(s2.seed, STD_COMPARE_ATOL):
         raise SeedMismatchError(
             "states have different canonical seed parameters; "
             "cross-seed equivalence is not decided"
         )
-    return standard_form(s1).close_to(standard_form(s2), atol)
+    return standard_form(s1).close_to(standard_form(s2))
 
 
 # ---------------------------------------------------------------------------

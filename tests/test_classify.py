@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,16 @@ from qutritlocc.classify import (
     classify_gram,
     support_pattern,
 )
+from qutritlocc.generate import KINDS, random_state
 from qutritlocc.pauli import COORD_ORDER, PAULIS, dagger
-from qutritlocc.states import GenericState, GramTriple, gram, gram_triple, seed_gram
+from qutritlocc.states import (
+    GenericState,
+    GramTriple,
+    gram,
+    gram_triple,
+    permute_state,
+    seed_gram,
+)
 
 ALL_PAIRS = {(1, 0), (0, 1), (1, 1), (1, 2)}
 
@@ -222,6 +232,21 @@ def test_permutation_robustness(rng):
         for field in ("sep_reachable", "locc_reachable", "locc_convertible",
                       "support_tiling", "sep_only", "in_mes", "isolated"):
             assert getattr(shuffled, field) == getattr(base, field)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_classify_follows_party_permutation(params, rng, kind):
+    """Relabeling the parties of a state relabels its support pairs the
+    same way and leaves all seven flags unchanged."""
+    for _ in range(3):
+        state = random_state(kind, rng, params)
+        base = classify(state)
+        for perm in itertools.permutations(range(3)):
+            moved = classify(permute_state(state, perm))
+            assert moved.pattern.pairs == tuple(base.pattern.pairs[p] for p in perm)
+            for field in ("sep_reachable", "locc_reachable", "locc_convertible",
+                          "support_tiling", "sep_only", "in_mes", "isolated"):
+                assert getattr(moved, field) == getattr(base, field), (perm, field)
 
 
 def test_detectors_report_structure(rng):

@@ -300,8 +300,46 @@ def test_symmetry_audit_clean_seed(capsys, files):
 
 
 def test_symmetry_audit_refuses_degenerate_seed(capsys, files):
-    with pytest.raises(ValueError, match="generic"):
-        run(capsys, "symmetry-audit", files["degenerate"])
+    code, out, err = run(capsys, "symmetry-audit", files["degenerate"])
+    assert code == 2
+    assert out.splitlines()[0].startswith(f"{files['degenerate']}: NOT generic")
+    assert err == ""
+    code, out, _ = run(capsys, "symmetry-audit", files["degenerate"], "--json")
+    assert code == 2
+    report = json.loads(out)
+    assert report["generic"] is False
+    assert report["violations"]
+
+
+def zero_seed(root):
+    path = root / "zero-seed.json"
+    path.write_text(json.dumps({"a": [0.0, 0.0], "b": [0.0, 0.0], "c": [0.0, 0.0]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [("symmetry-audit",), ("generate", "seed", "--params-from")])
+def test_zero_seed_is_an_input_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, zero_seed(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_generate_refuses_non_generic_params(capsys, files):
+    code, out, err = run(capsys, "generate", "seed", "--params-from", files["degenerate"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: seed is not generic") and err.count("\n") == 1
+
+
+def test_sep_decide_refuses_states_of_different_seeds(capsys, files, tmp_path):
+    other = tmp_path / "other.json"
+    code, _, _ = run(capsys, "generate", "seed", "--rng-seed", "5", "--out", str(other))
+    assert code == 0
+    code, out, err = run(capsys, "sep-decide", "--from", files["seed"], "--to", str(other))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "different" in err
 
 
 def test_tolerance_flag_positions(capsys, files):

@@ -10,6 +10,10 @@ read each module with the standard library's ``ast``.
 - Every ``_``-prefixed module-level function, class or constant of the
   package is read somewhere in the package, so deleting a caller cannot
   leave its private helpers behind.
+- Every public top-level function or class of the package is read by a
+  package module or a ``perfbench/`` module, or is listed with its
+  reason in :data:`TEST_FACING`, so API that only tests call cannot grow
+  back.
 - No package module contains a ``global`` statement: a module-level
   setting that a call can rebind would change every later verdict of the
   process, so settings are passed as arguments instead.
@@ -20,8 +24,17 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qutritlocc"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qutritlocc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+#: Public functions and classes that no package or benchmark module reads,
+#: each with the reason it stays.
+TEST_FACING = {
+    "verify_symmetries": "acceptance criterion 1 checks the nine symmetries with it",
+    "permute_state": "relabels parties for the party-permutation invariance tests",
+    "permute_vector": "the vector relabeling that permute_state is checked against",
+}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -160,6 +173,49 @@ def test_orphan_lint_counts_a_string_annotation_as_read():
 def test_no_orphaned_private_definitions():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert orphans(sources) == []
+
+
+def public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each public function or class a module defines at top level, with
+    its line number."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def unread_public(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Public top-level definitions of ``sources`` that neither a module of
+    ``sources`` nor one of ``readers`` reads.  An import is not a read, so
+    re-exports do not count."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*map(read_names, [*trees.values(), *map(ast.parse, readers)]))
+    return sorted(
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in public_definitions(tree).items()
+        if name not in read
+    )
+
+
+def test_public_lint_sees_definitions_only_tests_call():
+    a = "def used(): ...\n\ndef only_tests(): ...\n\nclass Shown: ...\n"
+    init = "from .a import only_tests, used\n"
+    reader = "from pkg.a import Shown, used\n\nprint(used(), Shown)\n"
+    assert unread_public({"a.py": a, "__init__.py": init}, [reader]) == [
+        "a.py: only_tests (line 3)"
+    ]
+
+
+def test_public_api_is_read_outside_tests():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    unread = unread_public(sources, readers)
+    # "module: name (line n)"; an entry of TEST_FACING that is read now
+    # must leave it too
+    assert {entry.split()[1] for entry in unread} == set(TEST_FACING), unread
 
 
 def global_statements(source: str) -> list[str]:

@@ -272,6 +272,19 @@ def test_lower_bound_is_sound(params, rng, kind):
         assert lower <= residual
 
 
+def test_lower_bound_never_exceeds_the_residual(params):
+    """On the seed-to-seed system every simplex point solves ``A p = b``,
+    so ``A p - b`` is rounding alone.  At this point (the 16th Dirichlet
+    draw of ``default_rng(2)``) the gap comes out at -1.5e-33, and a
+    negative gap would lift the bound to 7.9e-17 above the 5.7e-17
+    residual."""
+    a, b = _least_squares("seed", params, None)
+    p = np.random.default_rng(2).dirichlet(np.ones(9), size=16)[15]
+    residual, gap, lower = _certificate(a, b, p)
+    assert gap >= 0.0
+    assert lower <= residual
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_face_minimizer_is_certified(params, rng, kind):
     """At the face minimizer the gap vanishes (KKT holds), and the gradient

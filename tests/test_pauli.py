@@ -10,25 +10,21 @@ from qutritlocc.pauli import (
     CONJ_TABLE,
     COORD_ORDER,
     INDEX_ORDER,
+    INDEX_POS,
     OMEGA,
     PAIR_REPS,
     PAULIS,
     X,
     Z,
     apply3,
-    conj_phase,
     dagger,
-    dagger_phase,
     from_coords,
-    group_compose,
     idx_add,
     idx_neg,
     is_hermitian,
     is_invertible,
-    is_positive_definite,
     kron3,
     pair_rep,
-    partial_gram,
     pauli_coords,
     pauli_matrix,
 )
@@ -37,6 +33,12 @@ ATOL = 1e-12
 
 # positions of the negation partner of each COORD_ORDER entry
 COORD_POS_NEG = tuple(pos + 1 if pos % 2 == 0 else pos - 1 for pos in range(8))
+
+
+def table_phase(k, l):
+    """Entry (k, l) of CONJ_TABLE, by group index."""
+    return complex(CONJ_TABLE[INDEX_POS[k], INDEX_POS[l]])
+
 
 finite_reals = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 real_3x3 = arrays(np.float64, (3, 3), elements=finite_reals)
@@ -95,26 +97,25 @@ def test_orthogonality():
 
 def test_conj_phase_values():
     for k in INDEX_ORDER:
-        assert abs(conj_phase(k, (0, 0)) - 1.0) <= ATOL
-    assert abs(conj_phase((1, 0), (0, 1)) - OMEGA) <= ATOL
-    assert abs(conj_phase((0, 1), (1, 0)) - OMEGA**2) <= ATOL
+        assert abs(table_phase(k, (0, 0)) - 1.0) <= ATOL
+    assert abs(table_phase((1, 0), (0, 1)) - OMEGA) <= ATOL
+    assert abs(table_phase((0, 1), (1, 0)) - OMEGA**2) <= ATOL
 
 
 def test_conj_phase_defining_identity():
-    """conj_phase(k, l) is the phase picked up by S_k under conjugation by
-    S_l, and entry (k, l) of the read-only CONJ_TABLE."""
+    """Entry (k, l) of the read-only CONJ_TABLE is the phase picked up by
+    S_k under conjugation by S_l."""
     assert not CONJ_TABLE.flags.writeable
     for i, k in enumerate(INDEX_ORDER):
         for j, l in enumerate(INDEX_ORDER):
             lhs = dagger(PAULIS[l]) @ PAULIS[k] @ PAULIS[l]
-            np.testing.assert_allclose(lhs, conj_phase(k, l) * PAULIS[k], atol=ATOL)
-            assert CONJ_TABLE[i, j] == conj_phase(k, l)
+            np.testing.assert_allclose(lhs, CONJ_TABLE[i, j] * PAULIS[k], atol=ATOL)
 
 
 def test_conj_phase_additivity():
     for l, m, k in itertools.product(INDEX_ORDER, repeat=3):
-        got = conj_phase(l, k) * conj_phase(m, k)
-        assert abs(got - conj_phase(idx_add(l, m), k)) <= ATOL
+        got = table_phase(l, k) * table_phase(m, k)
+        assert abs(got - table_phase(idx_add(l, m), k)) <= ATOL
 
 
 def test_conj_phase_exponent_formula():
@@ -122,41 +123,7 @@ def test_conj_phase_exponent_formula():
     for k in INDEX_ORDER:
         for l in INDEX_ORDER:
             e = (k[0] * l[1] - k[1] * l[0]) % 3
-            assert abs(conj_phase(k, l) - OMEGA**e) <= ATOL
-
-
-def test_dagger_phase():
-    for k in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2)):
-        assert abs(dagger_phase(k) - 1.0) <= ATOL
-    assert abs(dagger_phase((1, 1)) - OMEGA**2) <= ATOL
-    assert abs(dagger_phase((2, 2)) - OMEGA**2) <= ATOL
-    assert abs(dagger_phase((1, 2)) - OMEGA) <= ATOL
-    assert abs(dagger_phase((2, 1)) - OMEGA) <= ATOL
-    for k in INDEX_ORDER:
-        np.testing.assert_allclose(
-            dagger(PAULIS[k]), dagger_phase(k) * PAULIS[idx_neg(k)], atol=ATOL
-        )
-
-
-def test_group_compose():
-    idx, c = group_compose((1, 0), (2, 0))
-    assert idx == (0, 0) and abs(c - 1.0) <= ATOL
-    for m in INDEX_ORDER:
-        idx, c = group_compose((0, 0), m)
-        assert idx == m and abs(c - 1.0) <= ATOL
-    # X*Z is literally the (1,1) generator, so no phase appears; Z*X does.
-    idx, c = group_compose((1, 0), (0, 1))
-    assert idx == (1, 1) and abs(c - 1.0) <= ATOL
-    idx, c = group_compose((0, 1), (1, 0))
-    assert idx == (1, 1) and abs(c - OMEGA**2) <= ATOL
-    for l in INDEX_ORDER:
-        for m in INDEX_ORDER:
-            idx, c = group_compose(l, m)
-            assert idx == idx_add(l, m)
-            assert abs(abs(c) - 1.0) <= ATOL
-            np.testing.assert_allclose(
-                PAULIS[l] @ PAULIS[m], c * PAULIS[idx], atol=ATOL
-            )
+            assert abs(table_phase(k, l) - OMEGA**e) <= ATOL
 
 
 def test_coords_of_identity():
@@ -182,7 +149,9 @@ def test_coords_hermitian_pairing(rng):
     for pos, k in enumerate(COORD_ORDER):
         npos = COORD_POS_NEG[pos]
         got = g[pos]
-        expected = np.conj(g[npos]) * dagger_phase(idx_neg(k))
+        # the phase c with S_{-k}^dag = c S_k
+        phase = np.trace(dagger(PAULIS[k]) @ dagger(PAULIS[idx_neg(k)])) / 3
+        expected = np.conj(g[npos]) * phase
         assert abs(got - expected) <= 1e-10
 
 
@@ -213,18 +182,9 @@ def test_apply3_matches_kron3(rng):
     np.testing.assert_allclose(apply3(*mats, v), kron3(*mats) @ v, atol=1e-12)
 
 
-def test_partial_gram_ghz():
-    v = np.zeros(27, dtype=complex)
-    v[0] = v[13] = v[26] = 1.0 / np.sqrt(3)
-    for party in range(3):
-        np.testing.assert_allclose(partial_gram(v, party), np.eye(3) / 3, atol=ATOL)
-
-
 def test_predicates():
     assert is_hermitian(np.eye(3))
     assert not is_hermitian(np.eye(3) + 0.001j * np.diag([0, 1, 0]) @ X)
-    assert is_positive_definite(np.diag([0.1, 1.0, 2.0]))
-    assert not is_positive_definite(np.diag([-0.1, 1.0, 2.0]))
     assert is_invertible(np.diag([1e-3, 1.0, 1.0]))
     assert not is_invertible(np.diag([0.0, 1.0, 1.0]))
 
@@ -252,11 +212,9 @@ def test_hermitian_and_positive_definite_are_scale_invariant(c):
     herm = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
     indefinite = np.diag([-0.1, 1.0, 2.0])
     assert not is_hermitian(c * skew)
-    assert not is_positive_definite(c * lopsided)
+    assert not is_hermitian(c * lopsided)
     assert is_hermitian(c * herm)
-    assert is_positive_definite(c * herm)
     assert is_hermitian(c * indefinite)
-    assert not is_positive_definite(c * indefinite)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
@@ -264,7 +222,6 @@ def test_non_finite_matrix_is_not_hermitian(bad):
     m = np.eye(3, dtype=complex)
     m[1, 1] = bad
     assert not is_hermitian(m)
-    assert not is_positive_definite(m)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qutritlocc.classify import classify, support_pattern
-from qutritlocc.pauli import PAULIS, dagger, frob, idx_neg, is_positive_definite
+from qutritlocc.pauli import PAULIS, dagger, frob, idx_neg, is_hermitian
 from qutritlocc.protocols import (
     BRANCH_MATCH_TOL,
     POVM_TOL,
@@ -23,7 +23,6 @@ from qutritlocc.protocols import (
 from qutritlocc.sep import gram_instance, sep_feasible
 from qutritlocc.states import (
     GenericState,
-    assemble,
     gram,
     lu_equivalent,
     positive_factor,
@@ -121,7 +120,8 @@ def check_confined_map(params, rng, scale):
     np.testing.assert_allclose(
         init_gram.mats[0], depolarized / np.trace(depolarized).real, atol=1e-12
     )
-    assert is_positive_definite(g1)
+    assert is_hermitian(g1)
+    assert np.linalg.eigvalsh(g1)[0] > 0
 
 
 def test_confined_map(params, rng):
@@ -379,8 +379,8 @@ def test_wrong_input_state_fails_branches(params, rng):
         params, (dense_factor(rng), span_positive(w, 0.09), span_positive(w, 0.05))
     )
     proto = locc_reach_protocol(target)
-    wrong = assemble(GenericState(params, tuple(dense_factor(rng) for _ in range(3))))
-    report = simulate_branches(proto, input_vec=wrong)
+    wrong = GenericState(params, tuple(dense_factor(rng) for _ in range(3)))
+    report = simulate_branches(dataclasses.replace(proto, initial=wrong))
     assert not report.all_matched
 
 

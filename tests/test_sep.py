@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from qutritlocc import sep as sep_module
 from qutritlocc.generate import KINDS, random_state
 from qutritlocc.pauli import (
+    CONJ_TABLE,
     INDEX_ORDER,
     INDEX_POS,
     PAULIS,
@@ -17,7 +20,6 @@ from qutritlocc.pauli import (
 from qutritlocc.sep import (
     SepInstance,
     candidate_initial_grams,
-    dep_spectrum,
     depolarize,
     gram_instance,
     induced_initial,
@@ -25,7 +27,7 @@ from qutritlocc.sep import (
     sep_instance,
 )
 from qutritlocc.seeds import SeedParams
-from qutritlocc.states import GenericState, gram, gram_triple, seed_gram
+from qutritlocc.states import GenericState, gram, gram_triple, permute_state, seed_gram
 
 E0 = np.eye(9)[0]
 UNIFORM = np.full(9, 1.0 / 9.0)
@@ -96,18 +98,18 @@ def test_depolarize_rejects_bad_shape():
 
 
 def test_spectrum_of_point_mass():
-    np.testing.assert_allclose(dep_spectrum(E0), np.ones(9), atol=0)
+    np.testing.assert_allclose(CONJ_TABLE @ E0, np.ones(9), atol=0)
 
 
 def test_spectrum_of_uniform():
-    eta = dep_spectrum(UNIFORM)
+    eta = CONJ_TABLE @ UNIFORM
     assert eta[0] == pytest.approx(1.0)
     np.testing.assert_allclose(eta[1:], np.zeros(8), atol=1e-15)
 
 
 def test_spectrum_of_uniform_triple():
     w = (1, 0)
-    eta = dep_spectrum(triple_dist(w))
+    eta = CONJ_TABLE @ triple_dist(w)
     assert eta[INDEX_POS[w]] == pytest.approx(1.0)
     assert eta[INDEX_POS[idx_neg(w)]] == pytest.approx(1.0)
     for k in INDEX_ORDER[1:]:
@@ -117,7 +119,7 @@ def test_spectrum_of_uniform_triple():
 
 def test_spectrum_of_tilted_triple():
     eps = 0.37
-    eta = dep_spectrum(triple_dist((0, 1), (1 - 2 * eps / 3, eps / 3, eps / 3)))
+    eta = CONJ_TABLE @ triple_dist((0, 1), (1 - 2 * eps / 3, eps / 3, eps / 3))
     for k in INDEX_ORDER[1:]:
         expected = 1.0 if k in ((0, 1), (0, 2)) else 1.0 - eps
         assert eta[INDEX_POS[k]] == pytest.approx(expected, abs=1e-12)
@@ -128,7 +130,7 @@ def test_spectrum_of_tilted_triple():
 def test_spectrum_invariants(weights):
     p = np.array(weights)
     p = p / p.sum()
-    eta = dep_spectrum(p)
+    eta = CONJ_TABLE @ p
     assert abs(eta[0] - 1.0) <= 1e-12
     assert np.all(np.abs(eta) <= 1.0 + 1e-12)
     for k in INDEX_ORDER:
@@ -139,8 +141,8 @@ def test_spectrum_is_linear(rng):
     p1, p2 = rng.dirichlet(np.ones(9)), rng.dirichlet(np.ones(9))
     lam = 0.3
     np.testing.assert_allclose(
-        dep_spectrum(lam * p1 + (1 - lam) * p2),
-        lam * dep_spectrum(p1) + (1 - lam) * dep_spectrum(p2),
+        CONJ_TABLE @ (lam * p1 + (1 - lam) * p2),
+        lam * (CONJ_TABLE @ p1) + (1 - lam) * (CONJ_TABLE @ p2),
         atol=1e-14,
     )
 
@@ -150,7 +152,7 @@ def test_depolarize_scales_coordinates_by_spectrum(rng):
 
     h = dense_mat(rng)
     p = rng.dirichlet(np.ones(9))
-    eta = dep_spectrum(p)
+    eta = CONJ_TABLE @ p
     _, before = pauli_coords(h)
     _, after = pauli_coords(depolarize(h, p))
     np.testing.assert_allclose(after, eta[1:] * before, atol=1e-13)
@@ -183,7 +185,7 @@ def test_induced_initial_triple_keeps_confined_coords(rng):
     np.testing.assert_allclose(init.mats[1], final.mats[1], atol=1e-14)
     np.testing.assert_allclose(init.mats[2], final.mats[2], atol=1e-14)
     # the free factor keeps only its {0, +-w} coordinates where eta = 1
-    eta = dep_spectrum(triple_dist(w))
+    eta = CONJ_TABLE @ triple_dist(w)
     np.testing.assert_allclose(init.coords[0], eta[1:] * final.coords[0], atol=1e-13)
 
 
@@ -205,13 +207,7 @@ def test_sep_feasible_rejects_non_canonical_seed(rng, target_kind):
         target = gram_triple(dense_mat(rng), dense_mat(rng), dense_mat(rng))
     else:
         target = seed_gram()
-    inst = SepInstance(
-        seed=SeedParams(2, 3, 5),
-        source=None,
-        target=None,
-        source_gram=seed_gram(),
-        target_gram=target,
-    )
+    inst = SepInstance(seed=SeedParams(2, 3, 5), source_gram=seed_gram(), target_gram=target)
     with pytest.raises(ValueError, match="canonical"):
         sep_feasible(inst)
 
@@ -235,6 +231,33 @@ def test_sep_instance_carries_grams(params, rng):
 # ---------------------------------------------------------------------------
 # the feasibility engine
 # ---------------------------------------------------------------------------
+
+
+def sep_outcome(inst):
+    dec = sep_feasible(inst)
+    return dec.feasible, dec.nontrivial, dec.unique, len(dec.vertices)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sep_feasible_follows_party_permutation(params, rng, kind):
+    """Relabeling the parties of source and target together leaves the
+    verdict, its nontriviality and uniqueness, and the polytope's vertex
+    count unchanged.  Sources are the bare seed, a random state, and the
+    target's candidate initials (posed at the Gram level)."""
+    for _ in range(2):
+        target = random_state(kind, rng, params)
+        sources = [GenericState(params, (np.eye(3),) * 3), random_state("generic", rng, params)]
+        for source in sources:
+            base = sep_outcome(sep_instance(source, target))
+            for perm in itertools.permutations(range(3)):
+                moved = sep_instance(permute_state(source, perm), permute_state(target, perm))
+                assert sep_outcome(moved) == base, perm
+        for _, initial in candidate_initial_grams(gram(target)):
+            base = sep_outcome(gram_instance(params, initial, gram(target)))
+            for perm in itertools.permutations(range(3)):
+                moved = permute_state(target, perm)
+                moved_initial = gram_triple(*(initial.mats[p] for p in perm))
+                assert sep_outcome(gram_instance(moved.seed, moved_initial, gram(moved))) == base
 
 
 def test_seed_to_seed_all_distributions_work(params):
@@ -374,7 +397,7 @@ def test_witness_spectrum_passes_conditions(params):
     )
     dec = sep_feasible(gram_instance(params, seed_gram(), target))
     assert dec.feasible
-    violations = spectrum_violations(target.coords, dep_spectrum(dec.witness))
+    violations = spectrum_violations(target.coords, CONJ_TABLE @ dec.witness)
     assert not violations, violations
 
 
