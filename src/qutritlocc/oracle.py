@@ -1,29 +1,27 @@
 """Slow, independent cross-checks for the fast decision engines.
 
 Two oracles live here.  ``brute_force_sep`` re-decides a separable
-conversion instance by minimizing the mixing residual over the simplex —
-exhaustive stationary-point enumeration over all 511 faces, certified by
-the Frank–Wolfe duality gap of this convex problem — without touching the
-polytope machinery it is meant to audit.  ``numeric_symmetry_search`` hunts
-for product operators fixing a seed state by alternating least squares from
-random starts, recovering the symmetry group numerically.  Each
-ALS axis update is ``t @ pinv(m)`` for a 3x9 partial ``m``, computed from
-the eigendecomposition of the 3x3 Gram ``m mᴴ`` with eigenvalues at or
-below ``9 eps`` times the largest dropped, so collapsed (rank-deficient)
-starts get the minimum-norm update and never a division by zero.  Starts
-are retired one by one: at every check a start that has converged, or
-whose residual has stopped moving, leaves the batch with its factors, and
-the sweep ends when no start is left.
+conversion instance by minimizing the mixing residual over the simplex — an
+active-set minimizer, certified by the Frank–Wolfe duality gap of this
+convex problem — without touching the polytope machinery it is meant to
+audit.  ``numeric_symmetry_search`` hunts for product operators fixing a
+seed state by alternating least squares from random starts, recovering the
+symmetry group numerically.  Each ALS axis update is ``t @ pinv(m)`` for a
+3x9 partial ``m``, computed from the eigendecomposition of the 3x3 Gram
+``m mᴴ`` with eigenvalues at or below ``9 eps`` times the largest dropped,
+so collapsed (rank-deficient) starts get the minimum-norm update and never
+a division by zero.  Starts are retired one by one: at every check a start
+that has converged, or whose residual has stopped moving, leaves the batch
+with its factors, and the sweep ends when no start is left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .pauli import INDEX_ORDER, PAULIS, dagger, kron3
+from .pauli import INDEX_ORDER, PAULIS, kron3
 from .seeds import SeedParams, build_seed
 from .sep import SepInstance
 
@@ -74,8 +72,9 @@ class OracleBudget:
 class OracleVerdict:
     """Outcome of a brute-force feasibility decision.
 
-    ``best_residual`` is the face minimizer's residual; no simplex point's
-    residual is below ``lower_bound``.  ``feasible`` is ``None`` when
+    ``best_residual`` is the residual at the active-set minimizer's point;
+    no simplex point's residual is below ``lower_bound``, the duality-gap
+    certificate of that point.  ``feasible`` is ``None`` when
     neither settles the instance against the two thresholds.
     """
 
@@ -101,57 +100,111 @@ class SymmetrySearchReport:
 # ---------------------------------------------------------------------------
 
 def _mixing_system(instance: SepInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Real least-squares data (A, b) for ``A p = b`` over the simplex."""
-    h = instance.target_gram.mats
-    g = instance.source_gram.mats
-    cols = []
-    for k in INDEX_ORDER:
-        s = PAULIS[k]
-        sd = dagger(s)
-        cols.append(kron3(sd @ h[0] @ s, sd @ h[1] @ s, sd @ h[2] @ s).ravel())
-    d = np.array(cols).T
-    target = kron3(*g).ravel()
+    """Real least-squares data (A, b) for ``A p = b`` over the simplex.
+
+    Column k of ``A`` is ``kron3`` of the three conjugations ``S_kᴴ H_j S_k``
+    of the target Grams, all nine formed by one stacked contraction.
+    """
+    s = np.array([PAULIS[k] for k in INDEX_ORDER])[:, None]
+    conj = s.conj().swapaxes(-1, -2) @ np.array(instance.target_gram.mats) @ s
+    d = np.einsum("kab,kcd,kef->acebdfk", conj[:, 0], conj[:, 1], conj[:, 2])
+    d = d.reshape(-1, len(INDEX_ORDER))
+    target = kron3(*instance.source_gram.mats).ravel()
     a = np.vstack([d.real, d.imag])
     b = np.concatenate([target.real, target.imag])
     return a, b
 
 
-def _face_minima(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
-    """Global minimum of ``p^T q p - 2 c^T p`` over the simplex.
+def _face_solve(
+    q: np.ndarray, c: np.ndarray, face: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Stationary point of ``p^T q p - 2 c^T p`` on the affine hull of a face.
 
-    The minimum lies in the relative interior of some face, where it is a
-    stationary point of the face's equality-constrained problem.  The KKT
-    systems of all 511 faces are solved stacked by face size, one
-    pseudoinverse per size with the cutoff ``lstsq`` uses (so singular
-    faces get the minimum-norm solution), and the feasible candidates are
-    compared; the first minimum in size-then-lexicographic face order wins.
+    Solves the face's KKT system ``[2 q_FF, 1; 1ᵀ, 0] [x; λ] = [2 c_F; 1]``
+    by ``lstsq`` with singular values at or below ``eps (k + 1)`` times the
+    largest dropped, so a singular face gets the minimum-norm solution.
+    Returns ``x``, the stationarity rows ``z`` of the residual and whether
+    the system is singular.  The residual of a least-squares solve lies in
+    the dropped singular subspace, so on a singular face ``z`` is a null
+    direction of ``q_FF`` with zero sum, along which the objective falls
+    linearly by ``|z|²`` per unit step when the system is inconsistent.
     """
-    n = q.shape[0]
-    best_val = np.inf
-    best_p = None
-    for size in range(1, n + 1):
-        faces = np.array(list(combinations(range(n), size)))
-        kkt = np.zeros((len(faces), size + 1, size + 1))
-        kkt[:, :size, :size] = 2.0 * q[faces[:, :, None], faces[:, None, :]]
-        kkt[:, :size, size] = 1.0
-        kkt[:, size, :size] = 1.0
-        rhs = np.ones((len(faces), size + 1, 1))
-        rhs[:, :size, 0] = 2.0 * c[faces]
-        sol = np.linalg.pinv(kkt, rcond=np.finfo(float).eps * (size + 1)) @ rhs
-        p_face = sol[:, :size, 0]
-        p = np.zeros((len(faces), n))
-        np.put_along_axis(p, faces, np.clip(p_face, 0.0, None), axis=1)
-        total = p.sum(axis=1)
-        keep = (p_face.min(axis=1) >= -1e-10) & (total > 0)
-        if not keep.any():
+    k = len(face)
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = 2.0 * q[np.ix_(face, face)]
+    kkt[:k, k] = 1.0
+    kkt[k, :k] = 1.0
+    rhs = np.append(2.0 * c[face], 1.0)
+    sol, _, rank, _ = np.linalg.lstsq(kkt, rhs, rcond=np.finfo(float).eps * (k + 1))
+    return sol[:k], (rhs - kkt @ sol)[:k], rank <= k
+
+
+def _first_block(p: np.ndarray, d: np.ndarray) -> tuple[int, float]:
+    """Index and length of the step along ``d`` at which a coordinate of
+    ``p`` first reaches zero (length infinity if none decreases)."""
+    ratios = np.full(len(p), np.inf)
+    ratios[d < 0] = p[d < 0] / -d[d < 0]
+    i = int(np.argmin(ratios))
+    return i, float(ratios[i])
+
+
+def _active_set_minimum(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimum of ``p^T q p - 2 c^T p`` over the simplex, for a PSD ``q``.
+
+    A primal active-set method (Nocedal and Wright, *Numerical
+    Optimization*, §16.5; Lawson and Hanson, *Solving Least Squares
+    Problems*, ch. 23).  It starts at the best vertex, where ``p`` is the
+    minimizer of its one-point face.  From a face minimizer it adds the
+    coordinate of most negative gradient.  It stops instead when the
+    Frank–Wolfe gap ``gᵀp - min g`` is within rounding of zero (the KKT
+    conditions hold), or when that coordinate is already on the face, as
+    only rounding leaves a face minimizer's gradient uneven there.  On the
+    grown face it solves for the face minimizer
+    (:func:`_face_solve`).  A feasible one becomes the new point.  An
+    infeasible one is approached up to the first coordinate that reaches
+    zero, and that coordinate leaves the face.  A singular face whose
+    objective falls without bound along its null direction is left the
+    same way, along that direction.  Every step lowers the objective, so
+    no face holds the point at its minimizer twice, and at most ``n + 1``
+    steps lead from one such face to the next: ``(n + 1) 2ⁿ`` steps bound
+    an exact run.  A run that reaches the bound is cycling on rounding and
+    returns its current point, which the certificate still bounds.
+    """
+    n = len(c)
+    eps = np.finfo(float).eps
+    # a gradient entry is a sum of n products, so rounding moves the gap,
+    # a difference of two, by up to about 2 n eps times this scale; twice
+    # that is taken as zero
+    tol = 4 * n * eps * (np.abs(q).max() + np.abs(c).max())
+    p = np.zeros(n)
+    p[int(np.argmin(np.diag(q) - 2.0 * c))] = 1.0
+    on_face = p > 0
+    at_minimizer = True
+    for _ in range((n + 1) * 2**n):
+        if at_minimizer:
+            g = 2.0 * (q @ p - c)
+            j = int(np.argmin(g))
+            if on_face[j] or g @ p - g[j] <= tol:
+                break
+            on_face[j] = True
+        face = np.flatnonzero(on_face)
+        x, z, singular = _face_solve(q, c, face)
+        t = _first_block(p[face], z)[1] if singular else np.inf
+        ray = t < np.inf and t * (2.0 * (q @ p - c)[face] @ z) < -tol
+        if not ray and x.min() >= 0.0:
+            p = np.zeros(n)
+            p[face] = x / x.sum()
+            at_minimizer = True
             continue
-        p = p[keep] / total[keep, None]
-        vals = np.einsum("fi,ij,fj->f", p, q, p) - 2.0 * p @ c
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_p = p[i]
-    return best_p, best_val
+        d = z if ray else x - p[face]
+        i, t = _first_block(p[face], d)
+        p[face] += t * d
+        p[face[i]] = 0.0
+        on_face[face[i]] = False
+        p = np.clip(p, 0.0, None)
+        p /= p.sum()
+        at_minimizer = False
+    return p, float(p @ q @ p - 2.0 * c @ p)
 
 
 def _certificate(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> tuple[float, float, float]:
@@ -180,15 +233,16 @@ def brute_force_sep(
     """Decide separable convertibility by certified residual minimization.
 
     Feasible iff some simplex point mixes the conjugated target Grams to
-    the source Grams exactly.  The face minimizer's residual decides
-    feasible (at most :data:`WITNESS_TOL`); its :func:`_certificate` bound,
-    valid even for a wrong minimizer, decides infeasible (above
-    :data:`REJECT_TOL`); otherwise the oracle abstains.  ``budget`` is
-    ignored, as the search is exhaustive; it stays because
-    ``perfbench/workloads.py`` still passes one positionally.
+    the source Grams exactly.  The residual at the active-set minimizer's
+    point decides feasible (at most :data:`WITNESS_TOL`); its
+    :func:`_certificate` bound, valid at any simplex point and so even for
+    a wrong minimizer, decides infeasible (above :data:`REJECT_TOL`);
+    otherwise the oracle abstains.  ``budget`` is ignored, as the
+    minimizer takes none; it stays because ``perfbench/workloads.py``
+    still passes one positionally and the benchmark is changed on its own.
     """
     a, b = _mixing_system(instance)
-    p, _ = _face_minima(a.T @ a, a.T @ b)
+    p, _ = _active_set_minimum(a.T @ a, a.T @ b)
     residual, _, lower = _certificate(a, b, p)
     if residual <= WITNESS_TOL:
         return OracleVerdict(True, residual, lower, p)

@@ -33,6 +33,7 @@ from .seeds import SeedParams
 from .states import (
     GenericState,
     GramTriple,
+    SeedMismatchError,
     gram,
     gram_triple,
     seed_gram,
@@ -96,11 +97,14 @@ def gram_instance(
 
 
 def sep_instance(source: GenericState, target: GenericState) -> SepInstance:
-    """Validate and build a :class:`SepInstance` from two states."""
+    """Validate and build a :class:`SepInstance` from two states.
+
+    Raises :class:`SeedMismatchError` when the two canonical seeds differ.
+    """
     if not source.seed.is_canonical() or not target.seed.is_canonical():
         raise ValueError("seed parameters must be in canonical gauge")
     if not source.seed.close_to(target.seed):
-        raise ValueError(
+        raise SeedMismatchError(
             "source and target have different canonical seed parameters; "
             "they belong to different SLOCC classes"
         )

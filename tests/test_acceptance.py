@@ -43,10 +43,10 @@ PROB_SUM_TOL = 1e-10          # criterion 6
 BRANCH_TOL = 1e-8             # criterion 6
 STEP_MIN_EIG = 1e-6           # criterion 8
 
-# The brute-force oracle is exhaustive (all 511 faces plus a duality-gap
-# certificate) and takes no budget, so this one no longer affects any
-# verdict.  It stays because perfbench's audit workload still passes the
-# same budget to the oracle, and its tests assert that the two are equal.
+# The brute-force oracle (an active-set minimizer plus a duality-gap
+# certificate) takes no budget, so this one affects no verdict.  It stays
+# because perfbench's audit workload still passes the same budget to the
+# oracle, and its tests assert that the two are equal.
 ORACLE_BUDGET = OracleBudget(starts=150, iters=150, rng_seed=0)
 
 

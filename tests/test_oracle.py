@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qutritlocc import oracle
-from qutritlocc.generate import random_seed_params
+from qutritlocc.generate import random_seed_params, random_state
 from qutritlocc.oracle import (
     _ALS_CHECK_EVERY,
     ALS_CONVERGED_TOL,
@@ -13,8 +13,9 @@ from qutritlocc.oracle import (
     WITNESS_TOL,
     OracleBudget,
     _als_sweep,
+    _active_set_minimum,
     _certificate,
-    _face_minima,
+    _face_solve,
     _gram_solve,
     _mixing_system,
     brute_force_sep,
@@ -31,8 +32,8 @@ from qutritlocc.states import (
     span_factor,
 )
 
-# Effort for the reference projected-gradient sweep below; the oracle
-# itself is exhaustive and takes no budget.
+# Effort for the reference projected-gradient sweep below; the oracle's
+# active-set minimizer, certified by the duality gap, takes no budget.
 BUDGET = OracleBudget(starts=200, iters=200, rng_seed=11)
 
 
@@ -210,21 +211,114 @@ def _quadratic(kind, params, rng):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_face_minima_matches_per_face_lstsq(params, rng, kind):
-    """The stacked solve agrees with one ``lstsq`` per face.  Seed to seed
-    (rank 1) and the rank-5 ``q`` make the KKT systems of large faces
-    singular, so they need the same minimum-norm solution."""
+    """The active-set minimizer agrees with one ``lstsq`` per face.  Seed
+    to seed (rank 1) and the rank-5 ``q`` make the KKT systems of large
+    faces singular, so they need the same minimum-norm solution."""
     q, c = _quadratic(kind, params, rng)
     if kind == "seed":
         assert np.linalg.matrix_rank(q) == 1
     if kind == "rank-5-psd":
         assert np.linalg.matrix_rank(q) == 5
-    p, val = _face_minima(q, c)
+    p, val = _active_set_minimum(q, c)
     p_ref, val_ref = face_minima_reference(q, c)
     assert abs(val - val_ref) <= 1e-12 * max(1.0, abs(val_ref))
     # seed to seed: every simplex point is a minimizer, so the support
     # is set by rounding in the tie-break
     if kind != "seed":
         np.testing.assert_array_equal(p > 1e-9, p_ref > 1e-9)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_minimizer_leaves_unbounded_faces(rng, rank):
+    """With ``c`` off the range of a low-rank ``q`` the objective falls
+    without bound along the null directions of large faces.  The minimizer
+    leaves such a face along that direction and still stops where the
+    Frank–Wolfe gap vanishes, which makes its point a global minimizer of
+    this convex problem.  Without the step along the null direction 11 of
+    these 200 draws stop short."""
+    for _ in range(50):
+        m = rng.normal(size=(rank, 9))
+        q, c = m.T @ m, rng.normal(size=9)
+        p, val = _active_set_minimum(q, c)
+        g = 2.0 * (q @ p - c)
+        assert g @ p - g.min() <= 1e-12 * max(1.0, abs(val))
+
+
+def counting_face_solves(monkeypatch):
+    """Patch ``_face_solve`` to record the size of each face it solves."""
+    sizes = []
+
+    def counting(q, c, face):
+        sizes.append(len(face))
+        return _face_solve(q, c, face)
+
+    monkeypatch.setattr(oracle, "_face_solve", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("feasible", [False, True], ids=["off-range", "in-range"])
+def test_minimizer_terminates_on_duplicated_columns(rng, monkeypatch, feasible):
+    """Three copies of each of three columns tie the gradient within each
+    group, and every face holding two copies is singular: a cycling trap
+    for an active-set method.  It still stops, at a certified simplex
+    point."""
+    a = np.repeat(rng.normal(size=(12, 3)), 3, axis=1)
+    b = a @ rng.dirichlet(np.ones(9)) if feasible else rng.normal(size=12)
+    sizes = counting_face_solves(monkeypatch)
+    p, _ = _active_set_minimum(a.T @ a, a.T @ b)
+    assert p.min() >= 0.0
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    residual, gap, _ = _certificate(a, b, p)
+    assert gap <= 1e-12 * max(1.0, residual**2)
+    assert len(sizes) <= 9
+
+
+C4_KINDS = ["disjoint", "confined", "tiling", "dense"]
+
+
+def criterion_4_instance(kind, rng):
+    """An instance drawn as criterion 4 draws it: a confined target from
+    the initial its own triple induces, every other kind from the seed."""
+    state = random_state(kind, rng)
+    target = gram(state)
+    initial = seed_gram()
+    if kind == "confined":
+        initial = next(
+            g for label, g in candidate_initial_grams(target) if label.startswith("confined-")
+        )
+    return gram_instance(state.seed, initial, target)
+
+
+@pytest.mark.parametrize("kind", C4_KINDS)
+def test_oracle_matches_face_reference_on_generated_instances(rng, monkeypatch, kind):
+    """On criterion 4's instances the oracle gives the verdict and the
+    residual it gives with the per-face reference as its minimizer."""
+    for _ in range(3):
+        instance = criterion_4_instance(kind, rng)
+        verdict = brute_force_sep(instance)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_active_set_minimum", face_minima_reference)
+            ref = brute_force_sep(instance)
+        assert verdict.feasible is not None
+        assert verdict.feasible == ref.feasible
+        assert abs(verdict.best_residual**2 - ref.best_residual**2) <= 1e-12
+
+
+def test_oracle_solves_few_faces(monkeypatch):
+    """The minimizer solves a handful of faces per instance, not the 511 of
+    the simplex.  On these 40 criterion-4 instances every solve adds a
+    coordinate to the starting vertex and none is dropped: 8 solves reach
+    the full support of a tiling witness or a dense target's minimizer, 2
+    the confined triple."""
+    rng = np.random.default_rng(4)
+    sizes = counting_face_solves(monkeypatch)
+    counts = []
+    for kind in C4_KINDS:
+        for _ in range(10):
+            before = len(sizes)
+            assert brute_force_sep(criterion_4_instance(kind, rng)).feasible is not None
+            counts.append(len(sizes) - before)
+    assert max(counts) <= 8
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +357,7 @@ def test_lower_bound_is_sound(params, rng, kind):
     _, val_ref = face_minima_reference(a.T @ a, a.T @ b)
     minimum = val_ref + b @ b
     slack = 1e-12 * max(1.0, b @ b)
-    p_face, _ = _face_minima(a.T @ a, a.T @ b)
+    p_face, _ = _active_set_minimum(a.T @ a, a.T @ b)
     points = np.vstack([p_face, np.eye(9), rng.dirichlet(np.ones(9), size=200)])
     for p in points:
         residual, gap, lower = _certificate(a, b, p)
@@ -291,7 +385,7 @@ def test_face_minimizer_is_certified(params, rng, kind):
     sweep finds no smaller residual."""
     a, b = _least_squares(kind, params, rng)
     q, c = a.T @ a, a.T @ b
-    p_face, _ = _face_minima(q, c)
+    p_face, _ = _active_set_minimum(q, c)
     residual, gap, _ = _certificate(a, b, p_face)
     assert abs(gap) <= 1e-12 * max(1.0, residual**2)
     p_grad = projected_gradient_sweep(q, c, BUDGET)
@@ -309,7 +403,7 @@ def test_wrong_minimizer_abstains_never_rejects(params, monkeypatch, wrong):
         p = np.full(9, 1 / 9) + 1e-4 * (np.arange(9) - 4)
     else:
         p = np.eye(9)[wrong]
-    monkeypatch.setattr(oracle, "_face_minima", lambda q, c: (p, np.nan))
+    monkeypatch.setattr(oracle, "_active_set_minimum", lambda q, c: (p, np.nan))
     verdict = brute_force_sep(instance)
     assert verdict.best_residual > WITNESS_TOL
     assert verdict.lower_bound <= REJECT_TOL

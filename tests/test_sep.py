@@ -27,7 +27,14 @@ from qutritlocc.sep import (
     sep_instance,
 )
 from qutritlocc.seeds import SeedParams
-from qutritlocc.states import GenericState, gram, gram_triple, permute_state, seed_gram
+from qutritlocc.states import (
+    GenericState,
+    SeedMismatchError,
+    gram,
+    gram_triple,
+    permute_state,
+    seed_gram,
+)
 
 E0 = np.eye(9)[0]
 UNIFORM = np.full(9, 1.0 / 9.0)
@@ -213,10 +220,12 @@ def test_sep_feasible_rejects_non_canonical_seed(rng, target_kind):
 
 
 def test_instance_requires_same_seed(params, rng):
+    """States of different seeds are refused with the error
+    ``lu_equivalent`` raises for them."""
     other = SeedParams(2, 3, 5).canonical()
     s1 = GenericState(params, (np.eye(3),) * 3)
     s2 = GenericState(other, (np.eye(3),) * 3)
-    with pytest.raises(ValueError, match="different"):
+    with pytest.raises(SeedMismatchError, match="different"):
         sep_instance(s1, s2)
 
 
