@@ -181,8 +181,8 @@ def _active_set_minimum(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float
     on_face = p > 0
     at_minimizer = True
     for _ in range((n + 1) * 2**n):
+        g = 2.0 * (q @ p - c)
         if at_minimizer:
-            g = 2.0 * (q @ p - c)
             j = int(np.argmin(g))
             if on_face[j] or g @ p - g[j] <= tol:
                 break
@@ -190,7 +190,7 @@ def _active_set_minimum(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float
         face = np.flatnonzero(on_face)
         x, z, singular = _face_solve(q, c, face)
         t = _first_block(p[face], z)[1] if singular else np.inf
-        ray = t < np.inf and t * (2.0 * (q @ p - c)[face] @ z) < -tol
+        ray = t < np.inf and t * (g[face] @ z) < -tol
         if not ray and x.min() >= 0.0:
             p = np.zeros(n)
             p[face] = x / x.sum()

@@ -258,19 +258,24 @@ def counting_face_solves(monkeypatch):
 
 @pytest.mark.parametrize("feasible", [False, True], ids=["off-range", "in-range"])
 def test_minimizer_terminates_on_duplicated_columns(rng, monkeypatch, feasible):
-    """Three copies of each of three columns tie the gradient within each
-    group, and every face holding two copies is singular: a cycling trap
-    for an active-set method.  It still stops, at a certified simplex
-    point."""
-    a = np.repeat(rng.normal(size=(12, 3)), 3, axis=1)
-    b = a @ rng.dirichlet(np.ones(9)) if feasible else rng.normal(size=12)
+    """Three copies of each of three columns, two of them off by rounding
+    (a multiply and a divide), tie the gradient within each group up to
+    rounding, and every face holding two copies is singular: a cycling
+    trap for an active-set method.  With no rounding allowance in its
+    stopping rule the minimizer adds and drops a copy until its step cap.
+    It stops within a few face solves, at a certified simplex point."""
     sizes = counting_face_solves(monkeypatch)
-    p, _ = _active_set_minimum(a.T @ a, a.T @ b)
-    assert p.min() >= 0.0
-    assert p.sum() == pytest.approx(1.0, abs=1e-12)
-    residual, gap, _ = _certificate(a, b, p)
-    assert gap <= 1e-12 * max(1.0, residual**2)
-    assert len(sizes) <= 9
+    for _ in range(10):
+        base = rng.normal(size=(12, 3))
+        a = np.hstack([base, (base * 0.1) / 0.1, (base / 3.0) * 3.0])
+        b = a @ rng.dirichlet(np.ones(9)) if feasible else rng.normal(size=12)
+        sizes.clear()
+        p, _ = _active_set_minimum(a.T @ a, a.T @ b)
+        assert p.min() >= 0.0
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        residual, gap, _ = _certificate(a, b, p)
+        assert gap <= 1e-12 * max(1.0, residual**2)
+        assert len(sizes) <= 9
 
 
 C4_KINDS = ["disjoint", "confined", "tiling", "dense"]
@@ -307,9 +312,9 @@ def test_oracle_matches_face_reference_on_generated_instances(rng, monkeypatch, 
 def test_oracle_solves_few_faces(monkeypatch):
     """The minimizer solves a handful of faces per instance, not the 511 of
     the simplex.  On these 40 criterion-4 instances every solve adds a
-    coordinate to the starting vertex and none is dropped: 8 solves reach
-    the full support of a tiling witness or a dense target's minimizer, 2
-    the confined triple."""
+    coordinate to the starting vertex and none is dropped: 8 solves grow
+    the face to all nine coordinates for the disjoint, tiling and dense
+    targets, 2 to the triple of a confined one."""
     rng = np.random.default_rng(4)
     sizes = counting_face_solves(monkeypatch)
     counts = []
