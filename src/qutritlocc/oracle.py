@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import INDEX_ORDER, PAULIS, kron3
+from .pauli import BASIS, INDEX_ORDER, PAULIS, kron3
 from .seeds import SeedParams, build_seed
 from .sep import SepInstance
 
@@ -105,7 +105,7 @@ def _mixing_system(instance: SepInstance) -> tuple[np.ndarray, np.ndarray]:
     Column k of ``A`` is ``kron3`` of the three conjugations ``S_kᴴ H_j S_k``
     of the target Grams, all nine formed by one stacked contraction.
     """
-    s = np.array([PAULIS[k] for k in INDEX_ORDER])[:, None]
+    s = BASIS[:, None]
     conj = s.conj().swapaxes(-1, -2) @ np.array(instance.target_gram.mats) @ s
     d = np.einsum("kab,kcd,kef->acebdfk", conj[:, 0], conj[:, 1], conj[:, 2])
     d = d.reshape(-1, len(INDEX_ORDER))

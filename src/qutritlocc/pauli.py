@@ -8,7 +8,8 @@ states.  The one phase relation the package needs, the conjugation phase
 ``S_l^dag S_k S_l = c S_k``, is computed numerically from the matrices at
 import time into :data:`CONJ_TABLE` and checked against its defining
 identity, together with the orthogonality of the basis; nothing is
-hard-coded.
+hard-coded.  Coordinates in the basis, and the Hermiticity test on them,
+are contractions with the stacked operators :data:`BASIS`.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ Z = np.diag([1.0 + 0j, OMEGA, OMEGA**2])
 
 def pauli_matrix(k: tuple[int, int]) -> np.ndarray:
     """The displacement operator ``X^k1 Z^k2`` as a fresh 3x3 array."""
-    m = np.linalg.matrix_power(X, k[0] % 3) @ np.linalg.matrix_power(Z, k[1] % 3)
-    return np.ascontiguousarray(m)
+    return np.linalg.matrix_power(X, k[0] % 3) @ np.linalg.matrix_power(Z, k[1] % 3)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -75,10 +75,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-#: Cache of all nine operators, keyed by index.  Read-only arrays.
-PAULIS: dict[tuple[int, int], np.ndarray] = {
-    k: _frozen(pauli_matrix(k)) for k in INDEX_ORDER
-}
+#: The nine operators stacked in INDEX_ORDER, shape (9, 3, 3), read-only.
+BASIS = _frozen(np.array([pauli_matrix(k) for k in INDEX_ORDER]))
+
+#: The same operators keyed by index: read-only views into BASIS.
+PAULIS: dict[tuple[int, int], np.ndarray] = dict(zip(INDEX_ORDER, BASIS))
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -91,15 +92,25 @@ def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
+def _coords(m: np.ndarray) -> np.ndarray:
+    """The nine ``tr(S_k^dag m)/3`` of each matrix of a stack ``(..., 3, 3)``.
+
+    Summing over rows, then columns, adds the terms in the order of
+    ``np.trace(S_k^dag @ m)``, so the coefficients are the per-trace ones."""
+    return (BASIS.conj() * np.asarray(m)[..., None, :, :]).sum(axis=-2).sum(axis=-1) / 3.0
+
+
+#: Row k holds the coordinates of ``S_k^dag``, a phase times ``S_{-k}``, so
+#: ``conj(c) @ _ADJOINT`` are the coordinates of ``mᴴ`` when c are m's.
+_ADJOINT = _frozen(_coords(BASIS.conj().transpose(0, 2, 1)))
+
+
 def _conj_table() -> np.ndarray:
-    """``conj[k, l]``: the phase c with ``S_l^dag S_k S_l = c S_k``."""
-    conj = np.zeros((9, 9), dtype=complex)
-    for i, k in enumerate(INDEX_ORDER):
-        sk = PAULIS[k]
-        for j, l in enumerate(INDEX_ORDER):
-            sl = PAULIS[l]
-            conj[i, j] = np.trace(dagger(sk) @ dagger(sl) @ sk @ sl) / 3.0
-    return _frozen(conj)
+    """``conj[k, l] = tr(S_k^dag S_l^dag S_k S_l)/3``: the phase c with
+    ``S_l^dag S_k S_l = c S_k``."""
+    dag = BASIS.conj().transpose(0, 2, 1)
+    products = dag[:, None] @ dag @ BASIS[:, None] @ BASIS
+    return _frozen(np.trace(products, axis1=-2, axis2=-1) / 3.0)
 
 
 #: The conjugation phases as a read-only 9x9 table over INDEX_ORDER:
@@ -114,17 +125,13 @@ CONJ_TABLE = _conj_table()
 def _check_tables() -> None:
     """Assert the conjugation identity and the orthogonality of the basis
     (import-time)."""
-    for i, k in enumerate(INDEX_ORDER):
-        sk = PAULIS[k]
-        for j, l in enumerate(INDEX_ORDER):
-            sl = PAULIS[l]
-            r = np.linalg.norm(dagger(sl) @ sk @ sl - CONJ_TABLE[i, j] * sk)
-            if r > 1e-12:
-                raise RuntimeError(f"conjugation phase identity failed for {k},{l}: {r}")
-            g = np.trace(dagger(sk) @ sl) / 3.0
-            want = 1.0 if i == j else 0.0
-            if abs(g - want) > 1e-12:
-                raise RuntimeError(f"orthogonality failed for {k},{l}: {g}")
+    conjugated = BASIS.conj().transpose(0, 2, 1) @ BASIS[:, None] @ BASIS  # [k, l]: S_lᴴ S_k S_l
+    phase = np.linalg.norm(conjugated - CONJ_TABLE[..., None, None] * BASIS[:, None], axis=(2, 3))
+    overlap = np.abs(_coords(BASIS) - np.eye(9))
+    for name, err in (("conjugation phase identity", phase), ("orthogonality", overlap)):
+        i, j = np.unravel_index(np.argmax(err), err.shape)
+        if err[i, j] > 1e-12:
+            raise RuntimeError(f"{name} failed for {INDEX_ORDER[i]},{INDEX_ORDER[j]}: {err[i, j]}")
 
 
 _check_tables()
@@ -187,24 +194,37 @@ def is_invertible(m: np.ndarray) -> bool:
 # Coordinates in the displacement basis
 # ---------------------------------------------------------------------------
 
-def pauli_coords(m: np.ndarray) -> tuple[complex, np.ndarray]:
-    """Expand a 3x3 matrix in the displacement basis.
+def pauli_coords(m: np.ndarray) -> tuple[complex | np.ndarray, np.ndarray]:
+    """Expand a 3x3 matrix, or a stack ``(..., 3, 3)`` of them, in the
+    displacement basis.
 
     Returns ``(g0, g)`` with ``g0 = tr(m)/3`` and ``g`` the eight
     coefficients ``tr(S_k^dag m)/3`` for nonzero ``k`` in coordinate order,
-    so that ``m = g0 I + sum_k g[k] S_k``.
+    so that ``m = g0 I + sum_k g[k] S_k``; for a stack, one per matrix.
     """
-    g0 = complex(np.trace(m) / 3.0)
-    g = np.array([np.trace(dagger(PAULIS[k]) @ m) / 3.0 for k in COORD_ORDER])
-    return g0, g
+    c = _coords(m)
+    return c[..., 0], c[..., 1:]
 
 
 def from_coords(g0: complex, g: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`pauli_coords`."""
-    m = g0 * np.eye(3, dtype=complex)
-    for i, k in enumerate(COORD_ORDER):
-        m = m + g[i] * PAULIS[k]
-    return m
+    """Inverse of :func:`pauli_coords` for one matrix: ``g0 I + sum_k g_k S_k``,
+    added up in coordinate order."""
+    return (np.concatenate(([g0], g))[:, None, None] * BASIS).sum(axis=0)
+
+
+def coords_are_hermitian(g0: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """:func:`is_hermitian`, one verdict per matrix, from the coordinates
+    ``(g0, g)`` that :func:`pauli_coords` returns.
+
+    The adjoint moves coordinate k to -k, conjugated and times a phase; the
+    basis is orthogonal, so ``c - conj(c) @ _ADJOINT`` and ``c`` have the
+    norms of the skew part and of the matrix, over sqrt(3).  Rows are divided
+    by their largest |entry|, so the test is scale-invariant, and a
+    non-finite row turns to NaN and fails it."""
+    c = np.concatenate((g0[..., None], g), axis=-1)
+    u = c / np.maximum(np.abs(c).max(axis=-1, keepdims=True), 1e-300)
+    skew = u - u.conj() @ _ADJOINT
+    return np.linalg.norm(skew, axis=-1) <= ZERO_TOL * np.linalg.norm(u, axis=-1)
 
 
 # ---------------------------------------------------------------------------

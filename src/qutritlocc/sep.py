@@ -28,7 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import classify_gram
-from .pauli import CONJ_TABLE, INDEX_ORDER, INDEX_POS, PAULIS, ZERO_TOL, dagger, idx_add, idx_neg
+from .pauli import (
+    CONJ_TABLE,
+    INDEX_ORDER,
+    INDEX_POS,
+    ZERO_TOL,
+    from_coords,
+    idx_add,
+    idx_neg,
+    pauli_coords,
+)
 from .seeds import SeedParams
 from .states import (
     GenericState,
@@ -47,17 +56,15 @@ def depolarize(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Average of conjugates ``sum_k p_k S_k^dag h S_k``.
 
     Multiplies displacement coordinate l of ``h`` by the spectrum value
-    ``eta_l`` of ``p``; the uniform distribution therefore projects onto
-    the identity component.
+    ``eta_l`` of ``p`` (``eta_0 = sum(p)``), which is how it is computed;
+    the uniform distribution therefore projects onto the identity component.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (9,):
         raise ValueError(f"expected 9 probabilities, got shape {p.shape}")
-    out = np.zeros((3, 3), dtype=complex)
-    for weight, k in zip(p, INDEX_ORDER):
-        s = PAULIS[k]
-        out += weight * (dagger(s) @ h @ s)
-    return out
+    eta = CONJ_TABLE @ p
+    g0, g = pauli_coords(h)
+    return from_coords(eta[0] * g0, eta[1:] * g)
 
 
 def _triple_uniform(w: Pair) -> np.ndarray:

@@ -15,14 +15,13 @@ import numpy as np
 
 from .pauli import (
     CONJ_TABLE,
-    COORD_ORDER,
     INDEX_ORDER,
     PAULIS,
     ZERO_TOL,
     apply3,
+    coords_are_hermitian,
     dagger,
     frob,
-    idx_neg,
     is_hermitian,
     is_invertible,
     pauli_coords,
@@ -107,17 +106,16 @@ class GramTriple:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        mats = []
-        for i, m in enumerate(self.mats):
-            m = np.asarray(m, dtype=complex)
-            if not is_hermitian(m):
+        mats = np.array(self.mats, dtype=complex)
+        if mats.shape != (3, 3, 3):
+            raise ValueError(f"expected three 3x3 Grams, got shape {mats.shape}")
+        g0, g = pauli_coords(mats)
+        for i, (hermitian, tr) in enumerate(zip(coords_are_hermitian(g0, g), 3.0 * g0.real)):
+            if not hermitian:
                 raise ValueError(f"Gram {i} is not Hermitian")
-            tr = np.trace(m).real
             if abs(tr - 1.0) > ZERO_TOL:
                 raise ValueError(f"Gram {i} is not trace-normalized (trace {tr})")
-            m = m.copy()
-            m.setflags(write=False)
-            mats.append(m)
+        mats.setflags(write=False)
         object.__setattr__(self, "mats", tuple(mats))
         c = np.asarray(self.coords, dtype=complex).copy()
         c.setflags(write=False)
@@ -127,17 +125,12 @@ class GramTriple:
 def gram_triple(m1: np.ndarray, m2: np.ndarray, m3: np.ndarray) -> GramTriple:
     """Build a :class:`GramTriple` from three positive matrices,
     normalizing each to unit trace."""
-    mats = []
-    coords = np.empty((3, 8), dtype=complex)
-    for i, m in enumerate((m1, m2, m3)):
-        m = np.asarray(m, dtype=complex)
-        tr = np.trace(m).real
-        if tr <= 0:
-            raise ValueError(f"Gram {i} has non-positive trace")
-        m = m / tr
-        _, coords[i] = pauli_coords(m)
-        mats.append(m)
-    return GramTriple(tuple(mats), coords)
+    mats = np.array((m1, m2, m3), dtype=complex)
+    traces = np.trace(mats, axis1=1, axis2=2).real
+    if (traces <= 0).any():
+        raise ValueError(f"Gram {np.argmax(traces <= 0)} has non-positive trace")
+    mats /= traces[:, None, None]
+    return GramTriple(tuple(mats), pauli_coords(mats)[1])
 
 
 def gram(state: GenericState) -> GramTriple:
@@ -213,16 +206,6 @@ def span_factor(m: np.ndarray, w: tuple[int, int]) -> np.ndarray:
 # Standard form under the residual symmetry gauge
 # ---------------------------------------------------------------------------
 
-def _in_window(theta: float) -> bool:
-    """Whether an argument lies in the canonical window [-snap, 2pi/3 - snap)."""
-    t = (theta + STD_WINDOW_SNAP) % (2.0 * np.pi)
-    return bool(t < 2.0 * np.pi / 3.0)
-
-
-def _same_line(k1: tuple[int, int], k2: tuple[int, int]) -> bool:
-    return k2 == k1 or k2 == idx_neg(k1)
-
-
 def _lex_key(coords: np.ndarray) -> tuple:
     # Quantized so float noise cannot drive the tie-break: gauges that
     # differ anywhere above the snap are separated by the key, and gauges
@@ -245,21 +228,14 @@ def standardize_coords(coords: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]
     coords = np.asarray(coords, dtype=complex)
     variants = coords[None, :, :] * CONJ_TABLE[1:].T[:, None, :]  # (9, 3, 8)
 
-    fixers: list[tuple[int, int, tuple[int, int]]] = []
-    for party in range(3):
-        for pos in range(8):
-            if abs(coords[party, pos]) > STD_SUPPORT_TOL:
-                k = COORD_ORDER[pos]
-                if not fixers:
-                    fixers.append((party, pos, k))
-                elif len(fixers) == 1 and not _same_line(fixers[0][2], k):
-                    fixers.append((party, pos, k))
-
-    candidates = list(range(9))
-    for party, pos, _ in fixers[:2]:
-        candidates = [
-            li for li in candidates if _in_window(float(np.angle(variants[li, party, pos])))
-        ]
+    # Flat positions over (party, coordinate); negation partners share a
+    # line, and coordinate positions 2j, 2j+1 are partners.
+    support = np.flatnonzero(np.abs(coords) > STD_SUPPORT_TOL)
+    line = support % 8 // 2
+    fixers = np.concatenate((support[:1], support[line != line[:1]][:1]))
+    theta = np.angle(variants.reshape(9, 24)[:, fixers])
+    in_window = (theta + STD_WINDOW_SNAP) % (2.0 * np.pi) < 2.0 * np.pi / 3.0
+    candidates = np.flatnonzero(in_window.all(axis=1))
     best = min(candidates, key=lambda li: _lex_key(variants[li]))
     return variants[best], INDEX_ORDER[best]
 

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,9 +14,11 @@ from qutritlocc.pauli import (
     OMEGA,
     PAIR_REPS,
     PAULIS,
+    ZERO_TOL,
     X,
     Z,
     apply3,
+    coords_are_hermitian,
     dagger,
     from_coords,
     idx_add,
@@ -42,6 +44,18 @@ def table_phase(k, l):
 
 finite_reals = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 real_3x3 = arrays(np.float64, (3, 3), elements=finite_reals)
+scales = st.sampled_from([1.0, 1e-200, 1e200])
+
+
+def ulps(m, n):
+    """``n`` rounding errors at the scale of ``m`` (at least the smallest
+    normal number: dividing a subnormal entry by 3 may round it to zero)."""
+    return n * np.finfo(float).eps * np.abs(m).max() + np.finfo(float).tiny
+
+
+def per_trace_coords(m):
+    """The definition: ``tr(S_kᴴ m)/3`` for every k in INDEX_ORDER."""
+    return np.array([np.trace(dagger(PAULIS[k]) @ m) / 3.0 for k in INDEX_ORDER])
 
 
 def test_canonical_index_order():
@@ -155,12 +169,42 @@ def test_coords_hermitian_pairing(rng):
         assert abs(got - expected) <= 1e-10
 
 
-@settings(max_examples=40, deadline=None)
-@given(re=real_3x3, im=real_3x3)
-def test_coords_round_trip(re, im):
-    m = re + 1j * im
+@settings(max_examples=60)
+@given(re=real_3x3, im=real_3x3, scale=scales)
+def test_coords_round_trip(re, im, scale):
+    m = scale * (re + 1j * im)
+    tol = ulps(m, 16)
     g0, g = pauli_coords(m)
-    np.testing.assert_allclose(from_coords(g0, g), m, atol=1e-10)
+    np.testing.assert_allclose(from_coords(g0, g), m, rtol=0, atol=tol)
+    c0, c = pauli_coords(from_coords(g0, g))
+    np.testing.assert_allclose(c, g, rtol=0, atol=tol)
+    assert abs(c0 - g0) <= tol
+
+
+@settings(max_examples=60)
+@given(re=real_3x3, im=real_3x3, scale=scales)
+def test_coords_match_per_trace_definition(re, im, scale):
+    m = scale * (re + 1j * im)
+    g0, g = pauli_coords(m)
+    tol = ulps(m, 4)
+    np.testing.assert_allclose(np.concatenate(([g0], g)), per_trace_coords(m), rtol=0, atol=tol)
+    # a stack gives each matrix's own coordinates
+    g0s, gs = pauli_coords(np.stack([m.T, m]))
+    assert g0s[1] == g0 and np.array_equal(gs[1], g)
+    np.testing.assert_allclose(gs[0], per_trace_coords(m.T)[1:], rtol=0, atol=tol)
+
+
+@settings(max_examples=60)
+@given(re=real_3x3, im=real_3x3, scale=scales, skew=st.sampled_from([0.0, 1e-11, 1e-7, 1.0]))
+def test_coordinate_hermiticity_agrees_with_is_hermitian(re, im, scale, skew):
+    """The coordinates' negation pairing gives :func:`is_hermitian`'s verdict."""
+    a = re + 1j * im
+    herm, anti = a + dagger(a), skew * (a - dagger(a))
+    ratio = np.linalg.norm(2 * anti) / max(np.linalg.norm(herm + anti), 1e-300)
+    assume(abs(ratio / ZERO_TOL - 1.0) > 1e-6)  # at the cut, rounding decides
+    m = scale * (herm + anti)
+    g0, g = pauli_coords(m)
+    assert bool(coords_are_hermitian(g0, g)) == is_hermitian(m)
 
 
 def test_kron3_diagonal():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qutritlocc import sep as sep_module
 from qutritlocc.generate import KINDS, random_state
@@ -69,6 +70,16 @@ def dense_mat(rng):
 simplex_weights = st.lists(
     st.floats(min_value=1e-3, max_value=1.0), min_size=9, max_size=9
 )
+entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+complex_3x3 = st.tuples(
+    arrays(np.float64, (3, 3), elements=entries), arrays(np.float64, (3, 3), elements=entries)
+).map(lambda t: t[0] + 1j * t[1])
+scales = st.sampled_from([1.0, 1e-200, 1e200])
+
+
+def depolarize_reference(h, p):
+    """The explicit average of conjugates ``sum_k p_k S_kᴴ h S_k``."""
+    return sum(w * (dagger(PAULIS[k]) @ h @ PAULIS[k]) for w, k in zip(p, INDEX_ORDER))
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +163,29 @@ def test_spectrum_is_linear(rng):
         lam * (CONJ_TABLE @ p1) + (1 - lam) * (CONJ_TABLE @ p2),
         atol=1e-14,
     )
+
+
+@settings(max_examples=60)
+@given(h=complex_3x3, weights=simplex_weights, scale=scales)
+def test_depolarize_matches_explicit_average(h, weights, scale):
+    """Also for weights that do not sum to one: the identity component
+    scales by their sum."""
+    h = scale * h
+    p = np.array(weights)
+    tol = 64 * np.finfo(float).eps * np.abs(h).max() * p.sum() + np.finfo(float).tiny
+    np.testing.assert_allclose(depolarize(h, p), depolarize_reference(h, p), rtol=0, atol=tol)
+
+
+@settings(max_examples=40)
+@given(mats=st.lists(complex_3x3, min_size=3, max_size=3), weights=simplex_weights)
+def test_induced_initial_matches_conjugated_grams(mats, weights):
+    final = gram_triple(*(a @ dagger(a) + 0.1 * np.eye(3) for a in mats))
+    p = np.array(weights) / sum(weights)
+    want = gram_triple(*(depolarize_reference(h, p) for h in final.mats))
+    got = induced_initial(final, p)
+    for a, b in zip(got.mats, want.mats):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got.coords, want.coords, rtol=0, atol=1e-15)
 
 
 def test_depolarize_scales_coordinates_by_spectrum(rng):

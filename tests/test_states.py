@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qutritlocc.pauli import INDEX_ORDER, PAULIS, dagger, pauli_coords
+from qutritlocc.pauli import INDEX_ORDER, PAULIS, ZERO_TOL, dagger, pauli_coords
 from qutritlocc.seeds import SeedParams, build_seed
 from qutritlocc.states import (
     GenericState,
@@ -145,6 +145,58 @@ def test_gram_triple_rejects_non_hermitian():
     bad = np.eye(3) + 0.1j * PAULIS[(1, 0)]
     with pytest.raises(ValueError, match="Hermitian"):
         GramTriple((bad / np.trace(bad), np.eye(3) / 3, np.eye(3) / 3), np.zeros((3, 8)))
+
+
+GRAM_SCALES = [1.0, 1e200, 1e-200]
+
+
+def positive_gram(rng):
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    m = a @ dagger(a) + 0.3 * np.eye(3)
+    return m / np.trace(m).real
+
+
+def with_skew_part(rng, m, relative):
+    """``m`` plus a skew-Hermitian part of Frobenius norm ``relative ||m||``."""
+    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    skew = b - dagger(b)
+    return m + relative * np.linalg.norm(m) / np.linalg.norm(skew) * skew
+
+
+@pytest.mark.parametrize("scale", GRAM_SCALES)
+@pytest.mark.parametrize("party", [0, 2])
+def test_gram_triple_rejects_skew_part(rng, scale, party):
+    """A relative skew-Hermitian part of 1e-6 is far above ZERO_TOL at any scale."""
+    mats = [positive_gram(rng) for _ in range(3)]
+    mats[party] = scale * with_skew_part(rng, mats[party], 1e-6)
+    with pytest.raises(ValueError, match=f"Gram {party} is not Hermitian"):
+        gram_triple(*mats)
+
+
+@pytest.mark.parametrize("scale", GRAM_SCALES)
+def test_gram_triple_accepts_hermitian_within_tolerance(rng, scale):
+    mats = [scale * with_skew_part(rng, positive_gram(rng), 0.1 * ZERO_TOL) for _ in range(3)]
+    gt = gram_triple(*mats)
+    for m, c in zip(gt.mats, gt.coords):
+        assert np.trace(m).real == pytest.approx(1.0)
+        np.testing.assert_allclose(c, pauli_coords(m)[1], atol=1e-15)
+
+
+@pytest.mark.parametrize("scale", GRAM_SCALES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
+@pytest.mark.parametrize("entry", [(1, 1), (0, 2)])
+def test_gram_triple_rejects_non_finite(rng, scale, bad, entry):
+    m = scale * positive_gram(rng)
+    m[entry] = bad
+    with pytest.raises(ValueError, match="Gram 1"):
+        gram_triple(np.eye(3), m, np.eye(3))
+
+
+@pytest.mark.parametrize("scale", GRAM_SCALES)
+def test_gram_triple_rejects_non_positive_trace(rng, scale):
+    for m in (-positive_gram(rng), np.diag([1.0, -1.0, 0.0]), np.zeros((3, 3))):
+        with pytest.raises(ValueError, match="Gram 0 has non-positive trace"):
+            gram_triple(scale * m, np.eye(3), np.eye(3))
 
 
 # ---------------------------------------------------------------------------
