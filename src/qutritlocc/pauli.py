@@ -8,8 +8,8 @@ states.  The one phase relation the package needs, the conjugation phase
 ``S_l^dag S_k S_l = c S_k``, is computed numerically from the matrices at
 import time into :data:`CONJ_TABLE` and checked against its defining
 identity, together with the orthogonality of the basis; nothing is
-hard-coded.  Coordinates in the basis, and the Hermiticity test on them,
-are contractions with the stacked operators :data:`BASIS`.
+hard-coded.  Coordinates in the basis are contractions with the stacked
+operators :data:`BASIS`.
 """
 
 from __future__ import annotations
@@ -100,11 +100,6 @@ def _coords(m: np.ndarray) -> np.ndarray:
     return (BASIS.conj() * np.asarray(m)[..., None, :, :]).sum(axis=-2).sum(axis=-1) / 3.0
 
 
-#: Row k holds the coordinates of ``S_k^dag``, a phase times ``S_{-k}``, so
-#: ``conj(c) @ _ADJOINT`` are the coordinates of ``mᴴ`` when c are m's.
-_ADJOINT = _frozen(_coords(BASIS.conj().transpose(0, 2, 1)))
-
-
 def _conj_table() -> np.ndarray:
     """``conj[k, l] = tr(S_k^dag S_l^dag S_k S_l)/3``: the phase c with
     ``S_l^dag S_k S_l = c S_k``."""
@@ -147,15 +142,20 @@ _check_tables()
 ZERO_TOL = 1e-9
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    """Whether ``||m - mᴴ|| <= ZERO_TOL ||m||`` (Frobenius), scale-invariantly
-    like :func:`is_invertible`.  Non-finite matrices are not Hermitian."""
-    m = scaled_into_range(m)
-    norm2 = abs(np.vdot(m, m))
-    if not math.isfinite(norm2):
-        return False
-    skew = m - dagger(m)
-    return bool(abs(np.vdot(skew, skew)) <= ZERO_TOL**2 * norm2)
+def is_hermitian(m: np.ndarray) -> bool | np.ndarray:
+    """Whether ``||m - mᴴ|| <= ZERO_TOL ||m||`` (Frobenius), for one matrix
+    or for each matrix of a stack ``(..., n, n)``.
+
+    Each nonzero matrix is divided by its largest |entry| first, so the test
+    is scale-invariant like :func:`is_invertible`; a non-finite matrix turns
+    to NaN there and is not Hermitian."""
+    m = np.asarray(m)
+    with np.errstate(invalid="ignore"):
+        u = m / np.maximum(np.abs(m).max(axis=(-2, -1), keepdims=True), np.finfo(float).tiny)
+    skew = u - np.swapaxes(u, -2, -1).conj()
+    norm2 = lambda a: (a * a.conj()).real.sum(axis=(-2, -1))
+    verdict = norm2(skew) <= ZERO_TOL**2 * norm2(u)
+    return verdict if verdict.ndim else bool(verdict)
 
 
 def scaled_into_range(m: np.ndarray) -> np.ndarray:
@@ -200,9 +200,12 @@ def pauli_coords(m: np.ndarray) -> tuple[complex | np.ndarray, np.ndarray]:
 
     Returns ``(g0, g)`` with ``g0 = tr(m)/3`` and ``g`` the eight
     coefficients ``tr(S_k^dag m)/3`` for nonzero ``k`` in coordinate order,
-    so that ``m = g0 I + sum_k g[k] S_k``; for a stack, one per matrix.
+    so that ``m = g0 I + sum_k g[k] S_k``.  For a stack, ``g0`` and ``g``
+    hold one entry and one row per matrix.
     """
     c = _coords(m)
+    if c.ndim == 1:
+        return complex(c[0]), c[1:]
     return c[..., 0], c[..., 1:]
 
 
@@ -210,21 +213,6 @@ def from_coords(g0: complex, g: np.ndarray) -> np.ndarray:
     """Inverse of :func:`pauli_coords` for one matrix: ``g0 I + sum_k g_k S_k``,
     added up in coordinate order."""
     return (np.concatenate(([g0], g))[:, None, None] * BASIS).sum(axis=0)
-
-
-def coords_are_hermitian(g0: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """:func:`is_hermitian`, one verdict per matrix, from the coordinates
-    ``(g0, g)`` that :func:`pauli_coords` returns.
-
-    The adjoint moves coordinate k to -k, conjugated and times a phase; the
-    basis is orthogonal, so ``c - conj(c) @ _ADJOINT`` and ``c`` have the
-    norms of the skew part and of the matrix, over sqrt(3).  Rows are divided
-    by their largest |entry|, so the test is scale-invariant, and a
-    non-finite row turns to NaN and fails it."""
-    c = np.concatenate((g0[..., None], g), axis=-1)
-    u = c / np.maximum(np.abs(c).max(axis=-1, keepdims=True), 1e-300)
-    skew = u - u.conj() @ _ADJOINT
-    return np.linalg.norm(skew, axis=-1) <= ZERO_TOL * np.linalg.norm(u, axis=-1)
 
 
 # ---------------------------------------------------------------------------

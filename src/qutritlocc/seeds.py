@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import BASIS, INDEX_ORDER, OMEGA, ZERO_TOL, apply3, pauli_coords
+from .pauli import INDEX_ORDER, OMEGA, PAULIS, ZERO_TOL, apply3
 
 #: Genericity margin: every scale-normalized exclusion polynomial must
 #: exceed this in absolute value.
@@ -186,8 +186,10 @@ def verify_symmetries(params: SeedParams) -> float:
     scale = np.linalg.norm(psi)
     if scale == 0:
         raise ValueError("seed parameters must not all vanish")
-    moved = np.einsum("kai,kbj,kcl,ijl->kabc", BASIS, BASIS, BASIS, psi.reshape(3, 3, 3))
-    worst = float(np.linalg.norm(moved.reshape(9, 27) - psi, axis=1).max()) / scale
+    worst = 0.0
+    for k in INDEX_ORDER:
+        s = PAULIS[k]
+        worst = max(worst, float(np.linalg.norm(apply3(s, s, s, psi) - psi)) / scale)
     if worst > 1e-8:
         raise SymmetryCheckError(f"symmetry residual {worst:.3e} is far above float noise")
     return worst
@@ -327,9 +329,11 @@ def _pauli_match(m: np.ndarray) -> tuple[int, int] | None:
     nm = np.linalg.norm(m)
     if nm == 0:
         return None
-    overlaps = np.sqrt(3.0) * np.abs(np.append(*pauli_coords(m))) / nm
-    hits = np.flatnonzero(overlaps >= 1.0 - 1e-8)
-    return INDEX_ORDER[hits[0]] if hits.size else None
+    for k in INDEX_ORDER:
+        ov = abs(np.vdot(PAULIS[k], m)) / (np.sqrt(3.0) * nm)
+        if ov >= 1.0 - 1e-8:
+            return k
+    return None
 
 
 def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> AuditReport:

@@ -19,7 +19,6 @@ from .pauli import (
     PAULIS,
     ZERO_TOL,
     apply3,
-    coords_are_hermitian,
     dagger,
     frob,
     is_hermitian,
@@ -109,8 +108,8 @@ class GramTriple:
         mats = np.array(self.mats, dtype=complex)
         if mats.shape != (3, 3, 3):
             raise ValueError(f"expected three 3x3 Grams, got shape {mats.shape}")
-        g0, g = pauli_coords(mats)
-        for i, (hermitian, tr) in enumerate(zip(coords_are_hermitian(g0, g), 3.0 * g0.real)):
+        traces = np.trace(mats, axis1=1, axis2=2).real
+        for i, (hermitian, tr) in enumerate(zip(is_hermitian(mats), traces)):
             if not hermitian:
                 raise ValueError(f"Gram {i} is not Hermitian")
             if abs(tr - 1.0) > ZERO_TOL:
@@ -129,8 +128,10 @@ def gram_triple(m1: np.ndarray, m2: np.ndarray, m3: np.ndarray) -> GramTriple:
     traces = np.trace(mats, axis1=1, axis2=2).real
     if (traces <= 0).any():
         raise ValueError(f"Gram {np.argmax(traces <= 0)} has non-positive trace")
-    mats /= traces[:, None, None]
-    return GramTriple(tuple(mats), pauli_coords(mats)[1])
+    with np.errstate(invalid="ignore"):  # non-finite Grams: GramTriple rejects them
+        mats /= traces[:, None, None]
+        coords = pauli_coords(mats)[1]
+    return GramTriple(tuple(mats), coords)
 
 
 def gram(state: GenericState) -> GramTriple:

@@ -18,7 +18,6 @@ from qutritlocc.pauli import (
     X,
     Z,
     apply3,
-    coords_are_hermitian,
     dagger,
     from_coords,
     idx_add,
@@ -186,6 +185,7 @@ def test_coords_round_trip(re, im, scale):
 def test_coords_match_per_trace_definition(re, im, scale):
     m = scale * (re + 1j * im)
     g0, g = pauli_coords(m)
+    assert isinstance(g0, complex)
     tol = ulps(m, 4)
     np.testing.assert_allclose(np.concatenate(([g0], g)), per_trace_coords(m), rtol=0, atol=tol)
     # a stack gives each matrix's own coordinates
@@ -195,16 +195,22 @@ def test_coords_match_per_trace_definition(re, im, scale):
 
 
 @settings(max_examples=60)
-@given(re=real_3x3, im=real_3x3, scale=scales, skew=st.sampled_from([0.0, 1e-11, 1e-7, 1.0]))
-def test_coordinate_hermiticity_agrees_with_is_hermitian(re, im, scale, skew):
-    """The coordinates' negation pairing gives :func:`is_hermitian`'s verdict."""
+@given(re=real_3x3, im=real_3x3, skew=st.sampled_from([0.0, 1e-11, 1e-7, 1.0]))
+def test_is_hermitian_of_a_stack_is_per_matrix(re, im, skew):
+    """A stack gets each matrix's own verdict, whatever the scales and the
+    entries of the others, and a matrix's verdict is the same at every scale."""
     a = re + 1j * im
     herm, anti = a + dagger(a), skew * (a - dagger(a))
-    ratio = np.linalg.norm(2 * anti) / max(np.linalg.norm(herm + anti), 1e-300)
+    m = herm + anti
+    ratio = np.linalg.norm(2 * anti) / max(np.linalg.norm(m), 1e-300)
     assume(abs(ratio / ZERO_TOL - 1.0) > 1e-6)  # at the cut, rounding decides
-    m = scale * (herm + anti)
-    g0, g = pauli_coords(m)
-    assert bool(coords_are_hermitian(g0, g)) == is_hermitian(m)
+    bad = m.copy()
+    bad[0, 1] = np.nan
+    stack = np.stack([1e200 * m, m, 1e-200 * m, bad, np.zeros((3, 3))])
+    verdicts = is_hermitian(stack)
+    assert verdicts.shape == (5,)
+    assert list(verdicts) == [is_hermitian(x) for x in stack]
+    assert list(verdicts) == [bool(ratio <= ZERO_TOL)] * 3 + [False, True]
 
 
 def test_kron3_diagonal():

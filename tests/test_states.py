@@ -173,6 +173,20 @@ def test_gram_triple_rejects_skew_part(rng, scale, party):
         gram_triple(*mats)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_gram_triple_tests_hermiticity_at_the_given_scale(rng, scale):
+    """Built directly, a triple tests Hermiticity on its matrices as given,
+    before their traces: a relative skew part of 1e-6 is rejected at any
+    scale, and a Hermitian matrix passes on to the trace check."""
+    unit = positive_gram(rng)
+    skewed = scale * with_skew_part(rng, positive_gram(rng), 1e-6)
+    herm = scale * with_skew_part(rng, positive_gram(rng), 0.1 * ZERO_TOL)
+    with pytest.raises(ValueError, match="Gram 1 is not Hermitian"):
+        GramTriple((unit, skewed, unit), np.zeros((3, 8)))
+    with pytest.raises(ValueError, match="Gram 1 is not trace-normalized"):
+        GramTriple((unit, herm, unit), np.zeros((3, 8)))
+
+
 @pytest.mark.parametrize("scale", GRAM_SCALES)
 def test_gram_triple_accepts_hermitian_within_tolerance(rng, scale):
     mats = [scale * with_skew_part(rng, positive_gram(rng), 0.1 * ZERO_TOL) for _ in range(3)]
