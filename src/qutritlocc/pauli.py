@@ -83,8 +83,8 @@ PAULIS: dict[tuple[int, int], np.ndarray] = dict(zip(INDEX_ORDER, BASIS))
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def frob(m: np.ndarray) -> float:

@@ -27,16 +27,16 @@ import numpy as np
 
 from .classify import classify_gram
 from .pauli import (
+    BASIS,
     COORD_ORDER,
     INDEX_ORDER,
+    INDEX_POS,
     PAIR_REPS,
     PAULIS,
     ZERO_TOL,
-    apply3,
     dagger,
     from_coords,
     idx_neg,
-    kron3,
     pauli_coords,
     scaled_into_range,
 )
@@ -144,79 +144,93 @@ class BranchReport:
 # Validation and simulation
 # ---------------------------------------------------------------------------
 
+def _stacked_factors(kraus: KrausSet) -> np.ndarray:
+    """The elements' factors as one ``(elements, party, 3, 3)`` array."""
+    return np.array([el.factors for el in kraus.elements], dtype=complex).reshape(-1, 3, 3, 3)
+
+
 def validate_povm(obj: KrausSet | LoccRound | LoccProtocol) -> float:
     """Completeness residual: Frobenius distance of sum M^dag M from the
-    identity (27-dim for Kraus sets, 3-dim per round for protocols)."""
+    identity (27-dim for Kraus sets, 3-dim per round for protocols).
+
+    A protocol without rounds leaves the identity and is complete (0.0).
+    A non-finite sum gives ``inf``, so no tolerance test can pass it.
+    """
     if isinstance(obj, KrausSet):
-        total = np.zeros((27, 27), dtype=complex)
-        for el in obj.elements:
-            total += kron3(*(dagger(f) @ f for f in el.factors))
-        return float(np.linalg.norm(total - np.eye(27)))
-    if isinstance(obj, LoccRound):
-        total3 = sum(dagger(m) @ m for _, m in obj.povm)
-        return float(np.linalg.norm(total3 - np.eye(3)))
-    if isinstance(obj, LoccProtocol):
-        return max(validate_povm(r) for r in obj.rounds)
-    raise TypeError(f"cannot validate {type(obj).__name__}")
+        f = _stacked_factors(obj)
+        g = dagger(f) @ f
+        total = np.einsum("nai,nbj,nck->abcijk", g[:, 0], g[:, 1], g[:, 2]).reshape(27, 27)
+    elif isinstance(obj, LoccRound):
+        m = np.array([op for _, op in obj.povm], dtype=complex).reshape(-1, 3, 3)
+        total = (dagger(m) @ m).sum(axis=0)
+    elif isinstance(obj, LoccProtocol):
+        return max((validate_povm(r) for r in obj.rounds), default=0.0)
+    else:
+        raise TypeError(f"cannot validate {type(obj).__name__}")
+    residual = float(np.linalg.norm(total - np.eye(len(total))))
+    return residual if np.isfinite(residual) else np.inf
 
 
-def _branch_vectors(obj: KrausSet | LoccProtocol, v0: np.ndarray):
-    eye = np.eye(3, dtype=complex)
-    if isinstance(obj, KrausSet):
-        return [((el.label,), apply3(*el.factors, v0)) for el in obj.elements]
-    branches = [((), v0)]
-    for rnd in obj.rounds:
-        nxt = []
-        for labels, v in branches:
-            for (label, m), corr in zip(rnd.povm, rnd.corrections):
-                ops = [eye, eye, eye]
-                ops[rnd.party] = m
-                for party, u in corr:
-                    ops[party] = u
-                nxt.append((labels + (label,), apply3(*ops, v)))
-        branches = nxt
-    return branches
+def _round_operators(rnd: LoccRound) -> np.ndarray:
+    """Each outcome's three local operators, ``(outcomes, party, 3, 3)``:
+    the measurement at the measuring party, the corrections at theirs and
+    the identity elsewhere."""
+    ops = np.tile(np.eye(3, dtype=complex), (len(rnd.povm), 3, 1, 1))
+    for out, ((_, m), corr) in zip(ops, zip(rnd.povm, rnd.corrections)):
+        out[rnd.party] = m
+        for party, u in corr:
+            out[party] = u
+    return ops
 
 
 def simulate_branches(obj: KrausSet | LoccProtocol) -> BranchReport:
     """Run every branch on the normalized initial state and compare each
     to the target ray within :data:`BRANCH_MATCH_TOL`.
 
+    All branches are applied at once: a Kraus set's in one contraction,
+    a protocol's round by round, each round on the stacked vectors of the
+    one before (branch order: earlier rounds' outcomes vary slowest).
     Zero-probability branches are reported, marked vacuous, and do not
-    count against the match verdict.  Both declared states are assembled
-    as rays (:func:`~qutritlocc.states.assemble`), so their norms cannot
-    overflow.
+    count against the match verdict.  A branch with a non-finite vector
+    is unmatched, with residual ``inf``.  Both declared states are
+    assembled as rays (:func:`~qutritlocc.states.assemble`), so their
+    norms cannot overflow.
     """
     v0 = assemble(obj.initial)
-    v0 = v0 / np.linalg.norm(v0)
-    target_vec = assemble(obj.target)
+    v0 = (v0 / np.linalg.norm(v0)).reshape(1, 3, 3, 3)
+    if isinstance(obj, KrausSet):
+        labels = [(el.label,) for el in obj.elements]
+        f = _stacked_factors(obj)
+        vectors = np.einsum("nai,nbj,nck,ijk->nabc", f[:, 0], f[:, 1], f[:, 2], v0[0])
+    else:
+        labels = [()]
+        vectors = v0
+        for rnd in obj.rounds:
+            ops = _round_operators(rnd)
+            vectors = np.einsum(
+                "oai,obj,ock,nijk->noabc", ops[:, 0], ops[:, 1], ops[:, 2], vectors
+            ).reshape(-1, 3, 3, 3)
+            labels = [prev + (label,) for prev in labels for label, _ in rnd.povm]
+    vectors = vectors.reshape(-1, 27)
 
-    records = []
-    total = 0.0
-    worst = 0.0
-    for labels, v in _branch_vectors(obj, v0):
-        prob = float(np.vdot(v, v).real)
-        total += prob
-        vacuous = prob <= VACUOUS_PROB
-        if vacuous:
-            residual = 0.0
-        else:
-            residual = ray_distance(v, target_vec)
-            worst = max(worst, residual)
-        records.append(
-            BranchRecord(
-                labels=labels,
-                probability=prob,
-                residual=residual,
-                vacuous=vacuous,
-                matched=vacuous or residual <= BRANCH_MATCH_TOL,
-            )
+    prob = np.einsum("ni,ni->n", vectors.conj(), vectors).real
+    finite = np.isfinite(prob)
+    vacuous = finite & (prob <= VACUOUS_PROB)
+    live = finite & ~vacuous
+    residual = np.where(finite, 0.0, np.inf)
+    residual[live] = ray_distance(vectors[live], assemble(obj.target))
+    matched = vacuous | (residual <= BRANCH_MATCH_TOL)
+    records = tuple(
+        BranchRecord(labels=lab, probability=p, residual=r, vacuous=v, matched=m)
+        for lab, p, r, v, m in zip(
+            labels, prob.tolist(), residual.tolist(), vacuous.tolist(), matched.tolist()
         )
+    )
     return BranchReport(
-        branches=tuple(records),
-        probability_sum=total,
-        max_residual=worst,
-        all_matched=all(r.matched for r in records),
+        branches=records,
+        probability_sum=float(prob.sum()),
+        max_residual=float(residual.max(initial=0.0)),
+        all_matched=bool(matched.all()),
     )
 
 
@@ -229,28 +243,28 @@ def _branches(
 ) -> tuple[KrausElement, ...]:
     """Branch operators ``h_i S_k g_i^{-1}`` from initial factors g to
     target factors h, one per label of ``weights`` in its order, with
-    ``sqrt(p_k)`` on ``party``'s factor."""
-    ginvs = [np.linalg.inv(g) for g in initial_factors]
-    elements = []
-    for k, weight in weights.items():
-        factors = [h @ PAULIS[k] @ ginv for h, ginv in zip(target_factors, ginvs)]
-        factors[party] = np.sqrt(max(weight, 0.0)) * factors[party]
-        elements.append(KrausElement(label=k, factors=tuple(factors)))
-    return tuple(elements)
+    ``sqrt(p_k)`` on ``party``'s factor.  Each party's factors for all
+    labels are one stacked product."""
+    labels = tuple(weights)
+    s = BASIS[[INDEX_POS[k] for k in labels]]
+    ginvs = np.linalg.inv(np.array(initial_factors, dtype=complex))
+    factors = np.array(target_factors, dtype=complex)[:, None] @ s @ ginvs[:, None]
+    factors[party] *= np.sqrt([max(w, 0.0) for w in weights.values()])[:, None, None]
+    return tuple(
+        KrausElement(label=k, factors=tuple(factors[:, n])) for n, k in enumerate(labels)
+    )
 
 
 def _round(parties: tuple[int, int, int], elements) -> LoccRound:
     """One local round from a Kraus set: ``parties[0]`` measures its
     factors, ``parties[1:]`` apply theirs, in that order, as corrections."""
     party, others = parties[0], parties[1:]
-    for el in elements:
-        for c in others:
-            u = el.factors[c]
-            if np.linalg.norm(dagger(u) @ u - np.eye(3)) > 1e-8:
-                raise ProtocolError(
-                    "correction operator is not unitary; the requested factors "
-                    "do not fit this construction"
-                )
+    u = np.array([[el.factors[c] for c in others] for el in elements], dtype=complex)
+    if not np.all(np.linalg.norm(dagger(u) @ u - np.eye(3), axis=(-2, -1)) <= 1e-8):
+        raise ProtocolError(
+            "correction operator is not unitary; the requested factors "
+            "do not fit this construction"
+        )
     return LoccRound(
         party=party,
         povm=tuple((el.label, el.factors[party]) for el in elements),

@@ -2,12 +2,13 @@
 
 The on-disk format is deliberately dumb: schema version ``"1"``, complex
 numbers as two-element ``[re, im]`` arrays, matrices as row-major nested
-lists.  Parsing is strict — anything malformed raises :class:`SchemaError`
-naming the offending field's path.
+lists.  Parsing is strict — anything malformed, a non-finite number
+included, raises :class:`SchemaError` naming the offending field's path.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 from pathlib import Path
 from typing import Any
@@ -38,7 +39,7 @@ def _num(z: complex) -> list[float]:
 
 
 def _mat(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_num(z) for z in row] for row in np.asarray(m)]
+    return np.ascontiguousarray(m, dtype=complex).view(float).reshape(3, 3, 2).tolist()
 
 
 def seed_to_json(seed: SeedParams) -> dict[str, Any]:
@@ -106,28 +107,48 @@ def _get(obj: dict, path: str, key: str) -> Any:
     return obj[key]
 
 
-def _parse_num(value: Any, path: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+class _EntryError(ValueError):
+    """A complex entry is malformed; the caller adds the entry's path."""
+
+
+def _complex(value: Any) -> complex:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise _EntryError("expected a [re, im] pair of numbers")
+    re, im = value
+    if not (
+        (isinstance(re, float) or isinstance(re, int) and not isinstance(re, bool))
+        and (isinstance(im, float) or isinstance(im, int) and not isinstance(im, bool))
     ):
-        raise SchemaError(path, "expected a [re, im] pair of numbers")
+        raise _EntryError("expected a [re, im] pair of numbers")
     try:
-        return complex(value[0], value[1])
+        z = complex(re, im)
     except OverflowError as exc:
-        raise SchemaError(path, "non-finite number: an integer overflows a float") from exc
+        raise _EntryError("non-finite number: an integer overflows a float") from exc
+    if not cmath.isfinite(z):
+        raise _EntryError(f"non-finite number {value!r} is not allowed")
+    return z
+
+
+def _parse_num(value: Any, path: str) -> complex:
+    try:
+        return _complex(value)
+    except _EntryError as exc:
+        raise SchemaError(path, str(exc)) from exc
 
 
 def _parse_mat(value: Any, path: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != 3:
         raise SchemaError(path, "expected a 3x3 matrix as three rows")
-    rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != 3:
-            raise SchemaError(f"{path}[{i}]", "expected a row of three entries")
-        rows.append([_parse_num(z, f"{path}[{i}][{j}]") for j, z in enumerate(row)])
-    return np.array(rows, dtype=complex)
+    entries = []
+    try:
+        for i, row in enumerate(value):
+            if not isinstance(row, list) or len(row) != 3:
+                raise SchemaError(f"{path}[{i}]", "expected a row of three entries")
+            for j, z in enumerate(row):
+                entries.append(_complex(z))
+    except _EntryError as exc:
+        raise SchemaError(f"{path}[{i}][{j}]", str(exc)) from exc
+    return np.array(entries, dtype=complex).reshape(3, 3)
 
 
 def _parse_label(value: Any, path: str) -> tuple[int, int]:

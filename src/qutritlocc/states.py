@@ -325,18 +325,22 @@ def permute_vector(v: np.ndarray, perm: tuple[int, int, int]) -> np.ndarray:
     return np.transpose(t, perm).reshape(27)
 
 
-def ray_distance(v1: np.ndarray, v2: np.ndarray) -> float:
+def ray_distance(v1: np.ndarray, v2: np.ndarray) -> float | np.ndarray:
     """Distance between the rays of two vectors: ``min_phase ||v1' - e^{i t} v2'||``
     over normalized representatives.  Zero iff the vectors are proportional.
+    ``v1`` may also be a stack of vectors ``(n, d)``; then the result is the
+    array of each row's distance to ``v2``.
 
     Computed as an explicit phase-aligned difference; the closed form
     ``sqrt(2 - 2|<v1, v2>|)`` loses half the significant digits to
     cancellation precisely in the near-match regime that matters here.
     """
-    n1, n2 = np.linalg.norm(v1), np.linalg.norm(v2)
-    if n1 == 0 or n2 == 0:
+    n1, n2 = np.linalg.norm(v1, axis=-1)[..., None], np.linalg.norm(v2)
+    if n2 == 0 or np.any(n1 == 0):
         raise ValueError("ray distance of a zero vector is undefined")
     u1, u2 = v1 / n1, v2 / n2
-    overlap = np.vdot(u2, u1)
-    phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
-    return float(np.linalg.norm(u1 - phase * u2))
+    overlap = u1 @ u2.conj()
+    size = np.abs(overlap)
+    phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)
+    distance = np.linalg.norm(u1 - phase[..., None] * u2, axis=-1)
+    return float(distance) if distance.ndim == 0 else distance

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qutritlocc.protocols import (
     BRANCH_MATCH_TOL,
     POVM_TOL,
     POS_MARGIN,
+    VACUOUS_PROB,
     KrausSet,
     LoccProtocol,
     ProtocolError,
@@ -23,6 +25,7 @@ from qutritlocc.protocols import (
 from qutritlocc.sep import gram_instance, sep_feasible
 from qutritlocc.states import (
     GenericState,
+    assemble,
     gram,
     lu_equivalent,
     positive_factor,
@@ -139,6 +142,10 @@ def scaled_state(params, factors, scale):
     return GenericState(params, tuple(scale * np.asarray(f, dtype=complex) for f in factors))
 
 
+def build_confined(params, rng, scale):
+    return sep_map_confined(scale * dense_factor(rng), (1, 1), params)
+
+
 def build_disjoint(params, rng, scale):
     h1 = positive_factor(pair_mat((1, 0)))
     h2 = positive_factor(pair_mat((0, 1), 0.06))
@@ -180,6 +187,7 @@ def build_convert_step(params, rng, scale):
 
 
 SCALED_BUILDS = {
+    "sep-confined": build_confined,
     "sep-disjoint": build_disjoint,
     "sep-witness": build_witness,
     "locc-one-round": build_one_round,
@@ -200,6 +208,75 @@ def test_construction_is_scale_invariant(params, construction, scale):
     assert obj.construction == construction
     assert simulate_branches(obj).all_matched
     assert lu_equivalent(obj.target, build(params, np.random.default_rng(0), 1.0).target)
+
+
+def kron_reference(obj):
+    """Completeness residual and every branch's (labels, probability,
+    residual, vacuous, matched), from full 27x27 branch operators built one
+    ``np.kron`` at a time and applied branch by branch."""
+    eye = np.eye(3, dtype=complex)
+
+    def kron3(a, b, c):
+        return np.kron(np.kron(a, b), c)
+
+    if isinstance(obj, KrausSet):
+        total = sum(kron3(*(dagger(f) @ f for f in el.factors)) for el in obj.elements)
+        completeness = float(np.linalg.norm(total - np.eye(27)))
+        branches = [((el.label,), kron3(*el.factors)) for el in obj.elements]
+    else:
+        completeness = max(
+            (
+                float(np.linalg.norm(sum(dagger(m) @ m for _, m in rnd.povm) - eye))
+                for rnd in obj.rounds
+            ),
+            default=0.0,
+        )
+        branches = [((), np.eye(27, dtype=complex))]
+        for rnd in obj.rounds:
+            nxt = []
+            for labels, op in branches:
+                for (label, m), corr in zip(rnd.povm, rnd.corrections):
+                    step = [eye, eye, eye]
+                    step[rnd.party] = m
+                    for party, u in corr:
+                        step[party] = u
+                    nxt.append((labels + (label,), kron3(*step) @ op))
+            branches = nxt
+    v0 = assemble(obj.initial)
+    v0 = v0 / np.linalg.norm(v0)
+    t = assemble(obj.target)
+    t = t / np.linalg.norm(t)
+    records = []
+    for labels, op in branches:
+        v = op @ v0
+        prob = float(np.vdot(v, v).real)
+        vacuous = prob <= VACUOUS_PROB
+        residual = 0.0
+        if not vacuous:
+            u = v / np.linalg.norm(v)
+            overlap = np.vdot(t, u)
+            residual = float(np.linalg.norm(u - overlap / abs(overlap) * t))
+        records.append((labels, prob, residual, vacuous, vacuous or residual <= BRANCH_MATCH_TOL))
+    return completeness, records
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+@pytest.mark.parametrize("construction", list(SCALED_BUILDS))
+def test_stacked_kernels_match_the_kron_reference(params, construction, scale):
+    """The stacked completeness sum and branch simulation agree with full
+    Kronecker operators applied one branch at a time, on every
+    construction and with the inputs scaled by 1e+-200."""
+    obj = SCALED_BUILDS[construction](params, np.random.default_rng(0), scale)
+    completeness, records = kron_reference(obj)
+    assert abs(validate_povm(obj) - completeness) <= 1e-14
+    report = simulate_branches(obj)
+    assert [b.labels for b in report.branches] == [r[0] for r in records]
+    assert [b.vacuous for b in report.branches] == [r[3] for r in records]
+    assert [b.matched for b in report.branches] == [r[4] for r in records]
+    for b, (_, prob, residual, _, _) in zip(report.branches, records):
+        assert abs(b.probability - prob) <= 1e-14
+        assert abs(b.residual - residual) <= 1e-14
+    assert abs(report.probability_sum - sum(r[1] for r in records)) <= 1e-14
 
 
 def test_confined_map_with_occupied_partners(params, rng):
@@ -300,6 +377,56 @@ def test_validate_povm_detects_rescaled_element(params):
     )
     broken = dataclasses.replace(kraus, elements=(scaled,) + kraus.elements[1:])
     assert validate_povm(broken) > 1e-3
+
+
+def test_validate_povm_of_empty_inputs(params, rng):
+    """No element leaves the 27-dim identity unmatched; no round leaves the
+    identity in place, which is complete."""
+    kraus = sep_map_disjoint(np.eye(3), np.eye(3), params)
+    assert validate_povm(dataclasses.replace(kraus, elements=())) == np.sqrt(27.0)
+    proto = build_one_round(params, rng, 1.0)
+    assert validate_povm(dataclasses.replace(proto, rounds=())) == 0.0
+
+
+def test_witness_map_rejects_a_nan_weight(params):
+    """A NaN completeness residual must fail the gate, not pass it."""
+    tiling = (
+        positive_factor(two_pair_mat((1, 0), (0, 1))),
+        positive_factor(two_pair_mat((1, 1), (1, 2))),
+        np.eye(3),
+    )
+    target = GenericState(params, tiling)
+    dec = sep_feasible(gram_instance(params, seed_gram(), gram(target)))
+    w = np.array(dec.witness, dtype=float)
+    w[0] = np.nan
+    source = GenericState(params, (np.eye(3),) * 3)
+    with pytest.raises(ProtocolError) as err:
+        sep_map_from_witness(source, target, w)
+    assert err.value.residual == np.inf
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_branch_is_unmatched_without_warnings(params, bad):
+    kraus = sep_map_disjoint(
+        positive_factor(pair_mat((1, 0))), positive_factor(pair_mat((0, 1))), params
+    )
+    first = kraus.elements[0]
+    f = first.factors[0].copy()
+    f[0, 0] = bad
+    broken = dataclasses.replace(
+        kraus,
+        elements=(dataclasses.replace(first, factors=(f,) + first.factors[1:]),)
+        + kraus.elements[1:],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = simulate_branches(broken)
+    assert not report.branches[0].matched
+    assert not report.branches[0].vacuous
+    assert report.branches[0].residual == np.inf
+    assert all(b.matched for b in report.branches[1:])
+    assert not report.all_matched
+    assert report.max_residual == np.inf
 
 
 # ---------------------------------------------------------------------------

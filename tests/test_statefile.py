@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from qutritlocc import statefile
 from qutritlocc.protocols import (
     KrausSet,
     LoccProtocol,
@@ -196,6 +198,56 @@ def test_non_finite_numbers_are_rejected(tmp_path, state, literal):
     path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
     with pytest.raises(SchemaError, match="non-finite"):
         load_state(path)
+
+
+@pytest.mark.parametrize(
+    "bad, part",
+    [(float("nan"), 0), (float("inf"), 1), (float("-inf"), 0)],
+    ids=["nan", "inf", "minus-inf"],
+)
+def test_non_finite_entry_of_a_parsed_document_names_its_path(params, rng, bad, part):
+    """Python's json module reads NaN and Infinity, so the decoder itself
+    must reject them, not only read_json."""
+    target = GenericState(
+        params, (rng.normal(size=(3, 3)) + 3 * np.eye(3), np.eye(3), np.eye(3))
+    )
+    doc = protocol_to_json(locc_reach_protocol(target))
+    doc["rounds"][0]["outcomes"][0]["operator"][0][0][part] = bad
+    with pytest.raises(SchemaError, match="non-finite") as err:
+        protocol_from_json(json.loads(json.dumps(doc)))
+    assert err.value.path == "$.rounds[0].outcomes[0].operator[0][0]"
+
+
+def reference_mat(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def test_protocol_json_matches_the_entrywise_encoder(monkeypatch, params, rng):
+    """Every matrix encodes to the same bytes as an entry-by-entry
+    ``[re, im]`` encoder, signed zeros, subnormals and extremes included."""
+    special = np.array([[-0.0, 5e-324, 1e308], [-1e-300, 1 / 3, -2.5], [0.1, -0.0, 7.0]])
+    kraus = sep_map_disjoint(
+        positive_factor(pair_mat((1, 0))), positive_factor(pair_mat((0, 1))), params
+    )
+    first = kraus.elements[0]
+    odd = dataclasses.replace(
+        kraus,
+        elements=(
+            dataclasses.replace(
+                first, factors=(special + 1j * special.T, special, first.factors[2])
+            ),
+        )
+        + kraus.elements[1:],
+    )
+    target = GenericState(
+        params, (rng.normal(size=(3, 3)) + 3 * np.eye(3), np.eye(3), np.eye(3))
+    )
+    for obj in (kraus, odd, locc_reach_protocol(target)):
+        got = json.dumps(protocol_to_json(obj))
+        with monkeypatch.context() as patch:
+            patch.setattr(statefile, "_mat", reference_mat)
+            want = json.dumps(protocol_to_json(obj))
+        assert got == want
 
 
 def test_unreadable_and_invalid_files(tmp_path):
