@@ -175,7 +175,8 @@ def _round_operators(rnd: LoccRound) -> np.ndarray:
     """Each outcome's three local operators, ``(outcomes, party, 3, 3)``:
     the measurement at the measuring party, the corrections at theirs and
     the identity elsewhere."""
-    ops = np.tile(np.eye(3, dtype=complex), (len(rnd.povm), 3, 1, 1))
+    ops = np.empty((len(rnd.povm), 3, 3, 3), dtype=complex)
+    ops[...] = np.eye(3)
     for out, ((_, m), corr) in zip(ops, zip(rnd.povm, rnd.corrections)):
         out[rnd.party] = m
         for party, u in corr:
@@ -183,13 +184,24 @@ def _round_operators(rnd: LoccRound) -> np.ndarray:
     return ops
 
 
+def _apply_local(ops: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Every vector ``(n, 3, 3, 3)`` under every outcome's local operator
+    ``ops[o, 0] (x) ops[o, 1] (x) ops[o, 2]``, one stacked product per
+    party; the result ``(n * o, 3, 3, 3)`` runs over outcomes fastest."""
+    n, o = len(vectors), len(ops)
+    x = vectors[:, None] @ ops[None, :, None, 2].swapaxes(-1, -2)
+    x = ops[None, :, None, 1] @ x
+    return (ops[None, :, 0] @ x.reshape(n, o, 3, 9)).reshape(n * o, 3, 3, 3)
+
+
 def simulate_branches(obj: KrausSet | LoccProtocol) -> BranchReport:
     """Run every branch on the normalized initial state and compare each
     to the target ray within :data:`BRANCH_MATCH_TOL`.
 
-    All branches are applied at once: a Kraus set's in one contraction,
-    a protocol's round by round, each round on the stacked vectors of the
-    one before (branch order: earlier rounds' outcomes vary slowest).
+    Branches are applied as stacks (:func:`_apply_local`): a Kraus set's
+    elements all at once, a protocol's outcomes round by round on the
+    stacked vectors of the round before (earlier rounds' outcomes vary
+    slowest).
     Zero-probability branches are reported, marked vacuous, and do not
     count against the match verdict.  A branch with a non-finite vector
     is unmatched, with residual ``inf``.  Both declared states are
@@ -197,20 +209,17 @@ def simulate_branches(obj: KrausSet | LoccProtocol) -> BranchReport:
     norms cannot overflow.
     """
     v0 = assemble(obj.initial)
-    v0 = (v0 / np.linalg.norm(v0)).reshape(1, 3, 3, 3)
+    vectors = (v0 / np.linalg.norm(v0)).reshape(1, 3, 3, 3)
     if isinstance(obj, KrausSet):
-        labels = [(el.label,) for el in obj.elements]
-        f = _stacked_factors(obj)
-        vectors = np.einsum("nai,nbj,nck,ijk->nabc", f[:, 0], f[:, 1], f[:, 2], v0[0])
+        steps = [(_stacked_factors(obj), [el.label for el in obj.elements])]
     else:
-        labels = [()]
-        vectors = v0
-        for rnd in obj.rounds:
-            ops = _round_operators(rnd)
-            vectors = np.einsum(
-                "oai,obj,ock,nijk->noabc", ops[:, 0], ops[:, 1], ops[:, 2], vectors
-            ).reshape(-1, 3, 3, 3)
-            labels = [prev + (label,) for prev in labels for label, _ in rnd.povm]
+        steps = [(_round_operators(rnd), [label for label, _ in rnd.povm]) for rnd in obj.rounds]
+    labels = [()]
+    for ops, step_labels in steps:
+        # a non-finite operator gives a non-finite branch, reported below
+        with np.errstate(invalid="ignore", over="ignore"):
+            vectors = _apply_local(ops, vectors)
+        labels = [prev + (label,) for prev in labels for label in step_labels]
     vectors = vectors.reshape(-1, 27)
 
     prob = np.einsum("ni,ni->n", vectors.conj(), vectors).real
