@@ -175,13 +175,15 @@ def _round_operators(rnd: LoccRound) -> np.ndarray:
     """Each outcome's three local operators, ``(outcomes, party, 3, 3)``:
     the measurement at the measuring party, the corrections at theirs and
     the identity elsewhere."""
-    ops = np.empty((len(rnd.povm), 3, 3, 3), dtype=complex)
-    ops[...] = np.eye(3)
-    for out, ((_, m), corr) in zip(ops, zip(rnd.povm, rnd.corrections)):
-        out[rnd.party] = m
+    eye = np.eye(3, dtype=complex)
+    ops = []
+    for (_, m), corr in zip(rnd.povm, rnd.corrections):
+        local = [eye, eye, eye]
+        local[rnd.party] = m
         for party, u in corr:
-            out[party] = u
-    return ops
+            local[party] = u
+        ops.append(local)
+    return np.array(ops, dtype=complex).reshape(-1, 3, 3, 3)
 
 
 def _apply_local(ops: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -215,11 +217,11 @@ def simulate_branches(obj: KrausSet | LoccProtocol) -> BranchReport:
     else:
         steps = [(_round_operators(rnd), [label for label, _ in rnd.povm]) for rnd in obj.rounds]
     labels = [()]
-    for ops, step_labels in steps:
-        # a non-finite operator gives a non-finite branch, reported below
-        with np.errstate(invalid="ignore", over="ignore"):
+    # a non-finite operator gives a non-finite branch, reported below
+    with np.errstate(invalid="ignore", over="ignore"):
+        for ops, step_labels in steps:
             vectors = _apply_local(ops, vectors)
-        labels = [prev + (label,) for prev in labels for label in step_labels]
+            labels = [prev + (label,) for prev in labels for label in step_labels]
     vectors = vectors.reshape(-1, 27)
 
     prob = np.einsum("ni,ni->n", vectors.conj(), vectors).real
