@@ -16,7 +16,10 @@ weight on one party's factor (the separable form of Gour and Wallach, NJP
 local round: that party measures, and the other two apply their factors
 ``h S_k g^{-1}`` as outcome-conditioned corrections, which are unitary in
 every situation these constructions produce (and are verified to be).
-The public constructions only choose the factors and the weights.
+A local protocol is an initial state and a list of such rounds, built by
+:func:`_local_protocol`, and every construction returns through the one
+completeness gate :func:`_checked`.  The public constructions only choose
+the factors and the weights.
 """
 
 from __future__ import annotations
@@ -28,16 +31,13 @@ import numpy as np
 from .classify import classify_gram
 from .pauli import (
     BASIS,
-    COORD_ORDER,
     INDEX_ORDER,
     INDEX_POS,
     PAIR_REPS,
     PAULIS,
     ZERO_TOL,
     dagger,
-    from_coords,
     idx_neg,
-    pauli_coords,
     scaled_into_range,
 )
 from .sep import _triple_uniform, depolarize
@@ -149,12 +149,14 @@ def _stacked_factors(kraus: KrausSet) -> np.ndarray:
     return np.array([el.factors for el in kraus.elements], dtype=complex).reshape(-1, 3, 3, 3)
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def validate_povm(obj: KrausSet | LoccRound | LoccProtocol) -> float:
     """Completeness residual: Frobenius distance of sum M^dag M from the
     identity (27-dim for Kraus sets, 3-dim per round for protocols).
 
     A protocol without rounds leaves the identity and is complete (0.0).
-    A non-finite sum gives ``inf``, so no tolerance test can pass it.
+    A non-finite sum gives ``inf``, so no tolerance test can pass it; the
+    floating-point warnings on the way there are silenced.
     """
     if isinstance(obj, KrausSet):
         f = _stacked_factors(obj)
@@ -283,6 +285,33 @@ def _round(parties: tuple[int, int, int], elements) -> LoccRound:
     )
 
 
+def _checked(obj, what: str):
+    """``obj`` once its completeness residual is within :data:`POVM_TOL`."""
+    residual = validate_povm(obj)
+    if residual > POVM_TOL:
+        raise ProtocolError(
+            f"{what}: completeness fails (residual {residual:.3e})", residual
+        )
+    return obj
+
+
+def _local_protocol(initial, steps, target, construction, what, notes=()) -> LoccProtocol:
+    """The checked protocol from ``initial`` through ``steps`` to ``target``.
+
+    Each step ``(parties, weights, after)`` is one round: the branches from
+    the factors before the step to ``after``, measured by ``parties[0]``
+    (:func:`_branches`, :func:`_round`).  The last step ends on the
+    target's factors.
+    """
+    rounds = []
+    before = initial.factors
+    for parties, weights, after in steps:
+        rounds.append(_round(parties, _branches(before, after, weights, parties[0])))
+        before = after
+    protocol = LoccProtocol(initial, tuple(rounds), target, construction, tuple(notes))
+    return _checked(protocol, what)
+
+
 def _uniform(labels) -> dict[Pair, float]:
     return dict.fromkeys(labels, 1.0 / len(labels))
 
@@ -300,19 +329,26 @@ def _split_scale(h: np.ndarray) -> tuple[np.ndarray, int]:
     return hs, int(np.frexp(np.abs(h).max())[1] - np.frexp(np.abs(hs).max())[1])
 
 
-def _confined_factor(h: np.ndarray, w: Pair) -> np.ndarray:
-    """Positive confined factor of ``h``'s Gram depolarized over the
-    triple of ``w``, at ``h``'s own scale."""
-    hs, e = _split_scale(h)
-    return np.ldexp(1.0, e) * span_factor(depolarize(dagger(hs) @ hs, _triple_uniform(w)), w)
+def _confined_initial(factors, f: int, w: Pair) -> tuple[np.ndarray, ...]:
+    """``factors`` with party ``f``'s replaced by the positive confined
+    factor of its Gram depolarized over the triple of ``w``, at the
+    factor's own scale."""
+    hs, e = _split_scale(factors[f])
+    initial = list(factors)
+    initial[f] = np.ldexp(1.0, e) * span_factor(
+        depolarize(dagger(hs) @ hs, _triple_uniform(w)), w
+    )
+    return tuple(initial)
 
 
-def _check_complete(obj: KrausSet | LoccProtocol, what: str) -> None:
-    residual = validate_povm(obj)
-    if residual > POVM_TOL:
-        raise ProtocolError(
-            f"{what}: completeness fails (residual {residual:.3e})", residual
-        )
+def _trivial_note(initial: GenericState, target: GenericState, note: str) -> list[str]:
+    """``[note]`` when the two states are LU-equivalent, else ``[]``."""
+    try:
+        if lu_equivalent(initial, target):
+            return [note]
+    except ValueError:
+        pass
+    return []
 
 
 def _scale_to_trace3(h: np.ndarray) -> tuple[np.ndarray, float]:
@@ -325,6 +361,18 @@ def _unitized(h: np.ndarray) -> np.ndarray:
     """The unitary part of a factor's polar decomposition (scale-free)."""
     h = scaled_into_range(h)
     return h @ np.linalg.inv(positive_factor(dagger(h) @ h))
+
+
+def _largest_step(build, start: float, what: str) -> tuple[float, np.ndarray]:
+    """The largest ``start / 2**n`` not below :data:`EPS_MIN` whose Gram
+    ``build(e)`` keeps the positivity margin, with that Gram."""
+    e = start
+    while e >= EPS_MIN:
+        hhat = build(e)
+        if np.linalg.eigvalsh(hhat)[0] >= POS_MARGIN:
+            return e, hhat
+        e /= 2.0
+    raise ProtocolError(f"no {what} above {EPS_MIN} keeps the target Gram positive")
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +399,7 @@ def sep_map_disjoint(h1: np.ndarray, h2: np.ndarray, seed) -> KrausSet:
         construction="sep-disjoint",
         notes=(f"factor rescales to Gram trace 3: {lam1:.6g}, {lam2:.6g}",),
     )
-    _check_complete(kraus, "disjoint-support separable map")
-    return kraus
+    return _checked(kraus, "disjoint-support separable map")
 
 
 def sep_map_confined(
@@ -372,32 +419,25 @@ def sep_map_confined(
     from :func:`scaled_into_range` of ``h1`` and the power of two goes back
     onto the initial factor.
     """
-    h1 = np.asarray(h1, dtype=complex)
     eye = np.eye(3, dtype=complex)
-    h2 = eye if h2 is None else np.asarray(h2, dtype=complex)
-    h3 = eye if h3 is None else np.asarray(h3, dtype=complex)
-    initial = GenericState(seed=seed, factors=(_confined_factor(h1, w), h2, h3))
-    target = GenericState(seed=seed, factors=(h1, h2, h3))
+    h = tuple(eye if m is None else np.asarray(m, dtype=complex) for m in (h1, h2, h3))
+    initial = GenericState(seed=seed, factors=_confined_initial(h, 0, w))
+    target = GenericState(seed=seed, factors=h)
     elements = _branches(initial.factors, target.factors, _uniform(_triple(w)), 0)
     # At parties 2 and 3 the branch operator h S_k h^{-1} is unitary exactly
     # because the factor's Gram lives in the pair's commuting span, so the
     # map is one local round; building that round verifies it.
     _round((0, 1, 2), elements)
-    notes = []
-    try:
-        if lu_equivalent(initial, target):
-            notes.append("trivial conversion: initial and target are LU-equivalent")
-    except ValueError:
-        pass
     kraus = KrausSet(
         elements=elements,
         initial=initial,
         target=target,
         construction="sep-confined",
-        notes=tuple(notes),
+        notes=tuple(_trivial_note(
+            initial, target, "trivial conversion: initial and target are LU-equivalent"
+        )),
     )
-    _check_complete(kraus, "confined-pair separable map")
-    return kraus
+    return _checked(kraus, "confined-pair separable map")
 
 
 def sep_map_from_witness(
@@ -429,8 +469,7 @@ def sep_map_from_witness(
         construction="sep-witness",
         notes=(f"target rescale {scale:.6g}",),
     )
-    _check_complete(kraus, "witness separable map")
-    return kraus
+    return _checked(kraus, "witness separable map")
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +479,14 @@ def sep_map_from_witness(
 def locc_reach_protocol(target: GenericState, tol: float = ZERO_TOL) -> LoccProtocol:
     """Local protocol reaching a locally reachable target.
 
-    The construction is chosen from the target's support pattern: a
-    one-round three-outcome protocol when a confined pair is genuinely
-    occupied, a one-round nine-outcome protocol from the bare seed when
-    both confined parties are trivial, and a two-stage composition from
-    the bare seed in the mixed case with disjoint free-party support.
+    The construction is chosen from the target's support pattern, in this
+    order: from the bare seed, a nine-outcome round when both confined
+    parties are trivial; a three-outcome round from the free party's Gram
+    depolarized over the pair's triple when the pair is occupied at both
+    confined parties or at the free party; otherwise, from the bare seed,
+    the occupied confined party measures nine outcomes and then the free
+    party the pair's triple.  From the bare seed the target declares the
+    measuring factors at Gram trace 3 and the trivial factors unitized.
     """
     cls = classify_gram(gram(target), tol)
     if not cls.locc_cases:
@@ -454,88 +496,45 @@ def locc_reach_protocol(target: GenericState, tol: float = ZERO_TOL) -> LoccProt
     w = match.pair
     assert w is not None
     s_f, s_c1, s_c2 = (cls.pattern.pairs[p] for p in match.parties)
-    if not s_c1 and not s_c2:
-        return _nine_outcome_protocol(target, f, c1, c2)
-    if s_c1 and s_c2:
-        return _one_round_protocol(target, f, c1, c2, w)
-    if w in s_f:
-        return _one_round_protocol(target, f, c1, c2, w)
-    occupied, trivial = (c1, c2) if s_c1 else (c2, c1)
-    return _two_stage_protocol(target, f, occupied, trivial, w)
-
-
-def _one_round_protocol(
-    target: GenericState, f: int, c1: int, c2: int, w: Pair
-) -> LoccProtocol:
-    """Party f measures three outcomes; confined parties apply dressed
-    symmetry corrections.  Initial: f's Gram depolarized over the pair's
-    triple, other factors as in the target."""
-    h = target.factors
-    initial_factors = list(h)
-    initial_factors[f] = _confined_factor(h[f], w)
-    initial = GenericState(seed=target.seed, factors=tuple(initial_factors))
-    elements = _branches(initial.factors, h, _uniform(_triple(w)), f)
-    protocol = LoccProtocol(
-        initial=initial,
-        rounds=(_round((f, c1, c2), elements),),
-        target=target,
-        construction="locc-one-round",
-    )
-    _check_complete(protocol, "one-round local protocol")
-    return protocol
-
-
-def _nine_outcome_protocol(target: GenericState, f: int, c1: int, c2: int) -> LoccProtocol:
-    """From the bare seed: party f measures all nine symmetry labels; the
-    other parties (trivial Grams) apply their dressing unitaries times the
-    matching symmetry."""
     h = target.factors
     eye = np.eye(3, dtype=complex)
     declared = [eye, eye, eye]
-    declared[f], lam = _scale_to_trace3(h[f])
-    for c in (c1, c2):
-        declared[c] = _unitized(h[c])
-    elements = _branches((eye, eye, eye), declared, _uniform(INDEX_ORDER), f)
-    protocol = LoccProtocol(
-        initial=GenericState(seed=target.seed, factors=(eye, eye, eye)),
-        rounds=(_round((f, c1, c2), elements),),
-        target=GenericState(seed=target.seed, factors=tuple(declared)),
-        construction="locc-nine-outcome",
-        notes=(f"measuring factor rescaled by {lam:.6g}; trivial factors unitized",),
-    )
-    _check_complete(protocol, "nine-outcome local protocol")
-    return protocol
-
-
-def _two_stage_protocol(
-    target: GenericState, f: int, cn: int, ct: int, w: Pair
-) -> LoccProtocol:
-    """From the bare seed, for targets with one occupied confined party
-    and free-party support disjoint from the pair: first the confined
-    party measures nine outcomes, then the free party measures the pair's
-    triple.  The first round ends on the middle factors, the occupied
-    party's factor and identities elsewhere."""
-    h = target.factors
-    eye = np.eye(3, dtype=complex)
-    middle = [eye, eye, eye]
-    middle[cn], lam_n = _scale_to_trace3(h[cn])
-    declared = list(middle)
-    declared[f], lam_f = _scale_to_trace3(h[f])
-    declared[ct] = _unitized(h[ct])
-    first = _branches((eye, eye, eye), middle, _uniform(INDEX_ORDER), cn)
-    second = _branches(middle, declared, _uniform(_triple(w)), f)
-    protocol = LoccProtocol(
-        initial=GenericState(seed=target.seed, factors=(eye, eye, eye)),
-        rounds=(_round((cn, f, ct), first), _round((f, cn, ct), second)),
-        target=GenericState(seed=target.seed, factors=tuple(declared)),
-        construction="locc-two-stage",
-        notes=(
+    if not s_c1 and not s_c2:
+        declared[f], lam = _scale_to_trace3(h[f])
+        for c in (c1, c2):
+            declared[c] = _unitized(h[c])
+        steps = [((f, c1, c2), _uniform(INDEX_ORDER), declared)]
+        construction, what = "locc-nine-outcome", "nine-outcome local protocol"
+        note = f"measuring factor rescaled by {lam:.6g}; trivial factors unitized"
+    elif (s_c1 and s_c2) or w in s_f:
+        initial = GenericState(seed=target.seed, factors=_confined_initial(h, f, w))
+        step = ((f, c1, c2), _uniform(_triple(w)), h)
+        return _local_protocol(
+            initial, [step], target, "locc-one-round", "one-round local protocol"
+        )
+    else:
+        cn, ct = (c1, c2) if s_c1 else (c2, c1)
+        declared[cn], lam_n = _scale_to_trace3(h[cn])
+        middle = list(declared)
+        declared[f], lam_f = _scale_to_trace3(h[f])
+        declared[ct] = _unitized(h[ct])
+        steps = [
+            ((cn, f, ct), _uniform(INDEX_ORDER), middle),
+            ((f, cn, ct), _uniform(_triple(w)), declared),
+        ]
+        construction, what = "locc-two-stage", "two-stage local protocol"
+        note = (
             f"measuring factors rescaled by {lam_n:.6g}, {lam_f:.6g}; "
-            "trivial factor unitized",
-        ),
+            "trivial factor unitized"
+        )
+    return _local_protocol(
+        GenericState(seed=target.seed, factors=(eye, eye, eye)),
+        steps,
+        GenericState(seed=target.seed, factors=tuple(declared)),
+        construction,
+        what,
+        (note,),
     )
-    _check_complete(protocol, "two-stage local protocol")
-    return protocol
 
 
 def locc_convert_step(
@@ -571,31 +570,25 @@ def locc_convert_step(
     g_gram = dagger(g_m) @ g_m
     trace = float(np.trace(g_gram).real)
     ghat = g_gram / trace
-    _, gc = pauli_coords(ghat)
-    confined = cls.pattern.pairs[m_party] <= {w}
-    notes = []
 
-    if not confined:
-        off_positions = [
-            pos for pos, k in enumerate(COORD_ORDER) if k not in (w, idx_neg(w))
+    if cls.pattern.pairs[m_party] <= {w}:
+        u_star = next(u for u in PAIR_REPS if u != w)
+        bump = PAULIS[u_star] + dagger(PAULIS[u_star])
+        delta, hhat = _largest_step(lambda d: ghat + d * bump, 0.1, "perturbation")
+        weights = _uniform(_triple(w))
+        notes = [
+            f"measuring party confined to {w}: uniform triple weights with a "
+            f"fresh coordinate pair at {u_star} (size {delta:.6g})"
         ]
+    else:
+        # the triple's part of the Gram is kept; the rest grows by 1/(1 - eps)
+        kept = depolarize(ghat, _triple_uniform(w))
 
         def build(e: float) -> np.ndarray:
-            hc = gc.copy()
-            hc[off_positions] = gc[off_positions] / (1.0 - e)
-            return from_coords(1.0 / 3.0, hc)
+            return kept + (ghat - kept) / (1.0 - e)
 
         if eps is None:
-            eps = 0.5
-            while eps >= EPS_MIN:
-                hhat = build(eps)
-                if np.linalg.eigvalsh(hhat)[0] >= POS_MARGIN:
-                    break
-                eps /= 2.0
-            else:
-                raise ProtocolError(
-                    f"no step size above {EPS_MIN} keeps the target Gram positive"
-                )
+            eps, hhat = _largest_step(build, 0.5, "step size")
         else:
             if not 0.0 <= eps < 1.0:
                 raise ValueError(f"step size must lie in [0, 1), got {eps}")
@@ -606,41 +599,11 @@ def locc_convert_step(
                     f"positivity margin {POS_MARGIN}"
                 )
         weights = dict(zip(_triple(w), (1.0 - 2.0 * eps / 3.0, eps / 3.0, eps / 3.0)))
-        notes.append(f"step size {eps:.6g} on pair {w}")
-    else:
-        u_star = next(u for u in PAIR_REPS if u != w)
-        bump = PAULIS[u_star] + dagger(PAULIS[u_star])
-        delta = 0.1
-        while delta >= EPS_MIN:
-            hhat = ghat + delta * bump
-            if np.linalg.eigvalsh(hhat)[0] >= POS_MARGIN:
-                break
-            delta /= 2.0
-        else:
-            raise ProtocolError(
-                f"no perturbation above {EPS_MIN} keeps the target Gram positive"
-            )
-        weights = _uniform(_triple(w))
-        notes.append(
-            f"measuring party confined to {w}: uniform triple weights with a "
-            f"fresh coordinate pair at {u_star} (size {delta:.6g})"
-        )
+        notes = [f"step size {eps:.6g} on pair {w}"]
 
     target_factors = list(source.factors)
     target_factors[m_party] = np.ldexp(1.0, g_exp) * positive_factor(hhat * trace)
     target = GenericState(seed=source.seed, factors=tuple(target_factors))
-    try:
-        if lu_equivalent(source, target):
-            notes.append("trivial step: source and target are LU-equivalent")
-    except ValueError:
-        pass
-    elements = _branches(source.factors, target.factors, weights, m_party)
-    protocol = LoccProtocol(
-        initial=source,
-        rounds=(_round(match.parties, elements),),
-        target=target,
-        construction="locc-convert-step",
-        notes=tuple(notes),
-    )
-    _check_complete(protocol, "conversion step")
-    return protocol
+    notes += _trivial_note(source, target, "trivial step: source and target are LU-equivalent")
+    step = (match.parties, weights, target.factors)
+    return _local_protocol(source, [step], target, "locc-convert-step", "conversion step", notes)

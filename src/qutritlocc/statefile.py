@@ -162,6 +162,12 @@ def _parse_label(value: Any, path: str) -> tuple[int, int]:
     return (value[0], value[1])
 
 
+def _parse_str(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(path, f"expected a string, got {type(value).__name__}")
+    return value
+
+
 def _check_version(obj: dict, path: str) -> None:
     version = _get(obj, path, "schema_version")
     if version != SCHEMA_VERSION:
@@ -201,11 +207,14 @@ def state_from_json(obj: Any, path: str = "$") -> GenericState:
 def protocol_from_json(obj: Any, path: str = "$") -> KrausSet | LoccProtocol:
     _check_version(obj, path)
     kind = _get(obj, path, "kind")
+    notes_obj = _get(obj, path, "notes")
+    if not isinstance(notes_obj, list):
+        raise SchemaError(f"{path}.notes", "expected a list of strings")
     common = {
         "initial": state_from_json(_get(obj, path, "initial"), f"{path}.initial"),
         "target": state_from_json(_get(obj, path, "target"), f"{path}.target"),
-        "construction": _get(obj, path, "construction"),
-        "notes": tuple(_get(obj, path, "notes")),
+        "construction": _parse_str(_get(obj, path, "construction"), f"{path}.construction"),
+        "notes": tuple(_parse_str(n, f"{path}.notes[{i}]") for i, n in enumerate(notes_obj)),
     }
     if kind == "kraus":
         elements_obj = _get(obj, path, "elements")

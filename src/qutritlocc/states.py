@@ -9,7 +9,7 @@ fixed by a deterministic phase-window rule on the Gram coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,13 +96,14 @@ class GramTriple:
     """Trace-normalized Gram matrices of the three factors, with their
     coordinates in the displacement basis (shape (3, 8), coordinate order).
 
-    The identity component of each Gram is exactly 1/3 and is left
-    implicit; Hermiticity ties coordinates at k and -k together, so they
-    vanish only in pairs.
+    The coordinates are derived from the matrices once they are validated,
+    so the two cannot disagree.  The identity component of each Gram is
+    exactly 1/3 and is left implicit; Hermiticity ties coordinates at k
+    and -k together, so they vanish only in pairs.
     """
 
     mats: tuple[np.ndarray, np.ndarray, np.ndarray]
-    coords: np.ndarray
+    coords: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         mats = np.array(self.mats, dtype=complex)
@@ -116,7 +117,7 @@ class GramTriple:
                 raise ValueError(f"Gram {i} is not trace-normalized (trace {tr})")
         mats.setflags(write=False)
         object.__setattr__(self, "mats", tuple(mats))
-        c = np.asarray(self.coords, dtype=complex).copy()
+        c = pauli_coords(mats)[1]
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
 
@@ -130,8 +131,7 @@ def gram_triple(m1: np.ndarray, m2: np.ndarray, m3: np.ndarray) -> GramTriple:
         raise ValueError(f"Gram {np.argmax(traces <= 0)} has non-positive trace")
     with np.errstate(invalid="ignore"):  # non-finite Grams: GramTriple rejects them
         mats /= traces[:, None, None]
-        coords = pauli_coords(mats)[1]
-    return GramTriple(tuple(mats), coords)
+    return GramTriple(tuple(mats))
 
 
 def gram(state: GenericState) -> GramTriple:

@@ -255,11 +255,17 @@ def test_criterion_6_protocol_validation():
 
         check("convert-step", locc_convert_step(random_state("convertible", rng)))
 
-    ok = all(n == 50 for n in counts.values()) and len(counts) == 5
+        # the tiling polytope is the single uniform point (criterion 5)
+        tiling = random_state("tiling", rng)
+        bare = GenericState(tiling.seed, (np.eye(3),) * 3)
+        check("sep-witness", sep_map_from_witness(bare, tiling, np.full(9, 1.0 / 9.0)))
+
+    ok = all(n == 50 for n in counts.values()) and len(counts) == 6
     _report(6, ok, f"{sum(counts.values())} protocols across {len(counts)} constructions; "
                    f"worst POVM {worst['povm']:.1e}, prob-sum {worst['prob']:.1e}, "
                    f"branch {worst['branch']:.1e}")
     assert counts == {k: 50 for k in counts}
+    assert len(counts) == 6
 
 
 def test_criterion_7_standard_form_suite():

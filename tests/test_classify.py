@@ -10,10 +10,9 @@ from qutritlocc.classify import (
     support_pattern,
 )
 from qutritlocc.generate import KINDS, random_state
-from qutritlocc.pauli import COORD_ORDER, PAULIS, dagger
+from qutritlocc.pauli import COORD_ORDER, PAULIS, dagger, from_coords
 from qutritlocc.states import (
     GenericState,
-    GramTriple,
     gram,
     gram_triple,
     permute_state,
@@ -90,24 +89,25 @@ def test_near_threshold_warning():
     assert any("near the support threshold" in w for w in pattern.warnings)
 
 
+def straddling_triple(partners):
+    """Party 0's Gram with the negation pair at coordinate positions 0, 1
+    set to ``partners`` (a Hermitian matrix within tolerance); the other
+    parties at I/3."""
+    row = np.zeros(8, dtype=complex)
+    row[:2] = partners
+    return gram_triple(*(from_coords(1 / 3, r) for r in (row, 0 * row, 0 * row)))
+
+
 def test_straddling_partner_included_with_warning():
-    # hand-built coordinate table: one partner above the cut (tol/3), one
-    # below but within a decade -> both included, warning attached
-    coords = np.zeros((3, 8), dtype=complex)
-    coords[0, 0] = 5e-10
-    coords[0, 1] = 0.7e-10
-    gt = GramTriple((eye3, eye3, eye3), coords)
-    pattern = support_pattern(gt, tol=1e-9)
+    # one partner above the cut (tol/3), one below but within a decade ->
+    # both included, warning attached
+    pattern = support_pattern(straddling_triple((3.5e-10, 3.2e-10)), tol=1e-9)
     assert pattern.pairs[0] == {(1, 0)}
     assert any("straddles" in w and "included" in w for w in pattern.warnings)
 
 
 def test_straddling_partner_excluded_when_tiny():
-    coords = np.zeros((3, 8), dtype=complex)
-    coords[0, 0] = 5e-10
-    coords[0, 1] = 1e-12
-    gt = GramTriple((eye3, eye3, eye3), coords)
-    pattern = support_pattern(gt, tol=1e-9)
+    pattern = support_pattern(straddling_triple((5e-11, 1e-13)), tol=1e-10)
     assert pattern.pairs[0] == frozenset()
     assert any("straddles" in w and "excluded" in w for w in pattern.warnings)
 

@@ -429,6 +429,30 @@ def test_non_finite_branch_is_unmatched_without_warnings(params, bad):
     assert report.max_residual == np.inf
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_operator_has_infinite_residual_without_warnings(params, rng, bad):
+    kraus = sep_map_disjoint(np.eye(3), np.eye(3), params)
+    first = kraus.elements[0]
+    f = first.factors[0].copy()
+    f[0, 0] = bad
+    broken_kraus = dataclasses.replace(
+        kraus,
+        elements=(dataclasses.replace(first, factors=(f,) + first.factors[1:]),)
+        + kraus.elements[1:],
+    )
+    proto = build_one_round(params, rng, 1.0)
+    rnd = proto.rounds[0]
+    label, m = rnd.povm[0]
+    m = m.copy()
+    m[1, 2] = bad
+    broken_round = dataclasses.replace(rnd, povm=((label, m),) + rnd.povm[1:])
+    broken_proto = dataclasses.replace(proto, rounds=(broken_round,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate_povm(broken_kraus) == np.inf
+        assert validate_povm(broken_proto) == np.inf
+
+
 # ---------------------------------------------------------------------------
 # local protocols for reachable targets
 # ---------------------------------------------------------------------------

@@ -173,6 +173,25 @@ def test_bad_outcome_label(params):
     assert err.value.path == "$.elements[4].label"
 
 
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("construction", 42, "$.construction"),
+        ("construction", None, "$.construction"),
+        ("notes", "abc", "$.notes"),
+        ("notes", {"a": "b"}, "$.notes"),
+        ("notes", ["ok", 7], "$.notes[1]"),
+    ],
+    ids=["construction-int", "construction-null", "notes-string", "notes-object", "note-int"],
+)
+def test_construction_and_notes_must_be_strings(params, field, value, path):
+    doc = protocol_to_json(sep_map_disjoint(np.eye(3), np.eye(3), params))
+    doc[field] = value
+    with pytest.raises(SchemaError) as err:
+        protocol_from_json(doc)
+    assert err.value.path == path
+
+
 def test_correction_party_must_differ_from_measurer(params, rng):
     target = GenericState(
         params,

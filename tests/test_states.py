@@ -144,7 +144,7 @@ def test_gram_triple_normalizes():
 def test_gram_triple_rejects_non_hermitian():
     bad = np.eye(3) + 0.1j * PAULIS[(1, 0)]
     with pytest.raises(ValueError, match="Hermitian"):
-        GramTriple((bad / np.trace(bad), np.eye(3) / 3, np.eye(3) / 3), np.zeros((3, 8)))
+        GramTriple((bad / np.trace(bad), np.eye(3) / 3, np.eye(3) / 3))
 
 
 GRAM_SCALES = [1.0, 1e200, 1e-200]
@@ -182,9 +182,9 @@ def test_gram_triple_tests_hermiticity_at_the_given_scale(rng, scale):
     skewed = scale * with_skew_part(rng, positive_gram(rng), 1e-6)
     herm = scale * with_skew_part(rng, positive_gram(rng), 0.1 * ZERO_TOL)
     with pytest.raises(ValueError, match="Gram 1 is not Hermitian"):
-        GramTriple((unit, skewed, unit), np.zeros((3, 8)))
+        GramTriple((unit, skewed, unit))
     with pytest.raises(ValueError, match="Gram 1 is not trace-normalized"):
-        GramTriple((unit, herm, unit), np.zeros((3, 8)))
+        GramTriple((unit, herm, unit))
 
 
 @pytest.mark.parametrize("scale", GRAM_SCALES)
@@ -194,6 +194,21 @@ def test_gram_triple_accepts_hermitian_within_tolerance(rng, scale):
     for m, c in zip(gt.mats, gt.coords):
         assert np.trace(m).real == pytest.approx(1.0)
         np.testing.assert_allclose(c, pauli_coords(m)[1], atol=1e-15)
+
+
+def test_gram_triple_coords_come_from_its_matrices(rng):
+    """A triple derives its coordinates from its matrices, so it cannot hold
+    coordinates that disagree with them: classify and sep_feasible read the
+    coordinates, the oracle reads the matrices."""
+    third = np.eye(3, dtype=complex) / 3
+    coords = np.zeros((3, 8), dtype=complex)
+    coords[0, :2] = 0.1
+    with pytest.raises(TypeError):
+        GramTriple((third, third, third), coords)
+    mats = np.array([positive_gram(rng) for _ in range(3)])
+    gt = GramTriple(tuple(mats))
+    np.testing.assert_array_equal(gt.coords, pauli_coords(mats)[1])
+    assert not gt.coords.flags.writeable
 
 
 @pytest.mark.parametrize("scale", GRAM_SCALES)
