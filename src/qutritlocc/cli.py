@@ -6,6 +6,8 @@ input errors (bad files, bad flags, and any input the library rejects with
 a ``ValueError``, such as an all-zero seed or states of different seeds),
 reported on one ``error:`` line.  ``--json`` switches every report to
 machine-readable output; file-producing commands write JSON regardless.
+Each subcommand returns its report and ``main`` alone prints it, so
+``--json`` output is always exactly one JSON document.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .classify import Classification, classify
+from .classify import classify
 from .generate import KINDS, random_state
 from .oracle import brute_force_sep
 from .pauli import ZERO_TOL
@@ -33,6 +35,7 @@ from .protocols import (
 from .seeds import GenericityReport, SeedParams, check_generic, symmetry_audit
 from .sep import sep_feasible, sep_instance
 from .statefile import (
+    _num,
     load_protocol,
     load_state,
     protocol_to_json,
@@ -55,12 +58,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _emit(args: argparse.Namespace, payload: Any, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+#: What a subcommand returns for ``main`` to print: the ``--json`` payload
+#: (``None`` for a refusal, which leaves stdout empty and explains itself
+#: on stderr), the text lines, and the exit code.
+_Report = tuple[Any, list[str], int]
 
 
 def _load_seed_file(path: str) -> SeedParams:
@@ -71,31 +72,42 @@ def _load_seed_file(path: str) -> SeedParams:
     return seed_from_json(obj, "$")
 
 
+def _document(doc: dict[str, Any]) -> _Report:
+    """A file document, printed as JSON with or without ``--json``."""
+    return doc, [json.dumps(doc, indent=2)], 0
+
+
+def _cmd_files(args: argparse.Namespace) -> _Report:
+    """``args.report`` on each of ``args.files``: one record for one file, a
+    list for several; exit 2 unless every file passed."""
+    records, texts, codes = zip(*(args.report(path, args) for path in args.files))
+    payload = list(records) if len(records) > 1 else records[0]
+    return payload, [line for text in texts for line in text], 2 if any(codes) else 0
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> _Report:
     rng = np.random.default_rng(args.rng_seed)
     params = _load_seed_file(args.params_from) if args.params_from else None
     state = random_state(args.kind, rng, params)
     metadata: dict[str, Any] = {"kind": args.kind}
     if args.label:
         metadata["label"] = args.label
-    if args.out:
-        save_state(args.out, state, metadata)
-        _emit(
-            args,
-            {"written": args.out, "kind": args.kind, "seed": seed_to_json(state.seed)},
-            [f"wrote {args.kind} state to {args.out}"],
-        )
-    else:
-        print(json.dumps(state_to_json(state, metadata), indent=2))
-    return 0
+    if not args.out:
+        return _document(state_to_json(state, metadata))
+    save_state(args.out, state, metadata)
+    return (
+        {"written": args.out, "kind": args.kind, "seed": seed_to_json(state.seed)},
+        [f"wrote {args.kind} state to {args.out}"],
+        0,
+    )
 
 
-def _genericity(path: str, report: GenericityReport) -> tuple[dict[str, Any], list[str]]:
-    """One file's genericity verdict as a JSON record and text lines."""
+def _genericity(path: str, report: GenericityReport) -> _Report:
+    """One file's genericity verdict; exit 2 for a non-generic seed."""
     record = {
         "file": path,
         "generic": report.generic,
@@ -106,58 +118,39 @@ def _genericity(path: str, report: GenericityReport) -> tuple[dict[str, Any], li
     lines = [f"{path}: {verdict} (margin {report.margin:.3e})"]
     for name, value in report.violations:
         lines.append(f"  violated: {name} (normalized magnitude {value:.3e})")
-    return record, lines
+    return record, lines, 0 if report.generic else 2
 
 
-def _cmd_check_generic(args: argparse.Namespace) -> int:
-    reports = []
-    all_generic = True
-    lines = []
-    for path in args.files:
-        report = check_generic(_load_seed_file(path))
-        all_generic &= report.generic
-        record, text = _genericity(path, report)
-        reports.append(record)
-        lines += text
-    _emit(args, reports if len(reports) > 1 else reports[0], lines)
-    return 0 if all_generic else 2
+def _check_generic_file(path: str, args: argparse.Namespace) -> _Report:
+    return _genericity(path, check_generic(_load_seed_file(path)))
 
 
-def _cmd_standard_form(args: argparse.Namespace) -> int:
-    reports = []
-    lines = []
-    for path in args.files:
-        state = load_state(path)
-        form = standard_form(state)
-        reports.append(
-            {
-                "file": path,
-                "seed": seed_to_json(form.seed),
-                "gauge": list(form.gauge),
-                "coords": [[[float(z.real), float(z.imag)] for z in row] for row in form.coords],
-            }
-        )
-        lines.append(f"{path}: gauge {form.gauge}")
-        for i, row in enumerate(form.coords):
-            rendered = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row)
-            lines.append(f"  party {i}: {rendered}")
-    _emit(args, reports if len(reports) > 1 else reports[0], lines)
-    return 0
+def _standard_form_file(path: str, args: argparse.Namespace) -> _Report:
+    form = standard_form(load_state(path))
+    record = {
+        "file": path,
+        "seed": seed_to_json(form.seed),
+        "gauge": list(form.gauge),
+        "coords": [[_num(z) for z in row] for row in form.coords],
+    }
+    lines = [f"{path}: gauge {form.gauge}"]
+    for i, row in enumerate(form.coords):
+        rendered = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row)
+        lines.append(f"  party {i}: {rendered}")
+    return record, lines, 0
 
 
-def _cmd_lu_equiv(args: argparse.Namespace) -> int:
+def _cmd_lu_equiv(args: argparse.Namespace) -> _Report:
     verdict = lu_equivalent(load_state(args.first), load_state(args.second))
-    _emit(
-        args,
-        {"equivalent": verdict},
-        ["locally equivalent" if verdict else "not locally equivalent"],
-    )
-    return 0 if verdict else 2
+    lines = ["locally equivalent" if verdict else "not locally equivalent"]
+    return {"equivalent": verdict}, lines, 0 if verdict else 2
 
 
-def _classification_json(cls: Classification) -> dict[str, Any]:
+def _classify_file(path: str, args: argparse.Namespace) -> _Report:
+    cls = classify(load_state(path), args.tolerance)
     case = cls.sep_cases[0] if cls.sep_cases else None
-    return {
+    record = {
+        "file": path,
         "sep_reachable": cls.sep_reachable,
         "case": case.kind if case else None,
         "permutation": list(case.parties) if case else None,
@@ -171,37 +164,14 @@ def _classification_json(cls: Classification) -> dict[str, Any]:
         "supports": [sorted(list(p) for p in s) for s in cls.pattern.pairs],
         "warnings": list(cls.warnings),
     }
+    # the text flags are the record's true verdicts, in the record's order
+    flags = [name for name, value in record.items() if value is True]
+    lines = [f"{path}: {', '.join(flags) if flags else '(no flags)'}"]
+    lines += [f"  warning: {w}" for w in cls.warnings]
+    return record, lines, 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    reports = []
-    lines = []
-    for path in args.files:
-        state = load_state(path)
-        cls = classify(state, args.tolerance)
-        report = {"file": path, **_classification_json(cls)}
-        reports.append(report)
-        flags = [
-            name
-            for name in (
-                "sep_reachable",
-                "locc_reachable",
-                "sep_only",
-                "locc_convertible",
-                "support_tiling",
-                "in_mes",
-                "isolated",
-            )
-            if report[name]
-        ]
-        lines.append(f"{path}: {', '.join(flags) if flags else '(no flags)'}")
-        for w in cls.warnings:
-            lines.append(f"  warning: {w}")
-    _emit(args, reports if len(reports) > 1 else reports[0], lines)
-    return 0
-
-
-def _cmd_sep_decide(args: argparse.Namespace) -> int:
+def _cmd_sep_decide(args: argparse.Namespace) -> _Report:
     inst = sep_instance(load_state(args.src), load_state(args.to))
     result = sep_feasible(inst, args.tolerance)
     payload: dict[str, Any] = {
@@ -235,52 +205,46 @@ def _cmd_sep_decide(args: argparse.Namespace) -> int:
             f"lower bound {verdict.lower_bound:.3e})"
         )
         if verdict.feasible is not None and verdict.feasible != result.feasible:
-            _emit(args, payload, lines)
             print("error: oracle disagrees with the decision engine", file=sys.stderr)
-            return 1
-    _emit(args, payload, lines)
-    return 0 if result.feasible else 2
+            return payload, lines, 1
+    return payload, lines, 0 if result.feasible else 2
 
 
-def _cmd_synth_protocol(args: argparse.Namespace) -> int:
+def _not_synthesized(reason: str) -> _Report:
+    print(f"not synthesized: {reason}", file=sys.stderr)
+    return None, [], 2
+
+
+def _cmd_synth_protocol(args: argparse.Namespace) -> _Report:
     target = load_state(args.target)
     if args.source is None:
         try:
             obj = locc_reach_protocol(target, args.tolerance)
         except ValueError as exc:
-            print(f"not synthesized: {exc}", file=sys.stderr)
-            return 2
+            return _not_synthesized(str(exc))
     else:
         source = load_state(args.source)
         result = sep_feasible(sep_instance(source, target), args.tolerance)
         if not result.feasible:
-            print(
-                f"not synthesized: conversion is separably infeasible ({result.reason})",
-                file=sys.stderr,
-            )
-            return 2
+            return _not_synthesized(f"conversion is separably infeasible ({result.reason})")
         try:
             obj = sep_map_from_witness(source, target, result.witness)
         except ProtocolError as exc:
-            print(
-                f"not synthesized: the witness accepted at --tolerance "
-                f"{args.tolerance:g} gives no separable map ({exc})",
-                file=sys.stderr,
+            return _not_synthesized(
+                f"the witness accepted at --tolerance {args.tolerance:g} gives no "
+                f"separable map ({exc})"
             )
-            return 2
-    if args.out:
-        save_protocol(args.out, obj)
-        _emit(
-            args,
-            {"written": args.out, "construction": obj.construction},
-            [f"wrote {obj.construction} protocol to {args.out}"],
-        )
-    else:
-        print(json.dumps(protocol_to_json(obj), indent=2))
-    return 0
+    if not args.out:
+        return _document(protocol_to_json(obj))
+    save_protocol(args.out, obj)
+    return (
+        {"written": args.out, "construction": obj.construction},
+        [f"wrote {obj.construction} protocol to {args.out}"],
+        0,
+    )
 
 
-def _cmd_verify_protocol(args: argparse.Namespace) -> int:
+def _cmd_verify_protocol(args: argparse.Namespace) -> _Report:
     obj = load_protocol(args.file)
     residual = validate_povm(obj)
     report = simulate_branches(obj)
@@ -314,17 +278,14 @@ def _cmd_verify_protocol(args: argparse.Namespace) -> int:
         f"  worst branch residual: {report.max_residual:.3e}",
         f"  branches: {len(report.branches)}",
     ]
-    _emit(args, payload, lines)
-    return 0 if ok else 2
+    return payload, lines, 0 if ok else 2
 
 
-def _cmd_symmetry_audit(args: argparse.Namespace) -> int:
+def _cmd_symmetry_audit(args: argparse.Namespace) -> _Report:
     seed = _load_seed_file(args.file).canonical()
     genericity = check_generic(seed)
     if not genericity.generic:
-        record, lines = _genericity(args.file, genericity)
-        _emit(args, record, lines)
-        return 2
+        return _genericity(args.file, genericity)
     report = symmetry_audit(seed)
     payload = {
         "seed": seed_to_json(seed),
@@ -350,10 +311,8 @@ def _cmd_symmetry_audit(args: argparse.Namespace) -> int:
         f"({len(report.survivors)} survivors, {len(report.surplus)} surplus)",
         f"  worst survivor residual: {report.max_full_residual:.3e}",
     ]
-    for r in report.survivors:
-        lines.append(f"  survivor {r.pauli}: residual {r.full_residual:.3e}")
-    _emit(args, payload, lines)
-    return 0 if report.clean else 2
+    lines += [f"  survivor {r.pauli}: residual {r.full_residual:.3e}" for r in report.survivors]
+    return payload, lines, 0 if report.clean else 2
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +384,11 @@ def _build_parser() -> _Parser:
 
     p = add_parser("check-generic", help="test seeds against the exclusion list")
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=_cmd_check_generic)
+    p.set_defaults(func=_cmd_files, report=_check_generic_file)
 
     p = add_parser("standard-form", help="gauge-fixed coordinates of states")
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=_cmd_standard_form)
+    p.set_defaults(func=_cmd_files, report=_standard_form_file)
 
     p = add_parser("lu-equiv", help="decide local unitary equivalence")
     p.add_argument("first")
@@ -438,7 +397,7 @@ def _build_parser() -> _Parser:
 
     p = add_parser("classify", help="structural classification of states")
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_files, report=_classify_file)
 
     p = add_parser("sep-decide", help="decide separable convertibility")
     p.add_argument("--from", dest="src", required=True, help="source state file")
@@ -469,13 +428,13 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --tolerance must be a finite positive number", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+        payload, lines, code = args.func(args)
+    except (ValueError, FileNotFoundError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ProtocolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ProtocolError) else 1
+    if payload is not None:
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

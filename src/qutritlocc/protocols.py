@@ -549,9 +549,11 @@ def locc_convert_step(
     that party's off-triple Gram coordinates by ``1 - eps``.  When the
     measuring party is itself confined (so the rule would be trivial) the
     triple is measured uniformly and the target instead acquires a fresh
-    coordinate pair outside the triple.  Step sizes are halved from 1/2
-    (perturbations from 1/10) until the target Gram keeps a positive
-    margin; explicit ``eps`` values are validated instead.
+    coordinate pair outside the triple; that step has no step size, so an
+    explicit ``eps`` raises ``ValueError`` there.  Step sizes are halved
+    from 1/2 (perturbations from 1/10) until the target Gram keeps a
+    positive margin; explicit ``eps`` values, which must lie in [0, 1),
+    are validated instead.
     """
     cls = classify_gram(gram(source))
     witnesses = cls.convert_cases
@@ -571,7 +573,14 @@ def locc_convert_step(
     trace = float(np.trace(g_gram).real)
     ghat = g_gram / trace
 
+    if eps is not None and not 0.0 <= eps < 1.0:
+        raise ValueError(f"step size must lie in [0, 1), got {eps}")
     if cls.pattern.pairs[m_party] <= {w}:
+        if eps is not None:
+            raise ValueError(
+                f"the measuring party is confined to {w}: the step opens a fresh "
+                f"coordinate pair and takes no step size, got eps={eps}"
+            )
         u_star = next(u for u in PAIR_REPS if u != w)
         bump = PAULIS[u_star] + dagger(PAULIS[u_star])
         delta, hhat = _largest_step(lambda d: ghat + d * bump, 0.1, "perturbation")
@@ -590,8 +599,6 @@ def locc_convert_step(
         if eps is None:
             eps, hhat = _largest_step(build, 0.5, "step size")
         else:
-            if not 0.0 <= eps < 1.0:
-                raise ValueError(f"step size must lie in [0, 1), got {eps}")
             hhat = build(eps)
             if eps > 0 and np.linalg.eigvalsh(hhat)[0] < POS_MARGIN:
                 raise ProtocolError(

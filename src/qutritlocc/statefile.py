@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -107,6 +108,24 @@ def _get(obj: dict, path: str, key: str) -> Any:
     return obj[key]
 
 
+def _field(obj: dict, path: str, key: str, parse) -> Any:
+    """The field ``obj[key]`` read by ``parse(value, path)`` at its own path."""
+    return parse(_get(obj, path, key), f"{path}.{key}")
+
+
+#: ``size`` of a list field that may have any length but zero.
+_NONEMPTY = range(1, sys.maxsize)
+
+
+def _list(obj: dict, path: str, key: str, expected: str, size=None) -> list:
+    """The list field ``obj[key]``, with a length in ``size`` when that is
+    given; otherwise ``SchemaError`` at ``{path}.{key}`` saying ``expected``."""
+    value = _get(obj, path, key)
+    if not isinstance(value, list) or size is not None and len(value) not in size:
+        raise SchemaError(f"{path}.{key}", expected)
+    return value
+
+
 class _EntryError(ValueError):
     """A complex entry is malformed; the caller adds the entry's path."""
 
@@ -177,24 +196,14 @@ def _check_version(obj: dict, path: str) -> None:
 
 
 def seed_from_json(obj: Any, path: str = "$") -> SeedParams:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, f"expected an object, got {type(obj).__name__}")
-    return SeedParams(
-        a=_parse_num(_get(obj, path, "a"), f"{path}.a"),
-        b=_parse_num(_get(obj, path, "b"), f"{path}.b"),
-        c=_parse_num(_get(obj, path, "c"), f"{path}.c"),
-    )
+    return SeedParams(*(_field(obj, path, key, _parse_num) for key in "abc"))
 
 
 def state_from_json(obj: Any, path: str = "$") -> GenericState:
     _check_version(obj, path)
-    seed = seed_from_json(_get(obj, path, "seed"), f"{path}.seed")
-    factors_obj = _get(obj, path, "g")
-    if not isinstance(factors_obj, list) or len(factors_obj) != 3:
-        raise SchemaError(f"{path}.g", "expected three factor matrices")
-    factors = tuple(
-        _parse_mat(f, f"{path}.g[{i}]") for i, f in enumerate(factors_obj)
-    )
+    seed = _field(obj, path, "seed", seed_from_json)
+    g = _list(obj, path, "g", "expected three factor matrices", (3,))
+    factors = tuple(_parse_mat(f, f"{path}.g[{i}]") for i, f in enumerate(g))
     metadata = obj.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise SchemaError(f"{path}.metadata", "expected an object")
@@ -204,76 +213,53 @@ def state_from_json(obj: Any, path: str = "$") -> GenericState:
         raise SchemaError(path, str(exc)) from exc
 
 
+def _outcome(out: Any, path: str, party: int):
+    """One outcome of a round that ``party`` measures: its POVM entry
+    ``(label, operator)`` and its corrections."""
+    label = _field(out, path, "label", _parse_label)
+    op = _field(out, path, "operator", _parse_mat)
+    corrections = []
+    for m, c in enumerate(_list(out, path, "corrections", "expected a list")):
+        c_path = f"{path}.corrections[{m}]"
+        c_party = _get(c, c_path, "party")
+        if c_party not in (0, 1, 2) or c_party == party:
+            raise SchemaError(f"{c_path}.party", "expected one of the other two parties")
+        corrections.append((c_party, _field(c, c_path, "unitary", _parse_mat)))
+    return (label, op), tuple(corrections)
+
+
 def protocol_from_json(obj: Any, path: str = "$") -> KrausSet | LoccProtocol:
     _check_version(obj, path)
     kind = _get(obj, path, "kind")
-    notes_obj = _get(obj, path, "notes")
-    if not isinstance(notes_obj, list):
-        raise SchemaError(f"{path}.notes", "expected a list of strings")
+    notes = _list(obj, path, "notes", "expected a list of strings")
     common = {
-        "initial": state_from_json(_get(obj, path, "initial"), f"{path}.initial"),
-        "target": state_from_json(_get(obj, path, "target"), f"{path}.target"),
-        "construction": _parse_str(_get(obj, path, "construction"), f"{path}.construction"),
-        "notes": tuple(_parse_str(n, f"{path}.notes[{i}]") for i, n in enumerate(notes_obj)),
+        "initial": _field(obj, path, "initial", state_from_json),
+        "target": _field(obj, path, "target", state_from_json),
+        "construction": _field(obj, path, "construction", _parse_str),
+        "notes": tuple(_parse_str(n, f"{path}.notes[{i}]") for i, n in enumerate(notes)),
     }
     if kind == "kraus":
-        elements_obj = _get(obj, path, "elements")
-        if not isinstance(elements_obj, list) or not elements_obj:
-            raise SchemaError(f"{path}.elements", "expected a nonempty list")
+        listed = _list(obj, path, "elements", "expected a nonempty list", _NONEMPTY)
         elements = []
-        for i, el in enumerate(elements_obj):
+        for i, el in enumerate(listed):
             el_path = f"{path}.elements[{i}]"
-            factors_obj = _get(el, el_path, "factors")
-            if not isinstance(factors_obj, list) or len(factors_obj) != 3:
-                raise SchemaError(f"{el_path}.factors", "expected three factors")
-            elements.append(
-                KrausElement(
-                    label=_parse_label(_get(el, el_path, "label"), f"{el_path}.label"),
-                    factors=tuple(
-                        _parse_mat(f, f"{el_path}.factors[{j}]")
-                        for j, f in enumerate(factors_obj)
-                    ),
-                )
-            )
+            factors = _list(el, el_path, "factors", "expected three factors", (3,))
+            label = _field(el, el_path, "label", _parse_label)
+            mats = (_parse_mat(f, f"{el_path}.factors[{j}]") for j, f in enumerate(factors))
+            elements.append(KrausElement(label=label, factors=tuple(mats)))
         return KrausSet(elements=tuple(elements), **common)
     if kind == "locc":
-        rounds_obj = _get(obj, path, "rounds")
-        if not isinstance(rounds_obj, list) or not rounds_obj:
-            raise SchemaError(f"{path}.rounds", "expected a nonempty list")
         rounds = []
-        for i, rnd in enumerate(rounds_obj):
+        for i, rnd in enumerate(_list(obj, path, "rounds", "expected a nonempty list", _NONEMPTY)):
             rnd_path = f"{path}.rounds[{i}]"
             party = _get(rnd, rnd_path, "party")
             if party not in (0, 1, 2):
                 raise SchemaError(f"{rnd_path}.party", "expected 0, 1 or 2")
-            outcomes_obj = _get(rnd, rnd_path, "outcomes")
-            if not isinstance(outcomes_obj, list) or not outcomes_obj:
-                raise SchemaError(f"{rnd_path}.outcomes", "expected a nonempty list")
-            povm = []
-            corrections = []
-            for j, out in enumerate(outcomes_obj):
-                out_path = f"{rnd_path}.outcomes[{j}]"
-                label = _parse_label(_get(out, out_path, "label"), f"{out_path}.label")
-                op = _parse_mat(_get(out, out_path, "operator"), f"{out_path}.operator")
-                corr_obj = _get(out, out_path, "corrections")
-                if not isinstance(corr_obj, list):
-                    raise SchemaError(f"{out_path}.corrections", "expected a list")
-                corr = []
-                for m, c in enumerate(corr_obj):
-                    c_path = f"{out_path}.corrections[{m}]"
-                    c_party = _get(c, c_path, "party")
-                    if c_party not in (0, 1, 2) or c_party == party:
-                        raise SchemaError(
-                            f"{c_path}.party", "expected one of the other two parties"
-                        )
-                    corr.append(
-                        (c_party, _parse_mat(_get(c, c_path, "unitary"), f"{c_path}.unitary"))
-                    )
-                povm.append((label, op))
-                corrections.append(tuple(corr))
-            rounds.append(
-                LoccRound(party=party, povm=tuple(povm), corrections=tuple(corrections))
+            outcomes = _list(rnd, rnd_path, "outcomes", "expected a nonempty list", _NONEMPTY)
+            povm, corrections = zip(
+                *(_outcome(o, f"{rnd_path}.outcomes[{j}]", party) for j, o in enumerate(outcomes))
             )
+            rounds.append(LoccRound(party=party, povm=povm, corrections=corrections))
         return LoccProtocol(rounds=tuple(rounds), **common)
     raise SchemaError(f"{path}.kind", f"expected 'kraus' or 'locc', got {kind!r}")
 

@@ -1,15 +1,16 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from qutritlocc.classify import classify
-from qutritlocc.cli import main
+from qutritlocc.cli import _build_parser, main
 from qutritlocc.generate import random_state
 from qutritlocc.pauli import PAULIS, dagger
-from qutritlocc.statefile import load_state, protocol_from_json, save_state
+from qutritlocc.statefile import load_state, protocol_from_json, save_protocol, save_state
 from qutritlocc.states import GenericState, positive_factor, span_factor
-from qutritlocc.protocols import simulate_branches
+from qutritlocc.protocols import locc_reach_protocol, simulate_branches
 
 
 def pair_mat(w, z=0.08):
@@ -425,3 +426,77 @@ def test_schema_error_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "classify", str(bad))
     assert code == 1
     assert "error" in err
+
+
+
+#: Every subcommand's report runs, as argv templates over the state files,
+#: ``{tmp}`` (a scratch directory) and ``{protocol}`` (a protocol file),
+#: with the number of records in the ``--json`` report (1: one object).
+REPORTS = {
+    "generate-out": ("generate dense --rng-seed 5 --out {tmp}/g.json", 1),
+    "generate-stdout": ("generate seed --rng-seed 3", 1),
+    "check-generic-one": ("check-generic {degenerate}", 1),
+    "check-generic-two": ("check-generic {seed} {degenerate}", 2),
+    "standard-form-one": ("standard-form {tiling}", 1),
+    "standard-form-two": ("standard-form {seed} {dense}", 2),
+    "lu-equiv-yes": ("lu-equiv {confined} {confined}", 1),
+    "lu-equiv-no": ("lu-equiv {confined} {dense}", 1),
+    "classify-one": ("classify {tiling}", 1),
+    "classify-two": ("classify {seed} {confined}", 2),
+    "sep-decide-feasible": ("sep-decide --from {seed} --to {tiling}", 1),
+    "sep-decide-infeasible": ("sep-decide --from {seed} --to {dense}", 1),
+    "synth-protocol-out": ("synth-protocol --target {confined} --out {tmp}/p.json", 1),
+    "synth-protocol-stdout": ("synth-protocol --target {confined}", 1),
+    "verify-protocol": ("verify-protocol {protocol}", 1),
+    "symmetry-audit-clean": ("symmetry-audit {seed}", 1),
+    "symmetry-audit-degenerate": ("symmetry-audit {degenerate}", 1),
+}
+
+
+def report_argv(case, files, tmp_path):
+    protocol = tmp_path / "reach.json"
+    save_protocol(protocol, locc_reach_protocol(load_state(files["confined"])))
+    template, _ = REPORTS[case]
+    return [t.format(**files, tmp=tmp_path, protocol=protocol) for t in template.split()]
+
+
+def test_report_cases_cover_every_subcommand(files, tmp_path):
+    subcommands = next(
+        action.choices
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    cases = {report_argv(case, files, tmp_path)[0] for case in REPORTS}
+    assert cases == set(subcommands)
+
+
+@pytest.mark.parametrize("case", REPORTS)
+def test_json_report_is_one_document_with_the_text_exit_code(capsys, files, tmp_path, case):
+    argv = report_argv(case, files, tmp_path)
+    text_code, text_out, text_err = run(capsys, *argv)
+    json_code, json_out, json_err = run(capsys, *argv, "--json")
+    assert json_code == text_code
+    assert text_out and json_err == text_err == ""
+    report = json.loads(json_out)  # exactly one document: trailing data fails
+    records = REPORTS[case][1]
+    assert (len(report) == records) if records > 1 else isinstance(report, dict)
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_refusals_leave_stdout_empty(capsys, files, tmp_path, flags):
+    seed, generic = str(tmp_path / "seed.json"), str(tmp_path / "generic.json")
+    assert run(capsys, "generate", "seed", "--rng-seed", "1", "--out", seed)[0] == 0
+    code, _, _ = run(
+        capsys, "generate", "generic", "--rng-seed", "2", "--params-from", seed, "--out", generic
+    )
+    assert code == 0
+    refusals = [
+        ["synth-protocol", "--target", files["tiling"]],
+        ["synth-protocol", "--source", files["seed"], "--target", files["dense"]],
+        ["--tolerance", "0.1", "synth-protocol", "--source", seed, "--target", generic],
+    ]
+    for argv in refusals:
+        code, out, err = run(capsys, *argv, *flags)
+        assert code == 2, argv
+        assert out == "", argv
+        assert err.startswith("not synthesized: ") and err.count("\n") == 1, argv

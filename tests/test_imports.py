@@ -17,6 +17,8 @@ read each module with the standard library's ``ast``.
 - No package module contains a ``global`` statement: a module-level
   setting that a call can rebind would change every later verdict of the
   process, so settings are passed as arguments instead.
+- Every ``print`` in ``cli.py`` outside ``main`` writes to stderr: a
+  subcommand returns its report, and ``main`` alone prints it.
 """
 
 import ast
@@ -235,3 +237,38 @@ def test_global_lint_sees_a_rebinding_setting():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_global_statements(path):
     assert global_statements(path.read_text()) == []
+
+
+def stdout_prints(source: str) -> list[str]:
+    """Each ``print`` call outside ``main`` that does not pass
+    ``file=sys.stderr``: subcommands return their report for ``main`` to
+    print, so only ``main`` writes to stdout."""
+    outside_main = [
+        top
+        for top in ast.parse(source).body
+        if not (isinstance(top, ast.FunctionDef) and top.name == "main")
+    ]
+    return [
+        f"line {node.lineno}"
+        for top in outside_main
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+        and not any(
+            k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords
+        )
+    ]
+
+
+def test_print_lint_sees_a_subcommand_printing_its_result():
+    source = (
+        "import sys\n\ndef _cmd(args):\n    print('verdict')\n"
+        "    print('refused', file=sys.stderr)\n    print('x', file=sys.stdout)\n\n"
+        "def main():\n    print('report')\n"
+    )
+    assert stdout_prints(source) == ["line 4", "line 6"]
+
+
+def test_only_main_prints_to_stdout_in_the_cli():
+    assert stdout_prints((PACKAGE / "cli.py").read_text()) == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qutritlocc.classify import classify, support_pattern
+from qutritlocc.generate import random_state
 from qutritlocc.pauli import PAULIS, dagger, frob, idx_neg, is_hermitian
 from qutritlocc.protocols import (
     BRANCH_MATCH_TOL,
@@ -597,6 +598,32 @@ def test_convert_step_rejects_bad_eps(params, rng):
         locc_convert_step(source, pair=w, eps=1.0)
     with pytest.raises(ValueError):
         locc_convert_step(source, pair=w, eps=-0.2)
+
+
+def confined_measurers(seed_state):
+    """Convertible sources whose measuring party is confined to the
+    witness pair: the bare seed and the sixth convertible draw of
+    ``default_rng(0)``."""
+    rng = np.random.default_rng(0)
+    draws = [random_state("convertible", rng) for _ in range(6)]
+    return [seed_state, draws[5]]
+
+
+@pytest.mark.parametrize("eps", [5.0, -1.0, 1.0])
+def test_convert_step_checks_eps_range_for_a_confined_measurer(seed_state, eps):
+    for source in confined_measurers(seed_state):
+        with pytest.raises(ValueError, match=r"step size must lie in \[0, 1\)"):
+            locc_convert_step(source, eps=eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_convert_step_rejects_eps_for_a_confined_measurer(seed_state, eps):
+    """A confined measuring party opens a fresh coordinate pair instead of
+    taking a step, so an explicit step size is an error, not ignored."""
+    for source in confined_measurers(seed_state):
+        assert "fresh coordinate pair" in locc_convert_step(source).notes[0]
+        with pytest.raises(ValueError, match="no step size"):
+            locc_convert_step(source, eps=eps)
 
 
 def test_convert_step_eps_too_aggressive(params, rng):

@@ -192,6 +192,82 @@ def test_construction_and_notes_must_be_strings(params, field, value, path):
     assert err.value.path == path
 
 
+def documents(params):
+    """One valid document of each kind, keyed by the decoder that reads it."""
+    target = GenericState(
+        params,
+        (np.random.default_rng(5).normal(size=(3, 3)) + 3 * np.eye(3), np.eye(3), np.eye(3)),
+    )
+    kraus = sep_map_disjoint(np.eye(3), np.eye(3), params)
+    return {
+        "state": (state_from_json, state_to_json(target)),
+        "kraus": (protocol_from_json, protocol_to_json(kraus)),
+        "locc": (protocol_from_json, protocol_to_json(locc_reach_protocol(target))),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, keys, edit, path, message",
+    [
+        ("state", ["g"], lambda g: g[:2], "$.g", "expected three factor matrices"),
+        ("kraus", ["elements"], lambda _: [], "$.elements", "expected a nonempty list"),
+        (
+            "kraus",
+            ["elements", 2, "factors"],
+            lambda f: f[:2],
+            "$.elements[2].factors",
+            "expected three factors",
+        ),
+        ("locc", ["rounds"], lambda _: [], "$.rounds", "expected a nonempty list"),
+        ("locc", ["rounds", 0, "party"], lambda _: 3, "$.rounds[0].party", "expected 0, 1 or 2"),
+        (
+            "locc",
+            ["rounds", 0, "outcomes"],
+            lambda _: [],
+            "$.rounds[0].outcomes",
+            "expected a nonempty list",
+        ),
+        (
+            "locc",
+            ["rounds", 0, "outcomes", 1, "corrections"],
+            lambda _: {},
+            "$.rounds[0].outcomes[1].corrections",
+            "expected a list",
+        ),
+        ("kraus", ["elements", 0], lambda _: 7, "$.elements[0]", "expected an object, got int"),
+        (
+            "locc",
+            ["initial", "g", 1, 0, 0],
+            lambda _: [1.0],
+            "$.initial.g[1][0][0]",
+            "expected a [re, im] pair of numbers",
+        ),
+    ],
+    ids=[
+        "g-two-matrices",
+        "elements-empty",
+        "factors-two",
+        "rounds-empty",
+        "party-3",
+        "outcomes-empty",
+        "corrections-object",
+        "element-number",
+        "initial-entry",
+    ],
+)
+def test_every_list_field_names_its_path(params, kind, keys, edit, path, message):
+    decode, doc = documents(params)[kind]
+    *parents, last = keys
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    holder[last] = edit(holder[last])
+    with pytest.raises(SchemaError) as err:
+        decode(doc)
+    assert err.value.path == path
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_correction_party_must_differ_from_measurer(params, rng):
     target = GenericState(
         params,
