@@ -14,13 +14,15 @@ audit that re-derives the group from first principles.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import INDEX_ORDER, OMEGA, PAULIS, ZERO_TOL, apply3
+from .pauli import BASIS, INDEX_ORDER, OMEGA, ZERO_TOL
 
 #: Genericity margin: every scale-normalized exclusion polynomial must
 #: exceed this in absolute value.
@@ -55,7 +57,7 @@ class SeedParams:
 
     def canonical(self) -> "SeedParams":
         """Return the canonical-gauge representative of this triple."""
-        v = self.as_array()
+        v = np.array(_power_of_two_scaled(self))
         n = np.linalg.norm(v)
         if n == 0:
             raise ValueError("seed parameters must not all vanish")
@@ -78,6 +80,26 @@ class SeedParams:
 
     def close_to(self, other: "SeedParams", tol: float = 1e-9) -> bool:
         return bool(np.all(np.abs(self.as_array() - other.as_array()) <= tol))
+
+
+def _power_of_two_scaled(params: SeedParams) -> tuple[complex, complex, complex]:
+    """The amplitudes times the power of two that puts the largest |amplitude|
+    in [0.5, 1).
+
+    Scaling by a power of two is exact, so the rescaled triple carries the
+    original's digits, while its norms and degree-9 polynomials can no
+    longer over- or underflow.  A zero or non-finite triple is returned
+    unscaled."""
+    a, b, c = complex(params.a), complex(params.b), complex(params.c)
+    top = max(abs(a), abs(b), abs(c))
+    if top == 0 or not math.isfinite(top):
+        return a, b, c
+    e = -math.frexp(top)[1]
+    return (
+        complex(math.ldexp(a.real, e), math.ldexp(a.imag, e)),
+        complex(math.ldexp(b.real, e), math.ldexp(b.imag, e)),
+        complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)),
+    )
 
 
 def build_seed(params: SeedParams) -> np.ndarray:
@@ -148,22 +170,24 @@ def check_generic(params: SeedParams) -> GenericityReport:
 
     Each polynomial is divided by ``norm(a,b,c)**degree`` before comparison
     with :data:`GENERIC_THRESHOLD`, which makes the verdict independent of
-    the overall scale of the triple.
+    the overall scale of the triple; the triple is first rescaled by a power
+    of two (:func:`_power_of_two_scaled`), so that holds at any finite scale.
     A NaN or infinite amplitude is reported as a violated ``finite``
     condition with margin 0.
     """
     amplitudes = (("a", params.a), ("b", params.b), ("c", params.c))
     non_finite = tuple(
-        (f"finite {name}", 0.0) for name, z in amplitudes if not np.isfinite(z)
+        (f"finite {name}", 0.0) for name, z in amplitudes if not cmath.isfinite(z)
     )
     if non_finite:
         return GenericityReport(False, non_finite, 0.0)
-    n = params.norm()
+    a, b, c = _power_of_two_scaled(params)
+    n = float(np.linalg.norm((a, b, c)))
     if n == 0:
         return GenericityReport(False, (("a", 0.0), ("b", 0.0), ("c", 0.0)), 0.0)
     violations = []
     margin = np.inf
-    for name, value, degree in _exclusion_polynomials(params.a, params.b, params.c):
+    for name, value, degree in _exclusion_polynomials(a, b, c):
         scaled = abs(value) / n**degree
         margin = min(margin, scaled)
         if scaled < GENERIC_THRESHOLD:
@@ -180,16 +204,20 @@ def verify_symmetries(params: SeedParams) -> float:
 
     Returns ``max_k || S_k^(x3) psi - psi || / ||psi||``; anything above
     float noise means the algebra is broken, so residuals beyond 1e-8 raise
-    :class:`SymmetryCheckError` rather than being returned.
+    :class:`SymmetryCheckError` rather than being returned.  The nine
+    triples are applied as one contraction with :data:`~qutritlocc.pauli.BASIS`
+    to the seed built from the power-of-two rescaled triple, so the residual
+    is the same at any scale.
     """
-    psi = build_seed(params)
-    scale = np.linalg.norm(psi)
+    amplitudes = _power_of_two_scaled(params)
+    if not all(map(cmath.isfinite, amplitudes)):
+        raise ValueError("seed parameters must be finite")
+    t = build_seed(SeedParams(*amplitudes)).reshape(3, 3, 3)
+    scale = np.linalg.norm(t)
     if scale == 0:
         raise ValueError("seed parameters must not all vanish")
-    worst = 0.0
-    for k in INDEX_ORDER:
-        s = PAULIS[k]
-        worst = max(worst, float(np.linalg.norm(apply3(s, s, s, psi) - psi)) / scale)
+    moved = np.einsum("kai,kbj,kcl,ijl->kabc", BASIS, BASIS, BASIS, t)
+    worst = float(np.linalg.norm((moved - t).reshape(9, 27), axis=1).max()) / scale
     if worst > 1e-8:
         raise SymmetryCheckError(f"symmetry residual {worst:.3e} is far above float noise")
     return worst
@@ -297,13 +325,15 @@ class AuditReport:
     """Result of the exhaustive symmetry audit of a generic seed.
 
     For a generic seed the survivors must be exactly the nine Pauli pairs;
-    anything else lands in ``surplus``.
+    anything else lands in ``surplus``.  ``n_live_pairs`` counts the pairs
+    that passed the first probe and so were screened by all nine.
     """
 
     survivors: tuple[SurvivorRecord, ...]
     surplus: tuple[SurvivorRecord, ...]
     n_candidates: int
     n_pairs: int
+    n_live_pairs: int
     max_full_residual: float
     genericity: GenericityReport
 
@@ -324,16 +354,24 @@ def _all_candidates() -> tuple[np.ndarray, list[str]]:
     return np.concatenate([mono, dense]), labels
 
 
-def _pauli_match(m: np.ndarray) -> tuple[int, int] | None:
-    """Index of the Pauli operator proportional to ``m``, if any."""
-    nm = np.linalg.norm(m)
-    if nm == 0:
-        return None
-    for k in INDEX_ORDER:
-        ov = abs(np.vdot(PAULIS[k], m)) / (np.sqrt(3.0) * nm)
-        if ov >= 1.0 - 1e-8:
-            return k
-    return None
+def _pauli_match(mats: np.ndarray) -> list[tuple[int, int] | None]:
+    """For each matrix of a stack ``(N, 3, 3)``, the index of the Pauli
+    operator proportional to it, if any.
+
+    ``m`` matches ``S_k`` when ``|tr(S_k^dag m)| >= (1 - 1e-8) sqrt(3) ||m||``,
+    Cauchy-Schwarz equality to within 1e-8, which at most one of the
+    orthogonal ``S_k`` can reach.  Each matrix is first divided by its largest
+    |entry|, so the match does not depend on its scale; a zero matrix matches
+    nothing."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = mats / np.abs(mats).max(axis=(1, 2), keepdims=True)
+        norms = np.sqrt(3.0) * np.linalg.norm(unit.reshape(-1, 9), axis=1)
+        overlap = np.abs(np.einsum("kij,nij->nk", BASIS.conj(), unit)) / norms[:, None]
+    hits = overlap >= 1.0 - 1e-8
+    return [
+        INDEX_ORDER[k] if hit else None
+        for k, hit in zip(hits.argmax(axis=1).tolist(), hits.any(axis=1).tolist())
+    ]
 
 
 def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> AuditReport:
@@ -342,16 +380,27 @@ def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> Audi
     Every pair (B, C) from the monomial and dense candidate families is run
     through the projection screen; survivors get their first-party factor
     recovered by least squares and are checked as full product symmetries.
-    The screen's contraction runs one probe state at a time, which bounds
-    its memory to one probe's block of pair residuals.  The audit refuses
-    non-generic seeds, for which the candidate narrowing arguments do not
-    apply.
+    A pair's projection residual is the largest over the nine probe states
+    of ``|| <probe_i| (B (x) C) |psi> ||``, so the screen runs in two exact
+    stages.  Probe 0 alone screens all 46,656 pairs in one matrix product,
+    comparing squared residuals with ``proj_tol**2``; a pair it rejects
+    cannot pass the maximum.  Only the pairs it passes get the residual over
+    all nine probes, which is the ``projection_residual`` compared with
+    ``proj_tol``.  The seed and its probes are built from the triple
+    rescaled by a power of two (:func:`_power_of_two_scaled`), so the audit
+    runs at any scale.  The audit refuses non-generic seeds, for which the
+    candidate narrowing arguments do not apply, and a ``proj_tol`` that is
+    not a finite number >= 0.
     """
+    proj_tol = float(proj_tol)
+    if not (math.isfinite(proj_tol) and proj_tol >= 0):
+        raise ValueError(f"proj_tol must be a finite number >= 0, got {proj_tol}")
     genericity = check_generic(params)
     if not genericity.generic:
         names = ", ".join(name for name, _ in genericity.violations)
         raise ValueError(f"symmetry audit requires a generic seed (violated: {names})")
 
+    params = SeedParams(*_power_of_two_scaled(params))
     psi = build_seed(params)
     psi = psi / np.linalg.norm(psi)
     t = psi.reshape(3, 3, 3)
@@ -361,49 +410,51 @@ def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> Audi
     n = len(mats)
     norms = np.linalg.norm(mats.reshape(n, 9), axis=1)
     unit = mats / norms[:, None, None]
-    unit_rows = unit.reshape(n, 9)
 
-    # residual[b, c, i, x] = sum_{r,s,u,v} B[b,r,s] probes[i,r,u] C[c,u,v] t[x,s,v]
-    # contracted one probe i at a time, as a (n x 9) @ (9 x 3n) product,
-    # so that only one probe's (n, n, 3) block is held in memory
-    k0 = np.einsum("cuv,xsv->cuxs", unit, t)
-    k1 = np.einsum("iru,cuxs->irscx", probes, k0).reshape(len(probes), 9, 3 * n)
-    resid = np.zeros((n, n))
-    for k1_probe in k1:
-        block = (unit_rows @ k1_probe).reshape(n, n, 3)
-        np.maximum(resid, np.linalg.norm(block, axis=2), out=resid)
+    # residual[b, c, i, x] = sum_{r,s,u,v} probes[i,r,u] B[r,s] C[u,v] t[x,s,v],
+    # through k0[c, s, u, x] = sum_v C[u,v] t[x,s,v], the seed with C applied
+    k0 = np.einsum("cuv,xsv->csux", unit, t)
+    # stage 1: probe 0 for every pair, as one (n x 9) @ (9 x 3n) product
+    screen = unit.reshape(n, 9) @ np.einsum("ru,csux->rscx", probes[0], k0).reshape(9, 3 * n)
+    parts = screen.view(float).reshape(n, n, 6)
+    live_b, live_c = np.nonzero(np.einsum("bcx,bcx->bc", parts, parts) <= proj_tol * proj_tol)
+    # stage 2: all nine probes, for the pairs probe 0 passed, through the
+    # lift (I (x) B (x) C) psi of each as [p, r, (u, x)]
+    block = probes.reshape(9, 9) @ (unit[live_b] @ k0[live_c].reshape(-1, 3, 9)).reshape(-1, 9, 3)
+    resid = np.linalg.norm(block, axis=2).max(axis=1, initial=0.0)
+    keep = resid <= proj_tol
+    bi, ci, resid = live_b[keep], live_c[keep], resid[keep]
 
+    # recover each first-party factor by least squares on the unfolding
+    b_mats, c_mats = unit[bi], unit[ci]
+    target = psi.reshape(3, 9)
+    lifted = np.einsum("pbj,pck,ijk->pibc", b_mats, c_mats, t).reshape(-1, 3, 9)
+    a_mats = target @ np.linalg.pinv(lifted)
+    moved = np.einsum("pai,pbj,pck,ijk->pabc", a_mats, b_mats, c_mats, t).reshape(-1, 27) - psi
+    full = np.sqrt(np.vecdot(moved.real, moved.real) + np.vecdot(moved.imag, moved.imag))
+    m = len(bi)
+    matches = _pauli_match(np.concatenate([mats[bi], mats[ci], a_mats]))
     survivors: list[SurvivorRecord] = []
     surplus: list[SurvivorRecord] = []
-    max_full = 0.0
-    eye = np.eye(3, dtype=complex)
-    for bi, ci in zip(*np.nonzero(resid <= proj_tol)):
-        b_mat, c_mat = unit[bi], unit[ci]
-        # recover the first-party factor by least squares on the unfolding
-        target = psi.reshape(3, 9)
-        lifted = apply3(eye, b_mat, c_mat, psi).reshape(3, 9)
-        a_mat = target @ np.linalg.pinv(lifted)
-        full = float(np.linalg.norm(apply3(a_mat, b_mat, c_mat, psi) - psi))
-        kb = _pauli_match(mats[bi])
-        kc = _pauli_match(mats[ci])
-        ka = _pauli_match(a_mat)
-        pauli = kb if (kb is not None and kb == kc and kb == ka and full <= 1e-8) else None
+    records = zip(bi.tolist(), ci.tolist(), resid.tolist(), full.tolist(), a_mats)
+    for (b, c, r, f, a), kb, kc, ka in zip(records, matches[:m], matches[m : 2 * m], matches[2 * m :]):
+        pauli = kb if (kb is not None and kb == kc == ka and f <= 1e-8) else None
         rec = SurvivorRecord(
-            b_label=labels[bi],
-            c_label=labels[ci],
+            b_label=labels[b],
+            c_label=labels[c],
             pauli=pauli,
-            projection_residual=float(resid[bi, ci]),
-            full_residual=full,
-            a_matrix=a_mat,
+            projection_residual=r,
+            full_residual=f,
+            a_matrix=a,
         )
-        max_full = max(max_full, full)
         (survivors if pauli is not None else surplus).append(rec)
 
     return AuditReport(
         survivors=tuple(survivors),
         surplus=tuple(surplus),
-        n_candidates=len(mats),
-        n_pairs=len(mats) ** 2,
-        max_full_residual=max_full,
+        n_candidates=n,
+        n_pairs=n**2,
+        n_live_pairs=len(live_b),
+        max_full_residual=float(full.max(initial=0.0)),
         genericity=genericity,
     )

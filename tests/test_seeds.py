@@ -17,7 +17,9 @@ from qutritlocc.seeds import (
     verify_symmetries,
     _all_candidates,
     _exclusion_polynomials,
+    _pauli_match,
 )
+from qutritlocc.generate import random_seed_params
 
 # amplitude slots of the seed vector in the |ijk> -> 9i+3j+k indexing
 A_SLOTS = (0, 13, 26)
@@ -216,3 +218,97 @@ def test_audit_screen_matches_einsum_reference(params, proj_tol):
 def test_audit_refuses_non_generic():
     with pytest.raises(ValueError, match="generic"):
         symmetry_audit(SeedParams(1, 1, 2).canonical())
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e160, 1e-200])
+def test_seed_functions_are_scale_safe(scale):
+    """Genericity, the symmetry check, the canonical gauge and the audit of a
+    seed are those of the same seed at unit scale."""
+    params = random_seed_params(np.random.default_rng(3))
+    scaled = SeedParams(params.a * scale, params.b * scale, params.c * scale)
+    report = check_generic(scaled)
+    assert report.generic
+    assert report.margin == pytest.approx(check_generic(params).margin, rel=1e-12)
+    assert verify_symmetries(scaled) <= 1e-10
+    assert scaled.canonical().close_to(params, 1e-12)
+    audit = symmetry_audit(scaled)
+    assert audit.clean and len(audit.survivors) == 9
+
+
+def test_verify_symmetries_rejects_non_finite_parameters():
+    with pytest.raises(ValueError, match="finite"):
+        verify_symmetries(SeedParams(np.nan, 1, 0.5))
+
+
+@pytest.mark.parametrize("proj_tol", [np.nan, -1.0, np.inf])
+def test_audit_rejects_bad_projection_tolerance(params, proj_tol):
+    with pytest.raises(ValueError, match="proj_tol"):
+        symmetry_audit(params, proj_tol=proj_tol)
+
+
+def _full_grid_residuals(params):
+    """Residual of every pair under each probe, shape (216, 216, 9), from the
+    direct three-``einsum`` contraction."""
+    psi = build_seed(params)
+    t = (psi / np.linalg.norm(psi)).reshape(3, 3, 3)
+    probes = probe_states(params).conj()
+    mats, _ = _all_candidates()
+    unit = mats / np.linalg.norm(mats.reshape(len(mats), 9), axis=1)[:, None, None]
+    k0 = np.einsum("cuv,xsv->cuxs", unit, t)
+    k1 = np.einsum("iru,cuxs->icrxs", probes, k0)
+    return np.linalg.norm(np.einsum("brs,icrxs->bcix", unit, k1), axis=3)
+
+
+@settings(max_examples=3)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_two_stage_screen_matches_full_grid_reference(seed):
+    """At every tolerance, the probe-0 screen passes exactly the pairs whose
+    probe-0 residual is within ``proj_tol``, and the screened pairs and their
+    residuals are those of the full grid."""
+    params = random_seed_params(np.random.default_rng(seed))
+    per_probe = _full_grid_residuals(params)
+    resid = per_probe.max(axis=2)
+    _, labels = _all_candidates()
+    index = {label: i for i, label in enumerate(labels)}
+    for proj_tol in (AUDIT_PROJ_TOL, 0.05, 0.5):
+        report = symmetry_audit(params, proj_tol=proj_tol)
+        assert report.n_live_pairs == np.count_nonzero(per_probe[:, :, 0] <= proj_tol)
+        records = report.survivors + report.surplus
+        screened = {(index[r.b_label], index[r.c_label]) for r in records}
+        assert screened == set(zip(*np.nonzero(resid <= proj_tol)))
+        for r in records:
+            ref = resid[index[r.b_label], index[r.c_label]]
+            assert abs(r.projection_residual - ref) <= 1e-12
+
+
+def _loop_pauli_match(m):
+    """The per-operator definition: the first ``S_k`` whose normalized overlap
+    with ``m``, after dividing ``m`` by its largest |entry|, reaches 1 - 1e-8."""
+    top = np.abs(m).max()
+    if top == 0:
+        return None
+    u = m / top
+    for k in INDEX_ORDER:
+        if abs(np.vdot(PAULIS[k], u)) / (np.sqrt(3.0) * np.linalg.norm(u)) >= 1.0 - 1e-8:
+            return k
+    return None
+
+
+def test_stacked_pauli_match_agrees_with_operator_loop(rng):
+    phases = np.exp(2j * np.pi * rng.random((9, 3)))
+    scaled_paulis = [
+        PAULIS[k] * phase * scale
+        for k, row in zip(INDEX_ORDER, phases)
+        for phase, scale in zip(row, (1.0, 1e200, 1e-200))
+    ]
+    candidates, _ = _all_candidates()
+    noise = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    near = [PAULIS[(1, 1)] + 1e-3 * noise[0], PAULIS[(2, 1)] + 1e-10 * noise[1]]
+    mats = np.array([np.zeros((3, 3)), *scaled_paulis, *candidates, *near], dtype=complex)
+
+    matched = _pauli_match(mats)
+    assert matched == [_loop_pauli_match(m) for m in mats]
+    assert matched[0] is None
+    assert matched[1:28] == [k for k in INDEX_ORDER for _ in range(3)]
+    assert sorted(k for k in matched[28:244] if k is not None) == sorted(INDEX_ORDER)
+    assert matched[244:] == [None, (2, 1)]
