@@ -431,6 +431,8 @@ def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> Audi
     lifted = np.einsum("pbj,pck,ijk->pibc", b_mats, c_mats, t).reshape(-1, 3, 9)
     a_mats = target @ np.linalg.pinv(lifted)
     moved = np.einsum("pai,pbj,pck,ijk->pabc", a_mats, b_mats, c_mats, t).reshape(-1, 27) - psi
+    # each row's norm as np.linalg.norm takes one vector's, from dot products
+    # of its real and imaginary parts, so it is the per-pair residual bit for bit
     full = np.sqrt(np.vecdot(moved.real, moved.real) + np.vecdot(moved.imag, moved.imag))
     m = len(bi)
     matches = _pauli_match(np.concatenate([mats[bi], mats[ci], a_mats]))
