@@ -220,8 +220,14 @@ def from_coords(g0: complex, g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Kronecker product of three 3x3 matrices (27x27)."""
-    return np.kron(np.kron(a, b), c)
+    """Kronecker product of three 3x3 matrices (27x27).
+
+    Two broadcast products, ``(a (x) b) (x) c``: each entry is the same
+    two multiplications as in ``np.kron(np.kron(a, b), c)``, so the result
+    is bit-identical to it."""
+    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
+    ab = (a[:, None, :, None] * b[:, None, :]).reshape(9, 9)
+    return (ab[:, None, :, None] * c[:, None, :]).reshape(27, 27)
 
 
 def apply3(a: np.ndarray, b: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -52,9 +52,6 @@ class SeedParams:
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c], dtype=complex)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
     def canonical(self) -> "SeedParams":
         """Return the canonical-gauge representative of this triple."""
         v = np.array(_power_of_two_scaled(self))
@@ -71,7 +68,9 @@ class SeedParams:
     def is_canonical(self) -> bool:
         """Whether the triple is in canonical gauge to within ``ZERO_TOL``."""
         v = self.as_array()
-        if abs(np.linalg.norm(v) - 1.0) > ZERO_TOL:
+        with np.errstate(over="ignore"):  # an overflowing norm is inf: not unit
+            n = np.linalg.norm(v)
+        if abs(n - 1.0) > ZERO_TOL:
             return False
         for z in v:
             if abs(z) > 1e-12:
@@ -386,11 +385,12 @@ def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> Audi
     comparing squared residuals with ``proj_tol**2``; a pair it rejects
     cannot pass the maximum.  Only the pairs it passes get the residual over
     all nine probes, which is the ``projection_residual`` compared with
-    ``proj_tol``.  The seed and its probes are built from the triple
-    rescaled by a power of two (:func:`_power_of_two_scaled`), so the audit
-    runs at any scale.  The audit refuses non-generic seeds, for which the
-    candidate narrowing arguments do not apply, and a ``proj_tol`` that is
-    not a finite number >= 0.
+    ``proj_tol``.  The seed and its probes are built from the canonical
+    representative of the triple (a canonical triple is its own), so the
+    probes are unit-normalized and the screen is the same at any scale.
+    The audit refuses non-generic seeds, for which the candidate narrowing
+    arguments do not apply, and a ``proj_tol`` that is not a finite
+    number >= 0.
     """
     proj_tol = float(proj_tol)
     if not (math.isfinite(proj_tol) and proj_tol >= 0):
@@ -400,7 +400,8 @@ def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> Audi
         names = ", ".join(name for name, _ in genericity.violations)
         raise ValueError(f"symmetry audit requires a generic seed (violated: {names})")
 
-    params = SeedParams(*_power_of_two_scaled(params))
+    if not params.is_canonical():
+        params = params.canonical()
     psi = build_seed(params)
     psi = psi / np.linalg.norm(psi)
     t = psi.reshape(3, 3, 3)

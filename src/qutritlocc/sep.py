@@ -40,13 +40,14 @@ from .pauli import (
 )
 from .seeds import SeedParams
 from .states import (
+    STD_COMPARE_ATOL,
     GenericState,
     GramTriple,
     SeedMismatchError,
     gram,
     gram_triple,
     seed_gram,
-    standard_form_of_gram,
+    standardize_coords,
 )
 
 Pair = tuple[int, int]
@@ -242,6 +243,15 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
     a distribution reproduces the initial Gram product to within the
     tolerance ``tol`` (absolute Frobenius over the 27x27 product, default
     ``ZERO_TOL``).
+
+    A vertex v is trivial when the initial triple it induces is
+    LU-equivalent to the target.  That is decided on coordinates: the
+    induced triple's coordinate l is the target's times ``eta_l / eta_0``
+    with ``eta = CONJ_TABLE @ v`` (depolarizing by v, then normalizing the
+    trace; :func:`induced_initial`), and its gauge-fixed table
+    (:func:`~qutritlocc.states.standardize_coords`) must agree with the
+    target's to ``STD_COMPARE_ATOL``, as in
+    :meth:`~qutritlocc.states.StandardForm.close_to`.
     Raises ``ValueError`` for a seed outside the canonical gauge.
     """
     if not inst.seed.is_canonical():
@@ -274,12 +284,14 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
         dsv = np.linalg.svd(diffs, compute_uv=False)
         affine_dim = int(np.sum(dsv > 1e-9 * max(dsv[0], 1e-300)))
 
-    sf_target = standard_form_of_gram(inst.seed, inst.target_gram)
+    coords = inst.target_gram.coords
+    target_table, _ = standardize_coords(coords)
     vertex_trivial = []
     for v in vertices:
-        induced = induced_initial(inst.target_gram, v)
-        sf_induced = standard_form_of_gram(inst.seed, induced)
-        vertex_trivial.append(sf_induced.close_to(sf_target))
+        eta = CONJ_TABLE @ v
+        induced_table, _ = standardize_coords(coords * (eta[1:] / eta[0]))
+        gap = np.max(np.abs(induced_table - target_table))
+        vertex_trivial.append(bool(gap <= STD_COMPARE_ATOL))
 
     return SepFeasibility(
         feasible=True,

@@ -207,15 +207,6 @@ def span_factor(m: np.ndarray, w: tuple[int, int]) -> np.ndarray:
 # Standard form under the residual symmetry gauge
 # ---------------------------------------------------------------------------
 
-def _lex_key(coords: np.ndarray) -> tuple:
-    # Quantized so float noise cannot drive the tie-break: gauges that
-    # differ anywhere above the snap are separated by the key, and gauges
-    # that agree to the snap everywhere give coordinate tables equal far
-    # below the comparison tolerance, so the choice among them is moot.
-    flat = coords.ravel()
-    return tuple(np.round(np.stack([flat.real, flat.imag], axis=-1).ravel(), 12).tolist())
-
-
 def standardize_coords(coords: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
     """Pick the canonical gauge among the nine symmetry conjugations.
 
@@ -224,7 +215,9 @@ def standardize_coords(coords: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]
     selects three of the nine gauges; the next thresholded entry whose
     index is independent of the first selects one of those three.  Any
     residual tie (possible only when the support is degenerate, where the
-    surviving coordinate tables agree) is broken lexicographically.
+    surviving coordinate tables agree) is broken lexicographically: one
+    stable ``np.lexsort`` over each candidate table's entries, real part
+    then imaginary part, rounded to 1e-12, picks the first smallest.
     """
     coords = np.asarray(coords, dtype=complex)
     variants = coords[None, :, :] * CONJ_TABLE[1:].T[:, None, :]  # (9, 3, 8)
@@ -237,7 +230,14 @@ def standardize_coords(coords: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]
     theta = np.angle(variants.reshape(9, 24)[:, fixers])
     in_window = (theta + STD_WINDOW_SNAP) % (2.0 * np.pi) < 2.0 * np.pi / 3.0
     candidates = np.flatnonzero(in_window.all(axis=1))
-    best = min(candidates, key=lambda li: _lex_key(variants[li]))
+    if len(candidates) > 1:
+        # Quantized so float noise cannot drive the tie-break: gauges that
+        # differ anywhere above the snap are separated by the key, and gauges
+        # that agree to the snap everywhere give coordinate tables equal far
+        # below the comparison tolerance, so the choice among them is moot.
+        keys = np.round(variants[candidates].reshape(-1, 24).view(float), 12)  # (re, im) pairs
+        candidates = candidates[np.lexsort(keys.T[::-1])]
+    best = candidates[0]
     return variants[best], INDEX_ORDER[best]
 
 
@@ -259,7 +259,7 @@ class StandardForm:
         """Whether the coordinate tables agree to :data:`STD_COMPARE_ATOL`."""
         if not self.seed.close_to(other.seed, STD_COMPARE_ATOL):
             raise SeedMismatchError("standard forms belong to different seeds")
-        return bool(np.allclose(self.coords, other.coords, rtol=0.0, atol=STD_COMPARE_ATOL))
+        return bool(np.max(np.abs(self.coords - other.coords)) <= STD_COMPARE_ATOL)
 
 
 def standard_form_of_gram(seed: SeedParams, gt: GramTriple) -> StandardForm:

@@ -221,6 +221,28 @@ def test_kron3_diagonal():
     np.testing.assert_allclose(np.diag(k)[9:12], [4, 2, 2], atol=0)
 
 
+def test_kron3_is_bit_identical_to_nested_kron(rng):
+    """Real and complex factors at scales 1, 1e150 and 1e+-200 (where the
+    products overflow and underflow), strided views and nested lists."""
+    def draw():
+        m = rng.normal(size=(3, 3))
+        return m + 1j * rng.normal(size=(3, 3)) if rng.integers(2) else m
+
+    big = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    cases = [
+        [draw() * scale for scale in rng.choice([1.0, 1e150, 1e200, 1e-200], size=3)]
+        for _ in range(400)
+    ]
+    cases.append([big[::2, ::2], big[1::2, ::2].T, big.real[:3, 3:]])
+    cases.append([m.tolist() for m in cases[0]])
+    cases.append([PAULIS[(1, 2)], np.eye(3), np.diag([1.0, 2.0, 3.0]).tolist()])
+    with np.errstate(all="ignore"):
+        for a, b, c in cases:
+            got, ref = kron3(a, b, c), np.kron(np.kron(a, b), c)
+            assert got.dtype == ref.dtype and got.shape == (27, 27)
+            assert got.tobytes() == ref.tobytes()
+
+
 def test_apply3_identity(rng):
     v = rng.normal(size=27) + 1j * rng.normal(size=27)
     np.testing.assert_allclose(apply3(np.eye(3), np.eye(3), np.eye(3), v), v, atol=0)

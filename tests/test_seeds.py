@@ -60,7 +60,7 @@ def test_norm_squared(a, b, c):
 def test_canonical_gauge():
     p = SeedParams(2j, 3, 5).canonical()
     assert p.is_canonical()
-    assert abs(p.norm() - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(p.as_array()) - 1.0) <= 1e-12
     assert p.a.imag == pytest.approx(0.0, abs=1e-12) and p.a.real > 0
     # idempotent
     assert p.canonical().close_to(p, 1e-12)
@@ -233,6 +233,23 @@ def test_seed_functions_are_scale_safe(scale):
     assert scaled.canonical().close_to(params, 1e-12)
     audit = symmetry_audit(scaled)
     assert audit.clean and len(audit.survivors) == 9
+
+
+@pytest.mark.parametrize("scale", [1.5, 0.7, 1e200, 1e-200])
+def test_audit_screen_does_not_depend_on_the_seed_scale(params, scale):
+    """A loose screen passes the same pairs, with the same residuals, for
+    every representative of one ray: the probes are built from the
+    unit-normalized triple."""
+    scaled = SeedParams(params.a * scale, params.b * scale, params.c * scale)
+    base = symmetry_audit(params, proj_tol=0.05)
+    audit = symmetry_audit(scaled, proj_tol=0.05)
+    assert audit.n_live_pairs == base.n_live_pairs
+    for got, ref in ((audit.survivors, base.survivors), (audit.surplus, base.surplus)):
+        assert [(r.b_label, r.c_label, r.pauli) for r in got] == [
+            (r.b_label, r.c_label, r.pauli) for r in ref
+        ]
+        for g, r in zip(got, ref):
+            assert abs(g.projection_residual - r.projection_residual) <= 1e-12
 
 
 def test_verify_symmetries_rejects_non_finite_parameters():

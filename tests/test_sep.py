@@ -35,6 +35,7 @@ from qutritlocc.states import (
     gram_triple,
     permute_state,
     seed_gram,
+    standard_form_of_gram,
 )
 
 E0 = np.eye(9)[0]
@@ -524,3 +525,63 @@ def test_block_system_matches_kronecker_reference(params, monkeypatch):
         assert abs(dec.residual - ref.residual) <= 1e-12, name
         if dec.feasible:
             np.testing.assert_allclose(dec.witness, ref.witness, rtol=0, atol=1e-12, err_msg=name)
+
+
+def criterion_4_instances(per_class=50):
+    """Criterion 4's instances: disjoint, confined, tiling and dense targets,
+    each from the seed or, when confined, from its confined candidate."""
+    rng = np.random.default_rng(44)
+    out = []
+    for kind in ("disjoint", "confined", "tiling", "dense"):
+        for _ in range(per_class):
+            state = random_state(kind, rng)
+            target = gram(state)
+            initial = seed_gram()
+            if kind == "confined":
+                initial = next(
+                    g for label, g in candidate_initial_grams(target)
+                    if label.startswith("confined-")
+                )
+            out.append(gram_instance(state.seed, initial, target))
+    return out
+
+
+@pytest.mark.parametrize("weight", [1.0, 2.5])
+def test_vertex_trivial_matches_matrix_route(params, monkeypatch, weight):
+    """Each vertex's triviality is the standard-form comparison of the
+    initial triple it induces (depolarize, then trace-normalize) with the
+    target.  Vertices sum to one, so the weight 2.5 puts every vertex off
+    the simplex to check the trace normalization as well.  Identity
+    instances add trivial vertices of targets with nonzero coordinates."""
+    polytope = sep_module._polytope_vertices
+    monkeypatch.setattr(
+        sep_module, "_polytope_vertices", lambda p0, n: [weight * v for v in polytope(p0, n)]
+    )
+    instances = [inst for _, inst in reference_corpus(params)] + criterion_4_instances()
+    instances += [gram_instance(i.seed, i.target_gram, i.target_gram) for i in instances[::10]]
+    seen = set()
+    for inst in instances:
+        dec = sep_feasible(inst)
+        sf_target = standard_form_of_gram(inst.seed, inst.target_gram)
+        induced = (induced_initial(inst.target_gram, v) for v in dec.vertices)
+        expected = tuple(standard_form_of_gram(inst.seed, i).close_to(sf_target) for i in induced)
+        assert dec.vertex_trivial == expected
+        seen |= set(expected)
+        if len(dec.vertices) > 1:
+            seen.add("several")
+    assert seen == {True, False, "several"}
+
+
+def test_verdict_is_invariant_under_a_common_symmetry_conjugation(params):
+    """Conjugating source and target by the same ``S_k`` on every party
+    maps one instance to an equivalent one: the verdict tuple is kept."""
+    for name, inst in reference_corpus(params):
+        base = verdict(sep_feasible(inst))
+        for k in INDEX_ORDER[1:]:
+            s = PAULIS[k]
+            source, target = (
+                gram_triple(*(dagger(s) @ m @ s for m in gt.mats))
+                for gt in (inst.source_gram, inst.target_gram)
+            )
+            moved = sep_feasible(gram_instance(inst.seed, source, target))
+            assert verdict(moved) == base, (name, k)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from qutritlocc.pauli import INDEX_ORDER, PAULIS, ZERO_TOL, dagger, pauli_coords
+from qutritlocc.pauli import CONJ_TABLE, INDEX_ORDER, PAULIS, ZERO_TOL, dagger, pauli_coords
 from qutritlocc.seeds import SeedParams, build_seed
 from qutritlocc.states import (
+    STD_SUPPORT_TOL,
+    STD_WINDOW_SNAP,
     GenericState,
     GramTriple,
     SeedMismatchError,
@@ -18,6 +20,7 @@ from qutritlocc.states import (
     seed_gram,
     span_factor,
     standard_form,
+    standardize_coords,
 )
 
 RT_ATOL = 1e-12
@@ -315,6 +318,45 @@ def test_standard_form_idempotent(params, rng):
     again = standard_form(GenericState(params, rebuilt_factors))
     assert sf.close_to(again)
     assert again.close_to(sf)
+
+
+def _tuple_min_standardize(coords):
+    """The gauge pick with its tie broken by ``min`` over one tuple key per
+    candidate: the candidate table's (re, im) entries rounded to 1e-12.
+    Returns the table, the gauge and the number of candidates."""
+    variants = coords[None, :, :] * CONJ_TABLE[1:].T[:, None, :]
+    support = np.flatnonzero(np.abs(coords) > STD_SUPPORT_TOL)
+    line = support % 8 // 2
+    fixers = np.concatenate((support[:1], support[line != line[:1]][:1]))
+    theta = np.angle(variants.reshape(9, 24)[:, fixers])
+    in_window = (theta + STD_WINDOW_SNAP) % (2.0 * np.pi) < 2.0 * np.pi / 3.0
+    candidates = np.flatnonzero(in_window.all(axis=1))
+
+    def key(li):
+        flat = variants[li].ravel()
+        return tuple(np.round(np.stack([flat.real, flat.imag], axis=-1).ravel(), 12).tolist())
+
+    best = min(candidates, key=key)
+    return variants[best], INDEX_ORDER[best], len(candidates)
+
+
+def test_gauge_pick_matches_tuple_min_on_degenerate_supports():
+    """Tables with whole coordinate lines zeroed, exactly or below the
+    support cut, leave several gauges in the window; the lexsort pick is
+    the first smallest tuple key among them."""
+    rng = np.random.default_rng(19)
+    several = 0
+    for _ in range(2800):
+        coords = 0.1 * (rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8)))
+        for party, ln in zip(*np.nonzero(rng.random((3, 4)) < 0.75)):
+            level = rng.choice([0.0, 1e-13, 3e-11])
+            coords[party, 2 * ln : 2 * ln + 2] *= level
+        table, gauge = standardize_coords(coords)
+        ref_table, ref_gauge, n_candidates = _tuple_min_standardize(coords)
+        assert gauge == ref_gauge
+        assert np.array_equal(table, ref_table)
+        several += n_candidates > 1
+    assert several >= 300
 
 
 def test_standard_form_unitary_dressing_invariance(params, rng):
