@@ -92,6 +92,8 @@ def _cmd_files(args: argparse.Namespace) -> _Report:
 def _cmd_generate(args: argparse.Namespace) -> _Report:
     rng = np.random.default_rng(args.rng_seed)
     params = _load_seed_file(args.params_from) if args.params_from else None
+    if params is not None and not params.is_canonical():
+        params = params.canonical()
     state = random_state(args.kind, rng, params)
     metadata: dict[str, Any] = {"kind": args.kind}
     if args.label:

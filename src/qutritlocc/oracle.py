@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import BASIS, INDEX_ORDER, PAULIS, kron3
+from .pauli import BASIS, INDEX_ORDER, kron3
 from .seeds import SeedParams, build_seed
 from .sep import SepInstance
 
@@ -365,39 +365,27 @@ def numeric_symmetry_search(
     good = res <= ALS_CONVERGED_TOL
     converged = int(np.count_nonzero(good))
 
-    products = np.einsum(
-        "nai,nbj,nck->nabcijk", a[good], b[good], c[good]
-    ).reshape(-1, 27, 27)
-    norms = np.linalg.norm(products.reshape(-1, 729), axis=1)
-    products = products / norms[:, None, None]
+    # |<A⊗B⊗C, A'⊗B'⊗C'>| is the product of the parties' |<A, A'>|, so the
+    # product operators are compared through their normalized 3x3 factors.
+    f = np.stack((a[good], b[good], c[good]), axis=1).reshape(converged, 3, 9)
+    f /= np.linalg.norm(f, axis=2, keepdims=True)
+    distance = lambda overlap: np.sqrt(np.maximum(2.0 - 2.0 * overlap, 0.0))
 
-    reps: list[np.ndarray] = []
-    for p in products:
-        if all(
-            np.sqrt(max(2.0 - 2.0 * abs(np.vdot(r, p)), 0.0)) > 1e-6 for r in reps
-        ):
-            reps.append(p)
+    mutual = distance(np.abs(f.conj().swapaxes(0, 1) @ f.transpose(1, 2, 0)).prod(axis=0))
+    reps: list[int] = []
+    for n in range(converged):
+        if (mutual[n, reps] > 1e-6).all():
+            reps.append(n)
 
-    refs = {
-        k: kron3(PAULIS[k], PAULIS[k], PAULIS[k]) / np.sqrt(27.0) for k in INDEX_ORDER
-    }
-    found = []
-    extras = 0
-    worst = 0.0
-    for p in reps:
-        overlaps = {k: abs(np.vdot(ref, p)) for k, ref in refs.items()}
-        k_best = max(overlaps, key=overlaps.get)
-        err = np.sqrt(max(2.0 - 2.0 * overlaps[k_best], 0.0))
-        if err <= 1e-6:
-            found.append(k_best)
-            worst = max(worst, err)
-        else:
-            extras += 1
-    found = tuple(k for k in INDEX_ORDER if k in found)
+    # S_k ⊗ S_k ⊗ S_k has Frobenius norm sqrt(3) per party
+    overlaps = np.abs(f[reps] @ BASIS.reshape(9, 9).conj().T).prod(axis=1) / np.sqrt(27.0)
+    err = distance(overlaps.max(axis=1))
+    matched = err <= 1e-6
+    found = tuple(INDEX_ORDER[i] for i in sorted(set(overlaps.argmax(axis=1)[matched].tolist())))
     return SymmetrySearchReport(
         found=found,
-        extras=extras,
+        extras=int(np.count_nonzero(~matched)),
         starts=budget.starts,
         converged=converged,
-        max_match_error=float(worst),
+        max_match_error=float(err[matched].max(initial=0.0)),
     )

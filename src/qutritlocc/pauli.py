@@ -87,11 +87,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def frob(m: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
-
-
 def _coords(m: np.ndarray) -> np.ndarray:
     """The nine ``tr(S_k^dag m)/3`` of each matrix of a stack ``(..., 3, 3)``.
 

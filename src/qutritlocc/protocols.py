@@ -455,6 +455,8 @@ def sep_map_from_witness(
     common rescale would.
     """
     p = np.asarray(p, dtype=float)
+    if p.shape != (9,):
+        raise ValueError(f"expected 9 probabilities, got shape {p.shape}")
     gs = [_split_scale(g) for g in source.factors]
     hs = [scaled_into_range(h) for h in target.factors]
     tr_g = np.prod([np.trace(dagger(g) @ g).real for g, _ in gs])

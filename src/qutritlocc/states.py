@@ -15,12 +15,12 @@ import numpy as np
 
 from .pauli import (
     CONJ_TABLE,
+    COORD_ORDER,
     INDEX_ORDER,
-    PAULIS,
     ZERO_TOL,
     apply3,
     dagger,
-    frob,
+    idx_neg,
     is_hermitian,
     is_invertible,
     pauli_coords,
@@ -173,34 +173,23 @@ def positive_factor(g: np.ndarray) -> np.ndarray:
 def span_factor(m: np.ndarray, w: tuple[int, int]) -> np.ndarray:
     """Positive factor of a matrix confined to ``span{I, S_w, S_{-w}}``.
 
-    The three spanning operators commute, so they diagonalize in a common
-    orthonormal basis; the factor is the entrywise square root there.  The
-    result is again confined to the span and commutes with ``S_{+-w}``.
+    The factor is :func:`positive_factor`'s: the unique positive root of a
+    matrix that commutes with ``S_w`` commutes with it too, so it is again
+    confined to the span.  Confinement is tested on coordinates: every
+    ``S_l`` with ``l`` outside ``{0, w, -w}`` is off-diagonal in the
+    eigenbasis of ``S_w``, and the part of ``m`` they span has Frobenius
+    norm ``sqrt(3)`` times the norm of their coordinates.
     """
     if w == (0, 0):
         raise ValueError("the span direction must be a nonzero index")
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian")
-    s = PAULIS[w]
-    cube = s @ s @ s
-    if np.linalg.norm(cube - cube[0, 0] * np.eye(3)) > 1e-12:
-        raise RuntimeError("displacement operator cube is not scalar")
-    # Hermitian combination with guaranteed nondegenerate spectrum: the
-    # eigenphases of S_w are cube roots of cube[0,0], equally spaced, so
-    # offsetting by pi/9 keeps the three cosines distinct.
-    theta = np.angle(cube[0, 0]) / 3.0 + np.pi / 9.0
-    herm = np.exp(-1j * theta) * s + np.exp(1j * theta) * dagger(s)
-    _, u = np.linalg.eigh(herm)
-    d = dagger(u) @ m @ u
-    diag = np.diag(d)
-    off = float(np.linalg.norm(d - np.diag(diag)))
-    if off > max(ZERO_TOL * max(frob(m), 1e-300), 1e-12):
+    scaled = scaled_into_range(m)  # no norm overflows, and the 1e-12 floor stays below the cut
+    _, g = pauli_coords(scaled)
+    outside = [k not in (w, idx_neg(w)) for k in COORD_ORDER]
+    off = np.sqrt(3.0) * float(np.linalg.norm(g[outside]))
+    if off > max(ZERO_TOL * max(float(np.linalg.norm(scaled)), 1e-300), 1e-12):
         raise ValueError(f"matrix is not confined to the span (off-diagonal {off:.3e})")
-    vals = diag.real
-    if vals.min() <= ZERO_TOL * max(abs(vals).max(), 1e-300):
-        raise ValueError(f"matrix is not positive-definite on the span (min {vals.min():.3e})")
-    return (u * np.sqrt(vals)) @ dagger(u)
+    return positive_factor(m)
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +282,6 @@ def lu_equivalent(s1: GenericState, s2: GenericState) -> bool:
 # Party relabeling
 # ---------------------------------------------------------------------------
 
-def _parity(perm: tuple[int, int, int]) -> int:
-    inv = sum(
-        1
-        for i in range(3)
-        for j in range(i + 1, 3)
-        if perm[i] > perm[j]
-    )
-    return inv % 2
-
-
 def permute_state(state: GenericState, perm: tuple[int, int, int]) -> GenericState:
     """Relabel parties: new party ``i`` holds old party ``perm[i]``.
 
@@ -313,7 +292,7 @@ def permute_state(state: GenericState, perm: tuple[int, int, int]) -> GenericSta
     if sorted(perm) != [0, 1, 2]:
         raise ValueError(f"not a permutation of (0, 1, 2): {perm}")
     seed = state.seed
-    if _parity(perm) == 1:
+    if tuple(perm) in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
         seed = SeedParams(seed.a, seed.c, seed.b)
     factors = tuple(state.factors[p] for p in perm)
     return GenericState(seed=seed, factors=factors)  # type: ignore[arg-type]

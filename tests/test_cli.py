@@ -11,6 +11,7 @@ from qutritlocc.pauli import PAULIS, dagger
 from qutritlocc.statefile import load_state, protocol_from_json, save_protocol, save_state
 from qutritlocc.states import GenericState, positive_factor, span_factor
 from qutritlocc.protocols import locc_reach_protocol, simulate_branches
+from qutritlocc.seeds import SeedParams
 
 
 def pair_mat(w, z=0.08):
@@ -331,6 +332,22 @@ def test_generate_refuses_non_generic_params(capsys, files):
     assert code == 1
     assert out == ""
     assert err.startswith("error: seed is not generic") and err.count("\n") == 1
+
+
+def test_generate_puts_params_in_canonical_gauge(capsys, tmp_path):
+    loose = tmp_path / "loose-seed.json"
+    loose.write_text(json.dumps({"a": [2, 0], "b": [3, 0], "c": [5, 0.5]}))
+    written = []
+    for kind in ("seed", "confined"):
+        out = str(tmp_path / f"{kind}.json")
+        code, _, _ = run(capsys, "generate", kind, "--params-from", str(loose), "--out", out)
+        assert code == 0
+        assert load_state(out).seed == SeedParams(2, 3, 5 + 0.5j).canonical()
+        written.append(out)
+    code, _, err = run(capsys, "sep-decide", "--from", *written[:1], "--to", *written[1:])
+    assert code in (0, 2), err
+    code, _, err = run(capsys, "standard-form", *written)
+    assert code == 0, err
 
 
 def test_sep_decide_refuses_states_of_different_seeds(capsys, files, tmp_path):

@@ -564,6 +564,64 @@ def test_symmetry_search_matches_pinv_sweep(monkeypatch, seed):
         ), iters
 
 
+def search_by_products(a, b, c, res):
+    """The report read from full 27x27 product operators: each converged
+    start's ``a ⊗ b ⊗ c`` is normalized, clustered first-come by the
+    projective distance ``sqrt(2 - 2|<P, P'>|)`` and matched against the
+    normalized ``kron3`` of each symmetry triple."""
+    good = res <= ALS_CONVERGED_TOL
+    products = [np.kron(np.kron(x, y), z) for x, y, z in zip(a[good], b[good], c[good])]
+    products = [p / np.linalg.norm(p) for p in products]
+    distance = lambda p, q: np.sqrt(max(2.0 - 2.0 * abs(np.vdot(p, q)), 0.0))
+    reps = []
+    for p in products:
+        if all(distance(r, p) > 1e-6 for r in reps):
+            reps.append(p)
+    refs = {k: np.kron(np.kron(PAULIS[k], PAULIS[k]), PAULIS[k]) / np.sqrt(27.0) for k in INDEX_ORDER}
+    found, extras, worst = set(), 0, 0.0
+    for p in reps:
+        errors = {k: distance(ref, p) for k, ref in refs.items()}
+        k_best = min(errors, key=errors.get)
+        if errors[k_best] <= 1e-6:
+            found.add(k_best)
+            worst = max(worst, errors[k_best])
+        else:
+            extras += 1
+    return tuple(k for k in INDEX_ORDER if k in found), extras, int(good.sum()), worst
+
+
+def crafted_starts(rng):
+    """Factor triples as a sweep could return them: the nine symmetry
+    triples under random phases and scales, one of them again within 1e-9,
+    two distinct non-symmetry triples, the first of them twice, and an
+    unconverged start; shuffled, with the residual of each."""
+    dressed = lambda m: complex_normal(rng) * m
+    triples = [tuple(dressed(PAULIS[k]) for _ in range(3)) for k in INDEX_ORDER]
+    near = tuple(f + 1e-9 * np.linalg.norm(f) * complex_normal(rng, 3, 3) for f in triples[4])
+    other = [tuple(complex_normal(rng, 3, 3) for _ in range(3)) for _ in range(2)]
+    again = tuple(dressed(f) for f in other[0])
+    starts = triples + [near] + other + [again]
+    res = [0.0] * len(starts) + [0.3]
+    starts.append(tuple(complex_normal(rng, 3, 3) for _ in range(3)))
+    order = rng.permutation(len(starts))
+    a, b, c = (np.array([starts[i][p] for i in order]) for p in range(3))
+    return a, b, c, np.array(res)[order]
+
+
+def test_symmetry_search_matches_product_reference(monkeypatch, rng):
+    for _ in range(20):
+        a, b, c, res = crafted_starts(rng)
+        monkeypatch.setattr(oracle, "_als_sweep", lambda *args: (a, b, c, res))
+        report = numeric_symmetry_search(random_seed_params(rng), OracleBudget(starts=len(res)))
+        found, extras, converged, worst = search_by_products(a, b, c, res)
+        assert (report.found, report.extras, report.starts, report.converged) == (
+            found, extras, len(res), converged
+        )
+        assert report.found == INDEX_ORDER
+        assert report.extras == 2
+        assert abs(report.max_match_error - worst) <= 1e-7
+
+
 def test_converged_start_gets_no_further_update(params, monkeypatch):
     tensor = build_seed(params).reshape(3, 3, 3)
     rows = counting_updates(monkeypatch)

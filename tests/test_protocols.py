@@ -6,7 +6,7 @@ import pytest
 
 from qutritlocc.classify import classify, support_pattern
 from qutritlocc.generate import random_state
-from qutritlocc.pauli import PAULIS, dagger, frob, idx_neg, is_hermitian
+from qutritlocc.pauli import PAULIS, dagger, idx_neg, is_hermitian
 from qutritlocc.protocols import (
     BRANCH_MATCH_TOL,
     POVM_TOL,
@@ -120,7 +120,7 @@ def check_confined_map(params, rng, scale):
     h_gram = dagger(h1) @ h1
     triple = ((0, 0), w, idx_neg(w))
     depolarized = sum(dagger(PAULIS[k]) @ h_gram @ PAULIS[k] for k in triple) / 3
-    np.testing.assert_allclose(dagger(g1) @ g1, depolarized, atol=1e-12 * frob(depolarized))
+    np.testing.assert_allclose(dagger(g1) @ g1, depolarized, atol=1e-12 * np.linalg.norm(depolarized))
     np.testing.assert_allclose(
         init_gram.mats[0], depolarized / np.trace(depolarized).real, atol=1e-12
     )
@@ -404,6 +404,16 @@ def test_witness_map_rejects_a_nan_weight(params):
     with pytest.raises(ProtocolError) as err:
         sep_map_from_witness(source, target, w)
     assert err.value.residual == np.inf
+
+
+@pytest.mark.parametrize("shape", [(10,), (8,), (3, 3)])
+def test_witness_map_rejects_a_witness_of_the_wrong_shape(params, shape):
+    # the uniform witness reaches the seed from any target, so a map built
+    # from the first nine of ten entries would pass the completeness gate
+    source = GenericState(params, (np.eye(3),) * 3)
+    target = GenericState(params, (positive_factor(pair_mat((1, 0))), np.eye(3), np.eye(3)))
+    with pytest.raises(ValueError, match=r"expected 9 probabilities, got shape"):
+        sep_map_from_witness(source, target, np.full(shape, 1.0 / 9.0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

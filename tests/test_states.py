@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qutritlocc.pauli import CONJ_TABLE, INDEX_ORDER, PAULIS, ZERO_TOL, dagger, pauli_coords
+from qutritlocc.pauli import CONJ_TABLE, COORD_ORDER, INDEX_ORDER, PAULIS, ZERO_TOL, dagger, pauli_coords
 from qutritlocc.seeds import SeedParams, build_seed
 from qutritlocc.states import (
     STD_SUPPORT_TOL,
@@ -293,6 +293,51 @@ def test_span_factor_rejects_support_violation():
     m = np.eye(3) / 3 + 0.1 * (PAULIS[(1, 0)] + dagger(PAULIS[(1, 0)]))
     with pytest.raises(ValueError):
         span_factor(m, (0, 1))
+
+
+def span_factor_by_eigenbasis(m, w):
+    """The eigenbasis route to the span factor: diagonalize a Hermitian
+    combination of ``S_w`` and ``S_wᴴ`` whose spectrum is nondegenerate
+    (the pi/9 offset keeps its three cosines apart), keep the diagonal of
+    ``m`` in that basis and take its entrywise root."""
+    s = PAULIS[w]
+    theta = np.angle((s @ s @ s)[0, 0]) / 3.0 + np.pi / 9.0
+    _, u = np.linalg.eigh(np.exp(-1j * theta) * s + np.exp(1j * theta) * dagger(s))
+    vals = np.diag(dagger(u) @ m @ u).real
+    return (u * np.sqrt(vals)) @ dagger(u)
+
+
+@pytest.mark.parametrize("w", COORD_ORDER)
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100, 1e200, 1e-200])
+def test_span_factor_matches_eigenbasis_route(rng, w, scale):
+    # |z| from exactly 0 through the near-degenerate 1e-12..1e-9 up to 0.15,
+    # below the 1/6 at which I/3 + z S_w + conj(z) S_wᴴ stops being positive
+    sizes = np.concatenate(([0.0], 10.0 ** rng.uniform(-12, -9, 20), 10.0 ** rng.uniform(-9, np.log10(0.15), 40)))
+    for size in sizes:
+        z = size * np.exp(2j * np.pi * rng.uniform())
+        m = scale * (np.eye(3) / 3 + z * PAULIS[w] + np.conj(z) * dagger(PAULIS[w]))
+        g, ref = span_factor(m, w), span_factor_by_eigenbasis(m, w)
+        assert np.linalg.norm(g - ref) <= 1e-14 * np.linalg.norm(ref), size
+        commutator = g @ PAULIS[w] - PAULIS[w] @ g
+        assert np.linalg.norm(commutator) <= 1e-14 * np.linalg.norm(g), size
+
+
+@pytest.mark.parametrize(
+    "m, w",
+    [
+        (np.eye(3) / 3 + 1e-6 * (PAULIS[(1, 1)] + dagger(PAULIS[(1, 1)])), (1, 0)),
+        (1e200 * (np.eye(3) / 3 + 0.1 * (PAULIS[(1, 0)] + dagger(PAULIS[(1, 0)]))), (0, 1)),
+        (1e-200 * (np.eye(3) / 3 + 0.1 * (PAULIS[(1, 0)] + dagger(PAULIS[(1, 0)]))), (0, 1)),
+        (np.eye(3) / 3 + 0.05 * PAULIS[(0, 1)] + 0.02 * PAULIS[(0, 2)], (0, 1)),
+        (np.eye(3) / 3 + 0.01j * np.eye(3), (1, 2)),
+        (np.eye(3) / 3 + 0.5 * (PAULIS[(2, 1)] + dagger(PAULIS[(2, 1)])), (2, 1)),
+        (np.eye(3) / 3, (0, 0)),
+    ],
+    ids=["off-span", "off-span-at-1e200", "off-span-at-1e-200", "non-hermitian-in-span", "non-hermitian-identity", "indefinite", "zero-direction"],
+)
+def test_span_factor_rejects(m, w):
+    with pytest.raises(ValueError):
+        span_factor(m, w)
 
 
 # ---------------------------------------------------------------------------
