@@ -622,6 +622,23 @@ def test_symmetry_search_matches_product_reference(monkeypatch, rng):
         assert abs(report.max_match_error - worst) <= 1e-7
 
 
+def test_symmetry_search_tells_triples_apart_by_their_joint_distance(monkeypatch, rng):
+    # each party's factor moves by 0.8e-6 in projective distance, under the
+    # 1e-6 cut, but the product operator by sqrt(3) times that, over it
+    triple = [complex_normal(rng, 3, 3) for _ in range(3)]
+    moved = []
+    for f in triple:
+        f = f / np.linalg.norm(f)
+        e = complex_normal(rng, 3, 3)
+        e -= np.vdot(f, e) * f
+        moved.append(f + 0.8e-6 * e / np.linalg.norm(e))
+    a, b, c = (np.array(pair) for pair in zip(triple, moved))
+    res = np.zeros(2)
+    monkeypatch.setattr(oracle, "_als_sweep", lambda *args: (a, b, c, res))
+    report = numeric_symmetry_search(random_seed_params(rng), OracleBudget(starts=2))
+    assert search_by_products(a, b, c, res)[1] == report.extras == 2
+
+
 def test_converged_start_gets_no_further_update(params, monkeypatch):
     tensor = build_seed(params).reshape(3, 3, 3)
     rows = counting_updates(monkeypatch)
