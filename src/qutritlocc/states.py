@@ -182,7 +182,6 @@ def span_factor(m: np.ndarray, w: tuple[int, int]) -> np.ndarray:
     """
     if w == (0, 0):
         raise ValueError("the span direction must be a nonzero index")
-    m = np.asarray(m, dtype=complex)
     scaled = scaled_into_range(m)  # exact rescale: no norm overflows and the cut stays relative
     _, g = pauli_coords(scaled)
     outside = [k not in (w, idx_neg(w)) for k in COORD_ORDER]
