@@ -14,9 +14,9 @@ in the nine-dimensional character domain.  The spectrum
 ``eta_l = sum_k p_k phase(l, k)`` of a distribution multiplies coordinate
 l of a depolarized Gram matrix, and coordinate (l, m, n) of the mixed
 product above by ``eta_{l+m+n}``.  The 729 entries of the product thus
-reduce exactly to one scalar fit per character; this module solves that
-19-row real system (least squares plus nullspace), enumerates the
-polytope's vertices, and reports feasibility, uniqueness and
+reduce exactly to one scalar fit per character, which this module solves
+in closed form (least-squares point, singular values and nullspace), then
+enumerates the polytope's vertices and reports feasibility, uniqueness and
 nontriviality of the conversion.
 """
 
@@ -114,7 +114,7 @@ def sep_instance(source: GenericState, target: GenericState) -> SepInstance:
     if not source.seed.close_to(target.seed):
         raise SeedMismatchError(
             "source and target have different canonical seed parameters; "
-            "they belong to different SLOCC classes"
+            "cross-seed conversion is not decided"
         )
     return SepInstance(seed=source.seed, source_gram=gram(source), target_gram=gram(target))
 
@@ -144,20 +144,21 @@ class SepFeasibility:
 
 def _infeasible(residual: float, reason: str) -> SepFeasibility:
     return SepFeasibility(
-        feasible=False,
-        witness=None,
-        residual=residual,
-        vertices=(),
-        unique=False,
-        affine_dim=-1,
-        vertex_trivial=(),
-        nontrivial=False,
-        reason=reason,
+        feasible=False, witness=None, residual=residual, vertices=(), unique=False,
+        affine_dim=-1, vertex_trivial=(), nontrivial=False, reason=reason,
     )
 
 
 #: Most negative probability a polytope vertex may carry.
 VERTEX_FEAS_TOL = 1e-10
+#: Active constraints pin no vertex at ``|det|`` below this times their row norms' product.
+VERTEX_DET_TOL = 1e-10
+#: Largest entrywise gap at which two vertices are the same vertex.
+VERTEX_DEDUPE_TOL = 1e-8
+#: Relative singular value cut of the solution set's nullspace and the vertices' hull.
+RANK_TOL = 1e-9
+#: Relative singular value at or below which eta_s stays 0: numpy lstsq's cut for 19 real rows.
+FIT_TOL = 19 * np.finfo(float).eps
 
 
 def _polytope_vertices(p0: np.ndarray, nullspace: np.ndarray) -> list[np.ndarray]:
@@ -169,13 +170,13 @@ def _polytope_vertices(p0: np.ndarray, nullspace: np.ndarray) -> list[np.ndarray
     for active in itertools.combinations(range(9), d):
         block = nullspace[list(active), :]
         scale = np.prod(np.maximum(np.linalg.norm(block, axis=1), 1e-300))
-        if abs(np.linalg.det(block)) <= 1e-10 * scale:
+        if abs(np.linalg.det(block)) <= VERTEX_DET_TOL * scale:
             continue
         t = np.linalg.solve(block, -p0[list(active)])
         p = p0 + nullspace @ t
         if p.min() < -VERTEX_FEAS_TOL:
             continue
-        if all(np.max(np.abs(p - v)) > 1e-8 for v in vertices):
+        if all(np.max(np.abs(p - v)) > VERTEX_DEDUPE_TOL for v in vertices):
             vertices.append(p)
     return vertices
 
@@ -191,6 +192,11 @@ def _block_index() -> np.ndarray:
 
 
 _BLOCKS = _block_index()
+#: Position of -s for each position s of INDEX_ORDER.
+_NEG = np.array([INDEX_POS[idx_neg(k)] for k in INDEX_ORDER])
+#: Orthonormal real columns (Re + Im of the characters, over 3): columns s and -s span
+#: the distributions that move only eta_s and eta_-s.
+_PAIR_BASIS = (CONJ_TABLE.real + CONJ_TABLE.imag).T / 3.0
 
 
 def _product_blocks(gt: GramTriple) -> np.ndarray:
@@ -200,23 +206,20 @@ def _product_blocks(gt: GramTriple) -> np.ndarray:
     return (c[0][:, None, None] * c[1][:, None] * c[2]).ravel()[_BLOCKS]
 
 
-def _block_system(inst: SepInstance) -> tuple[np.ndarray, np.ndarray, float]:
-    """The SEP condition as 19 real rows, an exact reduction of its
-    729-row Kronecker form.
+def _character_fit(inst: SepInstance) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """The SEP condition as one scalar fit per character.
 
     Coordinate (l, m, n) of ``sum_k p_k (S_k^dag)^(x3) H S_k^(x3)`` is
     ``h1_l h2_m h3_n eta_{l+m+n}`` with ``eta = CONJ_TABLE @ p``, and the
     basis products are orthogonal with squared Frobenius norm 27.  So the
     Kronecker rows fall into nine blocks by ``s = l + m + n``, each of rank
-    one: ``sqrt(27) h_s eta_s`` against ``sqrt(27) g_s``.  Block s becomes
-    the row ``sqrt(27) |h_s| CONJ_TABLE[s]`` with right-hand side
-    ``sqrt(27) <h_s/|h_s|, g_s>``.  The part of each ``g_s`` orthogonal to
-    ``h_s`` (all of it where ``h_s`` vanishes) is returned as
-    ``remainder``; the Kronecker residual at p is
-    ``hypot(|a p - b|, remainder)``.  Rows are the nine real parts, the
-    nine imaginary parts and the normalisation row.  The map is an
-    isometry, so singular values, nullspace and least-squares point equal
-    the Kronecker system's.
+    one: ``sqrt(27) h_s eta_s`` against ``sqrt(27) g_s``.  Returns the norms
+    ``n_s = |h_s|``, the projections ``proj_s = <h_s/|h_s|, g_s>``, the
+    ``remainder`` (the parts of the ``g_s`` orthogonal to the ``h_s``; with
+    it :func:`_residual` is the Kronecker residual) and the singular values
+    of the fit as a real map of p (``CONJ_TABLE @ CONJ_TABLE^dag = 9 I``):
+    ``sqrt(121.5 (n_s^2 + n_-s^2))`` twice per negation pair {s, -s}, and
+    ``3 sqrt(27 n_0^2 + 1)`` for block 0 with the normalisation row.
     """
     h = _product_blocks(inst.target_gram)
     g = _product_blocks(inst.source_gram)
@@ -226,23 +229,28 @@ def _block_system(inst: SepInstance) -> tuple[np.ndarray, np.ndarray, float]:
     length = np.linalg.norm(u, axis=1, keepdims=True)
     u = np.divide(u, length, out=np.zeros_like(u), where=length > 0)
     proj = np.sum(u.conj() * g, axis=1)
-    root27 = np.sqrt(27.0)
-    remainder = root27 * float(np.linalg.norm(g - proj[:, None] * u))
-    rows = root27 * (peak * length) * CONJ_TABLE
-    a = np.vstack([rows.real, rows.imag, np.ones((1, 9))])
-    b = np.concatenate([root27 * proj.real, root27 * proj.imag, [1.0]])
-    return a, b, remainder
+    remainder = np.sqrt(27.0) * float(np.linalg.norm(g - proj[:, None] * u))
+    n = (peak * length).ravel()
+    sv = np.sqrt(121.5) * np.hypot(n, n[_NEG])
+    sv[0] = 3.0 * np.sqrt(27.0 * n[0] ** 2 + 1.0)
+    return n, proj, remainder, sv
+
+
+def _residual(eta: np.ndarray, n: np.ndarray, proj: np.ndarray, remainder: float) -> float:
+    """Residual of the SEP condition and the normalisation at spectrum ``eta``."""
+    r = n * eta - proj
+    return float(np.sqrt(27.0 * np.vdot(r, r).real + (eta[0].real - 1.0) ** 2 + remainder**2))
 
 
 def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
     """Decide an instance by exact polytope analysis.
 
-    Solves the 19-row block form of the SEP condition
-    (:func:`_block_system`) for its affine solution set by least squares
-    and a thin SVD, and enumerates the polytope's vertices.  Feasible means
-    a distribution reproduces the initial Gram product to within the
-    tolerance ``tol`` (absolute Frobenius over the 27x27 product, default
-    ``ZERO_TOL``).
+    Fits the spectrum one character at a time (:func:`_character_fit`)
+    in closed form: least-squares point and nullspace, which the null
+    blocks' characters span.  Then it enumerates the polytope's vertices.
+    Feasible means a distribution reproduces the initial Gram product to
+    within the tolerance ``tol`` (absolute Frobenius over the 27x27
+    product, default ``ZERO_TOL``).
 
     A vertex v is trivial when the initial triple it induces is
     LU-equivalent to the target.  That is decided on coordinates: the
@@ -256,53 +264,45 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
     """
     if not inst.seed.is_canonical():
         raise ValueError("seed parameters must be in canonical gauge")
-    a_real, b_real, remainder = _block_system(inst)
-
-    p_ls, _, _, _ = np.linalg.lstsq(a_real, b_real, rcond=None)
-    affine_residual = float(np.hypot(np.linalg.norm(a_real @ p_ls - b_real), remainder))
+    n, proj, remainder, sv = _character_fit(inst)
+    sv_max = sv.max()
+    # Blocks s and -s fit eta_s, one through its conjugate; block 0 and normalisation eta_0.
+    fit = sv > FIT_TOL * sv_max
+    eta = np.zeros(9, dtype=complex)
+    eta[fit] = (n * proj + n[_NEG] * proj[_NEG].conj())[fit] / (n**2 + n[_NEG] ** 2)[fit]
+    eta[0] = (27.0 * n[0] * proj[0].real + 1.0) / (27.0 * n[0] ** 2 + 1.0)
+    p_ls = (CONJ_TABLE.conj().T @ eta).real / 9.0
+    affine_residual = _residual(eta, n, proj, remainder)
 
     if affine_residual > tol:
         return _infeasible(affine_residual, "affine-infeasible")
 
-    _, sv, vh = np.linalg.svd(a_real, full_matrices=False)
-    rank = int(np.sum(sv > 1e-9 * sv[0]))
-    nullspace = vh[rank:].T  # (9, 9-rank)
-
+    nullspace = _PAIR_BASIS[:, sv <= RANK_TOL * sv_max]
     vertices = _polytope_vertices(p_ls, nullspace)
     if not vertices:
         return _infeasible(affine_residual, "polytope-empty")
 
-    witness = np.mean(vertices, axis=0)
-    witness = np.clip(witness, 0.0, None)
+    witness = np.clip(np.mean(vertices, axis=0), 0.0, None)
     witness = witness / witness.sum()
-    residual = float(np.hypot(np.linalg.norm(a_real @ witness - b_real), remainder))
+    residual = _residual(CONJ_TABLE @ witness, n, proj, remainder)
 
-    if len(vertices) == 1:
-        affine_dim = 0
-    else:
-        diffs = np.array(vertices[1:]) - vertices[0]
-        dsv = np.linalg.svd(diffs, compute_uv=False)
-        affine_dim = int(np.sum(dsv > 1e-9 * max(dsv[0], 1e-300)))
+    affine_dim = 0
+    if len(vertices) > 1:
+        dsv = np.linalg.svd(np.array(vertices[1:]) - vertices[0], compute_uv=False)
+        affine_dim = int(np.sum(dsv > RANK_TOL * max(dsv[0], 1e-300)))
 
     coords = inst.target_gram.coords
     target_table, _ = standardize_coords(coords)
     vertex_trivial = []
     for v in vertices:
         eta = CONJ_TABLE @ v
-        induced_table, _ = standardize_coords(coords * (eta[1:] / eta[0]))
-        gap = np.max(np.abs(induced_table - target_table))
+        gap = np.max(np.abs(standardize_coords(coords * (eta[1:] / eta[0]))[0] - target_table))
         vertex_trivial.append(bool(gap <= STD_COMPARE_ATOL))
 
     return SepFeasibility(
-        feasible=True,
-        witness=witness,
-        residual=residual,
-        vertices=tuple(vertices),
-        unique=len(vertices) == 1,
-        affine_dim=affine_dim,
-        vertex_trivial=tuple(vertex_trivial),
-        nontrivial=not all(vertex_trivial),
-        reason=None,
+        feasible=True, witness=witness, residual=residual, vertices=tuple(vertices),
+        unique=len(vertices) == 1, affine_dim=affine_dim, vertex_trivial=tuple(vertex_trivial),
+        nontrivial=not all(vertex_trivial), reason=None,
     )
 
 

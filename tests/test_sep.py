@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qutritlocc import sep as sep_module
-from qutritlocc.generate import KINDS, random_state
+from qutritlocc.generate import KINDS, random_seed_params, random_state
 from qutritlocc.pauli import (
     CONJ_TABLE,
     INDEX_ORDER,
     INDEX_POS,
+    PAIR_REPS,
     PAULIS,
+    ZERO_TOL,
     dagger,
     idx_add,
     idx_neg,
@@ -31,9 +34,11 @@ from qutritlocc.seeds import SeedParams
 from qutritlocc.states import (
     GenericState,
     SeedMismatchError,
+    assemble,
     gram,
     gram_triple,
     permute_state,
+    ray_distance,
     seed_gram,
     standard_form_of_gram,
 )
@@ -264,6 +269,24 @@ def test_instance_requires_same_seed(params, rng):
         sep_instance(s1, s2)
 
 
+def test_seed_mismatch_claims_no_slocc_class():
+    """Swapping |1> and |2> on every party maps psi(a, b, c) to psi(a, c, b),
+    so these two states are one vector on two canonical seeds.  The refusal
+    says what was compared and claims nothing about SLOCC classes."""
+    seed = random_seed_params(np.random.default_rng(0))
+    swapped = SeedParams(seed.a, seed.c, seed.b)
+    assert swapped.is_canonical()
+    g = np.random.default_rng(1).normal(size=(3, 3, 3)) + np.eye(3)
+    swap = np.eye(3)[[0, 2, 1]]
+    s1 = GenericState(seed, tuple(g))
+    s2 = GenericState(swapped, tuple(m @ swap for m in g))
+    assert ray_distance(assemble(s1), assemble(s2)) <= 1e-12
+    with pytest.raises(SeedMismatchError, match="different canonical seed parameters") as err:
+        sep_instance(s1, s2)
+    assert "SLOCC" not in str(err.value)
+    assert "not decided" in str(err.value)
+
+
 def test_sep_instance_carries_grams(params, rng):
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     target = GenericState(params, (a @ dagger(a) + np.eye(3), np.eye(3), np.eye(3)))
@@ -446,7 +469,7 @@ def test_witness_spectrum_passes_conditions(params):
 
 
 # ---------------------------------------------------------------------------
-# the block reduction against the Kronecker system it replaces
+# the character fit against the Kronecker system it replaces
 # ---------------------------------------------------------------------------
 
 
@@ -454,7 +477,7 @@ def kronecker_system(inst):
     """The SEP condition in Kronecker form: one complex row per entry of
     the 27x27 Gram product, stacked as 1459 real rows (real parts,
     imaginary parts, normalisation row), with no remainder.  This is the
-    formulation the engine's 19-row block system reduces."""
+    formulation the engine's character fit reduces."""
     h1, h2, h3 = inst.target_gram.mats
     columns = []
     for k in INDEX_ORDER:
@@ -503,28 +526,166 @@ def verdict(dec):
     )
 
 
-def test_block_system_matches_kronecker_reference(params, monkeypatch):
+NEAR_CUT_BASES = {
+    "tiling": (two_pair_mat((1, 0), (0, 1)), two_pair_mat((1, 1), (1, 2)), np.eye(3)),
+    "disjoint": (pair_mat((1, 0)), pair_mat((0, 1)), np.eye(3)),
+    "one-pair": (pair_mat((1, 0)), np.eye(3), np.eye(3)),
+}
+
+
+def near_cut_corpus(params, kinds=("tiling", "disjoint")):
+    """Seed-to-target and identity instances whose target carries one extra
+    coordinate pair of size t on its third party, on each of the four pairs,
+    for 41 values of t from 1e-14 to 1e-4.  On the tiling and two-party
+    disjoint targets every block is already open and the residual crosses
+    its bound; on the one-pair target the blocks the extra pair opens cross
+    the fit cut and the rank cut."""
+    cases = []
+    for w in PAIR_REPS:
+        extra = PAULIS[w] + dagger(PAULIS[w])
+        for t in np.logspace(-14, -4, 41):
+            for kind in kinds:
+                m1, m2, m3 = NEAR_CUT_BASES[kind]
+                target = gram_triple(m1, m2, m3 + t * extra)
+                name = f"{kind}+{w}@{t:.2e}"
+                cases.append((f"seed/{name}", gram_instance(params, seed_gram(), target)))
+                cases.append((f"identity/{name}", gram_instance(params, target, target)))
+    return cases
+
+
+def kronecker_decision(inst):
+    """Reference decision of the Kronecker system: ``lstsq``, the SVD's
+    nullspace at the 1e-9 rank cut, the engine's vertex enumeration, and
+    vertex triviality by comparing standard forms of Gram matrices."""
+    ka, kb, _ = kronecker_system(inst)
+    p_ls = np.linalg.lstsq(ka, kb, rcond=None)[0]
+    affine_residual = float(np.linalg.norm(ka @ p_ls - kb))
+    infeasible = dict(
+        feasible=False, witness=None, vertices=(), unique=False, affine_dim=-1,
+        vertex_trivial=(), nontrivial=False,
+    )
+    if affine_residual > ZERO_TOL:
+        return SimpleNamespace(**infeasible, residual=affine_residual, reason="affine-infeasible")
+    _, ksv, vh = np.linalg.svd(ka, full_matrices=False)
+    rank = int(np.sum(ksv > 1e-9 * ksv[0]))
+    vertices = sep_module._polytope_vertices(p_ls, vh[rank:].T)
+    if not vertices:
+        return SimpleNamespace(**infeasible, residual=affine_residual, reason="polytope-empty")
+    witness = np.clip(np.mean(vertices, axis=0), 0.0, None)
+    witness /= witness.sum()
+    affine_dim = 0
+    if len(vertices) > 1:
+        dsv = np.linalg.svd(np.array(vertices[1:]) - vertices[0], compute_uv=False)
+        affine_dim = int(np.sum(dsv > 1e-9 * dsv[0]))
+    sf_target = standard_form_of_gram(inst.seed, inst.target_gram)
+    trivial = tuple(
+        standard_form_of_gram(inst.seed, induced_initial(inst.target_gram, v)).close_to(sf_target)
+        for v in vertices
+    )
+    return SimpleNamespace(
+        feasible=True, witness=witness, residual=float(np.linalg.norm(ka @ witness - kb)),
+        vertices=tuple(vertices), unique=len(vertices) == 1, affine_dim=affine_dim,
+        vertex_trivial=trivial, nontrivial=not all(trivial), reason=None,
+    )
+
+
+def test_engine_matches_kronecker_reference_decision(params):
+    """The closed-form character fit decides as the Kronecker system does,
+    on the reference corpus and on instances whose residual crosses its
+    bound; its residual formula equals the Kronecker residual at any p."""
     probes = np.vstack([np.eye(9), np.random.default_rng(0).dirichlet(np.ones(9), 4)])
-    for name, inst in reference_corpus(params):
-        a, b, remainder = sep_module._block_system(inst)
+    for name, inst in reference_corpus(params) + near_cut_corpus(params):
+        n, proj, remainder, _ = sep_module._character_fit(inst)
         ka, kb, _ = kronecker_system(inst)
-        assert a.shape == (19, 9), name
-        ksv = np.linalg.svd(ka, compute_uv=False)
-        np.testing.assert_allclose(
-            np.linalg.svd(a, compute_uv=False), ksv, rtol=0, atol=1e-12 * ksv[0], err_msg=name
-        )
         for p in probes:
-            got = np.hypot(np.linalg.norm(a @ p - b), remainder)
+            got = sep_module._residual(CONJ_TABLE @ p, n, proj, remainder)
             assert abs(got - np.linalg.norm(ka @ p - kb)) <= 1e-12, name
 
         dec = sep_feasible(inst)
-        with monkeypatch.context() as m:
-            m.setattr(sep_module, "_block_system", kronecker_system)
-            ref = sep_feasible(inst)
+        ref = kronecker_decision(inst)
         assert verdict(dec) == verdict(ref), name
         assert abs(dec.residual - ref.residual) <= 1e-12, name
         if dec.feasible:
             np.testing.assert_allclose(dec.witness, ref.witness, rtol=0, atol=1e-12, err_msg=name)
+
+
+def exact_vertices(eta):
+    """Vertices of {p >= 0 : sum(p) = 1, (CONJ_TABLE @ p)_s = eta[s] for s in
+    eta}, found as basic solutions over every support of the constraints'
+    rank."""
+    fixed = list(eta)
+    values = np.array([eta[s] for s in fixed])
+    rows = np.vstack([CONJ_TABLE[fixed].real, CONJ_TABLE[fixed].imag, np.ones((1, 9))])
+    rhs = np.concatenate([values.real, values.imag, [1.0]])
+    rank = np.linalg.matrix_rank(rows)
+    found = []
+    for support in itertools.combinations(range(9), rank):
+        cols = rows[:, list(support)]
+        if np.linalg.matrix_rank(cols) < rank:
+            continue
+        p = np.zeros(9)
+        p[list(support)] = np.linalg.lstsq(cols, rhs, rcond=None)[0]
+        if np.abs(rows @ p - rhs).max() <= 1e-12 and p.min() >= -1e-12:
+            if all(np.abs(p - q).max() > 1e-9 for q in found):
+                found.append(p)
+    return found
+
+
+def test_vertices_near_the_rank_cut_are_exact(params):
+    """On the one-pair family the blocks the extra pair opens cross the fit
+    and rank cuts.  The polytope is the one the fitted characters define:
+    eta_s at its pair's least-squares value where the pair's singular value
+    exceeds the rank cut, free elsewhere.  Every vertex of it is reported
+    and nothing else, up to the merging of vertices closer than the dedupe
+    cut.  An SVD nullspace is accurate near the cut only to about eps over
+    the gap to it; with one, the engine reported a point of an edge as a
+    vertex there."""
+    for name, inst in near_cut_corpus(params, kinds=("one-pair",)):
+        dec = sep_feasible(inst)
+        if not dec.feasible:
+            continue
+        n, proj, _, sv = sep_module._character_fit(inst)
+        neg = [INDEX_POS[idx_neg(k)] for k in INDEX_ORDER]
+        eta = {
+            s: (n[s] * proj[s] + n[neg[s]] * np.conj(proj[neg[s]])) / (n[s] ** 2 + n[neg[s]] ** 2)
+            for s in range(1, 9)
+            if sv[s] > 1e-9 * sv.max()
+        }
+        expected = exact_vertices(eta)
+        gaps = np.abs(np.array(dec.vertices)[:, None] - np.array(expected)[None]).max(axis=2)
+        assert gaps.min(axis=1).max() <= 1e-7, name
+        assert gaps.min(axis=0).max() <= 1e-7, name
+
+
+def test_closed_form_rank_matches_kronecker_svd(params, monkeypatch):
+    """The closed-form singular values are the Kronecker system's, so the
+    rank cut keeps as many of them; the nullspace handed to the vertex
+    enumeration (reached for every instance at ``tol=inf``) is orthonormal
+    and spans the Kronecker SVD's null directions."""
+    nullspaces = []
+    polytope = sep_module._polytope_vertices
+    monkeypatch.setattr(
+        sep_module, "_polytope_vertices", lambda p0, n: nullspaces.append(n) or polytope(p0, n)
+    )
+    for name, inst in reference_corpus(params):
+        sv = sep_module._character_fit(inst)[3]
+        ka, _, _ = kronecker_system(inst)
+        _, ksv, vh = np.linalg.svd(ka, full_matrices=False)
+        np.testing.assert_allclose(
+            np.sort(sv)[::-1], ksv, rtol=0, atol=1e-12 * ksv[0], err_msg=name
+        )
+        rank = int(np.sum(sv > sep_module.RANK_TOL * sv.max()))
+        krank = int(np.sum(ksv > 1e-9 * ksv[0]))
+        sep_feasible(inst, tol=np.inf)
+        null = nullspaces.pop()
+        assert (rank, null.shape[1]) == (krank, 9 - krank), name
+        np.testing.assert_allclose(
+            null.T @ null, np.eye(9 - rank), rtol=0, atol=1e-14, err_msg=name
+        )
+        knull = vh[krank:].T
+        np.testing.assert_allclose(
+            null @ null.T, knull @ knull.T, rtol=0, atol=1e-10, err_msg=name
+        )
 
 
 def criterion_4_instances(per_class=50):
