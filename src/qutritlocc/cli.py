@@ -48,6 +48,9 @@ from .statefile import (
 )
 from .states import lu_equivalent, standard_form
 
+#: Largest gap between 1 and a verified protocol's total branch probability.
+PROBABILITY_SUM_TOL = 1e-10
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse's default exit code for usage errors collides with the
@@ -253,7 +256,7 @@ def _cmd_verify_protocol(args: argparse.Namespace) -> _Report:
     ok = (
         residual <= POVM_TOL
         and report.all_matched
-        and abs(report.probability_sum - 1.0) <= 1e-10
+        and abs(report.probability_sum - 1.0) <= PROBABILITY_SUM_TOL
     )
     payload = {
         "construction": obj.construction,

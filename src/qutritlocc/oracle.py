@@ -41,6 +41,14 @@ ALS_CONVERGED_TOL = 1e-8
 #: previous check has stalled and is retired unconverged.
 ALS_STALL_TOL = 1e-12
 
+#: Product-operator distance above which two converged ALS starts are
+#: distinct fixers.
+ALS_CLUSTER_TOL = 1e-6
+
+#: Product-operator distance at or below which a fixer matches a symmetry
+#: triple.
+ALS_MATCH_TOL = 1e-6
+
 #: How often, in iterations, the ALS sweep checks which starts to retire.
 _ALS_CHECK_EVERY = 25
 
@@ -374,13 +382,13 @@ def numeric_symmetry_search(
     mutual = distance(np.abs(f.conj().swapaxes(0, 1) @ f.transpose(1, 2, 0)).prod(axis=0))
     reps: list[int] = []
     for n in range(converged):
-        if (mutual[n, reps] > 1e-6).all():
+        if (mutual[n, reps] > ALS_CLUSTER_TOL).all():
             reps.append(n)
 
     # S_k ⊗ S_k ⊗ S_k has Frobenius norm sqrt(3) per party
     overlaps = np.abs(f[reps] @ BASIS.reshape(9, 9).conj().T).prod(axis=1) / np.sqrt(27.0)
     err = distance(overlaps.max(axis=1))
-    matched = err <= 1e-6
+    matched = err <= ALS_MATCH_TOL
     found = tuple(INDEX_ORDER[i] for i in sorted(set(overlaps.argmax(axis=1)[matched].tolist())))
     return SymmetrySearchReport(
         found=found,

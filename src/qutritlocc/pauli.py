@@ -112,6 +112,10 @@ def _conj_table() -> np.ndarray:
 CONJ_TABLE = _conj_table()
 
 
+#: Largest error the import-time check of the tables allows.
+TABLE_CHECK_TOL = 1e-12
+
+
 def _check_tables() -> None:
     """Assert the conjugation identity and the orthogonality of the basis
     (import-time)."""
@@ -120,7 +124,7 @@ def _check_tables() -> None:
     overlap = np.abs(_coords(BASIS) - np.eye(9))
     for name, err in (("conjugation phase identity", phase), ("orthogonality", overlap)):
         i, j = np.unravel_index(np.argmax(err), err.shape)
-        if err[i, j] > 1e-12:
+        if err[i, j] > TABLE_CHECK_TOL:
             raise RuntimeError(f"{name} failed for {INDEX_ORDER[i]},{INDEX_ORDER[j]}: {err[i, j]}")
 
 
@@ -135,6 +139,14 @@ _check_tables()
 #: invertibility and positivity of factors, the default support cut of the
 #: structural classifier and the default residual bound of the SEP decision.
 ZERO_TOL = 1e-9
+
+#: Floor on the scale that multiplies a relative cut, so the cut stays
+#: positive, and a product of norms stays nonzero, for a zero matrix.
+NORM_FLOOR = 1e-300
+
+#: Squared Frobenius norms inside ``[SAFE_NORM2_MIN, SAFE_NORM2_MAX]`` keep
+#: products of three entries clear of over- and underflow.
+SAFE_NORM2_MIN, SAFE_NORM2_MAX = 1e-150, 1e150
 
 
 def is_hermitian(m: np.ndarray) -> bool | np.ndarray:
@@ -156,7 +168,8 @@ def is_hermitian(m: np.ndarray) -> bool | np.ndarray:
 def scaled_into_range(m: np.ndarray) -> np.ndarray:
     """``m``, or ``m`` rescaled exactly when its scale is extreme.
 
-    When the squared Frobenius norm of ``m`` lies outside [1e-150, 1e150],
+    When the squared Frobenius norm of ``m`` lies outside
+    [:data:`SAFE_NORM2_MIN`, :data:`SAFE_NORM2_MAX`] (1e-150 and 1e150),
     products of three entries such as ``det m`` or the entries of ``mᴴm``
     could over- or underflow; ``m`` is then multiplied by the power of two
     that puts its largest |entry| in [0.5, 1).  Scaling by a power of two
@@ -164,7 +177,7 @@ def scaled_into_range(m: np.ndarray) -> np.ndarray:
     non-finite ``m`` is returned unscaled.
     """
     m = np.asarray(m)
-    if 1e-150 <= abs(np.vdot(m, m)) <= 1e150:
+    if SAFE_NORM2_MIN <= abs(np.vdot(m, m)) <= SAFE_NORM2_MAX:
         return m
     m = np.ascontiguousarray(m, dtype=complex)
     exponent = math.frexp(np.abs(m).max())[1]

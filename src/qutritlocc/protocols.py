@@ -42,10 +42,11 @@ from .pauli import (
 )
 from .sep import _triple_uniform, depolarize
 from .states import (
+    STD_COMPARE_ATOL,
     GenericState,
     assemble,
+    gauge_gap,
     gram,
-    lu_equivalent,
     positive_factor,
     ray_distance,
     span_factor,
@@ -66,6 +67,9 @@ POS_MARGIN = 1e-6
 
 #: Smallest step size tried before giving up on a conversion step.
 EPS_MIN = 1e-8
+
+#: Largest Frobenius norm of ``uᴴu - I`` at which a correction is unitary.
+UNITARY_TOL = 1e-8
 
 Pair = tuple[int, int]
 
@@ -273,7 +277,7 @@ def _round(parties: tuple[int, int, int], elements) -> LoccRound:
     factors, ``parties[1:]`` apply theirs, in that order, as corrections."""
     party, others = parties[0], parties[1:]
     u = np.array([[el.factors[c] for c in others] for el in elements], dtype=complex)
-    if not np.all(np.linalg.norm(dagger(u) @ u - np.eye(3), axis=(-2, -1)) <= 1e-8):
+    if not np.all(np.linalg.norm(dagger(u) @ u - np.eye(3), axis=(-2, -1)) <= UNITARY_TOL):
         raise ProtocolError(
             "correction operator is not unitary; the requested factors "
             "do not fit this construction"
@@ -342,12 +346,11 @@ def _confined_initial(factors, f: int, w: Pair) -> tuple[np.ndarray, ...]:
 
 
 def _trivial_note(initial: GenericState, target: GenericState, note: str) -> list[str]:
-    """``[note]`` when the two states are LU-equivalent, else ``[]``."""
-    try:
-        if lu_equivalent(initial, target):
-            return [note]
-    except ValueError:
-        pass
+    """``[note]`` when the two states, built on one seed, are LU-equivalent,
+    else ``[]``.  Their Gram tables are compared through
+    :func:`~qutritlocc.states.gauge_gap`, which needs no canonical seed."""
+    if gauge_gap(gram(initial).coords, gram(target).coords) <= STD_COMPARE_ATOL:
+        return [note]
     return []
 
 

@@ -32,6 +32,23 @@ GENERIC_THRESHOLD = 1e-6
 #: the symmetry audit (all inputs unit-normalized).
 AUDIT_PROJ_TOL = 1e-8
 
+#: A surviving pair of the symmetry audit is a Pauli triple only when the
+#: full residual of its recovered product operator is at or below this.
+AUDIT_FULL_TOL = 1e-8
+
+#: Amplitudes of modulus at or below this are skipped when the first
+#: nonzero amplitude fixes the canonical phase.
+AMPLITUDE_ZERO_TOL = 1e-12
+
+#: Default entrywise bound of :meth:`SeedParams.close_to`.
+SEED_CLOSE_TOL = 1e-9
+
+#: Relative symmetry residual above which :func:`verify_symmetries` raises.
+SYMMETRY_RESIDUAL_TOL = 1e-8
+
+#: Cauchy-Schwarz slack within which a matrix matches a Pauli operator.
+PAULI_MATCH_TOL = 1e-8
+
 
 class SymmetryCheckError(RuntimeError):
     """Raised when the seed symmetry residual is far above float noise."""
@@ -60,7 +77,7 @@ class SeedParams:
             raise ValueError("seed parameters must not all vanish")
         v = v / n
         for z in v:
-            if abs(z) > 1e-12:
+            if abs(z) > AMPLITUDE_ZERO_TOL:
                 v = v * (np.conj(z) / abs(z))
                 break
         return SeedParams(complex(v[0]), complex(v[1]), complex(v[2]))
@@ -73,11 +90,11 @@ class SeedParams:
         if abs(n - 1.0) > ZERO_TOL:
             return False
         for z in v:
-            if abs(z) > 1e-12:
+            if abs(z) > AMPLITUDE_ZERO_TOL:
                 return abs(z.imag) <= ZERO_TOL and z.real > 0
         return False
 
-    def close_to(self, other: "SeedParams", tol: float = 1e-9) -> bool:
+    def close_to(self, other: "SeedParams", tol: float = SEED_CLOSE_TOL) -> bool:
         return bool(np.all(np.abs(self.as_array() - other.as_array()) <= tol))
 
 
@@ -202,7 +219,8 @@ def verify_symmetries(params: SeedParams) -> float:
     """Max relative residual of the nine Pauli-triple symmetries.
 
     Returns ``max_k || S_k^(x3) psi - psi || / ||psi||``; anything above
-    float noise means the algebra is broken, so residuals beyond 1e-8 raise
+    float noise means the algebra is broken, so residuals beyond
+    :data:`SYMMETRY_RESIDUAL_TOL` raise
     :class:`SymmetryCheckError` rather than being returned.  The nine
     triples are applied as one contraction with :data:`~qutritlocc.pauli.BASIS`
     to the seed built from the power-of-two rescaled triple, so the residual
@@ -217,7 +235,7 @@ def verify_symmetries(params: SeedParams) -> float:
         raise ValueError("seed parameters must not all vanish")
     moved = np.einsum("kai,kbj,kcl,ijl->kabc", BASIS, BASIS, BASIS, t)
     worst = float(np.linalg.norm((moved - t).reshape(9, 27), axis=1).max()) / scale
-    if worst > 1e-8:
+    if worst > SYMMETRY_RESIDUAL_TOL:
         raise SymmetryCheckError(f"symmetry residual {worst:.3e} is far above float noise")
     return worst
 
@@ -357,8 +375,9 @@ def _pauli_match(mats: np.ndarray) -> list[tuple[int, int] | None]:
     """For each matrix of a stack ``(N, 3, 3)``, the index of the Pauli
     operator proportional to it, if any.
 
-    ``m`` matches ``S_k`` when ``|tr(S_k^dag m)| >= (1 - 1e-8) sqrt(3) ||m||``,
-    Cauchy-Schwarz equality to within 1e-8, which at most one of the
+    ``m`` matches ``S_k`` when ``|tr(S_k^dag m)| >= (1 - tol) sqrt(3) ||m||``,
+    Cauchy-Schwarz equality to within ``tol`` = :data:`PAULI_MATCH_TOL`,
+    which at most one of the
     orthogonal ``S_k`` can reach.  Each matrix is first divided by its largest
     |entry|, so the match does not depend on its scale; a zero matrix matches
     nothing."""
@@ -366,7 +385,7 @@ def _pauli_match(mats: np.ndarray) -> list[tuple[int, int] | None]:
         unit = mats / np.abs(mats).max(axis=(1, 2), keepdims=True)
         norms = np.sqrt(3.0) * np.linalg.norm(unit.reshape(-1, 9), axis=1)
         overlap = np.abs(np.einsum("kij,nij->nk", BASIS.conj(), unit)) / norms[:, None]
-    hits = overlap >= 1.0 - 1e-8
+    hits = overlap >= 1.0 - PAULI_MATCH_TOL
     return [
         INDEX_ORDER[k] if hit else None
         for k, hit in zip(hits.argmax(axis=1).tolist(), hits.any(axis=1).tolist())
@@ -441,7 +460,7 @@ def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> Audi
     surplus: list[SurvivorRecord] = []
     records = zip(bi.tolist(), ci.tolist(), resid.tolist(), full.tolist(), a_mats)
     for (b, c, r, f, a), kb, kc, ka in zip(records, matches[:m], matches[m : 2 * m], matches[2 * m :]):
-        pauli = kb if (kb is not None and kb == kc == ka and f <= 1e-8) else None
+        pauli = kb if (kb is not None and kb == kc == ka and f <= AUDIT_FULL_TOL) else None
         rec = SurvivorRecord(
             b_label=labels[b],
             c_label=labels[c],

@@ -32,6 +32,7 @@ from .pauli import (
     CONJ_TABLE,
     INDEX_ORDER,
     INDEX_POS,
+    NORM_FLOOR,
     ZERO_TOL,
     from_coords,
     idx_add,
@@ -44,10 +45,10 @@ from .states import (
     GenericState,
     GramTriple,
     SeedMismatchError,
+    gauge_gap,
     gram,
     gram_triple,
     seed_gram,
-    standardize_coords,
 )
 
 Pair = tuple[int, int]
@@ -169,7 +170,7 @@ def _polytope_vertices(p0: np.ndarray, nullspace: np.ndarray) -> list[np.ndarray
     vertices: list[np.ndarray] = []
     for active in itertools.combinations(range(9), d):
         block = nullspace[list(active), :]
-        scale = np.prod(np.maximum(np.linalg.norm(block, axis=1), 1e-300))
+        scale = np.prod(np.maximum(np.linalg.norm(block, axis=1), NORM_FLOOR))
         if abs(np.linalg.det(block)) <= VERTEX_DET_TOL * scale:
             continue
         t = np.linalg.solve(block, -p0[list(active)])
@@ -253,13 +254,14 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
     product, default ``ZERO_TOL``).
 
     A vertex v is trivial when the initial triple it induces is
-    LU-equivalent to the target.  That is decided on coordinates: the
-    induced triple's coordinate l is the target's times ``eta_l / eta_0``
-    with ``eta = CONJ_TABLE @ v`` (depolarizing by v, then normalizing the
-    trace; :func:`induced_initial`), and its gauge-fixed table
-    (:func:`~qutritlocc.states.standardize_coords`) must agree with the
-    target's to ``STD_COMPARE_ATOL``, as in
-    :meth:`~qutritlocc.states.StandardForm.close_to`.
+    LU-equivalent to the target.  That is decided on coordinates, for all
+    vertices in one stacked call: the induced triple's coordinate l is the
+    target's times ``eta_l / eta_0`` with ``eta = CONJ_TABLE @ v``
+    (depolarizing by v, then normalizing the trace;
+    :func:`induced_initial`), and the vertex is trivial when that table
+    lies within ``STD_COMPARE_ATOL`` of the target's gauge orbit
+    (:func:`~qutritlocc.states.gauge_gap`), as in
+    :func:`~qutritlocc.states.lu_equivalent`.
     Raises ``ValueError`` for a seed outside the canonical gauge.
     """
     if not inst.seed.is_canonical():
@@ -289,19 +291,16 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
     affine_dim = 0
     if len(vertices) > 1:
         dsv = np.linalg.svd(np.array(vertices[1:]) - vertices[0], compute_uv=False)
-        affine_dim = int(np.sum(dsv > RANK_TOL * max(dsv[0], 1e-300)))
+        affine_dim = int(np.sum(dsv > RANK_TOL * max(dsv[0], NORM_FLOOR)))
 
     coords = inst.target_gram.coords
-    target_table, _ = standardize_coords(coords)
-    vertex_trivial = []
-    for v in vertices:
-        eta = CONJ_TABLE @ v
-        gap = np.max(np.abs(standardize_coords(coords * (eta[1:] / eta[0]))[0] - target_table))
-        vertex_trivial.append(bool(gap <= STD_COMPARE_ATOL))
+    spectra = np.array(vertices) @ CONJ_TABLE.T
+    induced = coords * (spectra[:, 1:] / spectra[:, :1])[:, None, :]
+    vertex_trivial = tuple((gauge_gap(induced, coords) <= STD_COMPARE_ATOL).tolist())
 
     return SepFeasibility(
         feasible=True, witness=witness, residual=residual, vertices=tuple(vertices),
-        unique=len(vertices) == 1, affine_dim=affine_dim, vertex_trivial=tuple(vertex_trivial),
+        unique=len(vertices) == 1, affine_dim=affine_dim, vertex_trivial=vertex_trivial,
         nontrivial=not all(vertex_trivial), reason=None,
     )
 

@@ -2,9 +2,11 @@
 
 A state is stored in factored form: a seed plus one invertible 3x3 factor
 per party.  All local-unitary information sits in the three Gram matrices
-``G_i = g_i^dag g_i`` (trace-normalized), and the residual discrete freedom
-of conjugating all three Grams by one of the nine symmetry operators is
-fixed by a deterministic phase-window rule on the Gram coordinates.
+``G_i = g_i^dag g_i`` (trace-normalized), up to the residual discrete
+freedom of conjugating all three Grams by one of the nine symmetry
+operators.  Equivalence is decided by comparing one Gram coordinate table
+with the nine gauge variants of the other; the standard form fixes the
+gauge instead, by a deterministic phase-window rule on the coordinates.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .pauli import (
     CONJ_TABLE,
     COORD_ORDER,
     INDEX_ORDER,
+    NORM_FLOOR,
     ZERO_TOL,
     apply3,
     dagger,
@@ -37,8 +40,12 @@ STD_SUPPORT_TOL = 1e-10
 #: (argument 0, which floats may render as -1e-16) inside one window.
 STD_WINDOW_SNAP = 1e-7
 
-#: Comparison tolerance between standard-form coordinate tables.
+#: Largest gauge-orbit gap (:func:`gauge_gap`) between the Gram coordinate
+#: tables of local-unitary equivalent states.
 STD_COMPARE_ATOL = 1e-9
+
+#: Absolute floor of :func:`span_factor`'s confinement cut.
+SPAN_OFF_FLOOR = 1e-12
 
 
 class SeedMismatchError(ValueError):
@@ -165,7 +172,7 @@ def positive_factor(g: np.ndarray) -> np.ndarray:
     if not is_hermitian(g):
         raise ValueError("matrix is not Hermitian")
     w, u = np.linalg.eigh((g + dagger(g)) / 2.0)
-    if w[0] <= ZERO_TOL * max(abs(w[-1]), 1e-300):
+    if w[0] <= ZERO_TOL * max(abs(w[-1]), NORM_FLOOR):
         raise ValueError(f"matrix is not positive-definite (min eigenvalue {w[0]:.3e})")
     return (u * np.sqrt(w)) @ dagger(u)
 
@@ -186,7 +193,7 @@ def span_factor(m: np.ndarray, w: tuple[int, int]) -> np.ndarray:
     _, g = pauli_coords(scaled)
     outside = [k not in (w, idx_neg(w)) for k in COORD_ORDER]
     off = np.sqrt(3.0) * float(np.linalg.norm(g[outside]))
-    if off > max(ZERO_TOL * max(float(np.linalg.norm(scaled)), 1e-300), 1e-12):
+    if off > max(ZERO_TOL * max(float(np.linalg.norm(scaled)), NORM_FLOOR), SPAN_OFF_FLOOR):
         raise ValueError(f"matrix is not confined to the span (off-diagonal {off:.3e})")
     return positive_factor(m)
 
@@ -194,6 +201,25 @@ def span_factor(m: np.ndarray, w: tuple[int, int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Standard form under the residual symmetry gauge
 # ---------------------------------------------------------------------------
+
+def gauge_gap(tables: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Distance from each coordinate table of a stack ``(..., 3, 8)`` to
+    the symmetry-gauge orbit of ``target`` ``(3, 8)``.
+
+    The gap of a table is the smallest, over its nine gauge variants
+    ``table * CONJ_TABLE[1:].T``, of the largest entrywise modulus of the
+    variant minus ``target``: one broadcast and one reduction.  Two tables
+    of one seed's class are local-unitary equivalent exactly when their
+    gap is within :data:`STD_COMPARE_ATOL`.  No canonical gauge is chosen,
+    so no pair splits where :func:`standardize_coords` flips its choice (at
+    its phase window's edge or its support cut).  The character phases
+    have modulus one and form a group, so the gap is symmetric in the two
+    tables and never exceeds the gap between their gauge-fixed forms.  The
+    result has the stack's shape.
+    """
+    variants = np.asarray(tables, dtype=complex)[..., None, :, :] * CONJ_TABLE[1:].T[:, None, :]
+    return np.abs(variants - target).max(axis=(-2, -1)).min(axis=-1)
+
 
 def standardize_coords(coords: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
     """Pick the canonical gauge among the nine symmetry conjugations.
@@ -244,10 +270,11 @@ class StandardForm:
         object.__setattr__(self, "coords", c)
 
     def close_to(self, other: "StandardForm") -> bool:
-        """Whether the coordinate tables agree to :data:`STD_COMPARE_ATOL`."""
+        """Whether the coordinate tables lie in one gauge orbit to
+        :data:`STD_COMPARE_ATOL` (:func:`gauge_gap`)."""
         if not self.seed.close_to(other.seed, STD_COMPARE_ATOL):
             raise SeedMismatchError("standard forms belong to different seeds")
-        return bool(np.max(np.abs(self.coords - other.coords)) <= STD_COMPARE_ATOL)
+        return bool(gauge_gap(self.coords, other.coords) <= STD_COMPARE_ATOL)
 
 
 def standard_form_of_gram(seed: SeedParams, gt: GramTriple) -> StandardForm:
@@ -266,15 +293,21 @@ def standard_form(state: GenericState) -> StandardForm:
 def lu_equivalent(s1: GenericState, s2: GenericState) -> bool:
     """Whether two states of the same seed are local-unitary equivalent.
 
-    Raises :class:`SeedMismatchError` when the canonical seed parameters
-    differ; cross-seed comparisons are not supported.
+    Within one SLOCC class that holds exactly when the two Gram coordinate
+    tables lie in one orbit of the nine symmetry gauges, which
+    :func:`gauge_gap` tests directly against :data:`STD_COMPARE_ATOL`;
+    neither table is gauge-fixed.  Raises :class:`SeedMismatchError` when
+    the canonical seed parameters differ (cross-seed comparisons are not
+    supported) and ``ValueError`` for a seed outside the canonical gauge.
     """
     if not s1.seed.close_to(s2.seed, STD_COMPARE_ATOL):
         raise SeedMismatchError(
             "states have different canonical seed parameters; "
             "cross-seed equivalence is not decided"
         )
-    return standard_form(s1).close_to(standard_form(s2))
+    if not (s1.seed.is_canonical() and s2.seed.is_canonical()):
+        raise ValueError("seed parameters must be in canonical gauge")
+    return bool(gauge_gap(gram(s1).coords, gram(s2).coords) <= STD_COMPARE_ATOL)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,10 @@ read each module with the standard library's ``ast``.
   process, so settings are passed as arguments instead.
 - Every ``print`` in ``cli.py`` outside ``main`` writes to stderr: a
   subcommand returns its report, and ``main`` alone prints it.
+- No float literal of magnitude below 1e-6 appears in a package module
+  outside a module-level constant with an upper-case name: every cut that
+  small is a tolerance, and a tolerance is named once.  Docstrings are
+  strings, not float literals, so they may quote the values.
 """
 
 import ast
@@ -272,3 +276,55 @@ def test_print_lint_sees_a_subcommand_printing_its_result():
 
 def test_only_main_prints_to_stdout_in_the_cli():
     assert stdout_prints((PACKAGE / "cli.py").read_text()) == []
+
+
+#: Float literals below this magnitude must be named module constants.
+SMALL_LITERAL = 1e-6
+
+
+def unnamed_small_literals(source: str) -> list[str]:
+    """Each nonzero float literal of magnitude below :data:`SMALL_LITERAL`
+    that is not inside a module-level assignment to upper-case names (a
+    leading underscore allowed).  A negative literal is caught through its
+    operand."""
+    tree = ast.parse(source)
+    named = set()
+    for top in tree.body:
+        if isinstance(top, ast.Assign):
+            targets = [n for t in top.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif isinstance(top, ast.AnnAssign) and top.value is not None:
+            targets = [top.target]
+        else:
+            continue
+        if targets and all(isinstance(t, ast.Name) and t.id.isupper() for t in targets):
+            named |= {id(node) for node in ast.walk(top.value)}
+    return [
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0 < abs(node.value) < SMALL_LITERAL
+        and id(node) not in named
+    ]
+
+
+def test_literal_lint_sees_an_unnamed_cut():
+    source = (
+        '"""Module: a cut of 1e-12 quoted in a docstring is fine."""\n'
+        "TOL = 1e-9\n_FLOOR: float = 1e-300\nLO, HI = 1e-150, 1e150\nBIG = 1e-3\n"
+        "scale = 1e-8\n\n"
+        "def f(x, tol=1e-10):\n"
+        '    """Below 1e-12 nothing counts."""\n'
+        "    return x > -1e-7 and x < TOL + 2.5e-7 and x != 0.0\n"
+    )
+    assert unnamed_small_literals(source) == [
+        "line 6: 1e-08",
+        "line 8: 1e-10",
+        "line 10: 1e-07",
+        "line 10: 2.5e-07",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unnamed_small_literals(path):
+    assert unnamed_small_literals(path.read_text()) == []

@@ -23,6 +23,7 @@ from qutritlocc.protocols import (
     simulate_branches,
     validate_povm,
 )
+from qutritlocc.seeds import SeedParams
 from qutritlocc.sep import gram_instance, sep_feasible
 from qutritlocc.states import (
     GenericState,
@@ -315,6 +316,23 @@ def test_confined_map_flags_trivial_conversion(params):
     kraus = sep_map_confined(h1, w, params)
     assert any("trivial" in note for note in kraus.notes)
     assert_valid(kraus)
+
+
+def test_trivial_note_survives_a_non_canonical_seed(params, rng):
+    """A non-canonical seed (the same ray, scaled by 2j) has the same
+    symmetry group, so the builders still flag a trivial conversion."""
+    scaled = SeedParams(*(2j * params.as_array()))
+    assert not scaled.is_canonical()
+    w = (1, 0)
+    kraus = sep_map_confined(span_positive(w, 0.07), w, scaled)
+    assert any("trivial" in note for note in kraus.notes)
+    assert_valid(kraus)
+    source = GenericState(scaled, (dense_factor(rng), span_positive(w), span_positive(w, 0.04)))
+    proto = locc_convert_step(source, pair=w, eps=0.0)
+    assert any("trivial" in note for note in proto.notes)
+    assert_valid(proto)
+    stepped = locc_convert_step(source, pair=w, eps=0.01)
+    assert not any("trivial" in note for note in stepped.notes)
 
 
 def test_witness_map_for_tiling_target(params, seed_state):
