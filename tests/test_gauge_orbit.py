@@ -114,27 +114,32 @@ def party_gram(coords):
 
 def split_pairs():
     """Pairs that lie in one gauge orbit to within the tolerance but that
-    the standard form fixes in different gauges."""
+    the standard form fixes in different gauges, by name."""
     # one coordinate pair on S_(1,0), S_(2,0), its argument 5e-11 either
     # side of the window's lower edge -STD_WINDOW_SNAP
     edge, delta = -STD_WINDOW_SNAP, 5e-11
-    yield "window-edge", party_gram({0: 0.05 * np.exp(1j * (edge - delta))}), party_gram(
-        {0: 0.05 * np.exp(1j * (edge + delta))}
-    )
     # pairs on S_(0,1) and S_(1,1) fix the gauge; a pair of modulus three
     # times the support cut on S_(1,0), first in the coordinate order,
     # takes over the first fixing entry, and at argument pi its window
     # selects another gauge
     base = {2: 0.05 * np.exp(0.3j), 4: 0.04 * np.exp(1.1j)}
-    yield "support-edge", party_gram(base), party_gram({**base, 0: -3 * STD_SUPPORT_TOL})
+    return {
+        "window-edge": (
+            party_gram({0: 0.05 * np.exp(1j * (edge - delta))}),
+            party_gram({0: 0.05 * np.exp(1j * (edge + delta))}),
+        ),
+        "support-edge": (party_gram(base), party_gram({**base, 0: -3 * STD_SUPPORT_TOL})),
+    }
 
 
 @pytest.mark.parametrize("name", ["window-edge", "support-edge"])
 def test_split_pairs_are_one_orbit(params, name):
     """The standard form splits each pair, the orbit comparison does not:
     ``lu_equivalent`` calls the states equivalent, and the conversion from
-    one to the other is trivial at every vertex."""
-    _, ga, gb = next(p for p in split_pairs() if p[0] == name)
+    one to the other is trivial at every vertex.  The standard-form route
+    calls both pairs inequivalent, and the window-edge conversion
+    nontrivial."""
+    ga, gb = split_pairs()[name]
     assert standardize_coords(ga.coords)[1] != standardize_coords(gb.coords)[1]
     assert fixed_gap(ga.coords, gb.coords) > 1e6 * STD_COMPARE_ATOL
     assert gauge_gap(ga.coords, gb.coords) <= STD_COMPARE_ATOL
