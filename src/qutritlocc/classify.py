@@ -56,45 +56,45 @@ class SupportPattern:
     warnings: tuple[str, ...]
 
 
-def support_pattern(gt: GramTriple, tol: float = ZERO_TOL) -> SupportPattern:
-    """Extract the support pattern of a Gram triple at tolerance ``tol``."""
+def support_mask(coords: np.ndarray, tol: float = ZERO_TOL) -> np.ndarray:
+    """Which coordinates of tables ``(..., 3, 8)`` are in the support at
+    tolerance ``tol``, one verdict per negation pair: the larger partner's
+    modulus is above the cut ``tol / 3`` and the smaller's above a tenth of
+    it.  Hermiticity ties the partner moduli together, so a straddle within
+    a decade is noise and is rescued; one far below is inconsistent data."""
     cut = tol * _COORD_SCALE
-    mags = np.abs(gt.coords)
+    mags = np.abs(coords)
+    m1, m2 = mags[..., 0::2], mags[..., 1::2]
+    keep = (np.maximum(m1, m2) > cut) & (np.minimum(m1, m2) > cut / 10.0)
+    return np.repeat(keep, 2, axis=-1)
+
+
+def support_pattern(gt: GramTriple, tol: float = ZERO_TOL) -> SupportPattern:
+    """Extract the support pattern of a Gram triple at tolerance ``tol``:
+    the supports of :func:`support_mask`, with a warning for every pair
+    that straddles the cut and every coordinate within a decade below it."""
+    cut = tol * _COORD_SCALE
+    mags = np.abs(gt.coords).tolist()
+    mask = support_mask(gt.coords, tol).tolist()
     supports = []
-    pairs = []
     warnings: list[str] = []
     for party in range(3):
-        sup: set[Pair] = set()
         for pos in range(0, 8, 2):
-            k = COORD_ORDER[pos]
-            m1, m2 = mags[party, pos], mags[party, pos + 1]
-            passed = (m1 > cut, m2 > cut)
-            if passed[0] != passed[1]:
-                # Hermiticity ties the partner magnitudes together, so a
-                # straddle means one sits within noise of the cut.  Rescue
-                # the pair when the failing partner is within a decade of
-                # it; a partner far below signals inconsistent data.
-                if min(m1, m2) > cut / 10.0:
-                    sup.update((k, COORD_ORDER[pos + 1]))
-                    warnings.append(
-                        f"party {party}: negation pair {k} straddles the support "
-                        f"threshold ({m1:.2e}, {m2:.2e}); included"
-                    )
-                else:
-                    warnings.append(
-                        f"party {party}: negation pair {k} straddles the support "
-                        f"threshold ({m1:.2e}, {m2:.2e}); excluded"
-                    )
-            elif passed[0]:
-                sup.update((k, COORD_ORDER[pos + 1]))
+            m1, m2 = mags[party][pos], mags[party][pos + 1]
+            if (m1 > cut) != (m2 > cut):
+                warnings.append(
+                    f"party {party}: negation pair {COORD_ORDER[pos]} straddles the support "
+                    f"threshold ({m1:.2e}, {m2:.2e}); "
+                    + ("included" if mask[party][pos] else "excluded")
+                )
             for m in (m1, m2):
                 if cut / 10.0 < m <= cut:
                     warnings.append(
                         f"party {party}: coordinate near the support threshold ({m:.2e})"
                     )
-        supports.append(frozenset(sup))
-        pairs.append(frozenset(pair_rep(k) for k in sup))
-    return SupportPattern(tuple(supports), tuple(pairs), tuple(warnings))
+        supports.append(frozenset(k for k, keep in zip(COORD_ORDER, mask[party]) if keep))
+    pairs = tuple(frozenset(pair_rep(k) for k in sup) for sup in supports)
+    return SupportPattern(tuple(supports), pairs, tuple(warnings))
 
 
 @dataclass(frozen=True)

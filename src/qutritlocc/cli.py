@@ -339,9 +339,9 @@ def _common_flags() -> argparse.ArgumentParser:
         type=float,
         default=argparse.SUPPRESS,
         help=(
-            "zero cut of the verdicts of classify, sep-decide and synth-protocol "
-            f"(default ZERO_TOL = {ZERO_TOL:g}); input checks and protocol "
-            "constructions always use ZERO_TOL"
+            "Gram coordinate cut of classify, sep-decide and synth-protocol "
+            f"(default ZERO_TOL = {ZERO_TOL:g}); the SEP residual bound, input "
+            "checks and protocol constructions do not move with it"
         ),
     )
     common.add_argument(

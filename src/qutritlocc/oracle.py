@@ -26,8 +26,9 @@ from .seeds import SeedParams, build_seed
 from .sep import SepInstance
 
 #: A candidate distribution with residual at or below this certifies
-#: feasibility outright.
-WITNESS_TOL = 1e-9
+#: feasibility outright: the noise floor, as the oracle audits the instance
+#: as given, coordinates below the support cut included.
+WITNESS_TOL = 1e-12
 
 #: A certified lower bound on the residual above this proves
 #: infeasibility; anything between the two thresholds is inconclusive.

@@ -15,9 +15,10 @@ in the nine-dimensional character domain.  The spectrum
 l of a depolarized Gram matrix, and coordinate (l, m, n) of the mixed
 product above by ``eta_{l+m+n}``.  The 729 entries of the product thus
 reduce exactly to one scalar fit per character, which this module solves
-in closed form (least-squares point, singular values and nullspace), then
-enumerates the polytope's vertices and reports feasibility, uniqueness and
-nontriviality of the conversion.
+in closed form (least-squares point and nullspace), then enumerates the
+polytope's vertices and reports feasibility, uniqueness and nontriviality
+of the conversion.  Whether a coordinate is zero is decided once, by the
+classifier's :func:`~qutritlocc.classify.support_mask`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import classify_gram
+from .classify import classify_gram, support_mask
 from .pauli import (
     CONJ_TABLE,
     INDEX_ORDER,
@@ -89,19 +90,22 @@ def induced_initial(final: GramTriple, p: np.ndarray) -> GramTriple:
 class SepInstance:
     """A conversion question: can a state with Gram triple ``source_gram``
     reach one with ``target_gram`` separably, within the class of ``seed``?
+    The seed must be in canonical gauge (``ValueError`` otherwise).
     """
 
     seed: SeedParams
     source_gram: GramTriple
     target_gram: GramTriple
 
+    def __post_init__(self) -> None:
+        if not self.seed.is_canonical():
+            raise ValueError("seed parameters must be in canonical gauge")
+
 
 def gram_instance(
     seed: SeedParams, source_gram: GramTriple, target_gram: GramTriple
 ) -> SepInstance:
     """Instance posed directly at the Gram level (no explicit factors)."""
-    if not seed.is_canonical():
-        raise ValueError("seed parameters must be in canonical gauge")
     return SepInstance(seed=seed, source_gram=source_gram, target_gram=target_gram)
 
 
@@ -156,10 +160,11 @@ VERTEX_FEAS_TOL = 1e-10
 VERTEX_DET_TOL = 1e-10
 #: Largest entrywise gap at which two vertices are the same vertex.
 VERTEX_DEDUPE_TOL = 1e-8
-#: Relative singular value cut of the solution set's nullspace and the vertices' hull.
+#: Relative singular value cut of the rank of the vertices' hull.
 RANK_TOL = 1e-9
-#: Relative singular value at or below which eta_s stays 0: numpy lstsq's cut for 19 real rows.
-FIT_TOL = 19 * np.finfo(float).eps
+#: Largest residual of a feasible instance: the noise floor, as every
+#: coordinate outside the support is exactly zero before the fit.
+RESIDUAL_TOL = 1e-12
 
 
 def _polytope_vertices(p0: np.ndarray, nullspace: np.ndarray) -> list[np.ndarray]:
@@ -200,30 +205,24 @@ _NEG = np.array([INDEX_POS[idx_neg(k)] for k in INDEX_ORDER])
 _PAIR_BASIS = (CONJ_TABLE.real + CONJ_TABLE.imag).T / 3.0
 
 
-def _product_blocks(gt: GramTriple) -> np.ndarray:
-    """Coordinates ``c1_l c2_m c3_n`` of ``G1 (x) G2 (x) G3`` in the basis
-    ``D_l (x) D_m (x) D_n`` (D_0 = I), grouped into blocks: shape (9, 81)."""
-    c = np.hstack([np.full((3, 1), 1.0 / 3.0), gt.coords])
-    return (c[0][:, None, None] * c[1][:, None] * c[2]).ravel()[_BLOCKS]
+def _character_fit(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The SEP condition as one scalar fit per character, for the source
+    and target coordinate tables ``coords`` (shape (2, 3, 8)).
 
-
-def _character_fit(inst: SepInstance) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """The SEP condition as one scalar fit per character.
-
-    Coordinate (l, m, n) of ``sum_k p_k (S_k^dag)^(x3) H S_k^(x3)`` is
-    ``h1_l h2_m h3_n eta_{l+m+n}`` with ``eta = CONJ_TABLE @ p``, and the
-    basis products are orthogonal with squared Frobenius norm 27.  So the
-    Kronecker rows fall into nine blocks by ``s = l + m + n``, each of rank
-    one: ``sqrt(27) h_s eta_s`` against ``sqrt(27) g_s``.  Returns the norms
-    ``n_s = |h_s|``, the projections ``proj_s = <h_s/|h_s|, g_s>``, the
-    ``remainder`` (the parts of the ``g_s`` orthogonal to the ``h_s``; with
-    it :func:`_residual` is the Kronecker residual) and the singular values
-    of the fit as a real map of p (``CONJ_TABLE @ CONJ_TABLE^dag = 9 I``):
-    ``sqrt(121.5 (n_s^2 + n_-s^2))`` twice per negation pair {s, -s}, and
-    ``3 sqrt(27 n_0^2 + 1)`` for block 0 with the normalisation row.
+    Coordinate (l, m, n) of ``G1 (x) G2 (x) G3`` in the basis
+    ``D_l (x) D_m (x) D_n`` (D_0 = I) is ``c1_l c2_m c3_n``; that of
+    ``sum_k p_k (S_k^dag)^(x3) H S_k^(x3)`` is ``h1_l h2_m h3_n eta_{l+m+n}``
+    with ``eta = CONJ_TABLE @ p``, and the basis products are orthogonal
+    with squared Frobenius norm 27.  So the Kronecker rows fall into nine
+    blocks by ``s = l + m + n``, each of rank one: ``sqrt(27) h_s eta_s``
+    against ``sqrt(27) g_s``.  Returns the norms ``n_s = |h_s|``, the
+    projections ``proj_s = <h_s/|h_s|, g_s>`` and the ``remainder`` (the
+    parts of the ``g_s`` orthogonal to the ``h_s``; with it
+    :func:`_residual` is the Kronecker residual).
     """
-    h = _product_blocks(inst.target_gram)
-    g = _product_blocks(inst.source_gram)
+    c = np.concatenate([np.full((2, 3, 1), 1.0 / 3.0), coords], axis=2)
+    prod = c[:, 0, :, None, None] * c[:, 1, None, :, None] * c[:, 2, None, None, :]
+    g, h = prod.reshape(2, 729)[:, _BLOCKS]
     # Normalise by the largest entry first: |h_s|^2 can underflow.
     peak = np.abs(h).max(axis=1, keepdims=True)
     u = np.divide(h, peak, out=np.zeros_like(h), where=peak > 0)
@@ -231,10 +230,7 @@ def _character_fit(inst: SepInstance) -> tuple[np.ndarray, np.ndarray, float, np
     u = np.divide(u, length, out=np.zeros_like(u), where=length > 0)
     proj = np.sum(u.conj() * g, axis=1)
     remainder = np.sqrt(27.0) * float(np.linalg.norm(g - proj[:, None] * u))
-    n = (peak * length).ravel()
-    sv = np.sqrt(121.5) * np.hypot(n, n[_NEG])
-    sv[0] = 3.0 * np.sqrt(27.0 * n[0] ** 2 + 1.0)
-    return n, proj, remainder, sv
+    return (peak * length).ravel(), proj, remainder
 
 
 def _residual(eta: np.ndarray, n: np.ndarray, proj: np.ndarray, remainder: float) -> float:
@@ -246,12 +242,14 @@ def _residual(eta: np.ndarray, n: np.ndarray, proj: np.ndarray, remainder: float
 def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
     """Decide an instance by exact polytope analysis.
 
-    Fits the spectrum one character at a time (:func:`_character_fit`)
-    in closed form: least-squares point and nullspace, which the null
-    blocks' characters span.  Then it enumerates the polytope's vertices.
-    Feasible means a distribution reproduces the initial Gram product to
-    within the tolerance ``tol`` (absolute Frobenius over the 27x27
-    product, default ``ZERO_TOL``).
+    Every coordinate of either triple outside its support at the cut
+    ``tol`` (:func:`~qutritlocc.classify.support_mask`, as in
+    :func:`~qutritlocc.classify.classify_gram`) is set to zero first.  The
+    spectrum is then fitted one character at a time in closed form
+    (:func:`_character_fit`); the pairs whose blocks are both zero span the
+    nullspace.  Then the polytope's vertices are enumerated.  Feasible means
+    a distribution reproduces the initial Gram product to within
+    ``RESIDUAL_TOL`` (absolute Frobenius over the 27x27 product).
 
     A vertex v is trivial when the initial triple it induces is
     LU-equivalent to the target.  That is decided on coordinates, for all
@@ -262,25 +260,24 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
     lies within ``STD_COMPARE_ATOL`` of the target's gauge orbit
     (:func:`~qutritlocc.states.gauge_gap`), as in
     :func:`~qutritlocc.states.lu_equivalent`.
-    Raises ``ValueError`` for a seed outside the canonical gauge.
     """
-    if not inst.seed.is_canonical():
-        raise ValueError("seed parameters must be in canonical gauge")
-    n, proj, remainder, sv = _character_fit(inst)
-    sv_max = sv.max()
-    # Blocks s and -s fit eta_s, one through its conjugate; block 0 and normalisation eta_0.
-    fit = sv > FIT_TOL * sv_max
-    eta = np.zeros(9, dtype=complex)
-    eta[fit] = (n * proj + n[_NEG] * proj[_NEG].conj())[fit] / (n**2 + n[_NEG] ** 2)[fit]
+    coords = np.stack([inst.source_gram.coords, inst.target_gram.coords])
+    coords = coords * support_mask(coords, tol)
+    n, proj, remainder = _character_fit(coords)
+    # Blocks s and -s fit eta_s, one through its conjugate (0 if both are zero);
+    # block 0 and normalisation eta_0.
+    r = np.hypot(n, n[_NEG])
+    null = r == 0
+    r[null] = 1.0
+    eta = (n / r * proj + n[_NEG] / r * proj[_NEG].conj()) / r
     eta[0] = (27.0 * n[0] * proj[0].real + 1.0) / (27.0 * n[0] ** 2 + 1.0)
     p_ls = (CONJ_TABLE.conj().T @ eta).real / 9.0
     affine_residual = _residual(eta, n, proj, remainder)
 
-    if affine_residual > tol:
+    if affine_residual > RESIDUAL_TOL:
         return _infeasible(affine_residual, "affine-infeasible")
 
-    nullspace = _PAIR_BASIS[:, sv <= RANK_TOL * sv_max]
-    vertices = _polytope_vertices(p_ls, nullspace)
+    vertices = _polytope_vertices(p_ls, _PAIR_BASIS[:, null])
     if not vertices:
         return _infeasible(affine_residual, "polytope-empty")
 
@@ -293,10 +290,10 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
         dsv = np.linalg.svd(np.array(vertices[1:]) - vertices[0], compute_uv=False)
         affine_dim = int(np.sum(dsv > RANK_TOL * max(dsv[0], NORM_FLOOR)))
 
-    coords = inst.target_gram.coords
+    target = coords[1]
     spectra = np.array(vertices) @ CONJ_TABLE.T
-    induced = coords * (spectra[:, 1:] / spectra[:, :1])[:, None, :]
-    vertex_trivial = tuple((gauge_gap(induced, coords) <= STD_COMPARE_ATOL).tolist())
+    induced = target * (spectra[:, 1:] / spectra[:, :1])[:, None, :]
+    vertex_trivial = tuple((gauge_gap(induced, target) <= STD_COMPARE_ATOL).tolist())
 
     return SepFeasibility(
         feasible=True, witness=witness, residual=residual, vertices=tuple(vertices),

@@ -12,7 +12,7 @@ import numpy as np
 
 from qutritlocc.classify import classify, classify_gram
 from qutritlocc.generate import KINDS, random_seed_params, random_state, random_unitary
-from qutritlocc.oracle import OracleBudget, brute_force_sep
+from qutritlocc.oracle import WITNESS_TOL, OracleBudget, brute_force_sep
 from qutritlocc.pauli import INDEX_ORDER, PAIR_REPS, PAULIS, dagger, from_coords
 from qutritlocc.protocols import (
     locc_convert_step,
@@ -24,7 +24,13 @@ from qutritlocc.protocols import (
     validate_povm,
 )
 from qutritlocc.seeds import symmetry_audit, verify_symmetries
-from qutritlocc.sep import candidate_initial_grams, depolarize, gram_instance, sep_feasible
+from qutritlocc.sep import (
+    RESIDUAL_TOL,
+    candidate_initial_grams,
+    depolarize,
+    gram_instance,
+    sep_feasible,
+)
 from qutritlocc.states import (
     GenericState,
     gram,
@@ -136,6 +142,8 @@ def test_criterion_4_reachability_agreement():
     mismatches = 0
     inconclusive = 0
     total = 0
+    # headroom of the two noise-floor residual bounds on feasible instances
+    worst_engine = worst_oracle = 0.0
     for kind in ("disjoint", "confined", "tiling", "dense"):
         for _ in range(per_class):
             state = random_state(kind, rng)
@@ -158,6 +166,10 @@ def test_criterion_4_reachability_agreement():
             verdict = brute_force_sep(instance)
 
             total += 1
+            if decision.feasible:
+                worst_engine = max(worst_engine, decision.residual)
+            if verdict.feasible:
+                worst_oracle = max(worst_oracle, verdict.best_residual)
             if structural != engine:
                 mismatches += 1
             if verdict.feasible is None:
@@ -167,7 +179,9 @@ def test_criterion_4_reachability_agreement():
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and inconclusive < 0.01 * total and elapsed < 120.0
     _report(4, ok, f"{total} instances (4 classes x {per_class}): {mismatches} mismatches, "
-                   f"{inconclusive} oracle abstentions; {elapsed:.1f}s (limit 120s)")
+                   f"{inconclusive} oracle abstentions; worst feasible residual: engine "
+                   f"{worst_engine:.1e} (bound {RESIDUAL_TOL:.0e}), oracle witness "
+                   f"{worst_oracle:.1e} (bound {WITNESS_TOL:.0e}); {elapsed:.1f}s (limit 120s)")
     assert mismatches == 0
     assert inconclusive < 0.01 * total
     assert elapsed < 120.0

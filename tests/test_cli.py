@@ -406,7 +406,9 @@ def test_tolerance_does_not_outlive_the_call(capsys, generated_confined):
 def test_coarse_tolerance_witness_is_not_synthesized(capsys, tmp_path):
     """A coarse cut lets ``sep_feasible`` accept a witness whose Kraus set
     fails completeness; synthesis refuses it as "not synthesized" and names
-    the tolerance and the completeness residual."""
+    the tolerance and the completeness residual.  At a cut of 0.5 every
+    coordinate of the generic target is set to zero, so the engine decides
+    seed to seed."""
     seed, generic = str(tmp_path / "seed.json"), str(tmp_path / "generic.json")
     assert run(capsys, "generate", "seed", "--rng-seed", "1", "--out", seed)[0] == 0
     code, _, _ = run(
@@ -414,13 +416,13 @@ def test_coarse_tolerance_witness_is_not_synthesized(capsys, tmp_path):
     )
     assert code == 0
     argv = ("synth-protocol", "--source", seed, "--target", generic)
-    code, out, err = run(capsys, "--tolerance", "0.1", "sep-decide", "--from", seed, "--to", generic)
+    code, out, err = run(capsys, "--tolerance", "0.5", "sep-decide", "--from", seed, "--to", generic)
     assert code == 0 and out.startswith("feasible"), err
-    code, out, err = run(capsys, "--tolerance", "0.1", *argv)
+    code, out, err = run(capsys, "--tolerance", "0.5", *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("not synthesized:")
-    assert "--tolerance 0.1" in err
+    assert "--tolerance 0.5" in err
     assert "completeness fails (residual" in err
     code, out, err = run(capsys, *argv)
     assert code == 2 and "separably infeasible" in err

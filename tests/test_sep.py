@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qutritlocc import sep as sep_module
+from qutritlocc.classify import support_mask
 from qutritlocc.generate import KINDS, random_seed_params, random_state
 from qutritlocc.pauli import (
     CONJ_TABLE,
@@ -15,8 +16,8 @@ from qutritlocc.pauli import (
     INDEX_POS,
     PAIR_REPS,
     PAULIS,
-    ZERO_TOL,
     dagger,
+    from_coords,
     idx_add,
     idx_neg,
     kron3,
@@ -249,14 +250,16 @@ def test_instance_requires_canonical_seed():
 @pytest.mark.parametrize("target_kind", ["dense", "seed"])
 def test_sep_feasible_rejects_non_canonical_seed(rng, target_kind):
     """An instance built without ``gram_instance`` still has its seed
-    checked, on the affine-infeasible early return and on a feasible one."""
+    checked: ``SepInstance`` itself refuses it, whether the instance would
+    be affine-infeasible or feasible, so ``sep_feasible`` never sees one."""
     if target_kind == "dense":
         target = gram_triple(dense_mat(rng), dense_mat(rng), dense_mat(rng))
     else:
         target = seed_gram()
-    inst = SepInstance(seed=SeedParams(2, 3, 5), source_gram=seed_gram(), target_gram=target)
     with pytest.raises(ValueError, match="canonical"):
-        sep_feasible(inst)
+        sep_feasible(
+            SepInstance(seed=SeedParams(2, 3, 5), source_gram=seed_gram(), target_gram=target)
+        )
 
 
 def test_instance_requires_same_seed(params, rng):
@@ -536,10 +539,11 @@ NEAR_CUT_BASES = {
 def near_cut_corpus(params, kinds=("tiling", "disjoint")):
     """Seed-to-target and identity instances whose target carries one extra
     coordinate pair of size t on its third party, on each of the four pairs,
-    for 41 values of t from 1e-14 to 1e-4.  On the tiling and two-party
+    for 41 values of t from 1e-14 to 1e-4 (coordinate modulus t / 3, so it
+    crosses the default cut at t = 1e-9).  On the tiling and two-party
     disjoint targets every block is already open and the residual crosses
-    its bound; on the one-pair target the blocks the extra pair opens cross
-    the fit cut and the rank cut."""
+    its bound; on the one-pair target the blocks the extra pair opens are
+    zero below the cut and open above it."""
     cases = []
     for w in PAIR_REPS:
         extra = PAULIS[w] + dagger(PAULIS[w])
@@ -553,10 +557,27 @@ def near_cut_corpus(params, kinds=("tiling", "disjoint")):
     return cases
 
 
+def snapped_coords(inst):
+    """Source and target coordinate tables, shape (2, 3, 8), with every
+    coordinate outside the support at the default cut set to zero."""
+    coords = np.stack([inst.source_gram.coords, inst.target_gram.coords])
+    return np.where(support_mask(coords), coords, 0.0)
+
+
+def snapped(inst):
+    """The instance the engine decides: both triples rebuilt from
+    :func:`snapped_coords`."""
+    source, target = (
+        gram_triple(*(from_coords(1.0 / 3.0, row) for row in c)) for c in snapped_coords(inst)
+    )
+    return gram_instance(inst.seed, source, target)
+
+
 def kronecker_decision(inst):
     """Reference decision of the Kronecker system: ``lstsq``, the SVD's
-    nullspace at the 1e-9 rank cut, the engine's vertex enumeration, and
-    vertex triviality by comparing standard forms of Gram matrices."""
+    nullspace at the 1e-9 rank cut, the engine's residual bound and vertex
+    enumeration, and vertex triviality by comparing standard forms of Gram
+    matrices."""
     ka, kb, _ = kronecker_system(inst)
     p_ls = np.linalg.lstsq(ka, kb, rcond=None)[0]
     affine_residual = float(np.linalg.norm(ka @ p_ls - kb))
@@ -564,7 +585,7 @@ def kronecker_decision(inst):
         feasible=False, witness=None, vertices=(), unique=False, affine_dim=-1,
         vertex_trivial=(), nontrivial=False,
     )
-    if affine_residual > ZERO_TOL:
+    if affine_residual > sep_module.RESIDUAL_TOL:
         return SimpleNamespace(**infeasible, residual=affine_residual, reason="affine-infeasible")
     _, ksv, vh = np.linalg.svd(ka, full_matrices=False)
     rank = int(np.sum(ksv > 1e-9 * ksv[0]))
@@ -590,19 +611,20 @@ def kronecker_decision(inst):
 
 
 def test_engine_matches_kronecker_reference_decision(params):
-    """The closed-form character fit decides as the Kronecker system does,
-    on the reference corpus and on instances whose residual crosses its
-    bound; its residual formula equals the Kronecker residual at any p."""
+    """The closed-form character fit decides as the Kronecker system of the
+    snapped triples does, on the reference corpus and on instances whose
+    extra coordinate crosses the cut; its residual formula equals that
+    system's residual at any p."""
     probes = np.vstack([np.eye(9), np.random.default_rng(0).dirichlet(np.ones(9), 4)])
     for name, inst in reference_corpus(params) + near_cut_corpus(params):
-        n, proj, remainder, _ = sep_module._character_fit(inst)
-        ka, kb, _ = kronecker_system(inst)
+        n, proj, remainder = sep_module._character_fit(snapped_coords(inst))
+        ka, kb, _ = kronecker_system(snapped(inst))
         for p in probes:
             got = sep_module._residual(CONJ_TABLE @ p, n, proj, remainder)
             assert abs(got - np.linalg.norm(ka @ p - kb)) <= 1e-12, name
 
         dec = sep_feasible(inst)
-        ref = kronecker_decision(inst)
+        ref = kronecker_decision(snapped(inst))
         assert verdict(dec) == verdict(ref), name
         assert abs(dec.residual - ref.residual) <= 1e-12, name
         if dec.feasible:
@@ -631,58 +653,63 @@ def exact_vertices(eta):
     return found
 
 
-def test_vertices_near_the_rank_cut_are_exact(params):
-    """On the one-pair family the blocks the extra pair opens cross the fit
-    and rank cuts.  The polytope is the one the fitted characters define:
-    eta_s at its pair's least-squares value where the pair's singular value
-    exceeds the rank cut, free elsewhere.  Every vertex of it is reported
-    and nothing else, up to the merging of vertices closer than the dedupe
-    cut.  An SVD nullspace is accurate near the cut only to about eps over
-    the gap to it; with one, the engine reported a point of an edge as a
-    vertex there.  An identity instance is always feasible (the point mass
-    on the identity solves it exactly)."""
+def test_vertices_near_the_cut_are_exact(params):
+    """On the one-pair family the blocks the extra pair opens are exactly
+    zero below the cut and open above it.  The polytope is the one the
+    fitted characters of the snapped instance define: eta_s at its pair's
+    least-squares value where one of the pair's blocks is nonzero, free
+    elsewhere.  Every vertex of it is reported and nothing else.  An
+    identity instance is always feasible (the point mass on the identity
+    solves it exactly).  From the seed, the vertex count changes once, at
+    the cut: the 27 vertices of the free polytope collapse to the uniform
+    distribution, or the conversion becomes infeasible when the extra pair
+    is the one party 0 holds."""
+    counts = {}
     for name, inst in near_cut_corpus(params, kinds=("one-pair",)):
         dec = sep_feasible(inst)
+        if name.startswith("seed/"):
+            counts[name] = len(dec.vertices) if dec.feasible else 0
         if not dec.feasible:
             assert name.startswith("seed/"), name
             continue
-        n, proj, _, sv = sep_module._character_fit(inst)
+        n, proj, _ = sep_module._character_fit(snapped_coords(inst))
         neg = [INDEX_POS[idx_neg(k)] for k in INDEX_ORDER]
         eta = {
             s: (n[s] * proj[s] + n[neg[s]] * np.conj(proj[neg[s]])) / (n[s] ** 2 + n[neg[s]] ** 2)
             for s in range(1, 9)
-            if sv[s] > 1e-9 * sv.max()
+            if n[s] > 0 or n[neg[s]] > 0
         }
         expected = exact_vertices(eta)
         gaps = np.abs(np.array(dec.vertices)[:, None] - np.array(expected)[None]).max(axis=2)
-        assert gaps.min(axis=1).max() <= 1e-7, name
-        assert gaps.min(axis=0).max() <= 1e-7, name
+        assert gaps.min(axis=1).max() <= 1e-12, name
+        assert gaps.min(axis=0).max() <= 1e-12, name
+    for w in PAIR_REPS:
+        for t in np.logspace(-14, -4, 41):
+            if t != 1e-9:  # at the cut itself rounding decides
+                above = 0 if w == (1, 0) else 1
+                assert counts[f"seed/one-pair+{w}@{t:.2e}"] == (27 if t < 1e-9 else above), (w, t)
 
 
 def test_closed_form_rank_matches_kronecker_svd(params, monkeypatch):
-    """The closed-form singular values are the Kronecker system's, so the
-    rank cut keeps as many of them; the nullspace handed to the vertex
-    enumeration (reached for every instance at ``tol=inf``) is orthonormal
-    and spans the Kronecker SVD's null directions."""
+    """The pairs the engine leaves free are those of the snapped Kronecker
+    system's null directions: the nullspace handed to the vertex
+    enumeration (reached for every instance with the residual bound
+    lifted) is orthonormal and spans the Kronecker SVD's null space."""
     nullspaces = []
     polytope = sep_module._polytope_vertices
     monkeypatch.setattr(
         sep_module, "_polytope_vertices", lambda p0, n: nullspaces.append(n) or polytope(p0, n)
     )
+    monkeypatch.setattr(sep_module, "RESIDUAL_TOL", np.inf)
     for name, inst in reference_corpus(params):
-        sv = sep_module._character_fit(inst)[3]
-        ka, _, _ = kronecker_system(inst)
+        ka, _, _ = kronecker_system(snapped(inst))
         _, ksv, vh = np.linalg.svd(ka, full_matrices=False)
-        np.testing.assert_allclose(
-            np.sort(sv)[::-1], ksv, rtol=0, atol=1e-12 * ksv[0], err_msg=name
-        )
-        rank = int(np.sum(sv > sep_module.RANK_TOL * sv.max()))
         krank = int(np.sum(ksv > 1e-9 * ksv[0]))
-        sep_feasible(inst, tol=np.inf)
+        sep_feasible(inst)
         null = nullspaces.pop()
-        assert (rank, null.shape[1]) == (krank, 9 - krank), name
+        assert null.shape[1] == 9 - krank, name
         np.testing.assert_allclose(
-            null.T @ null, np.eye(9 - rank), rtol=0, atol=1e-14, err_msg=name
+            null.T @ null, np.eye(9 - krank), rtol=0, atol=1e-14, err_msg=name
         )
         knull = vh[krank:].T
         np.testing.assert_allclose(

@@ -1,0 +1,66 @@
+"""The support cut decides the classifier, the SEP engine and the oracle
+alike: near the cut their verdicts agree, or the oracle abstains."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qutritlocc.classify import classify_gram
+from qutritlocc.generate import random_state
+from qutritlocc.oracle import brute_force_sep
+from qutritlocc.pauli import PAIR_REPS, PAULIS, dagger
+from qutritlocc.sep import (
+    _triple_uniform,
+    candidate_initial_grams,
+    gram_instance,
+    induced_initial,
+    sep_feasible,
+)
+from qutritlocc.states import gram, gram_triple
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(("tiling", "disjoint", "confined", "convertible")),
+    draw=st.integers(0, 2**32 - 1),
+    multiple=st.sampled_from((0.1, 1.0, 10.0)),
+    tol=st.sampled_from((1e-9, 1e-6)),
+    data=st.data(),
+)
+def test_verdicts_agree_near_the_cut(params, kind, draw, multiple, tol, data):
+    """A target gets one extra coordinate pair outside a party's support,
+    of modulus 0.1, 1 or 10 times the cut ``tol / 3``.  ``classify_gram``
+    calls it separably reachable exactly when the engine finds a feasible,
+    nontrivial conversion from one of its candidate initials at the same
+    cut.  ``candidate_initial_grams`` finds its confined cases at the
+    default cut, so at the coarser cut an extra pair between the two can
+    hide one; such a case is decided from its candidate as well.
+
+    The oracle audits the instance as given, with no cut, so it never
+    contradicts the engine at the default cut.  It may contradict the
+    engine at the coarser one: a coordinate of 3e-7 that the cut sets to
+    zero can leave a certified residual above the oracle's rejection bound.
+    """
+    base = gram(random_state(kind, np.random.default_rng(draw), params))
+    pairs = classify_gram(base).pattern.pairs
+    party, w = data.draw(
+        st.sampled_from([(i, w) for i in range(3) for w in PAIR_REPS if w not in pairs[i]])
+    )
+    z = multiple * tol / 3.0 * np.exp(2j * np.pi * data.draw(st.floats(0.0, 1.0)))
+    mats = list(base.mats)
+    mats[party] = mats[party] + z * PAULIS[w] + np.conj(z) * dagger(PAULIS[w])
+    target = gram_triple(*mats)
+
+    initials = dict(candidate_initial_grams(target))
+    for match in classify_gram(target, tol).locc_cases:
+        initials.setdefault(
+            f"confined-{match.pair}", induced_initial(target, _triple_uniform(match.pair))
+        )
+    engine = False
+    for label, initial in initials.items():
+        inst = gram_instance(params, initial, target)
+        dec = sep_feasible(inst, tol)
+        engine |= dec.feasible and dec.nontrivial
+        oracle = brute_force_sep(inst).feasible
+        assert oracle is None or oracle == sep_feasible(inst).feasible, label
+    assert classify_gram(target, tol).sep_reachable == engine
