@@ -210,7 +210,13 @@ def _cmd_sep_decide(args: argparse.Namespace) -> _Report:
             f"lower bound {verdict.lower_bound:.3e})"
         )
         if verdict.feasible is not None and verdict.feasible != result.feasible:
-            print("error: oracle disagrees with the decision engine", file=sys.stderr)
+            oracle, engine = ("in", "") if result.feasible else ("", "in")
+            print(
+                "error: oracle disagrees with the decision engine: the oracle, deciding "
+                f"the instance as given, finds it {oracle}feasible; the engine, deciding "
+                f"it at --tolerance {args.tolerance:g}, finds it {engine}feasible",
+                file=sys.stderr,
+            )
             return payload, lines, 1
     return payload, lines, 0 if result.feasible else 2
 

@@ -16,10 +16,17 @@ weight on one party's factor (the separable form of Gour and Wallach, NJP
 local round: that party measures, and the other two apply their factors
 ``h S_k g^{-1}`` as outcome-conditioned corrections, which are unitary in
 every situation these constructions produce (and are verified to be).
-A local protocol is an initial state and a list of such rounds, built by
-:func:`_local_protocol`, and every construction returns through the one
-completeness gate :func:`_checked`.  The public constructions only choose
-the factors and the weights.
+
+One trace rule declares every target: each target factor h_i is rescaled
+to its initial factor's Gram trace ``||g_i||_F^2`` (:func:`_matched`, a ray
+rescale), as a round's unitary corrections need (de Vicente, Spee and
+Kraus, PRL 111, 110502, 2013); a separable map needs only the product of
+the traces to match, and the rule matches that too.  :func:`_kraus_set`
+builds a separable map, and :func:`_local_protocol` a local protocol (an
+initial state and a list of rounds, the last round's factors declared as
+the target).  Both apply the rule and return through the one completeness
+gate :func:`_checked`, so the public constructions only choose the initial
+state, the factors and the weights.
 """
 
 from __future__ import annotations
@@ -299,21 +306,58 @@ def _checked(obj, what: str):
     return obj
 
 
-def _local_protocol(initial, steps, target, construction, what, notes=()) -> LoccProtocol:
-    """The checked protocol from ``initial`` through ``steps`` to ``target``.
+def _matched(initial_factors, target_factors) -> tuple[np.ndarray, ...]:
+    """``target_factors``, each rescaled to its initial factor's Gram trace
+    ``||g||_F^2`` (a ray rescale), in one stacked pass.
+
+    Every factor of both stacks is first divided by the power of two that
+    puts its largest real or imaginary part in [0.5, 1), and each initial
+    factor's power is carried onto its result, so no trace over- or
+    underflows at any scale.  Powers of two are exact, so a factor matched
+    to itself comes back unchanged.
+    """
+    x = np.array([initial_factors, target_factors], dtype=complex).view(float)
+    e = np.frexp(np.abs(x).max(axis=(-2, -1), keepdims=True))[1]
+    x = np.ldexp(x, -e)
+    norm = np.linalg.norm(x, axis=(-2, -1), keepdims=True)
+    return tuple((np.ldexp(norm[0] / norm[1], e[0]) * x[1]).view(complex))
+
+
+def _kraus_set(
+    initial, requested, weights, construction, what, notes=(), one_round=False
+) -> KrausSet:
+    """The checked Kraus set from ``initial`` onto the ray of ``requested``.
+
+    The declared target is ``requested`` with its factors matched to the
+    initial ones (:func:`_matched`); the branches carry ``sqrt(p_k)`` on
+    party 0 (:func:`_branches`).  With ``one_round`` the set must also be
+    one local round in which party 0 measures (:func:`_round`), and that
+    is verified before completeness.
+    """
+    target = GenericState(requested.seed, _matched(initial.factors, requested.factors))
+    elements = _branches(initial.factors, target.factors, weights, 0)
+    if one_round:
+        _round((0, 1, 2), elements)
+    return _checked(KrausSet(elements, initial, target, construction, tuple(notes)), what)
+
+
+def _local_protocol(initial, steps, construction, what, notes=()) -> LoccProtocol:
+    """The checked protocol from ``initial`` through ``steps``.
 
     Each step ``(parties, weights, after)`` is one round: the branches from
-    the factors before the step to ``after``, measured by ``parties[0]``
-    (:func:`_branches`, :func:`_round`).  The last step ends on the
-    target's factors.
+    the factors before the step to ``after`` matched to them
+    (:func:`_matched`), measured by ``parties[0]`` (:func:`_branches`,
+    :func:`_round`).  The last step's matched factors are the declared
+    target.
     """
     rounds = []
     before = initial.factors
     for parties, weights, after in steps:
+        after = _matched(before, after)
         rounds.append(_round(parties, _branches(before, after, weights, parties[0])))
         before = after
-    protocol = LoccProtocol(initial, tuple(rounds), target, construction, tuple(notes))
-    return _checked(protocol, what)
+    target = GenericState(initial.seed, before)
+    return _checked(LoccProtocol(initial, tuple(rounds), target, construction, tuple(notes)), what)
 
 
 def _uniform(labels) -> dict[Pair, float]:
@@ -324,25 +368,14 @@ def _triple(w: Pair) -> tuple[Pair, Pair, Pair]:
     return ((0, 0), w, idx_neg(w))
 
 
-def _split_scale(h: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(hs, e)`` with ``hs = scaled_into_range(h)`` and ``h = 2**e hs``
-    exactly.  Grams and traces are formed from ``hs``, which cannot over-
-    or underflow, and the power of two is carried back onto the result;
-    for a factor of ordinary scale ``hs`` is ``h`` and ``e`` is 0."""
-    hs = scaled_into_range(h)
-    return hs, int(np.frexp(np.abs(h).max())[1] - np.frexp(np.abs(hs).max())[1])
-
-
 def _confined_initial(factors, f: int, w: Pair) -> tuple[np.ndarray, ...]:
     """``factors`` with party ``f``'s replaced by the positive confined
-    factor of its Gram depolarized over the triple of ``w``, at the
-    factor's own scale."""
-    hs, e = _split_scale(factors[f])
+    factor of its Gram depolarized over the triple of ``w``, matched to
+    the factor it replaces (:func:`_matched`)."""
+    h = scaled_into_range(factors[f])
     initial = list(factors)
-    initial[f] = np.ldexp(1.0, e) * span_factor(
-        depolarize(dagger(hs) @ hs, _triple_uniform(w)), w
-    )
-    return tuple(initial)
+    initial[f] = span_factor(depolarize(dagger(h) @ h, _triple_uniform(w)), w)
+    return _matched(factors, initial)
 
 
 def _trivial_note(initial: GenericState, target: GenericState, note: str) -> list[str]:
@@ -354,14 +387,10 @@ def _trivial_note(initial: GenericState, target: GenericState, note: str) -> lis
     return []
 
 
-def _scale_to_trace3(h: np.ndarray) -> tuple[np.ndarray, float]:
-    hs, e = _split_scale(h)
-    lam = np.sqrt(3.0 / float(np.trace(dagger(hs) @ hs).real))
-    return lam * hs, np.ldexp(lam, -e)
-
-
 def _unitized(h: np.ndarray) -> np.ndarray:
-    """The unitary part of a factor's polar decomposition (scale-free)."""
+    """The unitary part of a factor's polar decomposition (scale-free): the
+    declared factor of a party that is trivial at the cut, whose Gram is the
+    identity only up to that cut."""
     h = scaled_into_range(h)
     return h @ np.linalg.inv(positive_factor(dagger(h) @ h))
 
@@ -387,22 +416,18 @@ def sep_map_disjoint(h1: np.ndarray, h2: np.ndarray, seed) -> KrausSet:
 
     Nine equally weighted branches, one per symmetry label.  Completeness
     requires the two factors' Gram coordinate supports to be disjoint;
-    overlap is reported through the completeness residual.  Both factors
-    are rescaled to Gram trace 3 (a ray-preserving normalization).
+    overlap is reported through the completeness residual.  The requested
+    target is validated first; its declared factors carry the bare seed's
+    Gram trace 3.
     """
-    h1, lam1 = _scale_to_trace3(np.asarray(h1, dtype=complex))
-    h2, lam2 = _scale_to_trace3(np.asarray(h2, dtype=complex))
     eye = np.eye(3, dtype=complex)
-    initial = GenericState(seed=seed, factors=(eye, eye, eye))
-    target = GenericState(seed=seed, factors=(h1, h2, eye))
-    kraus = KrausSet(
-        elements=_branches(initial.factors, target.factors, _uniform(INDEX_ORDER), 0),
-        initial=initial,
-        target=target,
-        construction="sep-disjoint",
-        notes=(f"factor rescales to Gram trace 3: {lam1:.6g}, {lam2:.6g}",),
+    return _kraus_set(
+        GenericState(seed=seed, factors=(eye, eye, eye)),
+        GenericState(seed=seed, factors=(h1, h2, eye)),
+        _uniform(INDEX_ORDER),
+        "sep-disjoint",
+        "disjoint-support separable map",
     )
-    return _checked(kraus, "disjoint-support separable map")
 
 
 def sep_map_confined(
@@ -415,32 +440,30 @@ def sep_map_confined(
     """Separable map onto ``h1 (x) h2 (x) h3`` with parties 2 and 3
     confined to the pair ``{w, -w}``.
 
-    Three branches labeled by the pair's symmetry triple.  The initial
-    state carries the first party's Gram depolarized over the triple (its
-    positive confined factor), with the confined factors riding along.
-    Completeness is exact for any scaling of ``h1``: the Gram is formed
-    from :func:`scaled_into_range` of ``h1`` and the power of two goes back
-    onto the initial factor.
+    Three branches labeled by the pair's symmetry triple.  The requested
+    target is validated first.  The initial state carries the first
+    party's Gram depolarized over the triple (its positive confined
+    factor, at ``h1``'s Gram trace), with the confined factors riding
+    along.  The Gram is formed from :func:`scaled_into_range` of ``h1``,
+    so completeness holds for any scaling of it.
     """
     eye = np.eye(3, dtype=complex)
-    h = tuple(eye if m is None else np.asarray(m, dtype=complex) for m in (h1, h2, h3))
-    initial = GenericState(seed=seed, factors=_confined_initial(h, 0, w))
-    target = GenericState(seed=seed, factors=h)
-    elements = _branches(initial.factors, target.factors, _uniform(_triple(w)), 0)
+    requested = GenericState(seed, tuple(eye if m is None else m for m in (h1, h2, h3)))
+    initial = GenericState(seed, _confined_initial(requested.factors, 0, w))
     # At parties 2 and 3 the branch operator h S_k h^{-1} is unitary exactly
     # because the factor's Gram lives in the pair's commuting span, so the
     # map is one local round; building that round verifies it.
-    _round((0, 1, 2), elements)
-    kraus = KrausSet(
-        elements=elements,
-        initial=initial,
-        target=target,
-        construction="sep-confined",
-        notes=tuple(_trivial_note(
-            initial, target, "trivial conversion: initial and target are LU-equivalent"
-        )),
+    return _kraus_set(
+        initial,
+        requested,
+        _uniform(_triple(w)),
+        "sep-confined",
+        "confined-pair separable map",
+        _trivial_note(
+            initial, requested, "trivial conversion: initial and target are LU-equivalent"
+        ),
+        one_round=True,
     )
-    return _checked(kraus, "confined-pair separable map")
 
 
 def sep_map_from_witness(
@@ -449,32 +472,17 @@ def sep_map_from_witness(
     """General separable map realizing a feasibility witness.
 
     Given a distribution solving the conversion instance, the branch for
-    label k applies ``sqrt(p_k) h_i S_k g_i^{-1}`` at each party.  The
-    target factors are rescaled so the product of their Gram traces
-    matches the source's (ray-preserving); completeness then follows from
-    the witness equation.  The traces are taken at the factors' scaled-
-    into-range values, and target factor i carries source factor i's
-    power of two, which leaves the product of the three factors as a
-    common rescale would.
+    label k applies ``sqrt(p_k) h_i S_k g_i^{-1}`` at each party.  Each
+    target factor is declared at its source factor's Gram trace
+    (ray-preserving).  The witness equation fixes only the product of the
+    three traces, which this matches, so completeness follows from it.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (9,):
         raise ValueError(f"expected 9 probabilities, got shape {p.shape}")
-    gs = [_split_scale(g) for g in source.factors]
-    hs = [scaled_into_range(h) for h in target.factors]
-    tr_g = np.prod([np.trace(dagger(g) @ g).real for g, _ in gs])
-    tr_h = np.prod([np.trace(dagger(h) @ h).real for h in hs])
-    scale = (tr_g / tr_h) ** (1.0 / 6.0)
-    factors = tuple(np.ldexp(1.0, e) * (scale * h) for h, (_, e) in zip(hs, gs))
-    target = GenericState(seed=target.seed, factors=factors)
-    kraus = KrausSet(
-        elements=_branches(source.factors, target.factors, dict(zip(INDEX_ORDER, p)), 0),
-        initial=source,
-        target=target,
-        construction="sep-witness",
-        notes=(f"target rescale {scale:.6g}",),
+    return _kraus_set(
+        source, target, dict(zip(INDEX_ORDER, p)), "sep-witness", "witness separable map"
     )
-    return _checked(kraus, "witness separable map")
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +498,8 @@ def locc_reach_protocol(target: GenericState, tol: float = ZERO_TOL) -> LoccProt
     depolarized over the pair's triple when the pair is occupied at both
     confined parties or at the free party; otherwise, from the bare seed,
     the occupied confined party measures nine outcomes and then the free
-    party the pair's triple.  From the bare seed the target declares the
-    measuring factors at Gram trace 3 and the trivial factors unitized.
+    party the pair's triple.  A confined party that is trivial at the cut
+    is declared unitized: the unitary part of its factor.
     """
     cls = classify_gram(gram(target), tol)
     if not cls.locc_cases:
@@ -503,43 +511,30 @@ def locc_reach_protocol(target: GenericState, tol: float = ZERO_TOL) -> LoccProt
     s_f, s_c1, s_c2 = (cls.pattern.pairs[p] for p in match.parties)
     h = target.factors
     eye = np.eye(3, dtype=complex)
-    declared = [eye, eye, eye]
+    start = (eye, eye, eye)
+    after = list(h)
     if not s_c1 and not s_c2:
-        declared[f], lam = _scale_to_trace3(h[f])
-        for c in (c1, c2):
-            declared[c] = _unitized(h[c])
-        steps = [((f, c1, c2), _uniform(INDEX_ORDER), declared)]
+        after[c1], after[c2] = _unitized(h[c1]), _unitized(h[c2])
+        steps = [((f, c1, c2), _uniform(INDEX_ORDER), after)]
         construction, what = "locc-nine-outcome", "nine-outcome local protocol"
-        note = f"measuring factor rescaled by {lam:.6g}; trivial factors unitized"
+        notes = ["trivial factors unitized"]
     elif (s_c1 and s_c2) or w in s_f:
-        initial = GenericState(seed=target.seed, factors=_confined_initial(h, f, w))
-        step = ((f, c1, c2), _uniform(_triple(w)), h)
-        return _local_protocol(
-            initial, [step], target, "locc-one-round", "one-round local protocol"
-        )
+        start = _confined_initial(h, f, w)
+        steps = [((f, c1, c2), _uniform(_triple(w)), h)]
+        construction, what, notes = "locc-one-round", "one-round local protocol", []
     else:
         cn, ct = (c1, c2) if s_c1 else (c2, c1)
-        declared[cn], lam_n = _scale_to_trace3(h[cn])
-        middle = list(declared)
-        declared[f], lam_f = _scale_to_trace3(h[f])
-        declared[ct] = _unitized(h[ct])
+        middle = [eye, eye, eye]
+        middle[cn] = h[cn]
+        after[ct] = _unitized(h[ct])
         steps = [
             ((cn, f, ct), _uniform(INDEX_ORDER), middle),
-            ((f, cn, ct), _uniform(_triple(w)), declared),
+            ((f, cn, ct), _uniform(_triple(w)), after),
         ]
         construction, what = "locc-two-stage", "two-stage local protocol"
-        note = (
-            f"measuring factors rescaled by {lam_n:.6g}, {lam_f:.6g}; "
-            "trivial factor unitized"
-        )
-    return _local_protocol(
-        GenericState(seed=target.seed, factors=(eye, eye, eye)),
-        steps,
-        GenericState(seed=target.seed, factors=tuple(declared)),
-        construction,
-        what,
-        (note,),
-    )
+        notes = ["trivial factor unitized"]
+    initial = GenericState(seed=target.seed, factors=start)
+    return _local_protocol(initial, steps, construction, what, notes)
 
 
 def locc_convert_step(
@@ -573,10 +568,9 @@ def locc_convert_step(
     w = match.pair
     assert w is not None
 
-    g_m, g_exp = _split_scale(source.factors[m_party])
+    g_m = scaled_into_range(source.factors[m_party])
     g_gram = dagger(g_m) @ g_m
-    trace = float(np.trace(g_gram).real)
-    ghat = g_gram / trace
+    ghat = g_gram / float(np.trace(g_gram).real)
 
     if eps is not None and not 0.0 <= eps < 1.0:
         raise ValueError(f"step size must lie in [0, 1), got {eps}")
@@ -613,9 +607,12 @@ def locc_convert_step(
         weights = dict(zip(_triple(w), (1.0 - 2.0 * eps / 3.0, eps / 3.0, eps / 3.0)))
         notes = [f"step size {eps:.6g} on pair {w}"]
 
-    target_factors = list(source.factors)
-    target_factors[m_party] = np.ldexp(1.0, g_exp) * positive_factor(hhat * trace)
-    target = GenericState(seed=source.seed, factors=tuple(target_factors))
-    notes += _trivial_note(source, target, "trivial step: source and target are LU-equivalent")
-    step = (match.parties, weights, target.factors)
-    return _local_protocol(source, [step], target, "locc-convert-step", "conversion step", notes)
+    after = list(source.factors)
+    after[m_party] = positive_factor(hhat)
+    notes += _trivial_note(
+        source,
+        GenericState(seed=source.seed, factors=after),
+        "trivial step: source and target are LU-equivalent",
+    )
+    step = (match.parties, weights, after)
+    return _local_protocol(source, [step], "locc-convert-step", "conversion step", notes)

@@ -271,8 +271,9 @@ class StandardForm:
 
     def close_to(self, other: "StandardForm") -> bool:
         """Whether the coordinate tables lie in one gauge orbit to
-        :data:`STD_COMPARE_ATOL` (:func:`gauge_gap`)."""
-        if not self.seed.close_to(other.seed, STD_COMPARE_ATOL):
+        :data:`STD_COMPARE_ATOL` (:func:`gauge_gap`); the seeds are compared
+        by :meth:`SeedParams.close_to`."""
+        if not self.seed.close_to(other.seed):
             raise SeedMismatchError("standard forms belong to different seeds")
         return bool(gauge_gap(self.coords, other.coords) <= STD_COMPARE_ATOL)
 
@@ -286,7 +287,15 @@ def standard_form_of_gram(seed: SeedParams, gt: GramTriple) -> StandardForm:
 
 
 def standard_form(state: GenericState) -> StandardForm:
-    """Standard form of a state (unitary factor dressings drop out)."""
+    """Standard form of a state (unitary factor dressings drop out).
+
+    The gauge is picked by :func:`standardize_coords`, whose choice jumps
+    at its support cut and its phase window's edge: two states within
+    rounding of one gauge orbit can get standard forms in different
+    gauges, far apart entrywise.  Compare states with
+    :func:`lu_equivalent` (or :meth:`StandardForm.close_to`), never by
+    their printed standard forms.
+    """
     return standard_form_of_gram(state.seed, gram(state))
 
 
@@ -300,7 +309,7 @@ def lu_equivalent(s1: GenericState, s2: GenericState) -> bool:
     the canonical seed parameters differ (cross-seed comparisons are not
     supported) and ``ValueError`` for a seed outside the canonical gauge.
     """
-    if not s1.seed.close_to(s2.seed, STD_COMPARE_ATOL):
+    if not s1.seed.close_to(s2.seed):
         raise SeedMismatchError(
             "states have different canonical seed parameters; "
             "cross-seed equivalence is not decided"

@@ -9,7 +9,7 @@ from qutritlocc.cli import _build_parser, main
 from qutritlocc.generate import random_state
 from qutritlocc.pauli import PAULIS, dagger
 from qutritlocc.statefile import load_state, protocol_from_json, save_protocol, save_state
-from qutritlocc.states import GenericState, positive_factor, span_factor
+from qutritlocc.states import GenericState, gram, positive_factor, span_factor
 from qutritlocc.protocols import locc_reach_protocol, simulate_branches
 from qutritlocc.seeds import SeedParams
 
@@ -237,6 +237,28 @@ def test_sep_decide_with_oracle(capsys, files):
     oracle = json.loads(out)["oracle"]
     assert oracle["feasible"] is False
     assert 1e-7 < oracle["lower_bound"] <= oracle["best_residual"]
+
+
+def test_sep_decide_oracle_disagreement_names_both_decisions(capsys, files, params):
+    """At a coarse cut the engine sets a coordinate of 3.3e-7 to zero that
+    the oracle, which decides the instance as given, cannot: the error
+    says which instance each side decided."""
+    mats = list(gram(random_state("disjoint", np.random.default_rng(8976), params)).mats)
+    mats[1] = mats[1] + 3.3e-7 * (PAULIS[(1, 1)] + dagger(PAULIS[(1, 1)]))
+    path = str(files["root"] / "near-cut.json")
+    save_state(path, GenericState(params, tuple(positive_factor(m) for m in mats)))
+    code, out, err = run(
+        capsys, "--tolerance", "1e-6", "sep-decide", "--from", files["seed"], "--to", path,
+        "--oracle",
+    )
+    assert code == 1
+    assert out.splitlines()[0] == "feasible"
+    assert "oracle: False" in out
+    assert err.strip() == (
+        "error: oracle disagrees with the decision engine: the oracle, deciding the "
+        "instance as given, finds it infeasible; the engine, deciding it at "
+        "--tolerance 1e-06, finds it feasible"
+    )
 
 
 def test_synth_protocol_reachable_target(capsys, files):

@@ -23,6 +23,10 @@ read each module with the standard library's ``ast``.
   outside a module-level constant with an upper-case name: every cut that
   small is a tolerance, and a tolerance is named once.  Docstrings are
   strings, not float literals, so they may quote the values.
+- ``protocols.py`` builds ``KrausSet(`` only inside ``_kraus_set`` and
+  ``LoccProtocol(`` only inside ``_local_protocol``: every construction
+  returns through the builder that declares its target by the one trace
+  rule and gates completeness.
 """
 
 import ast
@@ -328,3 +332,34 @@ def test_literal_lint_sees_an_unnamed_cut():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unnamed_small_literals(path):
     assert unnamed_small_literals(path.read_text()) == []
+
+
+#: Each protocol class with the one function of ``protocols.py`` that builds it.
+BUILDERS = {"KrausSet": "_kraus_set", "LoccProtocol": "_local_protocol"}
+
+
+def stray_builds(source: str) -> list[str]:
+    """Each call to a class of :data:`BUILDERS` outside its builder."""
+    return [
+        f"line {node.lineno}: {node.func.id}"
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in BUILDERS
+        and not (isinstance(top, ast.FunctionDef) and top.name == BUILDERS[node.func.id])
+    ]
+
+
+def test_builder_lint_sees_a_stray_build():
+    source = (
+        "def _kraus_set(i, t):\n    return KrausSet((), i, t, 'a')\n\n"
+        "def _local_protocol(i, t):\n    return LoccProtocol(i, (), t, 'b')\n\n"
+        "def sep_map(i, t):\n    return KrausSet((), i, t, 'c')\n\n"
+        "def reach(i, t):\n    return _kraus_set(i, LoccProtocol(i, (), t, 'd'))\n"
+    )
+    assert stray_builds(source) == ["line 8: KrausSet", "line 11: LoccProtocol"]
+
+
+def test_protocols_build_only_through_the_builders():
+    assert stray_builds((PACKAGE / "protocols.py").read_text()) == []

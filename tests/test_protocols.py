@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from qutritlocc import protocols
 from qutritlocc.classify import classify, support_pattern
 from qutritlocc.generate import random_state
-from qutritlocc.pauli import PAULIS, dagger, idx_neg, is_hermitian
+from qutritlocc.pauli import PAULIS, dagger, idx_neg, is_hermitian, scaled_into_range
 from qutritlocc.protocols import (
     BRANCH_MATCH_TOL,
     POVM_TOL,
@@ -31,9 +32,12 @@ from qutritlocc.states import (
     gram,
     lu_equivalent,
     positive_factor,
+    ray_distance,
     seed_gram,
     span_factor,
 )
+
+branches = protocols._branches
 
 
 def pair_mat(w, z=0.08):
@@ -98,6 +102,14 @@ def test_disjoint_map_trivial_factors(params, seed_state):
     assert lu_equivalent(kraus.target, seed_state)
 
 
+def test_disjoint_map_rejects_a_singular_factor(params):
+    """The requested target is validated before any trace is taken."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="factor 0 is numerically singular"):
+            sep_map_disjoint(np.zeros((3, 3)), np.eye(3), params)
+
+
 def test_disjoint_map_rejects_overlap(params):
     h1 = positive_factor(pair_mat((1, 0)))
     h2 = positive_factor(pair_mat((1, 0), 0.05))
@@ -144,42 +156,66 @@ def scaled_state(params, factors, scale):
     return GenericState(params, tuple(scale * np.asarray(f, dtype=complex) for f in factors))
 
 
+def request_confined(params, rng, scale):
+    return scaled_state(params, (dense_factor(rng), np.eye(3), np.eye(3)), scale)
+
+
 def build_confined(params, rng, scale):
-    return sep_map_confined(scale * dense_factor(rng), (1, 1), params)
+    return sep_map_confined(request_confined(params, rng, scale).factors[0], (1, 1), params)
+
+
+def request_disjoint(params, rng, scale):
+    h1 = positive_factor(pair_mat((1, 0)))
+    h2 = positive_factor(pair_mat((0, 1), 0.06))
+    return scaled_state(params, (h1, h2, np.eye(3)), scale)
 
 
 def build_disjoint(params, rng, scale):
-    h1 = positive_factor(pair_mat((1, 0)))
-    h2 = positive_factor(pair_mat((0, 1), 0.06))
-    return sep_map_disjoint(scale * h1, scale * h2, params)
+    h1, h2, _ = request_disjoint(params, rng, scale).factors
+    return sep_map_disjoint(h1, h2, params)
 
 
-def build_witness(params, rng, scale):
+def request_witness(params, rng, scale):
     tiling = (
         positive_factor(two_pair_mat((1, 0), (0, 1))),
         positive_factor(two_pair_mat((1, 1), (1, 2))),
         np.eye(3),
     )
-    target = scaled_state(params, tiling, scale)
+    return scaled_state(params, tiling, scale)
+
+
+def build_witness(params, rng, scale):
+    target = request_witness(params, rng, scale)
     dec = sep_feasible(gram_instance(params, seed_gram(), gram(target)))
     source = scaled_state(params, (np.eye(3),) * 3, scale)
     return sep_map_from_witness(source, target, dec.witness)
 
 
-def build_one_round(params, rng, scale):
+def request_one_round(params, rng, scale):
     w = (0, 1)
     factors = (dense_factor(rng), span_positive(w, 0.09), span_positive(w, 0.05))
-    return locc_reach_protocol(scaled_state(params, factors, scale))
+    return scaled_state(params, factors, scale)
+
+
+def build_one_round(params, rng, scale):
+    return locc_reach_protocol(request_one_round(params, rng, scale))
+
+
+def request_nine_outcome(params, rng, scale):
+    return scaled_state(params, (dense_factor(rng), np.eye(3), np.eye(3)), scale)
 
 
 def build_nine_outcome(params, rng, scale):
-    factors = (dense_factor(rng), np.eye(3), np.eye(3))
-    return locc_reach_protocol(scaled_state(params, factors, scale))
+    return locc_reach_protocol(request_nine_outcome(params, rng, scale))
+
+
+def request_two_stage(params, rng, scale):
+    factors = (positive_factor(pair_mat((1, 0))), span_positive((0, 1), 0.08), np.eye(3))
+    return scaled_state(params, factors, scale)
 
 
 def build_two_stage(params, rng, scale):
-    factors = (positive_factor(pair_mat((1, 0))), span_positive((0, 1), 0.08), np.eye(3))
-    return locc_reach_protocol(scaled_state(params, factors, scale))
+    return locc_reach_protocol(request_two_stage(params, rng, scale))
 
 
 def build_convert_step(params, rng, scale):
@@ -197,6 +233,53 @@ SCALED_BUILDS = {
     "locc-two-stage": build_two_stage,
     "locc-convert-step": build_convert_step,
 }
+
+
+#: The target each construction is asked for (the convertible step has none).
+REQUESTS = {
+    "sep-confined": request_confined,
+    "sep-disjoint": request_disjoint,
+    "sep-witness": request_witness,
+    "locc-one-round": request_one_round,
+    "locc-nine-outcome": request_nine_outcome,
+    "locc-two-stage": request_two_stage,
+}
+
+
+def gram_traces(before, after):
+    """Each party's Gram traces ``(||g||_F^2, ||h||_F^2)``, taken after one
+    exact rescale of the pair, so neither over- or underflows."""
+    pairs = (scaled_into_range(np.array([g, h], dtype=complex)) for g, h in zip(before, after))
+    return np.array([[np.vdot(x, x).real for x in pair] for pair in pairs])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+@pytest.mark.parametrize("construction", list(SCALED_BUILDS))
+def test_every_target_factor_has_its_predecessors_gram_trace(
+    params, monkeypatch, construction, scale
+):
+    """The one trace rule of the branch kernel: every factor a branch set
+    maps onto, each round's and the declared target's, has the Gram trace
+    of the factor it replaces.  The declared target is the requested ray:
+    the trivial parties requested here are exact multiples of unitaries,
+    so unitizing them leaves the ray alone."""
+    calls = []
+
+    def recording(initial_factors, target_factors, weights, party):
+        calls.append((initial_factors, target_factors))
+        return branches(initial_factors, target_factors, weights, party)
+
+    monkeypatch.setattr(protocols, "_branches", recording)
+    obj = SCALED_BUILDS[construction](params, np.random.default_rng(0), scale)
+    chain = [obj.initial.factors] + [after for _, after in calls]
+    assert np.array_equal(chain[-1], obj.target.factors)
+    for before, (step_from, step_to) in zip(chain, calls):
+        assert np.array_equal(before, step_from)
+        traces = gram_traces(step_from, step_to)
+        np.testing.assert_allclose(traces[:, 1], traces[:, 0], rtol=1e-12, atol=0)
+    if construction in REQUESTS:
+        requested = REQUESTS[construction](params, np.random.default_rng(0), scale)
+        assert ray_distance(assemble(obj.target), assemble(requested)) <= 1e-12
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
@@ -290,6 +373,24 @@ def test_confined_map_with_occupied_partners(params, rng):
     h3 = q @ span_positive(w, 0.05)
     kraus = sep_map_confined(h1, w, params, h2=h2, h3=h3)
     assert_valid(kraus, n_branches=3)
+
+
+@pytest.mark.parametrize("party", [0, 1, 2])
+@pytest.mark.parametrize(
+    "bad",
+    [np.full((3, 3), np.nan), np.full((3, 3), np.inf), np.ones((3, 3))],
+    ids=["nan", "inf", "singular"],
+)
+def test_confined_map_validates_its_factors_first(params, party, bad):
+    """A non-finite or singular factor is named before the Gram of ``h1``
+    is depolarized, and without a floating-point warning."""
+    w = (0, 1)
+    factors = [np.eye(3), span_positive(w, 0.09), span_positive(w, 0.05)]
+    factors[party] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"factor {party} is numerically singular"):
+            sep_map_confined(factors[0], w, params, h2=factors[1], h3=factors[2])
 
 
 def test_confined_map_rejects_partner_outside_the_pair_span(params, rng):
