@@ -4,8 +4,10 @@ Exit codes: 0 on success, 2 on a mathematical negative (non-generic seed,
 inequivalent states, infeasible conversion, failed verification), 1 on
 input errors (bad files, bad flags, and any input the library rejects with
 a ``ValueError``, such as an all-zero seed or states of different seeds),
-reported on one ``error:`` line.  ``--json`` switches every report to
-machine-readable output; file-producing commands write JSON regardless.
+reported on one ``error:`` line.  A seed read from a file is held in
+canonical gauge, so a rescaled copy of a seed is that seed, not an error.
+``--json`` switches every report to machine-readable output;
+file-producing commands write JSON regardless.
 Each subcommand returns its report and ``main`` alone prints it, so
 ``--json`` output is always exactly one JSON document.
 """
@@ -32,7 +34,7 @@ from .protocols import (
     simulate_branches,
     validate_povm,
 )
-from .seeds import GenericityReport, SeedParams, check_generic, symmetry_audit
+from .seeds import GenericityReport, SeedParams, symmetry_audit
 from .sep import sep_feasible, sep_instance
 from .statefile import (
     _num,
@@ -95,8 +97,6 @@ def _cmd_files(args: argparse.Namespace) -> _Report:
 def _cmd_generate(args: argparse.Namespace) -> _Report:
     rng = np.random.default_rng(args.rng_seed)
     params = _load_seed_file(args.params_from) if args.params_from else None
-    if params is not None and not params.is_canonical():
-        params = params.canonical()
     state = random_state(args.kind, rng, params)
     metadata: dict[str, Any] = {"kind": args.kind}
     if args.label:
@@ -127,7 +127,7 @@ def _genericity(path: str, report: GenericityReport) -> _Report:
 
 
 def _check_generic_file(path: str, args: argparse.Namespace) -> _Report:
-    return _genericity(path, check_generic(_load_seed_file(path)))
+    return _genericity(path, _load_seed_file(path).genericity)
 
 
 def _standard_form_file(path: str, args: argparse.Namespace) -> _Report:
@@ -293,10 +293,9 @@ def _cmd_verify_protocol(args: argparse.Namespace) -> _Report:
 
 
 def _cmd_symmetry_audit(args: argparse.Namespace) -> _Report:
-    seed = _load_seed_file(args.file).canonical()
-    genericity = check_generic(seed)
-    if not genericity.generic:
-        return _genericity(args.file, genericity)
+    seed = _load_seed_file(args.file)
+    if not seed.genericity.generic:
+        return _genericity(args.file, seed.genericity)
     report = symmetry_audit(seed)
     payload = {
         "seed": seed_to_json(seed),

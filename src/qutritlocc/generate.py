@@ -13,7 +13,7 @@ import numpy as np
 
 from .classify import Classification, classify
 from .pauli import PAIR_REPS, PAULIS, dagger
-from .seeds import SeedParams, check_generic
+from .seeds import SeedParams
 from .states import GenericState, positive_factor
 
 #: Give up on a rejection-sampling loop after this many draws.
@@ -38,8 +38,8 @@ def random_seed_params(rng: np.random.Generator) -> SeedParams:
             a=complex(raw[0], raw[1]),
             b=complex(raw[2], raw[3]),
             c=complex(raw[4], raw[5]),
-        ).canonical()
-        report = check_generic(params)
+        )
+        report = params.genericity
         if report.generic and report.margin >= _SEED_MARGIN:
             return params
     raise RuntimeError(

@@ -49,11 +49,10 @@ from .pauli import (
 )
 from .sep import _triple_uniform, depolarize
 from .states import (
-    STD_COMPARE_ATOL,
     GenericState,
     assemble,
-    gauge_gap,
     gram,
+    lu_equivalent,
     positive_factor,
     ray_distance,
     span_factor,
@@ -379,12 +378,9 @@ def _confined_initial(factors, f: int, w: Pair) -> tuple[np.ndarray, ...]:
 
 
 def _trivial_note(initial: GenericState, target: GenericState, note: str) -> list[str]:
-    """``[note]`` when the two states, built on one seed, are LU-equivalent,
-    else ``[]``.  Their Gram tables are compared through
-    :func:`~qutritlocc.states.gauge_gap`, which needs no canonical seed."""
-    if gauge_gap(gram(initial).coords, gram(target).coords) <= STD_COMPARE_ATOL:
-        return [note]
-    return []
+    """``[note]`` when the two states, built on one seed, are LU-equivalent
+    (:func:`~qutritlocc.states.lu_equivalent`), else ``[]``."""
+    return [note] if lu_equivalent(initial, target) else []
 
 
 def _unitized(h: np.ndarray) -> np.ndarray:

@@ -56,66 +56,61 @@ class SymmetryCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class SeedParams:
-    """Complex amplitudes (a, b, c) of a seed state.
+    """Complex amplitudes (a, b, c) of a seed state, held in canonical gauge.
 
-    The canonical gauge fixes the scaling freedom: unit norm and the first
-    nonzero amplitude real and positive.
+    A seed is fixed only up to scale.  Construction stores the canonical
+    representative of the given triple: unit norm and the first amplitude
+    of modulus above :data:`AMPLITUDE_ZERO_TOL` real and positive.  A triple
+    already canonical to within ``ZERO_TOL`` is kept bit for bit, an
+    all-zero triple raises ``ValueError``, and a non-finite triple is kept
+    as given so that :func:`check_generic` names the bad amplitude.
     """
 
     a: complex
     b: complex
     c: complex
 
+    def __post_init__(self) -> None:
+        abc = (complex(self.a), complex(self.b), complex(self.c))
+        if all(map(cmath.isfinite, abc)):
+            abc = _canonical(abc)
+        for name, z in zip("abc", abc):
+            object.__setattr__(self, name, z)
+
+    @functools.cached_property
+    def genericity(self) -> "GenericityReport":
+        """The seed's :func:`check_generic` report, computed once."""
+        return check_generic(self)
+
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c], dtype=complex)
-
-    def canonical(self) -> "SeedParams":
-        """Return the canonical-gauge representative of this triple."""
-        v = np.array(_power_of_two_scaled(self))
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ValueError("seed parameters must not all vanish")
-        v = v / n
-        for z in v:
-            if abs(z) > AMPLITUDE_ZERO_TOL:
-                v = v * (np.conj(z) / abs(z))
-                break
-        return SeedParams(complex(v[0]), complex(v[1]), complex(v[2]))
-
-    def is_canonical(self) -> bool:
-        """Whether the triple is in canonical gauge to within ``ZERO_TOL``."""
-        v = self.as_array()
-        with np.errstate(over="ignore"):  # an overflowing norm is inf: not unit
-            n = np.linalg.norm(v)
-        if abs(n - 1.0) > ZERO_TOL:
-            return False
-        for z in v:
-            if abs(z) > AMPLITUDE_ZERO_TOL:
-                return abs(z.imag) <= ZERO_TOL and z.real > 0
-        return False
 
     def close_to(self, other: "SeedParams", tol: float = SEED_CLOSE_TOL) -> bool:
         return bool(np.all(np.abs(self.as_array() - other.as_array()) <= tol))
 
 
-def _power_of_two_scaled(params: SeedParams) -> tuple[complex, complex, complex]:
-    """The amplitudes times the power of two that puts the largest |amplitude|
-    in [0.5, 1).
+def _canonical(abc: tuple[complex, complex, complex]) -> tuple[complex, ...]:
+    """The canonical-gauge representative of a finite triple.
 
-    Scaling by a power of two is exact, so the rescaled triple carries the
-    original's digits, while its norms and degree-9 polynomials can no
-    longer over- or underflow.  A zero or non-finite triple is returned
-    unscaled."""
-    a, b, c = complex(params.a), complex(params.b), complex(params.c)
-    top = max(abs(a), abs(b), abs(c))
-    if top == 0 or not math.isfinite(top):
-        return a, b, c
+    The triple itself when it is canonical to within ``ZERO_TOL``.
+    Otherwise it is first scaled by the power of two that puts its largest
+    real or imaginary part in [0.5, 1), which is exact and keeps the norm
+    from over- or underflowing, then divided by its norm and rotated so
+    that its first amplitude above :data:`AMPLITUDE_ZERO_TOL` is real and
+    positive."""
+    parts = [x for z in abc for x in (z.real, z.imag)]
+    if abs(math.hypot(*parts) - 1.0) <= ZERO_TOL:
+        lead = next(z for z in abc if abs(z) > AMPLITUDE_ZERO_TOL)
+        if abs(lead.imag) <= ZERO_TOL and lead.real > 0:
+            return abc
+    top = max(map(abs, parts))
+    if top == 0:
+        raise ValueError("seed parameters must not all vanish")
     e = -math.frexp(top)[1]
-    return (
-        complex(math.ldexp(a.real, e), math.ldexp(a.imag, e)),
-        complex(math.ldexp(b.real, e), math.ldexp(b.imag, e)),
-        complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)),
-    )
+    v = np.array([complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in abc])
+    v = v / np.linalg.norm(v)
+    lead = v[np.abs(v) > AMPLITUDE_ZERO_TOL][0]
+    return tuple((v * (np.conj(lead) / abs(lead))).tolist())
 
 
 def build_seed(params: SeedParams) -> np.ndarray:
@@ -185,11 +180,11 @@ def check_generic(params: SeedParams) -> GenericityReport:
     """Screen a seed triple against the 22 exclusion conditions.
 
     Each polynomial is divided by ``norm(a,b,c)**degree`` before comparison
-    with :data:`GENERIC_THRESHOLD`, which makes the verdict independent of
-    the overall scale of the triple; the triple is first rescaled by a power
-    of two (:func:`_power_of_two_scaled`), so that holds at any finite scale.
-    A NaN or infinite amplitude is reported as a violated ``finite``
-    condition with margin 0.
+    with :data:`GENERIC_THRESHOLD`.  A seed is held at unit norm, so no
+    polynomial can over- or underflow, and every representative of one ray
+    gets the same verdict.  A NaN or infinite amplitude is reported as a
+    violated ``finite`` condition with margin 0.  The screen runs once per
+    seed, through :attr:`SeedParams.genericity`.
     """
     amplitudes = (("a", params.a), ("b", params.b), ("c", params.c))
     non_finite = tuple(
@@ -197,10 +192,8 @@ def check_generic(params: SeedParams) -> GenericityReport:
     )
     if non_finite:
         return GenericityReport(False, non_finite, 0.0)
-    a, b, c = _power_of_two_scaled(params)
+    a, b, c = params.a, params.b, params.c
     n = float(np.linalg.norm((a, b, c)))
-    if n == 0:
-        return GenericityReport(False, (("a", 0.0), ("b", 0.0), ("c", 0.0)), 0.0)
     violations = []
     margin = np.inf
     for name, value, degree in _exclusion_polynomials(a, b, c):
@@ -223,16 +216,12 @@ def verify_symmetries(params: SeedParams) -> float:
     :data:`SYMMETRY_RESIDUAL_TOL` raise
     :class:`SymmetryCheckError` rather than being returned.  The nine
     triples are applied as one contraction with :data:`~qutritlocc.pauli.BASIS`
-    to the seed built from the power-of-two rescaled triple, so the residual
-    is the same at any scale.
+    to the seed, which is held at unit norm.
     """
-    amplitudes = _power_of_two_scaled(params)
-    if not all(map(cmath.isfinite, amplitudes)):
+    if not all(map(cmath.isfinite, (params.a, params.b, params.c))):
         raise ValueError("seed parameters must be finite")
-    t = build_seed(SeedParams(*amplitudes)).reshape(3, 3, 3)
+    t = build_seed(params).reshape(3, 3, 3)
     scale = np.linalg.norm(t)
-    if scale == 0:
-        raise ValueError("seed parameters must not all vanish")
     moved = np.einsum("kai,kbj,kcl,ijl->kabc", BASIS, BASIS, BASIS, t)
     worst = float(np.linalg.norm((moved - t).reshape(9, 27), axis=1).max()) / scale
     if worst > SYMMETRY_RESIDUAL_TOL:
@@ -404,23 +393,20 @@ def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> Audi
     comparing squared residuals with ``proj_tol**2``; a pair it rejects
     cannot pass the maximum.  Only the pairs it passes get the residual over
     all nine probes, which is the ``projection_residual`` compared with
-    ``proj_tol``.  The seed and its probes are built from the canonical
-    representative of the triple (a canonical triple is its own), so the
-    probes are unit-normalized and the screen is the same at any scale.
-    The audit refuses non-generic seeds, for which the candidate narrowing
-    arguments do not apply, and a ``proj_tol`` that is not a finite
-    number >= 0.
+    ``proj_tol``.  The seed is held in canonical gauge, so its probes are
+    unit-normalized and every representative of one ray gets the same
+    screen.  The audit refuses non-generic seeds, for which the candidate
+    narrowing arguments do not apply, and a ``proj_tol`` that is not a
+    finite number >= 0.
     """
     proj_tol = float(proj_tol)
     if not (math.isfinite(proj_tol) and proj_tol >= 0):
         raise ValueError(f"proj_tol must be a finite number >= 0, got {proj_tol}")
-    genericity = check_generic(params)
+    genericity = params.genericity
     if not genericity.generic:
         names = ", ".join(name for name, _ in genericity.violations)
         raise ValueError(f"symmetry audit requires a generic seed (violated: {names})")
 
-    if not params.is_canonical():
-        params = params.canonical()
     psi = build_seed(params)
     psi = psi / np.linalg.norm(psi)
     t = psi.reshape(3, 3, 3)

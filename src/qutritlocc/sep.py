@@ -45,7 +45,7 @@ from .states import (
     STD_COMPARE_ATOL,
     GenericState,
     GramTriple,
-    SeedMismatchError,
+    _same_seed,
     gauge_gap,
     gram,
     gram_triple,
@@ -90,16 +90,11 @@ def induced_initial(final: GramTriple, p: np.ndarray) -> GramTriple:
 class SepInstance:
     """A conversion question: can a state with Gram triple ``source_gram``
     reach one with ``target_gram`` separably, within the class of ``seed``?
-    The seed must be in canonical gauge (``ValueError`` otherwise).
     """
 
     seed: SeedParams
     source_gram: GramTriple
     target_gram: GramTriple
-
-    def __post_init__(self) -> None:
-        if not self.seed.is_canonical():
-            raise ValueError("seed parameters must be in canonical gauge")
 
 
 def gram_instance(
@@ -112,15 +107,10 @@ def gram_instance(
 def sep_instance(source: GenericState, target: GenericState) -> SepInstance:
     """Validate and build a :class:`SepInstance` from two states.
 
-    Raises :class:`SeedMismatchError` when the two canonical seeds differ.
+    Raises :class:`~qutritlocc.states.SeedMismatchError` when the two
+    canonical seeds differ.
     """
-    if not source.seed.is_canonical() or not target.seed.is_canonical():
-        raise ValueError("seed parameters must be in canonical gauge")
-    if not source.seed.close_to(target.seed):
-        raise SeedMismatchError(
-            "source and target have different canonical seed parameters; "
-            "cross-seed conversion is not decided"
-        )
+    _same_seed(source.seed, target.seed, "source and target")
     return SepInstance(seed=source.seed, source_gram=gram(source), target_gram=gram(target))
 
 

@@ -29,7 +29,7 @@ from .pauli import (
     pauli_coords,
     scaled_into_range,
 )
-from .seeds import SeedParams, build_seed, check_generic
+from .seeds import SeedParams, build_seed
 
 #: Absolute threshold below which a trace-normalized Gram coordinate is
 #: treated as vanishing when choosing gauge-fixing entries.
@@ -56,20 +56,31 @@ class SeedMismatchError(ValueError):
     """
 
 
+def _same_seed(first: SeedParams, second: SeedParams, what: str) -> None:
+    """Raise :class:`SeedMismatchError`, naming the compared objects
+    ``what``, unless the two seeds agree by :meth:`SeedParams.close_to`."""
+    if not first.close_to(second):
+        raise SeedMismatchError(
+            f"{what} have different canonical seed parameters; "
+            "a cross-seed question is not decided"
+        )
+
+
 @dataclass(frozen=True)
 class GenericState:
     """A seed plus one invertible factor per party.
 
     The represented 27-component vector is ``(g1 (x) g2 (x) g3)|seed>``.
-    Construction validates that the seed is generic and every factor
-    invertible; the stored arrays are frozen copies.
+    Construction validates that the seed is generic (by its
+    :attr:`~qutritlocc.seeds.SeedParams.genericity`, screened once per seed)
+    and every factor invertible; the stored arrays are frozen copies.
     """
 
     seed: SeedParams
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self) -> None:
-        report = check_generic(self.seed)
+        report = self.seed.genericity
         if not report.generic:
             names = ", ".join(name for name, _ in report.violations)
             raise ValueError(f"seed is not generic (violated: {names})")
@@ -273,15 +284,12 @@ class StandardForm:
         """Whether the coordinate tables lie in one gauge orbit to
         :data:`STD_COMPARE_ATOL` (:func:`gauge_gap`); the seeds are compared
         by :meth:`SeedParams.close_to`."""
-        if not self.seed.close_to(other.seed):
-            raise SeedMismatchError("standard forms belong to different seeds")
+        _same_seed(self.seed, other.seed, "standard forms")
         return bool(gauge_gap(self.coords, other.coords) <= STD_COMPARE_ATOL)
 
 
 def standard_form_of_gram(seed: SeedParams, gt: GramTriple) -> StandardForm:
     """Standard form of a Gram triple within the class of ``seed``."""
-    if not seed.is_canonical():
-        raise ValueError("seed parameters must be in canonical gauge")
     coords, gauge = standardize_coords(gt.coords)
     return StandardForm(seed=seed, coords=coords, gauge=gauge)
 
@@ -305,17 +313,12 @@ def lu_equivalent(s1: GenericState, s2: GenericState) -> bool:
     Within one SLOCC class that holds exactly when the two Gram coordinate
     tables lie in one orbit of the nine symmetry gauges, which
     :func:`gauge_gap` tests directly against :data:`STD_COMPARE_ATOL`;
-    neither table is gauge-fixed.  Raises :class:`SeedMismatchError` when
-    the canonical seed parameters differ (cross-seed comparisons are not
-    supported) and ``ValueError`` for a seed outside the canonical gauge.
+    neither table is gauge-fixed.  Seeds are held in canonical gauge, so
+    two representatives of one seed ray are the same seed.  Raises
+    :class:`SeedMismatchError` when the seeds differ (cross-seed
+    comparisons are not supported).
     """
-    if not s1.seed.close_to(s2.seed):
-        raise SeedMismatchError(
-            "states have different canonical seed parameters; "
-            "cross-seed equivalence is not decided"
-        )
-    if not (s1.seed.is_canonical() and s2.seed.is_canonical()):
-        raise ValueError("seed parameters must be in canonical gauge")
+    _same_seed(s1.seed, s2.seed, "states")
     return bool(gauge_gap(gram(s1).coords, gram(s2).coords) <= STD_COMPARE_ATOL)
 
 

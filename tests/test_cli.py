@@ -341,7 +341,9 @@ def zero_seed(root):
     return str(path)
 
 
-@pytest.mark.parametrize("argv", [("symmetry-audit",), ("generate", "seed", "--params-from")])
+@pytest.mark.parametrize(
+    "argv", [("check-generic",), ("symmetry-audit",), ("generate", "seed", "--params-from")]
+)
 def test_zero_seed_is_an_input_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, zero_seed(tmp_path))
     assert code == 1
@@ -364,7 +366,7 @@ def test_generate_puts_params_in_canonical_gauge(capsys, tmp_path):
         out = str(tmp_path / f"{kind}.json")
         code, _, _ = run(capsys, "generate", kind, "--params-from", str(loose), "--out", out)
         assert code == 0
-        assert load_state(out).seed == SeedParams(2, 3, 5 + 0.5j).canonical()
+        assert load_state(out).seed == SeedParams(2, 3, 5 + 0.5j)
         written.append(out)
     code, _, err = run(capsys, "sep-decide", "--from", *written[:1], "--to", *written[1:])
     assert code in (0, 2), err

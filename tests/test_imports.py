@@ -27,6 +27,9 @@ read each module with the standard library's ``ast``.
   ``LoccProtocol(`` only inside ``_local_protocol``: every construction
   returns through the builder that declares its target by the one trace
   rule and gates completeness.
+- No package module other than ``seeds.py`` calls ``check_generic(`` or
+  ``.canonical(``: a seed's gauge and genericity are decided once, where
+  the seed is built, and read from it everywhere else.
 """
 
 import ast
@@ -363,3 +366,38 @@ def test_builder_lint_sees_a_stray_build():
 
 def test_protocols_build_only_through_the_builders():
     assert stray_builds((PACKAGE / "protocols.py").read_text()) == []
+
+
+#: Calls that decide a seed's gauge or genericity, allowed only in ``seeds.py``.
+SEED_DECISIONS = {"check_generic", "canonical"}
+
+
+def seed_decisions(source: str) -> list[str]:
+    """Each call of a function or method named in :data:`SEED_DECISIONS`."""
+    return [
+        f"line {node.lineno}: {name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", ""))) in SEED_DECISIONS
+    ]
+
+
+def test_seed_lint_sees_a_stray_decision():
+    source = (
+        "from .seeds import check_generic\n\n"
+        "def f(seed):\n    return check_generic(seed), seed.genericity\n\n"
+        "def g(seed):\n"
+        "    return seeds.check_generic(seed.canonical()), _check_generic_file(seed)\n"
+    )
+    assert seed_decisions(source) == [
+        "line 4: check_generic",
+        "line 7: check_generic",
+        "line 7: canonical",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "seeds.py"], ids=lambda p: p.name
+)
+def test_seed_decisions_stay_in_seeds(path):
+    assert seed_decisions(path.read_text()) == []

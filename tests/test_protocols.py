@@ -420,10 +420,11 @@ def test_confined_map_flags_trivial_conversion(params):
 
 
 def test_trivial_note_survives_a_non_canonical_seed(params, rng):
-    """A non-canonical seed (the same ray, scaled by 2j) has the same
-    symmetry group, so the builders still flag a trivial conversion."""
+    """A seed built from a rescaled triple (the same ray, scaled by 2j) is
+    held as the canonical seed, so the builders still flag a trivial
+    conversion."""
     scaled = SeedParams(*(2j * params.as_array()))
-    assert not scaled.is_canonical()
+    assert scaled.close_to(params, 1e-12)
     w = (1, 0)
     kraus = sep_map_confined(span_positive(w, 0.07), w, scaled)
     assert any("trivial" in note for note in kraus.notes)

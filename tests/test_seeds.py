@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qutritlocc.pauli import INDEX_ORDER, OMEGA, PAULIS, apply3
@@ -32,13 +32,15 @@ amplitudes = st.complex_numbers(
 
 
 def test_amplitude_placement():
-    v = build_seed(SeedParams(2, 3, 5))
+    p = SeedParams(2, 3, 5)
+    np.testing.assert_allclose(p.as_array(), np.array([2, 3, 5]) / np.sqrt(38), rtol=0, atol=1e-15)
+    v = build_seed(p)
     for i in A_SLOTS:
-        assert v[i] == 2
+        assert v[i] == p.a
     for i in B_SLOTS:
-        assert v[i] == 3
+        assert v[i] == p.b
     for i in C_SLOTS:
-        assert v[i] == 5
+        assert v[i] == p.c
     rest = set(range(27)) - set(A_SLOTS) - set(B_SLOTS) - set(C_SLOTS)
     assert all(v[i] == 0 for i in rest)
 
@@ -52,27 +54,31 @@ def test_degenerate_placements():
 
 @given(a=amplitudes, b=amplitudes, c=amplitudes)
 def test_norm_squared(a, b, c):
-    v = build_seed(SeedParams(a, b, c))
-    expected = 3 * (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2)
-    assert abs(np.linalg.norm(v) ** 2 - expected) <= 1e-9 * max(expected, 1.0)
+    """The seed vector's squared norm is 3 (|a|^2 + |b|^2 + |c|^2), which is
+    3 for the unit-norm triple a seed holds."""
+    assume(a or b or c)
+    p = SeedParams(a, b, c)
+    expected = 3 * float(np.sum(np.abs(p.as_array()) ** 2))
+    assert abs(expected - 3.0) <= 1e-12
+    assert abs(np.linalg.norm(build_seed(p)) ** 2 - expected) <= 1e-12
 
 
 def test_canonical_gauge():
-    p = SeedParams(2j, 3, 5).canonical()
-    assert p.is_canonical()
+    p = SeedParams(2j, 3, 5)
     assert abs(np.linalg.norm(p.as_array()) - 1.0) <= 1e-12
     assert p.a.imag == pytest.approx(0.0, abs=1e-12) and p.a.real > 0
-    # idempotent
-    assert p.canonical().close_to(p, 1e-12)
+    np.testing.assert_allclose(p.as_array(), np.array([2, -3j, -5j]) / np.sqrt(38), atol=1e-15)
+    # idempotent, bit for bit
+    assert SeedParams(*p.as_array()) == p
     # zero leading entry: gauge fixed on the first nonzero one
-    q = SeedParams(0, 1j, 1).canonical()
-    assert q.is_canonical()
+    q = SeedParams(0, 1j, 1)
+    assert q.a == 0
     assert abs(q.b.imag) <= 1e-12 and q.b.real > 0
 
 
 def test_canonical_rejects_zero():
-    with pytest.raises(ValueError):
-        SeedParams(0, 0, 0).canonical()
+    with pytest.raises(ValueError, match="must not all vanish"):
+        SeedParams(0, 0, 0)
 
 
 def test_exclusion_list_size():
@@ -84,24 +90,24 @@ def test_exclusion_list_size():
 
 
 def test_generic_example_seed():
-    report = check_generic(SeedParams(2, 3, 5).canonical())
+    report = check_generic(SeedParams(2, 3, 5))
     assert report.generic
     assert report.violations == ()
     assert report.margin > GENERIC_THRESHOLD
 
 
 def test_vanishing_amplitude_is_excluded():
-    report = check_generic(SeedParams(0, 1, 1).canonical())
+    report = check_generic(SeedParams(0, 1, 1))
     assert not report.generic
     assert any(name == "a" for name, _ in report.violations)
 
 
 def test_equal_amplitudes_are_excluded():
     """a = b lands on the ninth-power coincidence locus."""
-    report = check_generic(SeedParams(1, 1, 2).canonical())
+    report = check_generic(SeedParams(1, 1, 2))
     assert not report.generic
     assert any("a^9" in name or "b^9" in name for name, _ in report.violations)
-    report = check_generic(SeedParams(1, 1, 1).canonical())
+    report = check_generic(SeedParams(1, 1, 1))
     assert not report.generic
 
 
@@ -123,7 +129,7 @@ def test_non_finite_parameters_are_not_generic(seed):
 
 def test_scale_invariance_of_margin():
     small = check_generic(SeedParams(0.02, 0.03, 0.05))
-    canon = check_generic(SeedParams(2, 3, 5).canonical())
+    canon = check_generic(SeedParams(2, 3, 5))
     assert small.generic == canon.generic
     assert small.margin == pytest.approx(canon.margin, rel=1e-9)
 
@@ -133,7 +139,7 @@ def test_verify_symmetries(params):
 
 
 def test_single_party_shift_is_not_a_symmetry():
-    v = build_seed(SeedParams(2, 3, 5).canonical())
+    v = build_seed(SeedParams(2, 3, 5))
     s = PAULIS[(1, 0)]
     moved = apply3(s, np.eye(3), np.eye(3), v)
     assert np.linalg.norm(moved - v) / np.linalg.norm(v) > 0.5
@@ -217,20 +223,20 @@ def test_audit_screen_matches_einsum_reference(params, proj_tol):
 
 def test_audit_refuses_non_generic():
     with pytest.raises(ValueError, match="generic"):
-        symmetry_audit(SeedParams(1, 1, 2).canonical())
+        symmetry_audit(SeedParams(1, 1, 2))
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e160, 1e-200])
 def test_seed_functions_are_scale_safe(scale):
-    """Genericity, the symmetry check, the canonical gauge and the audit of a
-    seed are those of the same seed at unit scale."""
+    """A seed built from a far-scaled triple is the same seed as at unit
+    scale, with the same genericity, symmetry check and audit."""
     params = random_seed_params(np.random.default_rng(3))
     scaled = SeedParams(params.a * scale, params.b * scale, params.c * scale)
     report = check_generic(scaled)
     assert report.generic
     assert report.margin == pytest.approx(check_generic(params).margin, rel=1e-12)
     assert verify_symmetries(scaled) <= 1e-10
-    assert scaled.canonical().close_to(params, 1e-12)
+    assert scaled.close_to(params, 1e-12)
     audit = symmetry_audit(scaled)
     assert audit.clean and len(audit.survivors) == 9
 

@@ -242,30 +242,10 @@ def test_induced_initial_triple_keeps_confined_coords(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_instance_requires_canonical_seed():
-    with pytest.raises(ValueError, match="canonical"):
-        gram_instance(SeedParams(2, 3, 5), seed_gram(), seed_gram())
-
-
-@pytest.mark.parametrize("target_kind", ["dense", "seed"])
-def test_sep_feasible_rejects_non_canonical_seed(rng, target_kind):
-    """An instance built without ``gram_instance`` still has its seed
-    checked: ``SepInstance`` itself refuses it, whether the instance would
-    be affine-infeasible or feasible, so ``sep_feasible`` never sees one."""
-    if target_kind == "dense":
-        target = gram_triple(dense_mat(rng), dense_mat(rng), dense_mat(rng))
-    else:
-        target = seed_gram()
-    with pytest.raises(ValueError, match="canonical"):
-        sep_feasible(
-            SepInstance(seed=SeedParams(2, 3, 5), source_gram=seed_gram(), target_gram=target)
-        )
-
-
 def test_instance_requires_same_seed(params, rng):
     """States of different seeds are refused with the error
     ``lu_equivalent`` raises for them."""
-    other = SeedParams(2, 3, 5).canonical()
+    other = SeedParams(2, 3, 5)
     s1 = GenericState(params, (np.eye(3),) * 3)
     s2 = GenericState(other, (np.eye(3),) * 3)
     with pytest.raises(SeedMismatchError, match="different"):
@@ -278,7 +258,7 @@ def test_seed_mismatch_claims_no_slocc_class():
     says what was compared and claims nothing about SLOCC classes."""
     seed = random_seed_params(np.random.default_rng(0))
     swapped = SeedParams(seed.a, seed.c, seed.b)
-    assert swapped.is_canonical()
+    assert (swapped.b, swapped.c) == (seed.c, seed.b)  # kept bit for bit
     g = np.random.default_rng(1).normal(size=(3, 3, 3)) + np.eye(3)
     swap = np.eye(3)[[0, 2, 1]]
     s1 = GenericState(seed, tuple(g))

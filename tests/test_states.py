@@ -45,7 +45,7 @@ def random_unitaries(rng, n=3):
 
 def test_rejects_non_generic_seed():
     with pytest.raises(ValueError, match="generic"):
-        GenericState(SeedParams(1, 1, 2).canonical(), (np.eye(3),) * 3)
+        GenericState(SeedParams(1, 1, 2), (np.eye(3),) * 3)
 
 
 def test_rejects_singular_factor(params):
@@ -91,11 +91,9 @@ def test_assemble_pauli_triple_is_seed(params):
 
 def test_assemble_scales_rowwise():
     p = SeedParams(2, 3, 5)
-    s = GenericState(
-        p.canonical(), (np.diag([1.0, 2.0, 3.0]), np.eye(3), np.eye(3))
-    )
+    s = GenericState(p, (np.diag([1.0, 2.0, 3.0]), np.eye(3), np.eye(3)))
     v = assemble(s)
-    base = build_seed(p.canonical())
+    base = build_seed(p)
     # first-party factor scales each amplitude by 1 + (leading index)
     for idx, factor in {0: 1, 13: 2, 26: 3, 5: 1, 19: 3, 15: 2, 7: 1, 21: 3, 11: 2}.items():
         assert v[idx] == pytest.approx(base[idx] * factor)
@@ -446,7 +444,7 @@ def test_lu_equivalent_positive_and_negative(params, rng):
 
 
 def test_lu_equivalent_rejects_seed_mismatch(params, rng):
-    other = SeedParams(2, 3, 5).canonical()
+    other = SeedParams(2, 3, 5)
     s1 = GenericState(params, random_factors(rng))
     s2 = GenericState(other, random_factors(rng))
     with pytest.raises(SeedMismatchError):
