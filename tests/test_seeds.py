@@ -76,6 +76,12 @@ def test_canonical_gauge():
     assert abs(q.b.imag) <= 1e-12 and q.b.real > 0
 
 
+def test_a_triple_at_the_float_limit_is_canonicalized():
+    """Amplitudes whose moduli overflow a float still give their ray's seed."""
+    big = SeedParams(1.7e308 + 1.7e308j, 1e308, 3e307j)
+    assert big.close_to(SeedParams(1.7 + 1.7j, 1, 0.3j), 1e-15)
+
+
 def test_canonical_rejects_zero():
     with pytest.raises(ValueError, match="must not all vanish"):
         SeedParams(0, 0, 0)
