@@ -10,9 +10,13 @@ symmetry group numerically.  Each ALS axis update is ``t @ pinv(m)`` for a
 3x9 partial ``m``, computed from the eigendecomposition of the 3x3 Gram
 ``m mᴴ`` with eigenvalues at or below ``9 eps`` times the largest dropped,
 so collapsed (rank-deficient) starts get the minimum-norm update and never
-a division by zero.  Starts are retired one by one: at every check a start
-that has converged, or whose residual has stopped moving, leaves the batch
-with its factors, and the sweep ends when no start is left.
+a division by zero.  Every second sweep each start is extrapolated along
+its last step, a line search in the manner of Bro (1998) and
+Rajih–Comon–Harshman (SIAM J. Matrix Anal. Appl. 30, 2008), and moves there
+only where that lowers its residual.  Starts are retired one by one: at
+every check a start that has converged, or whose residual has stopped
+moving, leaves the batch with its factors, and the sweep ends when no start
+is left.
 """
 
 from __future__ import annotations
@@ -298,8 +302,13 @@ def _als_sweep(
     along that axis first and the other two in order.  The solve goes
     through the 3x3 Gram of the partial (:func:`_gram_solve`), so it is
     rank-safe: starts that collapse to rank-deficient factors get the
-    minimum-norm update.  Every update is an exact least-squares
-    minimization, so no start's residual increases.
+    minimum-norm update.  After every second sweep ``it`` each factor is
+    also extrapolated from its value ``p`` before the sweep through its
+    value ``x`` after it, to ``p + it^(1/3) (x - p)`` (Bro's step), and a
+    start moves there only where its residual is strictly below the
+    sweep's.  Every update is an exact least-squares minimization and an
+    extrapolation is kept only when it is lower, so no start's residual
+    increases.
 
     Every ``_ALS_CHECK_EVERY`` iterations each live start is retired on
     its own, its factors written out and dropped from the batch, when its
@@ -310,9 +319,12 @@ def _als_sweep(
     trajectories unchanged.  Stalled starts sit at a spurious stationary
     point whose relative residual depends on the seed: 0.2967 for
     ``random_seed_params(default_rng(31))``, 0.2277 and 0.2365 for
-    ``default_rng(2024)``.  Some seeds still run the whole budget: a start
-    there converges slowly and in a straight line, so it is neither
-    converged nor stalled at any check, and this rule leaves it live.
+    ``default_rng(2024)``.  The extrapolation carries starts that converge
+    slowly and in a straight line, which kept 61 % of that seed's
+    default search live without it.  Some seeds still run the whole
+    budget on a few starts that creep down a spurious valley, neither
+    converged nor stalled at any check: two of ``default_rng(2024)``'s
+    240, near relative residual 0.406, by about 2e-8 relative per check.
     Returns the three factor stacks and each start's relative residual.
     """
     shape = (batch, 3, 3)
@@ -328,14 +340,29 @@ def _als_sweep(
     out_a, out_b, out_c = np.empty_like(a), np.empty_like(b), np.empty_like(c)
     live = np.arange(batch)
     prev = np.full(batch, np.inf)
+    # c @ m is the product applied to the tensor, unfolded like t2
+    residual = lambda c, m: np.linalg.norm((c @ m - t2).reshape(len(c), -1), axis=1)
     for it in range(1, iters + 1):
+        p = a, b, c
         a = _gram_solve(t0, t0 @ _kron_t(b, c))
         b = _gram_solve(t1, t1 @ _kron_t(a, c))
         m = t2 @ _kron_t(a, b)
         c = _gram_solve(t2, m)
+        res = None
+        if it % 2 == 0:
+            # Bro's step it ** (1/3) lengthens as the path straightens;
+            # trying it every second sweep halves the cost of its partial
+            s = it ** (1 / 3)
+            ea, eb, ec = (q + s * (x - q) for q, x in zip(p, (a, b, c)))
+            me = t2 @ _kron_t(ea, eb)
+            res, res_e = residual(c, m), residual(ec, me)
+            take = res_e < res
+            keep = take[:, None, None]
+            a, b, c, m = (np.where(keep, e, x) for e, x in ((ea, a), (eb, b), (ec, c), (me, m)))
+            res = np.where(take, res_e, res)
         if it % _ALS_CHECK_EVERY == 0:
-            # c @ m is the product applied to the tensor, unfolded like t2
-            res = np.linalg.norm((c @ m - t2).reshape(len(live), -1), axis=1)
+            if res is None:
+                res = residual(c, m)
             done = (res <= ALS_CONVERGED_TOL * scale) | (
                 np.abs(prev - res) <= ALS_STALL_TOL * res
             )

@@ -196,7 +196,11 @@ def _check_version(obj: dict, path: str) -> None:
 
 
 def seed_from_json(obj: Any, path: str = "$") -> SeedParams:
-    return SeedParams(*(_field(obj, path, key, _parse_num) for key in "abc"))
+    abc = [_field(obj, path, key, _parse_num) for key in "abc"]
+    try:
+        return SeedParams(*abc)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from exc
 
 
 def state_from_json(obj: Any, path: str = "$") -> GenericState:

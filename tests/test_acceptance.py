@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from qutritlocc.classify import classify, classify_gram
+from qutritlocc.classify import classify
 from qutritlocc.generate import KINDS, random_seed_params, random_state, random_unitary
 from qutritlocc.oracle import WITNESS_TOL, OracleBudget, brute_force_sep
 from qutritlocc.pauli import INDEX_ORDER, PAIR_REPS, PAULIS, dagger, from_coords

@@ -10,7 +10,7 @@ from qutritlocc.classify import (
     support_pattern,
 )
 from qutritlocc.generate import KINDS, random_state
-from qutritlocc.pauli import COORD_ORDER, PAULIS, dagger, from_coords
+from qutritlocc.pauli import PAULIS, dagger, from_coords
 from qutritlocc.states import (
     GenericState,
     gram,

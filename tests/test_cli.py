@@ -351,6 +351,18 @@ def test_zero_seed_is_an_input_error(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_zero_seed_in_a_state_file_is_named_by_its_path(capsys, tmp_path, files):
+    with open(files["seed"]) as fh:
+        obj = json.load(fh)
+    obj["seed"] = {key: [0.0, 0.0] for key in "abc"}
+    path = tmp_path / "zero-seed-state.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "classify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: $.seed: seed parameters must not all vanish\n"
+
+
 def test_generate_refuses_non_generic_params(capsys, files):
     code, out, err = run(capsys, "generate", "seed", "--params-from", files["degenerate"])
     assert code == 1

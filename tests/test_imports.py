@@ -3,10 +3,11 @@
 ruff and pyflakes are not dependencies of the project, so these checks
 read each module with the standard library's ``ast``.
 
-- Every name a package module imports is used in that module.  A name
-  counts as used when it appears as an identifier anywhere in the module,
-  including inside a string annotation such as ``"np.ndarray"``.
-  ``__init__.py`` is exempt: its imports are the package's re-exports.
+- Every name a package or test module imports is used in that module.  A
+  name counts as used when it appears as an identifier anywhere in the
+  module, including inside a string annotation such as ``"np.ndarray"``.
+  The package's ``__init__.py`` is exempt: its imports are the package's
+  re-exports.
 - Every ``_``-prefixed module-level function, class or constant of the
   package is read somewhere in the package, so deleting a caller cannot
   leave its private helpers behind.
@@ -40,6 +41,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qutritlocc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 #: Public functions and classes that no package or benchmark module reads,
 #: each with the reason it stays.
@@ -119,6 +121,11 @@ def test_package_modules_are_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text()) == []
 
 

@@ -448,9 +448,19 @@ def pinv_update(t, m):
     return t @ np.linalg.pinv(m)
 
 
+def product_residuals(ops, tensor):
+    """``|(a ⊗ b ⊗ c) tensor - tensor|`` of each start, from the full
+    contraction."""
+    out = np.einsum("nai,nbj,nck,ijk->nabc", *ops, tensor)
+    return np.linalg.norm((out - tensor).reshape(len(out), -1), axis=1)
+
+
 def pinv_sweep(tensor, batch, iters, rng):
     """The reference sweep: einsum partials, a pseudoinverse per update and
-    no early stop.  It draws its starts exactly like ``_als_sweep``."""
+    no early stop.  Every second sweep each start moves on to the
+    extrapolation ``p + it^(1/3) (x - p)`` from its iterate ``p`` before the
+    sweep through ``x`` after it, when that has the smaller residual of the
+    full contraction.  It draws its starts exactly like ``_als_sweep``."""
     shape = (batch, 3, 3)
     ops = [
         (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
@@ -459,16 +469,19 @@ def pinv_sweep(tensor, batch, iters, rng):
     t0 = tensor.reshape(3, 9)
     t1 = tensor.transpose(1, 0, 2).reshape(3, 9)
     t2 = tensor.transpose(2, 0, 1).reshape(3, 9)
-    for _ in range(iters):
+    for it in range(1, iters + 1):
+        before = list(ops)
         m = np.einsum("nbj,nck,ijk->nibc", ops[1], ops[2], tensor).reshape(-1, 3, 9)
         ops[0] = pinv_update(t0, m)
         m = np.einsum("nai,nck,ijk->njac", ops[0], ops[2], tensor).reshape(-1, 3, 9)
         ops[1] = pinv_update(t1, m)
         m = np.einsum("nai,nbj,ijk->nkab", ops[0], ops[1], tensor).reshape(-1, 3, 9)
         ops[2] = pinv_update(t2, m)
-    out = np.einsum("nai,nbj,nck,ijk->nabc", *ops, tensor)
-    res = np.linalg.norm((out - tensor).reshape(batch, -1), axis=1)
-    return ops[0], ops[1], ops[2], res / np.linalg.norm(tensor)
+        if it % 2 == 0:
+            jumped = [p + it ** (1 / 3) * (x - p) for p, x in zip(before, ops)]
+            better = product_residuals(jumped, tensor) < product_residuals(ops, tensor)
+            ops = [np.where(better[:, None, None], j, x) for j, x in zip(jumped, ops)]
+    return ops[0], ops[1], ops[2], product_residuals(ops, tensor) / np.linalg.norm(tensor)
 
 
 def complex_normal(rng, *shape):
@@ -532,18 +545,35 @@ def counting_updates(monkeypatch):
 @pytest.mark.parametrize("zero", [False, True], ids=["rank-1", "zero"])
 def test_sweep_from_degenerate_starts_stays_finite(params, rng, monkeypatch, zero):
     tensor = build_seed(params).reshape(3, 3, 3)
+    starts = DegenerateStarts(rng, zero)
+    # the sweep forms each start factor as (x + i y) / sqrt(2) from two
+    # draws, which are the same here
+    start = starts.standard_normal((4, 3, 3)) * (1 + 1j) / np.sqrt(2)
+    start_res = product_residuals([start] * 3, tensor) / np.linalg.norm(tensor)
     rows = counting_updates(monkeypatch)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        *ops, res = _als_sweep(tensor, 4, 60, DegenerateStarts(rng, zero))
+        *ops, res = _als_sweep(tensor, 4, 60, starts)
     for op in ops:
         assert np.all(np.isfinite(op))
-        assert np.all(np.linalg.matrix_rank(op) <= 1)
     assert np.all(np.isfinite(res))
+    assert np.all(res <= start_res)
     if zero:
         np.testing.assert_allclose(res, 1.0, rtol=1e-15)
         # the residual never moves, so the second check retires every start
         assert rows == [4] * (3 * 2 * _ALS_CHECK_EVERY)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sweep_residuals_never_increase(seed):
+    """The same starts stopped 25 sweeps later, whether they were retired
+    in between or extrapolated, have no larger residual.  The slack is
+    rounding: a start near the noise floor moves by a few eps."""
+    tensor = build_seed(random_seed_params(np.random.default_rng(seed))).reshape(3, 3, 3)
+    for n in (2, 10, 50, 135, 400):
+        *_, res = _als_sweep(tensor, 8, n, np.random.default_rng(seed))
+        *_, later = _als_sweep(tensor, 8, n + 25, np.random.default_rng(seed))
+        assert np.all(later <= res + 1e-14), n
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -658,11 +688,15 @@ def test_converged_start_gets_no_further_update(params, monkeypatch):
         assert not np.array_equal(op[1 - first], op_then[1 - first])
 
 
-def test_default_search_retires_most_of_its_work(monkeypatch):
-    params = random_seed_params(np.random.default_rng(31))
+@pytest.mark.parametrize("seed, share", [(31, 0.1), (2024, 0.3)])
+def test_default_search_retires_most_of_its_work(monkeypatch, seed, share):
+    """The default search does a small share of the updates of a sweep that
+    retires no start.  Seed 2024 is the suite's ``params``, whose slow,
+    straight-line starts kept 0.61 of them without extrapolation."""
+    params = random_seed_params(np.random.default_rng(seed))
     rows = counting_updates(monkeypatch)
     report = numeric_symmetry_search(params)
     budget = OracleBudget()
-    assert sum(rows) < 0.2 * 3 * budget.starts * budget.iters
+    assert sum(rows) < share * 3 * budget.starts * budget.iters
     assert report.found == INDEX_ORDER
     assert report.extras == 0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qutritlocc.pauli import INDEX_ORDER, OMEGA, PAULIS, apply3
+from qutritlocc.pauli import INDEX_ORDER, PAULIS, apply3
 from qutritlocc.seeds import (
     AUDIT_PROJ_TOL,
     GENERIC_THRESHOLD,
