@@ -320,11 +320,11 @@ def _als_sweep(
     point whose relative residual depends on the seed: 0.2967 for
     ``random_seed_params(default_rng(31))``, 0.2277 and 0.2365 for
     ``default_rng(2024)``.  The extrapolation carries starts that converge
-    slowly and in a straight line, which kept 61 % of that seed's
-    default search live without it.  Some seeds still run the whole
-    budget on a few starts that creep down a spurious valley, neither
-    converged nor stalled at any check: two of ``default_rng(2024)``'s
-    240, near relative residual 0.406, by about 2e-8 relative per check.
+    slowly and in a straight line along that line.  Some seeds still run
+    the whole budget on a few starts that creep down a spurious valley,
+    neither converged nor stalled at any check: two of
+    ``default_rng(2024)``'s 240, near relative residual 0.406, by about
+    2e-8 relative per check.
     Returns the three factor stacks and each start's relative residual.
     """
     shape = (batch, 3, 3)

@@ -688,15 +688,23 @@ def test_converged_start_gets_no_further_update(params, monkeypatch):
         assert not np.array_equal(op[1 - first], op_then[1 - first])
 
 
-@pytest.mark.parametrize("seed, share", [(31, 0.1), (2024, 0.3)])
-def test_default_search_retires_most_of_its_work(monkeypatch, seed, share):
-    """The default search does a small share of the updates of a sweep that
-    retires no start.  Seed 2024 is the suite's ``params``, whose slow,
-    straight-line starts kept 0.61 of them without extrapolation."""
-    params = random_seed_params(np.random.default_rng(seed))
+def updated_share(monkeypatch, params):
+    """The default search's ``_gram_solve`` rows over those of a sweep that
+    retires no start; the search must recover the group cleanly."""
     rows = counting_updates(monkeypatch)
     report = numeric_symmetry_search(params)
     budget = OracleBudget()
-    assert sum(rows) < share * 3 * budget.starts * budget.iters
     assert report.found == INDEX_ORDER
     assert report.extras == 0
+    return sum(rows) / (3 * budget.starts * budget.iters)
+
+
+def test_default_search_retires_most_of_its_work(monkeypatch):
+    params = random_seed_params(np.random.default_rng(31))
+    assert updated_share(monkeypatch, params) < 0.1
+
+
+def test_default_search_cuts_straight_line_starts_short(params, monkeypatch):
+    """The suite's seed has starts that converge slowly and in a straight
+    line; the extrapolation carries them along it (0.215 measured)."""
+    assert updated_share(monkeypatch, params) < 0.3
