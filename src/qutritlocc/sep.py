@@ -296,18 +296,15 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
 # Canonical initial candidates for reachability checks
 # ---------------------------------------------------------------------------
 
-def candidate_initial_grams(
-    final: GramTriple, tol: float = ZERO_TOL
-) -> tuple[tuple[str, GramTriple], ...]:
+def candidate_initial_grams(final: GramTriple) -> tuple[tuple[str, GramTriple], ...]:
     """Initial Gram triples from which a structurally reachable target
-    would be reached: the bare seed, plus, for every confined case
-    detected at the support cut ``tol``, the final triple depolarized
-    uniformly over the confined pair's symmetry labels (which leaves the
-    confined parties untouched).
+    would be reached: the bare seed, plus, for every detected confined
+    case, the final triple depolarized uniformly over the confined pair's
+    symmetry labels (which leaves the confined parties untouched).
     """
     out: list[tuple[str, GramTriple]] = [("seed", seed_gram())]
     seen: set[Pair] = set()
-    for match in classify_gram(final, tol).locc_cases:
+    for match in classify_gram(final).locc_cases:
         if match.pair in seen:
             continue
         seen.add(match.pair)

@@ -520,8 +520,10 @@ def test_gram_solve_of_zero_is_zero(rng):
 
 class DegenerateStarts:
     """Stands in for the sweep's generator: every start factor is the same
-    rank-1 matrix (or zero), so every partial the sweep forms is
-    rank-deficient from the first update on."""
+    rank-1 matrix (or zero), so every partial of the first two sweeps is
+    rank-deficient.  The extrapolation after the second sweep mixes two
+    different rank-1 iterates, so later partials of a rank-1 start may
+    have full rank."""
 
     def __init__(self, rng, zero):
         self.start = 0.0 if zero else np.outer(rng.normal(size=3), rng.normal(size=3))
@@ -550,10 +552,20 @@ def test_sweep_from_degenerate_starts_stays_finite(params, rng, monkeypatch, zer
     # draws, which are the same here
     start = starts.standard_normal((4, 3, 3)) * (1 + 1j) / np.sqrt(2)
     start_res = product_residuals([start] * 3, tensor) / np.linalg.norm(tensor)
-    rows = counting_updates(monkeypatch)
+    rows, ranks = [], []
+
+    def recording(t, m):
+        rows.append(len(m))
+        ranks.append(np.linalg.matrix_rank(m).max())
+        return _gram_solve(t, m)
+
+    monkeypatch.setattr(oracle, "_gram_solve", recording)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         *ops, res = _als_sweep(tensor, 4, 60, starts)
+    # the three updates of each of the first two sweeps, before any
+    # extrapolation, solve from rank-deficient partials
+    assert max(ranks[: 2 * 3]) <= 1
     for op in ops:
         assert np.all(np.isfinite(op))
     assert np.all(np.isfinite(res))
