@@ -551,7 +551,8 @@ def locc_convert_step(
     positive margin; explicit ``eps`` values, which must lie in [0, 1),
     are validated instead.
     """
-    cls = classify_gram(gram(source))
+    source_gram = gram(source)
+    cls = classify_gram(source_gram)
     witnesses = cls.convert_cases
     if not witnesses:
         raise ValueError("source is not locally one-step convertible")
@@ -564,9 +565,7 @@ def locc_convert_step(
     w = match.pair
     assert w is not None
 
-    g_m = scaled_into_range(source.factors[m_party])
-    g_gram = dagger(g_m) @ g_m
-    ghat = g_gram / float(np.trace(g_gram).real)
+    ghat = source_gram.mats[m_party]
 
     if eps is not None and not 0.0 <= eps < 1.0:
         raise ValueError(f"step size must lie in [0, 1), got {eps}")

@@ -11,6 +11,7 @@ gauge instead, by a deterministic phase-window rule on the coordinates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,14 +67,18 @@ def _same_seed(first: SeedParams, second: SeedParams, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenericState:
     """A seed plus one invertible factor per party.
 
     The represented 27-component vector is ``(g1 (x) g2 (x) g3)|seed>``.
     Construction validates that the seed is generic (by its
     :attr:`~qutritlocc.seeds.SeedParams.genericity`, screened once per seed)
-    and every factor invertible; the stored arrays are frozen copies.
+    and every factor finite and invertible; the stored arrays are frozen
+    copies.  The state's Gram triple is computed on the first :func:`gram`
+    call and kept for the state's life, which the frozen factors make safe.
+    Equality is identity (states hash); whether two states are the same up
+    to local unitaries is :func:`lu_equivalent`'s question.
     """
 
     seed: SeedParams
@@ -89,12 +94,19 @@ class GenericState:
             g = np.asarray(g, dtype=complex)
             if g.shape != (3, 3):
                 raise ValueError(f"factor {i} must be 3x3, got {g.shape}")
+            if not np.isfinite(g).all():
+                raise ValueError(f"factor {i} is not finite")
             if not is_invertible(g):
                 raise ValueError(f"factor {i} is numerically singular")
             g = g.copy()
             g.setflags(write=False)
             mats.append(g)
         object.__setattr__(self, "factors", tuple(mats))
+
+    @functools.cached_property
+    def _gram(self) -> "GramTriple":
+        scaled = (scaled_into_range(g) for g in self.factors)
+        return gram_triple(*(dagger(g) @ g for g in scaled))
 
 
 def assemble(state: GenericState) -> np.ndarray:
@@ -157,10 +169,10 @@ def gram(state: GenericState) -> GramTriple:
 
     Each factor passes through :func:`scaled_into_range` first; the trace
     normalization undoes its exact rescaling, so factors of any magnitude
-    give the same triple.
+    give the same triple.  The triple is computed once per state: every
+    later call on the same state returns the same (read-only) object.
     """
-    scaled = (scaled_into_range(g) for g in state.factors)
-    return gram_triple(*(dagger(g) @ g for g in scaled))
+    return state._gram
 
 
 def seed_gram() -> GramTriple:

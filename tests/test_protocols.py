@@ -377,11 +377,15 @@ def test_confined_map_with_occupied_partners(params, rng):
 
 @pytest.mark.parametrize("party", [0, 1, 2])
 @pytest.mark.parametrize(
-    "bad",
-    [np.full((3, 3), np.nan), np.full((3, 3), np.inf), np.ones((3, 3))],
+    "bad, reason",
+    [
+        (np.full((3, 3), np.nan), "is not finite"),
+        (np.full((3, 3), np.inf), "is not finite"),
+        (np.ones((3, 3)), "is numerically singular"),
+    ],
     ids=["nan", "inf", "singular"],
 )
-def test_confined_map_validates_its_factors_first(params, party, bad):
+def test_confined_map_validates_its_factors_first(params, party, bad, reason):
     """A non-finite or singular factor is named before the Gram of ``h1``
     is depolarized, and without a floating-point warning."""
     w = (0, 1)
@@ -389,7 +393,7 @@ def test_confined_map_validates_its_factors_first(params, party, bad):
     factors[party] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"factor {party} is numerically singular"):
+        with pytest.raises(ValueError, match=f"factor {party} {reason}"):
             sep_map_confined(factors[0], w, params, h2=factors[1], h3=factors[2])
 
 

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from qutritlocc import states
+from qutritlocc.classify import classify
+from qutritlocc.generate import KINDS, random_state
 from qutritlocc.pauli import CONJ_TABLE, COORD_ORDER, INDEX_ORDER, PAULIS, ZERO_TOL, dagger, pauli_coords
 from qutritlocc.seeds import SeedParams, build_seed
+from qutritlocc.sep import sep_instance
 from qutritlocc.states import (
     STD_SUPPORT_TOL,
     STD_WINDOW_SNAP,
@@ -57,8 +61,30 @@ def test_rejects_singular_factor(params):
 def test_rejects_non_finite_factor(params, bad):
     g = np.eye(3, dtype=complex)
     g[0, 1] = bad
-    with pytest.raises(ValueError, match="factor 0"):
+    with pytest.raises(ValueError, match="factor 0 is not finite"):
         GenericState(params, (g, np.eye(3), np.eye(3)))
+
+
+@pytest.mark.parametrize("bad", [-np.inf, complex(0, np.nan), complex(np.inf, 1.0)])
+def test_non_finite_factor_is_named_before_the_invertibility_test(params, bad):
+    """A non-finite entry is reported as such, for the factor that holds it,
+    and not as a singular factor, even when the other factors are fine."""
+    g = np.diag([2.0, 3.0, 5.0]).astype(complex)
+    g[2, 0] = bad
+    with pytest.raises(ValueError, match="factor 2 is not finite") as excinfo:
+        GenericState(params, (np.eye(3), np.eye(3), g))
+    assert "singular" not in str(excinfo.value)
+
+
+def test_states_compare_by_identity(params, rng):
+    """Equality is identity, so membership tests and hashing work; whether
+    two states are the same up to local unitaries is lu_equivalent's."""
+    factors = random_factors(rng)
+    s, t = GenericState(params, factors), GenericState(params, factors)
+    assert s == s and s != t
+    assert s in [t, s] and t not in [s]
+    assert len({s, t, s}) == 2 and hash(s) == hash(s)
+    assert lu_equivalent(s, t)
 
 
 @pytest.mark.parametrize("c", [1e200, 1e-200])
@@ -128,6 +154,72 @@ def test_gram_coords_match_mats(params, rng):
         g0, g = pauli_coords(gt.mats[party])
         assert abs(g0 - 1 / 3) <= 1e-12
         np.testing.assert_allclose(gt.coords[party], g, atol=1e-12)
+
+
+def assert_same_triple(kept, fresh):
+    for m, ref in zip(kept.mats, fresh.mats):
+        assert m.tobytes() == ref.tobytes()
+    assert kept.coords.tobytes() == fresh.coords.tobytes()
+
+
+def test_gram_is_kept_read_only(params, rng):
+    st = GenericState(params, random_factors(rng))
+    gt = gram(st)
+    assert gram(st) is gt
+    for m in gt.mats:
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        gt.coords[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+@pytest.mark.parametrize("kind", KINDS)
+def test_kept_gram_matches_a_fresh_states(rng, kind, scale):
+    """After every query that reads it, the kept triple is bit for bit the
+    triple of a new state built from the same factors."""
+    drawn = random_state(kind, rng)
+    st = GenericState(drawn.seed, tuple(scale * g for g in drawn.factors))
+    other = GenericState(st.seed, random_factors(rng))
+    classify(st)
+    standard_form(st)
+    lu_equivalent(st, other)
+    sep_instance(other, st)
+    assert_same_triple(gram(st), gram(GenericState(st.seed, st.factors)))
+    if scale != 1.0:
+        plain = gram(drawn)
+        for m, ref in zip(gram(st).mats, plain.mats):
+            np.testing.assert_allclose(m, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("perm", [(1, 2, 0), (0, 2, 1), (2, 1, 0)])
+def test_permuted_state_gets_its_own_gram(params, rng, perm):
+    st = GenericState(params, random_factors(rng))
+    gt = gram(st)
+    moved = permute_state(st, perm)
+    assert gram(moved) is not gt
+    assert_same_triple(gram(moved), gram(GenericState(moved.seed, moved.factors)))
+    for i, p in enumerate(perm):
+        np.testing.assert_allclose(gram(moved).mats[i], gt.mats[p], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(gram(moved).coords[i], gt.coords[p], rtol=0, atol=1e-15)
+
+
+def test_queries_on_one_state_build_its_gram_once(params, rng, monkeypatch):
+    built = []
+
+    def counting(*mats):
+        built.append(len(mats))
+        return gram_triple(*mats)
+
+    target = GenericState(params, random_factors(rng))
+    source = GenericState(params, random_factors(rng))
+    gram(source)
+    monkeypatch.setattr(states, "gram_triple", counting)
+    classify(target)
+    standard_form(target)
+    lu_equivalent(target, source)
+    sep_instance(source, target)
+    assert built == [3]
 
 
 def test_seed_gram():
