@@ -186,10 +186,6 @@ def test_kept_gram_matches_a_fresh_states(rng, kind, scale):
     lu_equivalent(st, other)
     sep_instance(other, st)
     assert_same_triple(gram(st), gram(GenericState(st.seed, st.factors)))
-    if scale != 1.0:
-        plain = gram(drawn)
-        for m, ref in zip(gram(st).mats, plain.mats):
-            np.testing.assert_allclose(m, ref, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("perm", [(1, 2, 0), (0, 2, 1), (2, 1, 0)])
