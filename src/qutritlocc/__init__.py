@@ -96,7 +96,6 @@ from .states import (
     seed_gram,
     span_factor,
     standard_form,
-    standard_form_of_gram,
 )
 
 __version__ = "0.1.0"

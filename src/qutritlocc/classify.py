@@ -45,13 +45,12 @@ Pair = tuple[int, int]
 class SupportPattern:
     """Thresholded coordinate supports of a Gram triple.
 
-    ``supports`` holds the nonzero indices per party (negation-closed);
-    ``pairs`` the corresponding negation-pair representatives.  Coordinates
-    within a decade of the threshold, or negation partners disagreeing
-    about the threshold, produce warnings.
+    ``pairs`` holds, per party, the representatives of the negation pairs
+    in the support (a support is negation-closed, so the pairs determine
+    it).  Coordinates within a decade of the threshold, or negation
+    partners disagreeing about the threshold, produce warnings.
     """
 
-    supports: tuple[frozenset[Pair], frozenset[Pair], frozenset[Pair]]
     pairs: tuple[frozenset[Pair], frozenset[Pair], frozenset[Pair]]
     warnings: tuple[str, ...]
 
@@ -76,7 +75,6 @@ def support_pattern(gt: GramTriple, tol: float = ZERO_TOL) -> SupportPattern:
     cut = tol * _COORD_SCALE
     mags = np.abs(gt.coords).tolist()
     mask = support_mask(gt.coords, tol).tolist()
-    supports = []
     warnings: list[str] = []
     for party in range(3):
         for pos in range(0, 8, 2):
@@ -92,9 +90,10 @@ def support_pattern(gt: GramTriple, tol: float = ZERO_TOL) -> SupportPattern:
                     warnings.append(
                         f"party {party}: coordinate near the support threshold ({m:.2e})"
                     )
-        supports.append(frozenset(k for k, keep in zip(COORD_ORDER, mask[party]) if keep))
-    pairs = tuple(frozenset(pair_rep(k) for k in sup) for sup in supports)
-    return SupportPattern(tuple(supports), pairs, tuple(warnings))
+    pairs = tuple(
+        frozenset(pair_rep(k) for k, keep in zip(COORD_ORDER, row) if keep) for row in mask
+    )
+    return SupportPattern(pairs, tuple(warnings))
 
 
 @dataclass(frozen=True)

@@ -81,11 +81,7 @@ Pair = tuple[int, int]
 
 
 class ProtocolError(RuntimeError):
-    """A construction's validity check failed; carries the residual."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """A construction's validity check failed; the message says which."""
 
 
 @dataclass(frozen=True)
@@ -299,9 +295,7 @@ def _checked(obj, what: str):
     """``obj`` once its completeness residual is within :data:`POVM_TOL`."""
     residual = validate_povm(obj)
     if residual > POVM_TOL:
-        raise ProtocolError(
-            f"{what}: completeness fails (residual {residual:.3e})", residual
-        )
+        raise ProtocolError(f"{what}: completeness fails (residual {residual:.3e})")
     return obj
 
 
@@ -367,14 +361,14 @@ def _triple(w: Pair) -> tuple[Pair, Pair, Pair]:
     return ((0, 0), w, idx_neg(w))
 
 
-def _confined_initial(factors, f: int, w: Pair) -> tuple[np.ndarray, ...]:
-    """``factors`` with party ``f``'s replaced by the positive confined
-    factor of its Gram depolarized over the triple of ``w``, matched to
-    the factor it replaces (:func:`_matched`)."""
-    h = scaled_into_range(factors[f])
-    initial = list(factors)
-    initial[f] = span_factor(depolarize(dagger(h) @ h, _triple_uniform(w)), w)
-    return _matched(factors, initial)
+def _confined_initial(state: GenericState, f: int, w: Pair) -> tuple[np.ndarray, ...]:
+    """``state``'s factors with party ``f``'s replaced by the positive
+    confined factor of its (kept, trace-normalized) Gram depolarized over
+    the triple of ``w``, matched to the factor it replaces
+    (:func:`_matched`)."""
+    initial = list(state.factors)
+    initial[f] = span_factor(depolarize(gram(state).mats[f], _triple_uniform(w)), w)
+    return _matched(state.factors, initial)
 
 
 def _trivial_note(initial: GenericState, target: GenericState, note: str) -> list[str]:
@@ -440,12 +434,13 @@ def sep_map_confined(
     target is validated first.  The initial state carries the first
     party's Gram depolarized over the triple (its positive confined
     factor, at ``h1``'s Gram trace), with the confined factors riding
-    along.  The Gram is formed from :func:`scaled_into_range` of ``h1``,
-    so completeness holds for any scaling of it.
+    along.  The Gram is the requested state's trace-normalized one
+    (:func:`~qutritlocc.states.gram`), so completeness holds for any
+    scaling of ``h1``.
     """
     eye = np.eye(3, dtype=complex)
     requested = GenericState(seed, tuple(eye if m is None else m for m in (h1, h2, h3)))
-    initial = GenericState(seed, _confined_initial(requested.factors, 0, w))
+    initial = GenericState(seed, _confined_initial(requested, 0, w))
     # At parties 2 and 3 the branch operator h S_k h^{-1} is unitary exactly
     # because the factor's Gram lives in the pair's commuting span, so the
     # map is one local round; building that round verifies it.
@@ -515,7 +510,7 @@ def locc_reach_protocol(target: GenericState, tol: float = ZERO_TOL) -> LoccProt
         construction, what = "locc-nine-outcome", "nine-outcome local protocol"
         notes = ["trivial factors unitized"]
     elif (s_c1 and s_c2) or w in s_f:
-        start = _confined_initial(h, f, w)
+        start = _confined_initial(target, f, w)
         steps = [((f, c1, c2), _uniform(_triple(w)), h)]
         construction, what, notes = "locc-one-round", "one-round local protocol", []
     else:
@@ -533,11 +528,7 @@ def locc_reach_protocol(target: GenericState, tol: float = ZERO_TOL) -> LoccProt
     return _local_protocol(initial, steps, construction, what, notes)
 
 
-def locc_convert_step(
-    source: GenericState,
-    pair: Pair | None = None,
-    eps: float | None = None,
-) -> LoccProtocol:
+def locc_convert_step(source: GenericState) -> LoccProtocol:
     """One conversion step away from a locally convertible state.
 
     The unconfined party measures the three labels of the confined pair's
@@ -545,36 +536,22 @@ def locc_convert_step(
     that party's off-triple Gram coordinates by ``1 - eps``.  When the
     measuring party is itself confined (so the rule would be trivial) the
     triple is measured uniformly and the target instead acquires a fresh
-    coordinate pair outside the triple; that step has no step size, so an
-    explicit ``eps`` raises ``ValueError`` there.  Step sizes are halved
-    from 1/2 (perturbations from 1/10) until the target Gram keeps a
-    positive margin; explicit ``eps`` values, which must lie in [0, 1),
-    are validated instead.
+    coordinate pair outside the triple.  Step sizes are halved from 1/2
+    (perturbations from 1/10) until the target Gram keeps a positive
+    margin, so the step is the largest of them that does.
     """
     source_gram = gram(source)
     cls = classify_gram(source_gram)
-    witnesses = cls.convert_cases
-    if not witnesses:
+    if not cls.convert_cases:
         raise ValueError("source is not locally one-step convertible")
-    if pair is not None:
-        witnesses = tuple(m for m in witnesses if m.pair == pair)
-        if not witnesses:
-            raise ValueError(f"no conversion witness with pair {pair}")
-    match = witnesses[0]
+    match = cls.convert_cases[0]
     m_party = match.parties[0]
     w = match.pair
     assert w is not None
 
     ghat = source_gram.mats[m_party]
 
-    if eps is not None and not 0.0 <= eps < 1.0:
-        raise ValueError(f"step size must lie in [0, 1), got {eps}")
     if cls.pattern.pairs[m_party] <= {w}:
-        if eps is not None:
-            raise ValueError(
-                f"the measuring party is confined to {w}: the step opens a fresh "
-                f"coordinate pair and takes no step size, got eps={eps}"
-            )
         u_star = next(u for u in PAIR_REPS if u != w)
         bump = PAULIS[u_star] + dagger(PAULIS[u_star])
         delta, hhat = _largest_step(lambda d: ghat + d * bump, 0.1, "perturbation")
@@ -586,19 +563,7 @@ def locc_convert_step(
     else:
         # the triple's part of the Gram is kept; the rest grows by 1/(1 - eps)
         kept = depolarize(ghat, _triple_uniform(w))
-
-        def build(e: float) -> np.ndarray:
-            return kept + (ghat - kept) / (1.0 - e)
-
-        if eps is None:
-            eps, hhat = _largest_step(build, 0.5, "step size")
-        else:
-            hhat = build(eps)
-            if eps > 0 and np.linalg.eigvalsh(hhat)[0] < POS_MARGIN:
-                raise ProtocolError(
-                    f"step size {eps} drives the target Gram below the "
-                    f"positivity margin {POS_MARGIN}"
-                )
+        eps, hhat = _largest_step(lambda e: kept + (ghat - kept) / (1.0 - e), 0.5, "step size")
         weights = dict(zip(_triple(w), (1.0 - 2.0 * eps / 3.0, eps / 3.0, eps / 3.0)))
         notes = [f"step size {eps:.6g} on pair {w}"]
 

@@ -40,7 +40,7 @@ AUDIT_FULL_TOL = 1e-8
 #: nonzero amplitude fixes the canonical phase.
 AMPLITUDE_ZERO_TOL = 1e-12
 
-#: Default entrywise bound of :meth:`SeedParams.close_to`.
+#: Entrywise bound of :meth:`SeedParams.close_to`.
 SEED_CLOSE_TOL = 1e-9
 
 #: Relative symmetry residual above which :func:`verify_symmetries` raises.
@@ -85,8 +85,8 @@ class SeedParams:
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c], dtype=complex)
 
-    def close_to(self, other: "SeedParams", tol: float = SEED_CLOSE_TOL) -> bool:
-        return bool(np.all(np.abs(self.as_array() - other.as_array()) <= tol))
+    def close_to(self, other: "SeedParams") -> bool:
+        return bool(np.all(np.abs(self.as_array() - other.as_array()) <= SEED_CLOSE_TOL))
 
 
 def _canonical(abc: tuple[complex, complex, complex]) -> tuple[complex, ...]:
@@ -323,7 +323,6 @@ class SurvivorRecord:
     pauli: tuple[int, int] | None
     projection_residual: float
     full_residual: float
-    a_matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -444,8 +443,8 @@ def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> Audi
     matches = _pauli_match(np.concatenate([mats[bi], mats[ci], a_mats]))
     survivors: list[SurvivorRecord] = []
     surplus: list[SurvivorRecord] = []
-    records = zip(bi.tolist(), ci.tolist(), resid.tolist(), full.tolist(), a_mats)
-    for (b, c, r, f, a), kb, kc, ka in zip(records, matches[:m], matches[m : 2 * m], matches[2 * m :]):
+    records = zip(bi.tolist(), ci.tolist(), resid.tolist(), full.tolist())
+    for (b, c, r, f), kb, kc, ka in zip(records, matches[:m], matches[m : 2 * m], matches[2 * m :]):
         pauli = kb if (kb is not None and kb == kc == ka and f <= AUDIT_FULL_TOL) else None
         rec = SurvivorRecord(
             b_label=labels[b],
@@ -453,7 +452,6 @@ def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> Audi
             pauli=pauli,
             projection_residual=r,
             full_residual=f,
-            a_matrix=a,
         )
         (survivors if pauli is not None else surplus).append(rec)
 

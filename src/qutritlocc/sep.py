@@ -131,7 +131,6 @@ class SepFeasibility:
     residual: float
     vertices: tuple[np.ndarray, ...]
     unique: bool
-    affine_dim: int
     vertex_trivial: tuple[bool, ...]
     nontrivial: bool
     reason: str | None
@@ -140,7 +139,7 @@ class SepFeasibility:
 def _infeasible(residual: float, reason: str) -> SepFeasibility:
     return SepFeasibility(
         feasible=False, witness=None, residual=residual, vertices=(), unique=False,
-        affine_dim=-1, vertex_trivial=(), nontrivial=False, reason=reason,
+        vertex_trivial=(), nontrivial=False, reason=reason,
     )
 
 
@@ -150,8 +149,6 @@ VERTEX_FEAS_TOL = 1e-10
 VERTEX_DET_TOL = 1e-10
 #: Largest entrywise gap at which two vertices are the same vertex.
 VERTEX_DEDUPE_TOL = 1e-8
-#: Relative singular value cut of the rank of the vertices' hull.
-RANK_TOL = 1e-9
 #: Largest residual of a feasible instance: the noise floor, as every
 #: coordinate outside the support is exactly zero before the fit.
 RESIDUAL_TOL = 1e-12
@@ -275,11 +272,6 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
     witness = witness / witness.sum()
     residual = _residual(CONJ_TABLE @ witness, n, proj, remainder)
 
-    affine_dim = 0
-    if len(vertices) > 1:
-        dsv = np.linalg.svd(np.array(vertices[1:]) - vertices[0], compute_uv=False)
-        affine_dim = int(np.sum(dsv > RANK_TOL * max(dsv[0], NORM_FLOOR)))
-
     target = coords[1]
     spectra = np.array(vertices) @ CONJ_TABLE.T
     induced = target * (spectra[:, 1:] / spectra[:, :1])[:, None, :]
@@ -287,7 +279,7 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
 
     return SepFeasibility(
         feasible=True, witness=witness, residual=residual, vertices=tuple(vertices),
-        unique=len(vertices) == 1, affine_dim=affine_dim, vertex_trivial=vertex_trivial,
+        unique=len(vertices) == 1, vertex_trivial=vertex_trivial,
         nontrivial=not all(vertex_trivial), reason=None,
     )
 

@@ -181,6 +181,12 @@ def _parse_label(value: Any, path: str) -> tuple[int, int]:
     return (value[0], value[1])
 
 
+def _parse_party(value: Any, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 2:
+        raise SchemaError(path, "expected 0, 1 or 2")
+    return value
+
+
 def _parse_str(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(path, f"expected a string, got {type(value).__name__}")
@@ -225,9 +231,11 @@ def _outcome(out: Any, path: str, party: int):
     corrections = []
     for m, c in enumerate(_list(out, path, "corrections", "expected a list")):
         c_path = f"{path}.corrections[{m}]"
-        c_party = _get(c, c_path, "party")
-        if c_party not in (0, 1, 2) or c_party == party:
+        c_party = _field(c, c_path, "party", _parse_party)
+        if c_party == party:
             raise SchemaError(f"{c_path}.party", "expected one of the other two parties")
+        if c_party in (p for p, _ in corrections):
+            raise SchemaError(f"{c_path}.party", f"party {c_party} is listed twice")
         corrections.append((c_party, _field(c, c_path, "unitary", _parse_mat)))
     return (label, op), tuple(corrections)
 
@@ -256,9 +264,7 @@ def protocol_from_json(obj: Any, path: str = "$") -> KrausSet | LoccProtocol:
         rounds = []
         for i, rnd in enumerate(_list(obj, path, "rounds", "expected a nonempty list", _NONEMPTY)):
             rnd_path = f"{path}.rounds[{i}]"
-            party = _get(rnd, rnd_path, "party")
-            if party not in (0, 1, 2):
-                raise SchemaError(f"{rnd_path}.party", "expected 0, 1 or 2")
+            party = _field(rnd, rnd_path, "party", _parse_party)
             outcomes = _list(rnd, rnd_path, "outcomes", "expected a nonempty list", _NONEMPTY)
             povm, corrections = zip(
                 *(_outcome(o, f"{rnd_path}.outcomes[{j}]", party) for j, o in enumerate(outcomes))

@@ -292,19 +292,6 @@ class StandardForm:
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
 
-    def close_to(self, other: "StandardForm") -> bool:
-        """Whether the coordinate tables lie in one gauge orbit to
-        :data:`STD_COMPARE_ATOL` (:func:`gauge_gap`); the seeds are compared
-        by :meth:`SeedParams.close_to`."""
-        _same_seed(self.seed, other.seed, "standard forms")
-        return bool(gauge_gap(self.coords, other.coords) <= STD_COMPARE_ATOL)
-
-
-def standard_form_of_gram(seed: SeedParams, gt: GramTriple) -> StandardForm:
-    """Standard form of a Gram triple within the class of ``seed``."""
-    coords, gauge = standardize_coords(gt.coords)
-    return StandardForm(seed=seed, coords=coords, gauge=gauge)
-
 
 def standard_form(state: GenericState) -> StandardForm:
     """Standard form of a state (unitary factor dressings drop out).
@@ -313,10 +300,10 @@ def standard_form(state: GenericState) -> StandardForm:
     at its support cut and its phase window's edge: two states within
     rounding of one gauge orbit can get standard forms in different
     gauges, far apart entrywise.  Compare states with
-    :func:`lu_equivalent` (or :meth:`StandardForm.close_to`), never by
-    their printed standard forms.
+    :func:`lu_equivalent`, never by their printed standard forms.
     """
-    return standard_form_of_gram(state.seed, gram(state))
+    coords, gauge = standardize_coords(gram(state).coords)
+    return StandardForm(seed=state.seed, coords=coords, gauge=gauge)
 
 
 def lu_equivalent(s1: GenericState, s2: GenericState) -> bool:

@@ -32,6 +32,7 @@ from qutritlocc.sep import (
     sep_feasible,
 )
 from qutritlocc.states import (
+    STD_COMPARE_ATOL,
     GenericState,
     gram,
     lu_equivalent,
@@ -74,6 +75,12 @@ def two_pair_mat(w1, w2, z=0.05):
 
 def _dense_factor(rng):
     return rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 3 * np.eye(3)
+
+
+def assert_same_standard_form(first, second):
+    """The gauge-fixed coordinate tables agree entrywise to
+    ``STD_COMPARE_ATOL``; the gauges need not, as each follows its input's."""
+    np.testing.assert_allclose(first.coords, second.coords, rtol=0, atol=STD_COMPARE_ATOL)
 
 
 def _protocol_ok(obj) -> tuple[bool, float, float, float]:
@@ -295,19 +302,19 @@ def test_criterion_7_standard_form_suite():
             params,
             tuple(positive_factor(from_coords(1 / 3, form.coords[i])) for i in range(3)),
         )
-        assert standard_form(rebuilt).close_to(form)
+        assert_same_standard_form(standard_form(rebuilt), form)
 
         # unitary dressing drops out (the "equal" pair)
         dressed = GenericState(
             params, tuple(random_unitary(rng) @ f for f in factors)
         )
-        assert standard_form(dressed).close_to(form)
+        assert_same_standard_form(standard_form(dressed), form)
         assert lu_equivalent(state, dressed)
 
         # conjugating every factor by one symmetry is a gauge move
         for k in INDEX_ORDER:
             conjugated = GenericState(params, tuple(f @ PAULIS[k] for f in factors))
-            assert standard_form(conjugated).close_to(form)
+            assert_same_standard_form(standard_form(conjugated), form)
 
         # independent draws are distinguished (the "unequal" pair)
         other = GenericState(params, tuple(_dense_factor(rng) for _ in range(3)))

@@ -7,10 +7,11 @@ from qutritlocc.classify import (
     CaseMatch,
     classify,
     classify_gram,
+    support_mask,
     support_pattern,
 )
 from qutritlocc.generate import KINDS, random_state
-from qutritlocc.pauli import PAULIS, dagger, from_coords
+from qutritlocc.pauli import COORD_ORDER, PAULIS, dagger, from_coords, idx_neg, pair_rep
 from qutritlocc.states import (
     GenericState,
     gram,
@@ -51,7 +52,6 @@ eye3 = np.eye(3) / 3
 
 def test_empty_supports_for_seed():
     pattern = support_pattern(seed_gram())
-    assert all(not s for s in pattern.supports)
     assert all(not p for p in pattern.pairs)
     assert pattern.warnings == ()
 
@@ -59,27 +59,27 @@ def test_empty_supports_for_seed():
 def test_single_pair_support():
     gt = gram_triple(pair_mat((1, 0)), eye3, eye3)
     pattern = support_pattern(gt)
-    assert pattern.supports[0] == {(1, 0), (2, 0)}
     assert pattern.pairs[0] == {(1, 0)}
-    assert pattern.supports[1] == frozenset()
+    assert pattern.pairs[1] == frozenset()
 
 
 def test_dense_support(rng):
     gt = gram_triple(dense_mat(rng), dense_mat(rng), dense_mat(rng))
     pattern = support_pattern(gt)
     for party in range(3):
-        assert len(pattern.supports[party]) == 8
         assert pattern.pairs[party] == ALL_PAIRS
 
 
 def test_supports_negation_closed(rng):
-    from qutritlocc.pauli import idx_neg
-
+    """The support mask keeps a coordinate exactly when it keeps its
+    negation partner, so each party's pairs name its whole support."""
     for _ in range(10):
         gt = gram_triple(dense_mat(rng), pair_mat((1, 1)), two_pair_mat((1, 0), (0, 1)))
-        pattern = support_pattern(gt)
-        for sup in pattern.supports:
-            assert {idx_neg(k) for k in sup} == set(sup)
+        mask = support_mask(gt.coords)
+        for row, pairs in zip(mask, support_pattern(gt).pairs):
+            sup = {k for k, keep in zip(COORD_ORDER, row) if keep}
+            assert {idx_neg(k) for k in sup} == sup
+            assert {pair_rep(k) for k in sup} == pairs
 
 
 def test_near_threshold_warning():

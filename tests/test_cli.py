@@ -8,7 +8,13 @@ from qutritlocc.classify import classify
 from qutritlocc.cli import _build_parser, main
 from qutritlocc.generate import random_state
 from qutritlocc.pauli import PAULIS, dagger
-from qutritlocc.statefile import load_state, protocol_from_json, save_protocol, save_state
+from qutritlocc.statefile import (
+    load_state,
+    protocol_from_json,
+    protocol_to_json,
+    save_protocol,
+    save_state,
+)
 from qutritlocc.states import GenericState, gram, positive_factor, span_factor
 from qutritlocc.protocols import locc_reach_protocol, simulate_branches
 from qutritlocc.seeds import SeedParams
@@ -312,6 +318,42 @@ def test_verify_protocol_catches_tampering(capsys, files, tmp_path):
     code, out, _ = run(capsys, "verify-protocol", str(proto_file))
     assert code == 2
     assert "FAILED" in out
+
+
+def edit_round_party(doc, edit):
+    doc["rounds"][0]["party"] = edit(doc["rounds"][0]["party"])
+
+
+def edit_correction_party(doc, edit):
+    corrections = doc["rounds"][0]["outcomes"][0]["corrections"]
+    corrections[0]["party"] = edit(corrections[0]["party"])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: edit_round_party(doc, float),
+        lambda doc: edit_round_party(doc, bool),
+        lambda doc: edit_correction_party(doc, float),
+        lambda doc: edit_correction_party(doc, bool),
+        lambda doc: edit_correction_party(
+            doc, lambda _: doc["rounds"][0]["outcomes"][0]["corrections"][1]["party"]
+        ),
+    ],
+    ids=["round-float", "round-bool", "correction-float", "correction-bool", "correction-twice"],
+)
+def test_verify_protocol_refuses_a_malformed_party(capsys, files, tmp_path, edit):
+    """A bad party field is an input error naming its path, not a traceback
+    from the simulation or a protocol read with a party it does not name."""
+    doc = protocol_to_json(locc_reach_protocol(load_state(files["confined"])))
+    edit(doc)
+    proto_file = tmp_path / "proto.json"
+    proto_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-protocol", str(proto_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: $.rounds[0]") and err.count("\n") == 1
+    assert ".party: " in err
 
 
 def test_symmetry_audit_clean_seed(capsys, files):

@@ -15,6 +15,10 @@ read each module with the standard library's ``ast``.
   package module or a ``perfbench/`` module, or is listed with its
   reason in :data:`TEST_FACING`, so API that only tests call cannot grow
   back.
+- Every field of a package dataclass is read as an attribute by a package
+  or ``perfbench/`` module, or is listed with its reason in
+  :data:`TEST_FACING_FIELDS`, so a result field that only tests read
+  cannot grow back either.
 - No package module contains a ``global`` statement: a module-level
   setting that a call can rebind would change every later verdict of the
   process, so settings are passed as arguments instead.
@@ -236,6 +240,68 @@ def test_public_api_is_read_outside_tests():
     # "module: name (line n)"; an entry of TEST_FACING that is read now
     # must leave it too
     assert {entry.split()[1] for entry in unread} == set(TEST_FACING), unread
+
+
+#: Dataclass fields that no package or benchmark module reads, each with the
+#: reason it stays.
+TEST_FACING_FIELDS = {
+    "AuditReport.n_live_pairs": "the two-stage screen test counts the pairs the first probe keeps",
+    "SepFeasibility.vertex_trivial": "explains nontrivial vertex by vertex (ROADMAP aim 4)",
+    "SymmetrySearchReport.max_match_error": "stays with the ALS search until ROADMAP item 6",
+}
+
+
+def dataclass_fields(tree: ast.Module) -> dict[str, int]:
+    """Each field of a top-level dataclass, as ``Class.field``, with its
+    line number."""
+    return {
+        f"{node.name}.{stmt.target.id}": stmt.lineno
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+
+
+def unread_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Dataclass fields of ``sources`` whose name neither a module of
+    ``sources`` nor one of ``readers`` loads as an attribute.  Setting a
+    field, or passing it to the constructor, is not a read."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = {
+        node.attr
+        for tree in [*trees.values(), *map(ast.parse, readers)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{module}: {field} (line {line})"
+        for module, tree in trees.items()
+        for field, line in dataclass_fields(tree).items()
+        if field.split(".")[1] not in read
+    )
+
+
+def test_field_lint_sees_a_field_only_tests_read():
+    a = (
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass Report:\n    shown: int\n    kept: int\n\n"
+        "@dataclass\nclass Box:\n    size: int\n\n"
+        "class Plain:\n    loose: int\n\n"
+        "def make(r, b):\n    b.size = 3\n    return Report(shown=1, kept=2), r.shown\n"
+    )
+    reader = "from a import Report\n\nprint(Report.kept)\n"
+    assert unread_fields({"a.py": a}, [reader]) == ["a.py: Box.size (line 10)"]
+
+
+def test_dataclass_fields_are_read_outside_tests():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    unread = unread_fields(sources, readers)
+    # "module: Class.field (line n)"; an entry of TEST_FACING_FIELDS that is
+    # read now must leave it too
+    assert {entry.split()[1] for entry in unread} == set(TEST_FACING_FIELDS), unread
 
 
 def global_statements(source: str) -> list[str]:

@@ -33,15 +33,17 @@ from qutritlocc.sep import (
 )
 from qutritlocc.seeds import SeedParams
 from qutritlocc.states import (
+    STD_COMPARE_ATOL,
     GenericState,
     SeedMismatchError,
     assemble,
+    gauge_gap,
     gram,
     gram_triple,
     permute_state,
     ray_distance,
     seed_gram,
-    standard_form_of_gram,
+    standardize_coords,
 )
 
 E0 = np.eye(9)[0]
@@ -310,10 +312,15 @@ def test_sep_feasible_follows_party_permutation(params, rng, kind):
                 assert sep_outcome(gram_instance(moved.seed, moved_initial, gram(moved))) == base
 
 
+def hull_dim(dec):
+    """Dimension of the affine hull of a decision's vertices."""
+    return int(np.linalg.matrix_rank(np.array(dec.vertices[1:]) - dec.vertices[0], tol=1e-9))
+
+
 def test_seed_to_seed_all_distributions_work(params):
     dec = sep_feasible(gram_instance(params, seed_gram(), seed_gram()))
     assert dec.feasible
-    assert dec.affine_dim == 8
+    assert hull_dim(dec) == 8
     assert len(dec.vertices) == 9
     assert not dec.nontrivial  # nothing new is reached
     assert not dec.unique
@@ -381,7 +388,7 @@ def test_all_confined_self_instance_has_flat_polytope(params):
     gt = gram_triple(pair_mat(w, 0.05), pair_mat(w, 0.09), pair_mat(w, 0.12))
     dec = sep_feasible(gram_instance(params, gt, gt))
     assert dec.feasible
-    assert dec.affine_dim == 2
+    assert hull_dim(dec) == 2
     assert len(dec.vertices) == 3
     assert not dec.nontrivial
     assert all(dec.vertex_trivial)
@@ -502,7 +509,6 @@ def verdict(dec):
         dec.feasible,
         dec.unique,
         dec.nontrivial,
-        dec.affine_dim,
         len(dec.vertices),
         dec.vertex_trivial,
         dec.reason,
@@ -553,6 +559,14 @@ def snapped(inst):
     return gram_instance(inst.seed, source, target)
 
 
+def standard_forms_close(first, second):
+    """Whether two Gram triples' gauge-fixed coordinate tables
+    (:func:`~qutritlocc.states.standardize_coords`) lie in one gauge orbit
+    to ``STD_COMPARE_ATOL``."""
+    a, b = (standardize_coords(gt.coords)[0] for gt in (first, second))
+    return bool(gauge_gap(a, b) <= STD_COMPARE_ATOL)
+
+
 def kronecker_decision(inst):
     """Reference decision of the Kronecker system: ``lstsq``, the SVD's
     nullspace at the 1e-9 rank cut, the engine's residual bound and vertex
@@ -562,7 +576,7 @@ def kronecker_decision(inst):
     p_ls = np.linalg.lstsq(ka, kb, rcond=None)[0]
     affine_residual = float(np.linalg.norm(ka @ p_ls - kb))
     infeasible = dict(
-        feasible=False, witness=None, vertices=(), unique=False, affine_dim=-1,
+        feasible=False, witness=None, vertices=(), unique=False,
         vertex_trivial=(), nontrivial=False,
     )
     if affine_residual > sep_module.RESIDUAL_TOL:
@@ -574,18 +588,13 @@ def kronecker_decision(inst):
         return SimpleNamespace(**infeasible, residual=affine_residual, reason="polytope-empty")
     witness = np.clip(np.mean(vertices, axis=0), 0.0, None)
     witness /= witness.sum()
-    affine_dim = 0
-    if len(vertices) > 1:
-        dsv = np.linalg.svd(np.array(vertices[1:]) - vertices[0], compute_uv=False)
-        affine_dim = int(np.sum(dsv > 1e-9 * dsv[0]))
-    sf_target = standard_form_of_gram(inst.seed, inst.target_gram)
     trivial = tuple(
-        standard_form_of_gram(inst.seed, induced_initial(inst.target_gram, v)).close_to(sf_target)
+        standard_forms_close(induced_initial(inst.target_gram, v), inst.target_gram)
         for v in vertices
     )
     return SimpleNamespace(
         feasible=True, witness=witness, residual=float(np.linalg.norm(ka @ witness - kb)),
-        vertices=tuple(vertices), unique=len(vertices) == 1, affine_dim=affine_dim,
+        vertices=tuple(vertices), unique=len(vertices) == 1,
         vertex_trivial=trivial, nontrivial=not all(trivial), reason=None,
     )
 
@@ -732,9 +741,8 @@ def test_vertex_trivial_matches_matrix_route(params, monkeypatch, weight):
     seen = set()
     for inst in instances:
         dec = sep_feasible(inst)
-        sf_target = standard_form_of_gram(inst.seed, inst.target_gram)
         induced = (induced_initial(inst.target_gram, v) for v in dec.vertices)
-        expected = tuple(standard_form_of_gram(inst.seed, i).close_to(sf_target) for i in induced)
+        expected = tuple(standard_forms_close(i, inst.target_gram) for i in induced)
         assert dec.vertex_trivial == expected
         seen |= set(expected)
         if len(dec.vertices) > 1:

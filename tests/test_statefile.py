@@ -281,6 +281,45 @@ def test_correction_party_must_differ_from_measurer(params, rng):
     assert err.value.path.endswith(".party")
 
 
+#: Where a party is written in a one-round protocol document, with its path.
+PARTY_FIELDS = {
+    "round": (["rounds", 0, "party"], "$.rounds[0].party"),
+    "correction": (
+        ["rounds", 0, "outcomes", 1, "corrections", 0, "party"],
+        "$.rounds[0].outcomes[1].corrections[0].party",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(PARTY_FIELDS))
+@pytest.mark.parametrize(
+    "value", [1.0, 2.0, True, False, "1", None, [1], -1, 3], ids=repr
+)
+def test_party_must_be_an_int_from_0_to_2(params, field, value):
+    """A float or a bool is not a party: ``1.0`` would reach the protocol's
+    index arithmetic, and ``true`` would be read as party 1."""
+    doc = documents(params)["locc"][1]
+    *parents, last = PARTY_FIELDS[field][0]
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    holder[last] = value
+    with pytest.raises(SchemaError) as err:
+        protocol_from_json(doc)
+    path = PARTY_FIELDS[field][1]
+    assert str(err.value) == f"{path}: expected 0, 1 or 2"
+
+
+def test_correction_party_listed_twice_is_rejected(params):
+    doc = documents(params)["locc"][1]
+    corrections = doc["rounds"][0]["outcomes"][2]["corrections"]
+    corrections[1]["party"] = corrections[0]["party"]
+    with pytest.raises(SchemaError) as err:
+        protocol_from_json(doc)
+    assert err.value.path == "$.rounds[0].outcomes[2].corrections[1].party"
+    assert "listed twice" in str(err.value)
+
+
 @pytest.mark.parametrize(
     "literal",
     ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
