@@ -27,6 +27,7 @@ reachability; isolation adds non-convertibility.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,13 @@ def support_mask(coords: np.ndarray, tol: float = ZERO_TOL) -> np.ndarray:
     tolerance ``tol``, one verdict per negation pair: the larger partner's
     modulus is above the cut ``tol / 3`` and the smaller's above a tenth of
     it.  Hermiticity ties the partner moduli together, so a straddle within
-    a decade is noise and is rescued; one far below is inconsistent data."""
+    a decade is noise and is rescued; one far below is inconsistent data.
+
+    Raises ``ValueError`` unless ``tol`` is finite and positive: a NaN or
+    infinite cut would empty every support, and a cut of 0 would keep
+    every coordinate."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"the support cut {tol!r} is not a finite positive number")
     cut = tol * _COORD_SCALE
     mags = np.abs(coords)
     m1, m2 = mags[..., 0::2], mags[..., 1::2]

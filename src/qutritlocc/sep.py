@@ -14,11 +14,15 @@ in the nine-dimensional character domain.  The spectrum
 ``eta_l = sum_k p_k phase(l, k)`` of a distribution multiplies coordinate
 l of a depolarized Gram matrix, and coordinate (l, m, n) of the mixed
 product above by ``eta_{l+m+n}``.  The 729 entries of the product thus
-reduce exactly to one scalar fit per character, which this module solves
-in closed form (least-squares point and nullspace), then enumerates the
-polytope's vertices and reports feasibility, uniqueness and nontriviality
-of the conversion.  Whether a coordinate is zero is decided once, by the
-classifier's :func:`~qutritlocc.classify.support_mask`.
+reduce exactly to one scalar fit per character.  They are formed already
+grouped by character: each group is the outer product of the first two
+parties' coordinates times a gather of the third's, and is scaled by real
+reciprocals, first of its largest modulus and then of its length.  This
+module solves each fit in closed form (least-squares point and
+nullspace), then enumerates the polytope's vertices and reports
+feasibility, uniqueness and nontriviality of the conversion.  Whether a
+coordinate is zero is decided once, by the classifier's
+:func:`~qutritlocc.classify.support_mask`.
 """
 
 from __future__ import annotations
@@ -176,20 +180,45 @@ def _polytope_vertices(p0: np.ndarray, nullspace: np.ndarray) -> list[np.ndarray
 
 def _block_index() -> np.ndarray:
     """Row s lists the flat indices ``81 l + 9 m + n`` (positions in
-    INDEX_ORDER) of the 81 product coordinates with ``l + m + n = s``."""
+    INDEX_ORDER) of the 81 product coordinates with ``l + m + n = s``.
+
+    For each (l, m) exactly one n completes the sum, so every row lists the
+    pairs (l, m) in order: ``index // 9`` is ``9 l + m``, which is checked
+    here (import-time), and a block is ``c1 (x) c2`` times a gather of c3.
+    """
     labels = [
         INDEX_POS[idx_add(idx_add(l, m), n)]
         for l, m, n in itertools.product(INDEX_ORDER, repeat=3)
     ]
-    return np.argsort(labels, kind="stable").reshape(9, 81)
+    blocks = np.argsort(labels, kind="stable").reshape(9, 81)
+    if not np.array_equal(blocks // 9, np.broadcast_to(np.arange(81), (9, 81))):
+        raise RuntimeError("product blocks are not in the order of c1 (x) c2")
+    return blocks
 
 
 _BLOCKS = _block_index()
+#: Position n of the third factor of each product in ``_BLOCKS``.
+_BLOCK_THIRD = _BLOCKS % 9
 #: Position of -s for each position s of INDEX_ORDER.
 _NEG = np.array([INDEX_POS[idx_neg(k)] for k in INDEX_ORDER])
 #: Orthonormal real columns (Re + Im of the characters, over 3): columns s and -s span
 #: the distributions that move only eta_s and eta_-s.
 _PAIR_BASIS = (CONJ_TABLE.real + CONJ_TABLE.imag).T / 3.0
+
+
+def _block_products(coords: np.ndarray) -> np.ndarray:
+    """Coordinates of ``c1 (x) c2 (x) c3`` for the source and target tables
+    ``coords`` (shape (2, 3, 8)), in blocks: entry ``[:, s, j]`` is the
+    product at flat index ``_BLOCKS[s, j]``, shape (2, 9, 81).
+
+    Every block runs through ``c1 (x) c2`` in order (:func:`_block_index`),
+    so a block is that outer product times the c3 entries gathered through
+    ``_BLOCK_THIRD``: the 729 products of the full tensor, each formed as
+    ``(c1_l c2_m) c3_n``, with no permutation of them.
+    """
+    c = np.concatenate([np.full((2, 3, 1), 1.0 / 3.0), coords], axis=2)
+    c12 = (c[:, 0, :, None] * c[:, 1, None, :]).reshape(2, 1, 81)
+    return c12 * c[:, 2].take(_BLOCK_THIRD, axis=1)
 
 
 def _character_fit(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -201,23 +230,30 @@ def _character_fit(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     ``sum_k p_k (S_k^dag)^(x3) H S_k^(x3)`` is ``h1_l h2_m h3_n eta_{l+m+n}``
     with ``eta = CONJ_TABLE @ p``, and the basis products are orthogonal
     with squared Frobenius norm 27.  So the Kronecker rows fall into nine
-    blocks by ``s = l + m + n``, each of rank one: ``sqrt(27) h_s eta_s``
-    against ``sqrt(27) g_s``.  Returns the norms ``n_s = |h_s|``, the
-    projections ``proj_s = <h_s/|h_s|, g_s>`` and the ``remainder`` (the
-    parts of the ``g_s`` orthogonal to the ``h_s``; with it
-    :func:`_residual` is the Kronecker residual).
+    blocks by ``s = l + m + n`` (:func:`_block_products`), each of rank
+    one: ``sqrt(27) h_s eta_s`` against ``sqrt(27) g_s``.  Returns the norms
+    ``n_s = |h_s|``, the projections ``proj_s = <h_s/|h_s|, g_s>`` and the
+    ``remainder`` (the parts of the ``g_s`` orthogonal to the ``h_s``; with
+    it :func:`_residual` is the Kronecker residual).
+
+    ``h_s`` is scaled by the reciprocal of its largest modulus before its
+    length is taken, as ``|h_s|^2`` can underflow, and then by the
+    reciprocal of that length; a zero block stays zero.
     """
-    c = np.concatenate([np.full((2, 3, 1), 1.0 / 3.0), coords], axis=2)
-    prod = c[:, 0, :, None, None] * c[:, 1, None, :, None] * c[:, 2, None, None, :]
-    g, h = prod.reshape(2, 729)[:, _BLOCKS]
-    # Normalise by the largest entry first: |h_s|^2 can underflow.
-    peak = np.abs(h).max(axis=1, keepdims=True)
-    u = np.divide(h, peak, out=np.zeros_like(h), where=peak > 0)
-    length = np.linalg.norm(u, axis=1, keepdims=True)
-    u = np.divide(u, length, out=np.zeros_like(u), where=length > 0)
+    g, h = _block_products(coords)
+    peak = np.abs(h).max(axis=1)
+    u = h * _reciprocal(peak)[:, None]
+    length = np.linalg.norm(u, axis=1)
+    u = u * _reciprocal(length)[:, None]
     proj = np.sum(u.conj() * g, axis=1)
     remainder = np.sqrt(27.0) * float(np.linalg.norm(g - proj[:, None] * u))
-    return (peak * length).ravel(), proj, remainder
+    return peak * length, proj, remainder
+
+
+def _reciprocal(x: np.ndarray) -> np.ndarray:
+    """``1 / x``, and 0 where x is 0.  numpy divides a complex number by a
+    real one as the product with ``1 / x``, so scaling by this is division."""
+    return 1.0 / np.where(x > 0, x, np.inf)
 
 
 def _residual(eta: np.ndarray, n: np.ndarray, proj: np.ndarray, remainder: float) -> float:
@@ -248,7 +284,7 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
     (:func:`~qutritlocc.states.gauge_gap`), as in
     :func:`~qutritlocc.states.lu_equivalent`.
     """
-    coords = np.stack([inst.source_gram.coords, inst.target_gram.coords])
+    coords = np.array([inst.source_gram.coords, inst.target_gram.coords])
     coords = coords * support_mask(coords, tol)
     n, proj, remainder = _character_fit(coords)
     # Blocks s and -s fit eta_s, one through its conjugate (0 if both are zero);
@@ -258,12 +294,12 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
     r[null] = 1.0
     eta = (n / r * proj + n[_NEG] / r * proj[_NEG].conj()) / r
     eta[0] = (27.0 * n[0] * proj[0].real + 1.0) / (27.0 * n[0] ** 2 + 1.0)
-    p_ls = (CONJ_TABLE.conj().T @ eta).real / 9.0
     affine_residual = _residual(eta, n, proj, remainder)
 
     if affine_residual > RESIDUAL_TOL:
         return _infeasible(affine_residual, "affine-infeasible")
 
+    p_ls = (CONJ_TABLE.conj().T @ eta).real / 9.0
     vertices = _polytope_vertices(p_ls, _PAIR_BASIS[:, null])
     if not vertices:
         return _infeasible(affine_residual, "polytope-empty")

@@ -12,6 +12,7 @@ from qutritlocc.classify import support_mask
 from qutritlocc.generate import KINDS, random_seed_params, random_state
 from qutritlocc.pauli import (
     CONJ_TABLE,
+    COORD_ORDER,
     INDEX_ORDER,
     INDEX_POS,
     PAIR_REPS,
@@ -618,6 +619,39 @@ def test_engine_matches_kronecker_reference_decision(params):
         assert abs(dec.residual - ref.residual) <= 1e-12, name
         if dec.feasible:
             np.testing.assert_allclose(dec.witness, ref.witness, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_block_products_are_the_permuted_tensor_bit_for_bit(rng):
+    """The blocks built from ``c1 (x) c2`` and a gather of c3 are the full
+    product tensor permuted into ``_BLOCKS`` order, to the last bit, also
+    with zero coordinates and moduli far from 1."""
+    for scale in (1.0, 1e-80, 1e80):
+        coords = scale * (rng.normal(size=(2, 3, 8)) + 1j * rng.normal(size=(2, 3, 8)))
+        coords[rng.random((2, 3, 8)) < 0.3] = 0.0
+        c = np.concatenate([np.full((2, 3, 1), 1.0 / 3.0), coords], axis=2)
+        prod = c[:, 0, :, None, None] * c[:, 1, None, :, None] * c[:, 2, None, None, :]
+        expected = prod.reshape(2, 729)[:, sep_module._BLOCKS]
+        assert sep_module._block_products(coords).tobytes() == expected.tobytes()
+
+
+def test_fit_norms_survive_underflowing_squares(params):
+    """Coordinates of modulus 1e-80 on two negation pairs of two parties
+    give cross blocks with one product of modulus 1e-160 / 3 each, whose
+    square is subnormal: at the cut 1e-200 the fit's norm is still exact to
+    1e-14 (a plain root of the summed squares is off by 2e-4), and the
+    identity instance of these tables is feasible and trivial."""
+    w1, w2 = PAIR_REPS[:2]
+    table = np.zeros((3, 8), dtype=complex)
+    for party, w in ((0, w1), (1, w2)):
+        table[party, [COORD_ORDER.index(w), COORD_ORDER.index(idx_neg(w))]] = 1e-80
+    coords = np.array([table, table])
+    coords = coords * support_mask(coords, 1e-200)
+    n, _, _ = sep_module._character_fit(coords)
+    cross = [INDEX_POS[idx_add(a, b)] for a in (w1, idx_neg(w1)) for b in (w2, idx_neg(w2))]
+    np.testing.assert_allclose(n[cross], 1e-160 / 3, rtol=1e-14, atol=0)
+    gt = SimpleNamespace(coords=table)
+    dec = sep_feasible(SimpleNamespace(seed=params, source_gram=gt, target_gram=gt), 1e-200)
+    assert dec.feasible and not dec.nontrivial
 
 
 def exact_vertices(eta):

@@ -1,7 +1,10 @@
 """The support cut decides the classifier, the SEP engine and the oracle
 alike: near the cut their verdicts agree, or the oracle abstains."""
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +12,7 @@ from qutritlocc.classify import classify_gram
 from qutritlocc.generate import random_state
 from qutritlocc.oracle import brute_force_sep
 from qutritlocc.pauli import PAIR_REPS, PAULIS, dagger
+from qutritlocc.protocols import locc_reach_protocol
 from qutritlocc.sep import (
     _triple_uniform,
     candidate_initial_grams,
@@ -64,3 +68,21 @@ def test_verdicts_agree_near_the_cut(params, kind, draw, multiple, tol, data):
         oracle = brute_force_sep(inst).feasible
         assert oracle is None or oracle == sep_feasible(inst).feasible, label
     assert classify_gram(target, tol).sep_reachable == engine
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_a_cut_that_is_not_finite_and_positive_is_refused(params, tol):
+    """A NaN or infinite cut would drop every coordinate (seed to seed, a
+    feasible conversion) and a cut of zero or below would keep every one:
+    each entry point refuses it, naming the value."""
+    rng = np.random.default_rng(29)
+    target = random_state("dense", rng, params)
+    inst = gram_instance(params, candidate_initial_grams(gram(target))[0][1], gram(target))
+    reach = random_state("confined", rng, params)
+    for call in (
+        lambda: classify_gram(gram(target), tol),
+        lambda: sep_feasible(inst, tol),
+        lambda: locc_reach_protocol(reach, tol),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"support cut {tol!r}")):
+            call()
