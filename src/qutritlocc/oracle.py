@@ -116,12 +116,11 @@ def _mixing_system(instance: SepInstance) -> tuple[np.ndarray, np.ndarray]:
     """Real least-squares data (A, b) for ``A p = b`` over the simplex.
 
     Column k of ``A`` is ``kron3`` of the three conjugations ``S_kᴴ H_j S_k``
-    of the target Grams, all nine formed by one stacked contraction.
+    of the target Grams, all nine formed by one stacked ``kron3``.
     """
     s = BASIS[:, None]
     conj = s.conj().swapaxes(-1, -2) @ np.array(instance.target_gram.mats) @ s
-    d = np.einsum("kab,kcd,kef->acebdfk", conj[:, 0], conj[:, 1], conj[:, 2])
-    d = d.reshape(-1, len(INDEX_ORDER))
+    d = kron3(conj[:, 0], conj[:, 1], conj[:, 2]).reshape(len(INDEX_ORDER), -1).T
     target = kron3(*instance.source_gram.mats).ravel()
     a = np.vstack([d.real, d.imag])
     b = np.concatenate([target.real, target.imag])
@@ -166,22 +165,24 @@ def _active_set_minimum(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float
 
     A primal active-set method (Nocedal and Wright, *Numerical
     Optimization*, §16.5; Lawson and Hanson, *Solving Least Squares
-    Problems*, ch. 23).  It starts at the best vertex, where ``p`` is the
-    minimizer of its one-point face.  From a face minimizer it adds the
-    coordinate of most negative gradient.  It stops instead when the
-    Frank–Wolfe gap ``gᵀp - min g`` is within rounding of zero (the KKT
-    conditions hold), or when that coordinate is already on the face, as
-    only rounding leaves a face minimizer's gradient uneven there.  On the
-    grown face it solves for the face minimizer
-    (:func:`_face_solve`).  A feasible one becomes the new point.  An
-    infeasible one is approached up to the first coordinate that reaches
-    zero, and that coordinate leaves the face.  A singular face whose
-    objective falls without bound along its null direction is left the
-    same way, along that direction.  Every step lowers the objective, so
-    no face holds the point at its minimizer twice, and at most ``n + 1``
-    steps lead from one such face to the next: ``(n + 1) 2ⁿ`` steps bound
-    an exact run.  A run that reaches the bound is cycling on rounding and
-    returns its current point, which the certificate still bounds.
+    Problems*, ch. 23).  It starts at the centre of the simplex, ``p =
+    1/n``, with every coordinate on the face, so its first step solves the
+    full face; when that solution is non-negative it is the minimizer and
+    the run stops at the next gradient test.  On a face it solves for the
+    face minimizer (:func:`_face_solve`).  A feasible one becomes the new
+    point.  An infeasible one is approached up to the first coordinate
+    that reaches zero, and that coordinate leaves the face.  A singular
+    face whose objective falls without bound along its null direction is
+    left the same way, along that direction.  From a face minimizer it
+    adds the coordinate of most negative gradient.  It stops instead when
+    the Frank–Wolfe gap ``gᵀp - min g`` is within rounding of zero (the
+    KKT conditions hold), or when that coordinate is already on the face,
+    as only rounding leaves a face minimizer's gradient uneven there.
+    Every step lowers the objective, so no face holds the point at its
+    minimizer twice, and at most ``n + 1`` steps lead from the start, or
+    from one such face, to the next: ``(n + 1) 2ⁿ`` steps bound an exact
+    run.  A run that reaches the bound is cycling on rounding and returns
+    its current point, which the certificate still bounds.
     """
     n = len(c)
     eps = np.finfo(float).eps
@@ -189,10 +190,9 @@ def _active_set_minimum(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float
     # a difference of two, by up to about 2 n eps times this scale; twice
     # that is taken as zero
     tol = 4 * n * eps * (np.abs(q).max() + np.abs(c).max())
-    p = np.zeros(n)
-    p[int(np.argmin(np.diag(q) - 2.0 * c))] = 1.0
-    on_face = p > 0
-    at_minimizer = True
+    p = np.full(n, 1.0 / n)
+    on_face = np.ones(n, dtype=bool)
+    at_minimizer = False
     for _ in range((n + 1) * 2**n):
         g = 2.0 * (q @ p - c)
         if at_minimizer:

@@ -228,14 +228,17 @@ def from_coords(g0: complex, g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Kronecker product of three 3x3 matrices (27x27).
+    """Kronecker product of three 3x3 matrices (27x27), or of each triple
+    of stacks ``(..., 3, 3)`` broadcast together (``(..., 27, 27)``).
 
     Two broadcast products, ``(a (x) b) (x) c``: each entry is the same
-    two multiplications as in ``np.kron(np.kron(a, b), c)``, so the result
-    is bit-identical to it."""
+    two multiplications as in ``np.kron(np.kron(a, b), c)``, so each
+    result is bit-identical to it."""
     a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
-    ab = (a[:, None, :, None] * b[:, None, :]).reshape(9, 9)
-    return (ab[:, None, :, None] * c[:, None, :]).reshape(27, 27)
+    ab = a[..., :, None, :, None] * b[..., None, :, None, :]
+    ab = ab.reshape(*ab.shape[:-4], 9, 9)
+    abc = ab[..., :, None, :, None] * c[..., None, :, None, :]
+    return abc.reshape(*abc.shape[:-4], 27, 27)
 
 
 def apply3(a: np.ndarray, b: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:

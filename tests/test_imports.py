@@ -35,6 +35,9 @@ read each module with the standard library's ``ast``.
 - No package module other than ``seeds.py`` calls ``check_generic(`` or
   ``.canonical(``: a seed's gauge and genericity are decided once, where
   the seed is built, and read from it everywhere else.
+- ``oracle.py`` imports only ``SepInstance`` from ``sep`` and nothing from
+  ``classify``, ``states`` or ``protocols``: the oracle re-decides what
+  the engine decides, so it must not reuse the engine's code.
 """
 
 import ast
@@ -474,3 +477,56 @@ def test_seed_lint_sees_a_stray_decision():
 )
 def test_seed_decisions_stay_in_seeds(path):
     assert seed_decisions(path.read_text()) == []
+
+
+#: What ``oracle.py`` may import from each engine module it audits: the
+#: instance type it is handed, and nothing else.
+ORACLE_ALLOWED = {"sep": {"SepInstance"}, "classify": set(), "states": set(), "protocols": set()}
+
+
+def package_module(name: str | None, level: int) -> str | None:
+    """The package-relative name of an imported module (``""`` for the
+    package itself), or ``None`` for a module outside the package."""
+    if level:
+        return name or ""
+    if name == "qutritlocc" or (name or "").startswith("qutritlocc."):
+        return name[len("qutritlocc.") :]
+    return None
+
+
+def engine_imports(source: str) -> list[str]:
+    """Each import of an engine module, whole or by a name that
+    :data:`ORACLE_ALLOWED` does not allow, relative or absolute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [package_module(alias.name, 0) for alias in node.names]
+            found += [f"line {node.lineno}: {m}" for m in modules if m in ORACLE_ALLOWED]
+        elif isinstance(node, ast.ImportFrom):
+            module = package_module(node.module, node.level)
+            for alias in node.names:
+                if module == "" and alias.name in ORACLE_ALLOWED:
+                    found.append(f"line {node.lineno}: {alias.name}")
+                elif module in ORACLE_ALLOWED and alias.name not in ORACLE_ALLOWED[module]:
+                    found.append(f"line {node.lineno}: {module}.{alias.name}")
+    return found
+
+
+def test_engine_lint_sees_the_engine_imported():
+    source = (
+        "import numpy as np\nfrom numpy import linalg\nfrom .pauli import BASIS\n"
+        "from .sep import SepInstance, sep_feasible\nfrom . import states, seeds\n"
+        "import qutritlocc.classify\n\n"
+        "def f():\n    from qutritlocc.protocols import _round\n"
+        "    from qutritlocc.sep import SepInstance\n"
+    )
+    assert engine_imports(source) == [
+        "line 4: sep.sep_feasible",
+        "line 5: states",
+        "line 6: classify",
+        "line 9: protocols._round",
+    ]
+
+
+def test_oracle_imports_nothing_of_the_engine_but_the_instance():
+    assert engine_imports((PACKAGE / "oracle.py").read_text()) == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qutritlocc import oracle
+from qutritlocc.generate import KINDS as KINDS_OF_STATE
 from qutritlocc.generate import random_seed_params, random_state
 from qutritlocc.oracle import (
     _ALS_CHECK_EVERY,
@@ -294,12 +295,20 @@ def criterion_4_instance(kind, rng):
     return gram_instance(state.seed, initial, target)
 
 
-@pytest.mark.parametrize("kind", C4_KINDS)
+@pytest.mark.parametrize("kind", KINDS_OF_STATE)
 def test_oracle_matches_face_reference_on_generated_instances(rng, monkeypatch, kind):
-    """On criterion 4's instances the oracle gives the verdict and the
-    residual it gives with the per-face reference as its minimizer."""
+    """On instances of every generator kind, from every candidate initial
+    of the target, the oracle gives the verdict and the residual it gives
+    with the per-face reference as its minimizer."""
+    instances = []
     for _ in range(3):
-        instance = criterion_4_instance(kind, rng)
+        state = random_state(kind, rng)
+        target = gram(state)
+        instances += [
+            gram_instance(state.seed, initial, target)
+            for _, initial in candidate_initial_grams(target)
+        ]
+    for instance in instances:
         verdict = brute_force_sep(instance)
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_active_set_minimum", face_minima_reference)
@@ -311,19 +320,22 @@ def test_oracle_matches_face_reference_on_generated_instances(rng, monkeypatch, 
 
 def test_oracle_solves_few_faces(monkeypatch):
     """The minimizer solves a handful of faces per instance, not the 511 of
-    the simplex.  On these 40 criterion-4 instances every solve adds a
-    coordinate to the starting vertex and none is dropped: 8 solves grow
-    the face to all nine coordinates for the disjoint, tiling and dense
-    targets, 2 to the triple of a confined one."""
+    the simplex.  It starts at the centre of the simplex with every
+    coordinate on the face, so its first solve is the full face.  On these
+    40 criterion-4 instances that solve is non-negative for every disjoint,
+    tiling and dense target, and it is the minimizer: one solve.  A
+    confined target's witness here lies on a face of 3 to 6 coordinates,
+    and the run walks there from the full face, dropping one coordinate
+    per solve and adding none: 4 to 7 solves."""
     rng = np.random.default_rng(4)
     sizes = counting_face_solves(monkeypatch)
-    counts = []
     for kind in C4_KINDS:
         for _ in range(10):
             before = len(sizes)
             assert brute_force_sep(criterion_4_instance(kind, rng)).feasible is not None
-            counts.append(len(sizes) - before)
-    assert max(counts) <= 8
+            solves = sizes[before:]
+            assert solves == list(range(9, 9 - len(solves), -1))
+            assert len(solves) <= 7 if kind == "confined" else len(solves) == 1
 
 
 # ---------------------------------------------------------------------------

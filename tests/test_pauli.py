@@ -223,7 +223,9 @@ def test_kron3_diagonal():
 
 def test_kron3_is_bit_identical_to_nested_kron(rng):
     """Real and complex factors at scales 1, 1e150 and 1e+-200 (where the
-    products overflow and underflow), strided views and nested lists."""
+    products overflow and underflow), strided views, nested lists and
+    stacks ``(n, 3, 3)``, where each slice is the product of its own
+    three factors."""
     def draw():
         m = rng.normal(size=(3, 3))
         return m + 1j * rng.normal(size=(3, 3)) if rng.integers(2) else m
@@ -241,6 +243,11 @@ def test_kron3_is_bit_identical_to_nested_kron(rng):
             got, ref = kron3(a, b, c), np.kron(np.kron(a, b), c)
             assert got.dtype == ref.dtype and got.shape == (27, 27)
             assert got.tobytes() == ref.tobytes()
+        stacks = [np.array(factors) for factors in zip(*cases[:400])]
+        got = kron3(*stacks)
+        assert got.shape == (400, 27, 27)
+        for a, b, c, slice_ in zip(*stacks, got):
+            assert slice_.tobytes() == np.kron(np.kron(a, b), c).tobytes()
 
 
 def test_apply3_identity(rng):
