@@ -302,6 +302,7 @@ def _cmd_symmetry_audit(args: argparse.Namespace) -> _Report:
         "generic": report.genericity.generic,
         "candidates": report.n_candidates,
         "pairs_screened": report.n_pairs,
+        "pairs_live": report.n_live_pairs,
         "survivors": [
             {
                 "pauli": list(r.pauli) if r.pauli else None,

@@ -32,6 +32,15 @@ GENERIC_THRESHOLD = 1e-6
 #: the symmetry audit (all inputs unit-normalized).
 AUDIT_PROJ_TOL = 1e-8
 
+#: Slack on ``proj_tol**2`` in the quadratic-form screen of the symmetry
+#: audit.  The form and the direct squared probe-0 residual are computed
+#: from the same unit-normalized seed, candidates and probe, so every sum of
+#: absolute products that either rounds is at most 1, and each takes fewer
+#: than 100 roundings on any path: each lies within gamma_100 (about
+#: 1.1e-14) of the exact squared residual.  A pair whose direct residual
+#: passes the cut therefore passes the form's cut plus this slack.
+AUDIT_SCREEN_MARGIN = 1e-12
+
 #: A surviving pair of the symmetry audit is a Pauli triple only when the
 #: full residual of its recovered product operator is at or below this.
 AUDIT_FULL_TOL = 1e-8
@@ -359,6 +368,54 @@ def _all_candidates() -> tuple[np.ndarray, list[str]]:
     return np.concatenate([mono, dense]), labels
 
 
+#: Flat positions ``6 k + l``, ``k <= l``, of a 6 x 6 matrix's upper triangle.
+_UPPER = np.array([6 * k + l for k in range(6) for l in range(k, 6)])
+
+#: Candidates B per product of the probe-0 screen.  A block's output, 54 x
+#: 216 floats (93 KB), stays below the 128 KiB from which glibc's malloc
+#: maps fresh pages for each request; one 216 x 216 output (373 KB) would
+#: fault its pages in on every call, about a quarter of the audit's time.
+_SCREEN_ROWS = 54
+
+
+@functools.cache
+def _screen_candidates() -> tuple[np.ndarray, np.ndarray]:
+    """The candidates scaled to unit norm, (n, 3, 3), and the real form of
+    each one's rows 1-2 for the probe-0 screen, (n, 42): ``[Re, -Im]`` of
+    the products ``B_k conj(B_l)``, ``k <= l``, of those rows' six entries,
+    doubled off the diagonal, where each stands for itself and its
+    conjugate.  Both are built once and read-only."""
+    mats, _ = _all_candidates()
+    n = len(mats)
+    unit = mats / np.linalg.norm(mats.reshape(n, 9), axis=1)[:, None, None]
+    rows = unit[:, 1:].reshape(n, 6)
+    outer = (rows[:, :, None] * rows[:, None, :].conj()).reshape(n, 36).take(_UPPER, axis=1)
+    twice = np.where(_UPPER // 6 == _UPPER % 6, 1.0, 2.0)
+    form = (twice * outer.conj()).view(float)
+    unit.setflags(write=False)
+    form.setflags(write=False)
+    return unit, form
+
+
+def _probe0_form(k0: np.ndarray, probe0: np.ndarray) -> np.ndarray:
+    """The candidates' side of the probe-0 screen, shape (42, n): the cached
+    features of :func:`_screen_candidates` times it give the squared probe-0
+    residual of every candidate pair (B, C).
+
+    Probe 0's row 0 is zero, so the residual vector of a pair is
+    ``sum_k B_k w_c[k]`` over the six entries B_k of B's rows 1-2, with
+    ``w_c`` (6 x 3) probe 0 applied to ``k0[c]``, C's lift of the seed.  Its
+    squared norm is the Hermitian form ``sum_kl B_k conj(B_l) G_c[k, l]``
+    with ``G_c = w_c w_c^H``; column c holds ``[Re, Im]`` of ``G_c``'s upper
+    triangle.
+    """
+    n = len(k0)
+    w = (probe0[1:] @ k0.transpose(2, 0, 1, 3).reshape(3, -1)).reshape(2, n, 9)
+    w = w.transpose(1, 0, 2).reshape(n, 6, 3)
+    g = w @ w.conj().transpose(0, 2, 1)
+    return g.reshape(n, 36).take(_UPPER, axis=1).view(float).T
+
+
 def _pauli_match(mats: np.ndarray) -> list[tuple[int, int] | None]:
     """For each matrix of a stack ``(N, 3, 3)``, the index of the Pauli
     operator proportional to it, if any.
@@ -388,15 +445,23 @@ def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> Audi
     recovered by least squares and are checked as full product symmetries.
     A pair's projection residual is the largest over the nine probe states
     of ``|| <probe_i| (B (x) C) |psi> ||``, so the screen runs in two exact
-    stages.  Probe 0 alone screens all 46,656 pairs in one matrix product,
-    comparing squared residuals with ``proj_tol**2``; a pair it rejects
-    cannot pass the maximum.  Only the pairs it passes get the residual over
-    all nine probes, which is the ``projection_residual`` compared with
-    ``proj_tol``.  The seed is held in canonical gauge, so its probes are
-    unit-normalized and every representative of one ray gets the same
-    screen.  The audit refuses non-generic seeds, for which the candidate
-    narrowing arguments do not apply, and a ``proj_tol`` that is not a
-    finite number >= 0.
+    stages.  Probe 0 alone screens all 46,656 pairs: its squared residual
+    is a Hermitian form in B's rows 1-2 whose 6 x 6 matrix depends on C
+    (:func:`_probe0_form`), evaluated for every pair as a real
+    (216 x 42) @ (42 x 216) product, in blocks of rows, against features of
+    the candidates cached at first use.  Pairs whose form is within
+    :data:`AUDIT_SCREEN_MARGIN` of ``proj_tol**2``, a bound on the rounding
+    of the form and of the direct residual, are rechecked by their direct
+    probe-0 residual, which decides the live pairs (``n_live_pairs``); a
+    pair probe 0 rejects cannot pass the maximum.  At ``proj_tol = 0`` the
+    live pairs are those whose computed residual is exactly zero, which
+    depends on the order of the roundings.  Only the live pairs get the
+    residual over all nine probes, which is the ``projection_residual``
+    compared with ``proj_tol``.  The seed is held in canonical gauge, so its
+    probes are unit-normalized and every representative of one ray gets the
+    same screen.  The audit refuses non-generic seeds, for which the
+    candidate narrowing arguments do not apply, and a ``proj_tol`` that is
+    not a finite number >= 0.
     """
     proj_tol = float(proj_tol)
     if not (math.isfinite(proj_tol) and proj_tol >= 0):
@@ -412,20 +477,27 @@ def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> Audi
     probes = probe_states(params).conj()
 
     mats, labels = _all_candidates()
+    unit, b_form = _screen_candidates()
     n = len(mats)
-    norms = np.linalg.norm(mats.reshape(n, 9), axis=1)
-    unit = mats / norms[:, None, None]
 
     # residual[b, c, i, x] = sum_{r,s,u,v} probes[i,r,u] B[r,s] C[u,v] t[x,s,v],
     # through k0[c, s, u, x] = sum_v C[u,v] t[x,s,v], the seed with C applied
     k0 = np.einsum("cuv,xsv->csux", unit, t)
-    # stage 1: probe 0 for every pair, as one (n x 9) @ (9 x 3n) product
-    screen = unit.reshape(n, 9) @ np.einsum("ru,csux->rscx", probes[0], k0).reshape(9, 3 * n)
-    parts = screen.view(float).reshape(n, n, 6)
-    live_b, live_c = np.nonzero(np.einsum("bcx,bcx->bc", parts, parts) <= proj_tol * proj_tol)
-    # stage 2: all nine probes, for the pairs probe 0 passed, through the
-    # lift (I (x) B (x) C) psi of each as [p, r, (u, x)]
-    block = probes.reshape(9, 9) @ (unit[live_b] @ k0[live_c].reshape(-1, 3, 9)).reshape(-1, 9, 3)
+    # stage 1: probe 0's squared residual of every pair as a quadratic form;
+    # the pairs within the rounding margin of proj_tol**2 are rechecked
+    cut = proj_tol * proj_tol
+    c_form = _probe0_form(k0, probes[0])
+    near = np.concatenate([
+        np.flatnonzero(b_form[i : i + _SCREEN_ROWS] @ c_form <= cut + AUDIT_SCREEN_MARGIN) + i * n
+        for i in range(0, n, _SCREEN_ROWS)
+    ])
+    near_b, near_c = divmod(near, n)
+    # all nine probes for those pairs, through the lift (I (x) B (x) C) psi of
+    # each as [p, r, (u, x)]; probe 0's direct residual decides the live pairs
+    block = probes.reshape(9, 9) @ (unit[near_b] @ k0[near_c].reshape(-1, 3, 9)).reshape(-1, 9, 3)
+    live = np.vecdot(block[:, 0], block[:, 0]).real <= cut
+    live_b, live_c, block = near_b[live], near_c[live], block[live]
+    # stage 2: the residual over all nine probes of the live pairs
     resid = np.linalg.norm(block, axis=2).max(axis=1, initial=0.0)
     keep = resid <= proj_tol
     bi, ci, resid = live_b[keep], live_c[keep], resid[keep]

@@ -127,7 +127,8 @@ class SepFeasibility:
     ``vertex_trivial`` marks, per vertex, whether the witnessed conversion
     is trivial (initial LU-equivalent to final); ``nontrivial`` is feasible
     with at least one genuinely state-changing witness.  ``residual`` is
-    the witness residual when feasible, otherwise the best affine residual.
+    the witness residual when feasible or infeasible for it
+    (``"witness-residual"``), otherwise the best affine residual.
     """
 
     feasible: bool
@@ -272,7 +273,14 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
     (:func:`_character_fit`); the pairs whose blocks are both zero span the
     nullspace.  Then the polytope's vertices are enumerated.  Feasible means
     a distribution reproduces the initial Gram product to within
-    ``RESIDUAL_TOL`` (absolute Frobenius over the 27x27 product).
+    ``RESIDUAL_TOL`` (absolute Frobenius over the 27x27 product).  The
+    witness is the vertices' mean clipped to the simplex, and its residual
+    is held to that bound: vertices may reach ``-VERTEX_FEAS_TOL``, and an
+    instance whose clipped witness misses the bound is infeasible
+    (``"witness-residual"``), unless every vertex is trivial.  Then the
+    conversion is a local unitary, feasible as far as
+    :func:`~qutritlocc.states.lu_equivalent` calls the two states
+    equivalent, and the witness residual is reported as it is.
 
     A vertex v is trivial when the initial triple it induces is
     LU-equivalent to the target.  That is decided on coordinates, for all
@@ -312,6 +320,10 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
     spectra = np.array(vertices) @ CONJ_TABLE.T
     induced = target * (spectra[:, 1:] / spectra[:, :1])[:, None, :]
     vertex_trivial = tuple((gauge_gap(induced, target) <= STD_COMPARE_ATOL).tolist())
+    # a conversion whose every vertex is trivial is a local unitary, decided
+    # to STD_COMPARE_ATOL as lu_equivalent decides it rather than by the fit
+    if residual > RESIDUAL_TOL and not all(vertex_trivial):
+        return _infeasible(residual, "witness-residual")
 
     return SepFeasibility(
         feasible=True, witness=witness, residual=residual, vertices=tuple(vertices),

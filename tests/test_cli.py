@@ -363,6 +363,7 @@ def test_symmetry_audit_clean_seed(capsys, files):
     assert report["clean"] is True
     assert len(report["survivors"]) == 9
     assert report["surplus"] == 0
+    assert report["pairs_live"] == 81
 
 
 def test_symmetry_audit_refuses_degenerate_seed(capsys, files):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qutritlocc.pauli import INDEX_ORDER, PAULIS, apply3
 from qutritlocc.seeds import (
     AUDIT_PROJ_TOL,
+    AUDIT_SCREEN_MARGIN,
     GENERIC_THRESHOLD,
     SeedParams,
     build_seed,
@@ -18,6 +19,8 @@ from qutritlocc.seeds import (
     _all_candidates,
     _exclusion_polynomials,
     _pauli_match,
+    _probe0_form,
+    _screen_candidates,
 )
 from qutritlocc.generate import random_seed_params
 
@@ -289,18 +292,45 @@ def _full_grid_residuals(params):
     return np.linalg.norm(np.einsum("brs,icrxs->bcix", unit, k1), axis=3)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_quadratic_form_is_the_reference_probe_0_residual_squared(seed):
+    """The screen's quadratic form gives every pair's squared probe-0
+    residual of the direct contraction, to a hundredth of its rounding
+    margin, on all 46,656 pairs."""
+    params = random_seed_params(np.random.default_rng(seed))
+    psi = build_seed(params)
+    t = (psi / np.linalg.norm(psi)).reshape(3, 3, 3)
+    unit, b_form = _screen_candidates()
+    k0 = np.einsum("cuv,xsv->csux", unit, t)
+    squares = b_form @ _probe0_form(k0, probe_states(params).conj()[0])
+    reference = _full_grid_residuals(params)[:, :, 0] ** 2
+    assert squares.shape == reference.shape == (216, 216)
+    assert np.abs(squares - reference).max() <= AUDIT_SCREEN_MARGIN / 100
+
+
 @settings(max_examples=3)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_two_stage_screen_matches_full_grid_reference(seed):
     """At every tolerance, the probe-0 screen passes exactly the pairs whose
     probe-0 residual is within ``proj_tol``, and the screened pairs and their
-    residuals are those of the full grid."""
+    residuals are those of the full grid.  Besides fixed tolerances, the cut
+    is put into each gap between consecutive distinct probe-0 residuals
+    (their squares wider apart than the screen's margin) that has at most
+    3600 pairs below it: halfway across, and just below the pairs above it,
+    within the margin of their squared residual, where only the recheck by
+    the direct residual keeps them dead."""
     params = random_seed_params(np.random.default_rng(seed))
     per_probe = _full_grid_residuals(params)
     resid = per_probe.max(axis=2)
     _, labels = _all_candidates()
     index = {label: i for i, label in enumerate(labels)}
-    for proj_tol in (AUDIT_PROJ_TOL, 0.05, 0.5):
+    probe0 = np.sort(per_probe[:, :, 0], axis=None)
+    wide = np.flatnonzero(np.diff(probe0**2) > AUDIT_SCREEN_MARGIN)
+    wide = wide[wide < 3600]
+    assert len(wide) >= 3
+    above = probe0[wide + 1]
+    cuts = [*(probe0[wide] + above) / 2, *np.sqrt(above**2 - AUDIT_SCREEN_MARGIN / 2)]
+    for proj_tol in (AUDIT_PROJ_TOL, 0.05, 0.5, *cuts):
         report = symmetry_audit(params, proj_tol=proj_tol)
         assert report.n_live_pairs == np.count_nonzero(per_probe[:, :, 0] <= proj_tol)
         records = report.survivors + report.surplus

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qutritlocc import sep as sep_module
-from qutritlocc.classify import support_mask
+from qutritlocc.classify import classify_gram, support_mask
 from qutritlocc.generate import KINDS, random_seed_params, random_state
 from qutritlocc.pauli import (
     CONJ_TABLE,
@@ -24,6 +24,7 @@ from qutritlocc.pauli import (
     kron3,
 )
 from qutritlocc.sep import (
+    RESIDUAL_TOL,
     SepInstance,
     candidate_initial_grams,
     depolarize,
@@ -373,6 +374,29 @@ def test_confined_target_from_induced_initial(params, rng):
     # witness is the uniform distribution on the confined triple
     expected = triple_dist(w)
     np.testing.assert_allclose(dec.witness, expected, atol=1e-9)
+
+
+def test_a_feasible_verdict_keeps_its_witness_residual_within_bound():
+    """Feasible means the witness reproduces the initial Gram product to
+    within ``RESIDUAL_TOL``.  A confined target's triple depolarization
+    with signed weights (d, (1 - d)/2, (1 - d)/2), d = -3e-11, leaves the
+    simplex by |d|: the polytope's vertex carries -3e-11, which the vertex
+    test accepts, and its clipped witness misses the fit by up to several
+    ``RESIDUAL_TOL``.  Such an instance is infeasible, and says why."""
+    d = -3e-11
+    rng = np.random.default_rng(3)
+    named = 0
+    for _ in range(200):
+        state = random_state("confined", rng)
+        final = gram(state)
+        w = classify_gram(final).locc_cases[0].pair
+        initial = induced_initial(final, triple_dist(w, (d, (1 - d) / 2, (1 - d) / 2)))
+        dec = sep_feasible(gram_instance(state.seed, initial, final))
+        assert not dec.feasible or dec.residual <= RESIDUAL_TOL
+        if dec.reason == "witness-residual":
+            assert dec.residual > RESIDUAL_TOL and dec.witness is None
+            named += 1
+    assert named >= 150
 
 
 def test_identity_instance_is_trivial(params, rng):
