@@ -398,9 +398,9 @@ def _screen_candidates() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _probe0_form(k0: np.ndarray, probe0: np.ndarray) -> np.ndarray:
-    """The candidates' side of the probe-0 screen, shape (42, n): the cached
-    features of :func:`_screen_candidates` times it give the squared probe-0
-    residual of every candidate pair (B, C).
+    """The C side of the probe-0 screen, shape (42, n), a column per
+    candidate C: the cached B features of :func:`_screen_candidates` times
+    it give the squared probe-0 residual of every candidate pair (B, C).
 
     Probe 0's row 0 is zero, so the residual vector of a pair is
     ``sum_k B_k w_c[k]`` over the six entries B_k of B's rows 1-2, with
