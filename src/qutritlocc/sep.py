@@ -124,11 +124,10 @@ class SepFeasibility:
 
     ``witness`` is a distribution solving the instance (None when
     infeasible); ``vertices`` enumerates the solution polytope's corners;
-    ``vertex_trivial`` marks, per vertex, whether the witnessed conversion
-    is trivial (initial LU-equivalent to final); ``nontrivial`` is feasible
-    with at least one genuinely state-changing witness.  ``residual`` is
-    the witness residual when feasible or infeasible for it
-    (``"witness-residual"``), otherwise the best affine residual.
+    ``nontrivial`` is feasible with the two states not LU-equivalent, so
+    the conversion changes the state.  ``residual`` is the witness
+    residual when feasible or infeasible for it (``"witness-residual"``),
+    otherwise the best affine residual.
     """
 
     feasible: bool
@@ -136,7 +135,6 @@ class SepFeasibility:
     residual: float
     vertices: tuple[np.ndarray, ...]
     unique: bool
-    vertex_trivial: tuple[bool, ...]
     nontrivial: bool
     reason: str | None
 
@@ -144,7 +142,7 @@ class SepFeasibility:
 def _infeasible(residual: float, reason: str) -> SepFeasibility:
     return SepFeasibility(
         feasible=False, witness=None, residual=residual, vertices=(), unique=False,
-        vertex_trivial=(), nontrivial=False, reason=reason,
+        nontrivial=False, reason=reason,
     )
 
 
@@ -277,19 +275,17 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
     witness is the vertices' mean clipped to the simplex, and its residual
     is held to that bound: vertices may reach ``-VERTEX_FEAS_TOL``, and an
     instance whose clipped witness misses the bound is infeasible
-    (``"witness-residual"``), unless every vertex is trivial.  Then the
-    conversion is a local unitary, feasible as far as
-    :func:`~qutritlocc.states.lu_equivalent` calls the two states
-    equivalent, and the witness residual is reported as it is.
+    (``"witness-residual"``), unless the two states are LU-equivalent.
+    Then the conversion is a local unitary, feasible as far as
+    :func:`~qutritlocc.states.lu_equivalent` calls the states equivalent,
+    and the witness residual is reported as it is.
 
-    A vertex v is trivial when the initial triple it induces is
-    LU-equivalent to the target.  That is decided on coordinates, for all
-    vertices in one stacked call: the induced triple's coordinate l is the
-    target's times ``eta_l / eta_0`` with ``eta = CONJ_TABLE @ v``
-    (depolarizing by v, then normalizing the trace;
-    :func:`induced_initial`), and the vertex is trivial when that table
-    lies within ``STD_COMPARE_ATOL`` of the target's gauge orbit
-    (:func:`~qutritlocc.states.gauge_gap`), as in
+    Triviality is a property of the pair, not of a vertex: the product
+    coordinate ``(l, 0, 0)`` of the condition reads ``g1_l = h1_l eta_l``,
+    and likewise for each party, so every feasible p depolarizes the target
+    into the source itself.  The conversion is trivial exactly when the
+    masked tables lie within ``STD_COMPARE_ATOL`` of one gauge orbit
+    (:func:`~qutritlocc.states.gauge_gap`), the rule of
     :func:`~qutritlocc.states.lu_equivalent`.
     """
     coords = np.array([inst.source_gram.coords, inst.target_gram.coords])
@@ -316,19 +312,16 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
     witness = witness / witness.sum()
     residual = _residual(CONJ_TABLE @ witness, n, proj, remainder)
 
-    target = coords[1]
-    spectra = np.array(vertices) @ CONJ_TABLE.T
-    induced = target * (spectra[:, 1:] / spectra[:, :1])[:, None, :]
-    vertex_trivial = tuple((gauge_gap(induced, target) <= STD_COMPARE_ATOL).tolist())
-    # a conversion whose every vertex is trivial is a local unitary, decided
-    # to STD_COMPARE_ATOL as lu_equivalent decides it rather than by the fit
-    if residual > RESIDUAL_TOL and not all(vertex_trivial):
+    # a local unitary is decided to STD_COMPARE_ATOL as lu_equivalent decides
+    # it, rather than by the fit
+    trivial = gauge_gap(coords[0], coords[1]) <= STD_COMPARE_ATOL
+    nontrivial = not trivial
+    if residual > RESIDUAL_TOL and nontrivial:
         return _infeasible(residual, "witness-residual")
 
     return SepFeasibility(
         feasible=True, witness=witness, residual=residual, vertices=tuple(vertices),
-        unique=len(vertices) == 1, vertex_trivial=vertex_trivial,
-        nontrivial=not all(vertex_trivial), reason=None,
+        unique=len(vertices) == 1, nontrivial=nontrivial, reason=None,
     )
 
 
@@ -340,13 +333,11 @@ def candidate_initial_grams(final: GramTriple) -> tuple[tuple[str, GramTriple], 
     """Initial Gram triples from which a structurally reachable target
     would be reached: the bare seed, plus, for every detected confined
     case, the final triple depolarized uniformly over the confined pair's
-    symmetry labels (which leaves the confined parties untouched).
+    symmetry labels (which leaves the confined parties untouched).  No
+    pair repeats: two confined matches on one pair would confine all three
+    parties to it, and then neither is an LOCC case.
     """
-    out: list[tuple[str, GramTriple]] = [("seed", seed_gram())]
-    seen: set[Pair] = set()
-    for match in classify_gram(final).locc_cases:
-        if match.pair in seen:
-            continue
-        seen.add(match.pair)
-        out.append((f"confined-{match.pair}", induced_initial(final, _triple_uniform(match.pair))))
-    return tuple(out)
+    return (("seed", seed_gram()),) + tuple(
+        (f"confined-{match.pair}", induced_initial(final, _triple_uniform(match.pair)))
+        for match in classify_gram(final).locc_cases
+    )

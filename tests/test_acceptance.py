@@ -42,6 +42,8 @@ from qutritlocc.states import (
     standard_form,
 )
 
+from helpers import dense_factor, pair_mat, two_pair_mat
+
 SYMMETRY_TOL = 1e-10          # criterion 1
 DEPOLARIZE_TOL = 1e-12        # criterion 3
 UNIFORM_WITNESS_TOL = 1e-8    # criterion 5
@@ -59,22 +61,6 @@ ORACLE_BUDGET = OracleBudget(starts=150, iters=150, rng_seed=0)
 
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} — {detail}")
-
-
-def pair_mat(w, z=0.08):
-    return np.eye(3) / 3 + z * (PAULIS[w] + dagger(PAULIS[w]))
-
-
-def two_pair_mat(w1, w2, z=0.05):
-    return (
-        np.eye(3) / 3
-        + z * (PAULIS[w1] + dagger(PAULIS[w1]))
-        + z * (PAULIS[w2] + dagger(PAULIS[w2]))
-    )
-
-
-def _dense_factor(rng):
-    return rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 3 * np.eye(3)
 
 
 def assert_same_standard_form(first, second):
@@ -240,13 +226,13 @@ def test_criterion_6_protocol_validation():
         extras = {}
         if i % 2 == 0:
             extras["h2"] = span_factor(pair_mat(w, 0.09), w)
-        check("sep-confined", sep_map_confined(_dense_factor(rng), w, params, **extras))
+        check("sep-confined", sep_map_confined(dense_factor(rng), w, params, **extras))
 
         if i % 2 == 0:
             target = GenericState(
                 params,
                 (
-                    _dense_factor(rng),
+                    dense_factor(rng),
                     span_factor(pair_mat(w, 0.08), w),
                     random_unitary(rng) @ span_factor(pair_mat(w, 0.05), w),
                 ),
@@ -255,7 +241,7 @@ def test_criterion_6_protocol_validation():
             assert proto.construction == "locc-one-round"
         else:
             target = GenericState(
-                params, (_dense_factor(rng), random_unitary(rng), random_unitary(rng))
+                params, (dense_factor(rng), random_unitary(rng), random_unitary(rng))
             )
             proto = locc_reach_protocol(target)
             assert proto.construction == "locc-nine-outcome"
@@ -293,7 +279,7 @@ def test_criterion_7_standard_form_suite():
     rng = np.random.default_rng(7)
     for _ in range(100):
         params = random_seed_params(rng)
-        factors = tuple(_dense_factor(rng) for _ in range(3))
+        factors = tuple(dense_factor(rng) for _ in range(3))
         state = GenericState(params, factors)
         form = standard_form(state)
 
@@ -317,7 +303,7 @@ def test_criterion_7_standard_form_suite():
             assert_same_standard_form(standard_form(conjugated), form)
 
         # independent draws are distinguished (the "unequal" pair)
-        other = GenericState(params, tuple(_dense_factor(rng) for _ in range(3)))
+        other = GenericState(params, tuple(dense_factor(rng) for _ in range(3)))
         assert not lu_equivalent(state, other)
     _report(7, True, "100 dressed/conjugated pairs equal, 100 independent pairs "
                      "unequal, idempotence on all 100")

@@ -11,7 +11,7 @@ from qutritlocc.classify import (
     support_pattern,
 )
 from qutritlocc.generate import KINDS, random_state
-from qutritlocc.pauli import COORD_ORDER, PAULIS, dagger, from_coords, idx_neg, pair_rep
+from qutritlocc.pauli import COORD_ORDER, from_coords, idx_neg, pair_rep
 from qutritlocc.states import (
     GenericState,
     gram,
@@ -20,26 +20,9 @@ from qutritlocc.states import (
     seed_gram,
 )
 
+from helpers import dense_mat, pair_mat, two_pair_mat
+
 ALL_PAIRS = {(1, 0), (0, 1), (1, 1), (1, 2)}
-
-
-def pair_mat(w, z=0.08):
-    """Positive unit-trace matrix supported on the negation pair of w."""
-    return np.eye(3) / 3 + z * (PAULIS[w] + dagger(PAULIS[w]))
-
-
-def dense_mat(rng):
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    m = a @ dagger(a) + 0.3 * np.eye(3)
-    return m / np.trace(m)
-
-
-def two_pair_mat(w1, w2, z=0.05):
-    return (
-        np.eye(3) / 3
-        + z * (PAULIS[w1] + dagger(PAULIS[w1]))
-        + z * (PAULIS[w2] + dagger(PAULIS[w2]))
-    )
 
 
 eye3 = np.eye(3) / 3
@@ -221,6 +204,8 @@ def test_lattice_invariants(rng):
         assert cls.sep_only == (cls.sep_reachable and not cls.locc_reachable)
         assert cls.in_mes == (not cls.locc_reachable)
         assert cls.isolated == (cls.in_mes and not cls.locc_convertible)
+        pairs = [match.pair for match in cls.locc_cases]
+        assert len(set(pairs)) == len(pairs)
 
 
 def test_permutation_robustness(rng):

@@ -19,17 +19,7 @@ from qutritlocc.states import GenericState, gram, positive_factor, span_factor
 from qutritlocc.protocols import locc_reach_protocol, simulate_branches
 from qutritlocc.seeds import SeedParams
 
-
-def pair_mat(w, z=0.08):
-    return np.eye(3) / 3 + z * (PAULIS[w] + dagger(PAULIS[w]))
-
-
-def two_pair_mat(w1, w2, z=0.05):
-    return (
-        np.eye(3) / 3
-        + z * (PAULIS[w1] + dagger(PAULIS[w1]))
-        + z * (PAULIS[w2] + dagger(PAULIS[w2]))
-    )
+from helpers import pair_mat, two_pair_mat
 
 
 @pytest.fixture(scope="module")

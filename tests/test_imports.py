@@ -248,7 +248,6 @@ def test_public_api_is_read_outside_tests():
 #: Dataclass fields that no package or benchmark module reads, each with the
 #: reason it stays.
 TEST_FACING_FIELDS = {
-    "SepFeasibility.vertex_trivial": "explains nontrivial vertex by vertex (ROADMAP aim 4)",
     "SymmetrySearchReport.max_match_error": "stays with the ALS search until ROADMAP item 8",
 }
 

@@ -22,7 +22,7 @@ from qutritlocc.oracle import (
     brute_force_sep,
     numeric_symmetry_search,
 )
-from qutritlocc.pauli import INDEX_ORDER, PAULIS, dagger, idx_neg
+from qutritlocc.pauli import INDEX_ORDER, PAULIS, idx_neg
 from qutritlocc.seeds import build_seed
 from qutritlocc.sep import candidate_initial_grams, gram_instance, sep_feasible
 from qutritlocc.states import (
@@ -33,25 +33,11 @@ from qutritlocc.states import (
     span_factor,
 )
 
+from helpers import dense_factor, pair_mat, two_pair_mat
+
 # Effort for the reference projected-gradient sweep below; the oracle's
 # active-set minimizer, certified by the duality gap, takes no budget.
 BUDGET = OracleBudget(starts=200, iters=200, rng_seed=11)
-
-
-def pair_mat(w, z=0.08):
-    return np.eye(3) / 3 + z * (PAULIS[w] + dagger(PAULIS[w]))
-
-
-def two_pair_mat(w1, w2, z=0.05):
-    return (
-        np.eye(3) / 3
-        + z * (PAULIS[w1] + dagger(PAULIS[w1]))
-        + z * (PAULIS[w2] + dagger(PAULIS[w2]))
-    )
-
-
-def dense_factor(rng):
-    return rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 3 * np.eye(3)
 
 
 def test_seed_to_seed_is_feasible(params):

@@ -38,28 +38,14 @@ from qutritlocc.states import (
     span_factor,
 )
 
+from helpers import dense_factor, pair_mat, two_pair_mat
+
 branches = protocols._branches
-
-
-def pair_mat(w, z=0.08):
-    return np.eye(3) / 3 + z * (PAULIS[w] + dagger(PAULIS[w]))
-
-
-def two_pair_mat(w1, w2, z=0.05):
-    return (
-        np.eye(3) / 3
-        + z * (PAULIS[w1] + dagger(PAULIS[w1]))
-        + z * (PAULIS[w2] + dagger(PAULIS[w2]))
-    )
 
 
 def span_positive(w, z=0.08):
     """An invertible factor whose Gram is confined to the pair of w."""
     return span_factor(pair_mat(w, z), w)
-
-
-def dense_factor(rng):
-    return rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 3 * np.eye(3)
 
 
 def assert_valid(obj, n_branches=None):

@@ -48,6 +48,8 @@ from qutritlocc.states import (
     standardize_coords,
 )
 
+from helpers import dense_mat, pair_mat, two_pair_mat
+
 E0 = np.eye(9)[0]
 UNIFORM = np.full(9, 1.0 / 9.0)
 
@@ -58,24 +60,6 @@ def triple_dist(w, weights=(1 / 3, 1 / 3, 1 / 3)):
     p[INDEX_POS[w]] = weights[1]
     p[INDEX_POS[idx_neg(w)]] = weights[2]
     return p
-
-
-def pair_mat(w, z=0.08):
-    return np.eye(3) / 3 + z * (PAULIS[w] + dagger(PAULIS[w]))
-
-
-def two_pair_mat(w1, w2, z=0.05):
-    return (
-        np.eye(3) / 3
-        + z * (PAULIS[w1] + dagger(PAULIS[w1]))
-        + z * (PAULIS[w2] + dagger(PAULIS[w2]))
-    )
-
-
-def dense_mat(rng):
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    m = a @ dagger(a) + 0.3 * np.eye(3)
-    return m / np.trace(m)
 
 
 simplex_weights = st.lists(
@@ -416,7 +400,6 @@ def test_all_confined_self_instance_has_flat_polytope(params):
     assert hull_dim(dec) == 2
     assert len(dec.vertices) == 3
     assert not dec.nontrivial
-    assert all(dec.vertex_trivial)
 
 
 def test_witness_solves_full_tensor_equation(params, rng):
@@ -535,7 +518,6 @@ def verdict(dec):
         dec.unique,
         dec.nontrivial,
         len(dec.vertices),
-        dec.vertex_trivial,
         dec.reason,
     )
 
@@ -595,14 +577,13 @@ def standard_forms_close(first, second):
 def kronecker_decision(inst):
     """Reference decision of the Kronecker system: ``lstsq``, the SVD's
     nullspace at the 1e-9 rank cut, the engine's residual bound and vertex
-    enumeration, and vertex triviality by comparing standard forms of Gram
-    matrices."""
+    enumeration, and a conversion trivial when the initial triple each
+    vertex induces has the target's standard form."""
     ka, kb, _ = kronecker_system(inst)
     p_ls = np.linalg.lstsq(ka, kb, rcond=None)[0]
     affine_residual = float(np.linalg.norm(ka @ p_ls - kb))
     infeasible = dict(
-        feasible=False, witness=None, vertices=(), unique=False,
-        vertex_trivial=(), nontrivial=False,
+        feasible=False, witness=None, vertices=(), unique=False, nontrivial=False,
     )
     if affine_residual > sep_module.RESIDUAL_TOL:
         return SimpleNamespace(**infeasible, residual=affine_residual, reason="affine-infeasible")
@@ -620,7 +601,7 @@ def kronecker_decision(inst):
     return SimpleNamespace(
         feasible=True, witness=witness, residual=float(np.linalg.norm(ka @ witness - kb)),
         vertices=tuple(vertices), unique=len(vertices) == 1,
-        vertex_trivial=trivial, nontrivial=not all(trivial), reason=None,
+        nontrivial=not all(trivial), reason=None,
     )
 
 
@@ -783,28 +764,29 @@ def criterion_4_instances(per_class=50):
     return out
 
 
-@pytest.mark.parametrize("weight", [1.0, 2.5])
-def test_vertex_trivial_matches_matrix_route(params, monkeypatch, weight):
-    """Each vertex's triviality is the standard-form comparison of the
-    initial triple it induces (depolarize, then trace-normalize) with the
-    target.  Vertices sum to one, so the weight 2.5 puts every vertex off
-    the simplex to check the trace normalization as well.  Identity
-    instances add trivial vertices of targets with nonzero coordinates."""
-    polytope = sep_module._polytope_vertices
-    monkeypatch.setattr(
-        sep_module, "_polytope_vertices", lambda p0, n: [weight * v for v in polytope(p0, n)]
-    )
+def test_every_vertex_induces_the_masked_source(params):
+    """Coordinate (l, 0, 0) of the SEP condition reads ``g1_l = h1_l eta_l``,
+    and likewise for each party, so every vertex depolarizes the masked
+    target into the masked source, party by party.  Triviality is then a
+    property of the pair: the engine calls a feasible conversion nontrivial
+    exactly when the masked tables are not LU-equivalent (``gauge_gap`` to
+    ``STD_COMPARE_ATOL``).  Identity instances add trivial conversions of
+    targets with nonzero coordinates."""
     instances = [inst for _, inst in reference_corpus(params)] + criterion_4_instances()
     instances += [gram_instance(i.seed, i.target_gram, i.target_gram) for i in instances[::10]]
     seen = set()
     for inst in instances:
         dec = sep_feasible(inst)
-        induced = (induced_initial(inst.target_gram, v) for v in dec.vertices)
-        expected = tuple(standard_forms_close(i, inst.target_gram) for i in induced)
-        assert dec.vertex_trivial == expected
-        seen |= set(expected)
-        if len(dec.vertices) > 1:
-            seen.add("several")
+        source, target = snapped_coords(inst)
+        for v in dec.vertices:
+            induced = induced_initial(snapped(inst).target_gram, v).coords
+            np.testing.assert_allclose(induced, source, rtol=0, atol=1e-12)
+        trivial = gauge_gap(source, target) <= STD_COMPARE_ATOL
+        assert dec.nontrivial == (dec.feasible and not trivial)
+        if dec.feasible:
+            seen.add(dec.nontrivial)
+            if len(dec.vertices) > 1:
+                seen.add("several")
     assert seen == {True, False, "several"}
 
 

@@ -13,7 +13,6 @@ from qutritlocc.protocols import (
     simulate_branches,
     validate_povm,
 )
-from qutritlocc.pauli import PAULIS, dagger
 from qutritlocc.statefile import (
     SchemaError,
     load_protocol,
@@ -27,9 +26,7 @@ from qutritlocc.statefile import (
 )
 from qutritlocc.states import GenericState, positive_factor, span_factor
 
-
-def pair_mat(w, z=0.08):
-    return np.eye(3) / 3 + z * (PAULIS[w] + dagger(PAULIS[w]))
+from helpers import pair_mat
 
 
 @pytest.fixture
