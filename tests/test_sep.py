@@ -778,8 +778,9 @@ def test_every_vertex_induces_the_masked_source(params):
     for inst in instances:
         dec = sep_feasible(inst)
         source, target = snapped_coords(inst)
+        masked_target = snapped(inst).target_gram
         for v in dec.vertices:
-            induced = induced_initial(snapped(inst).target_gram, v).coords
+            induced = induced_initial(masked_target, v).coords
             np.testing.assert_allclose(induced, source, rtol=0, atol=1e-12)
         trivial = gauge_gap(source, target) <= STD_COMPARE_ATOL
         assert dec.nontrivial == (dec.feasible and not trivial)
