@@ -764,6 +764,32 @@ def criterion_4_instances(per_class=50):
     return out
 
 
+@pytest.mark.parametrize("weight", [1.0, 2.5])
+def test_vertex_trivial_matches_matrix_route(params, monkeypatch, weight):
+    """Each vertex's triviality by the matrix route, the standard-form
+    comparison of the initial triple it induces (depolarize, then
+    trace-normalize) with the target, is the engine's verdict for the pair.
+    Vertices sum to one, so the weight 2.5 puts every vertex off the simplex
+    to check the trace normalization as well.  Identity instances add
+    trivial vertices of targets with nonzero coordinates."""
+    polytope = sep_module._polytope_vertices
+    monkeypatch.setattr(
+        sep_module, "_polytope_vertices", lambda p0, n: [weight * v for v in polytope(p0, n)]
+    )
+    instances = [inst for _, inst in reference_corpus(params)] + criterion_4_instances()
+    instances += [gram_instance(i.seed, i.target_gram, i.target_gram) for i in instances[::10]]
+    seen = set()
+    for inst in instances:
+        dec = sep_feasible(inst)
+        induced = (induced_initial(inst.target_gram, v) for v in dec.vertices)
+        expected = tuple(standard_forms_close(i, inst.target_gram) for i in induced)
+        assert expected == (not dec.nontrivial,) * len(dec.vertices)
+        seen |= set(expected)
+        if len(dec.vertices) > 1:
+            seen.add("several")
+    assert seen == {True, False, "several"}
+
+
 def test_every_vertex_induces_the_masked_source(params):
     """Coordinate (l, 0, 0) of the SEP condition reads ``g1_l = h1_l eta_l``,
     and likewise for each party, so every vertex depolarizes the masked
