@@ -45,9 +45,6 @@ STD_WINDOW_SNAP = 1e-7
 #: tables of local-unitary equivalent states.
 STD_COMPARE_ATOL = 1e-9
 
-#: Absolute floor of :func:`span_factor`'s confinement cut.
-SPAN_OFF_FLOOR = 1e-12
-
 
 class SeedMismatchError(ValueError):
     """Raised when two states' canonical seed parameters differ.
@@ -216,7 +213,7 @@ def span_factor(m: np.ndarray, w: tuple[int, int]) -> np.ndarray:
     _, g = pauli_coords(scaled)
     outside = [k not in (w, idx_neg(w)) for k in COORD_ORDER]
     off = np.sqrt(3.0) * float(np.linalg.norm(g[outside]))
-    if off > max(ZERO_TOL * max(float(np.linalg.norm(scaled)), NORM_FLOOR), SPAN_OFF_FLOOR):
+    if off > ZERO_TOL * float(np.linalg.norm(scaled)):
         raise ValueError(f"matrix is not confined to the span (off-diagonal {off:.3e})")
     return positive_factor(m)
 
@@ -250,11 +247,11 @@ def standardize_coords(coords: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]
     Scanning parties then coordinates, the first entry above the support
     threshold must have its argument inside the canonical window, which
     selects three of the nine gauges; the next thresholded entry whose
-    index is independent of the first selects one of those three.  Any
-    residual tie (possible only when the support is degenerate, where the
-    surviving coordinate tables agree) is broken lexicographically: one
-    stable ``np.lexsort`` over each candidate table's entries, real part
-    then imaginary part, rounded to 1e-12, picks the first smallest.
+    index is independent of the first selects one of those three; the
+    first window gauge in :data:`INDEX_ORDER` is returned.  Gauges tie
+    only when the support spans at most one negation line; their tables
+    then differ only in entries at or below :data:`STD_SUPPORT_TOL`, by
+    at most twice it, below :data:`STD_COMPARE_ATOL`.
     """
     coords = np.asarray(coords, dtype=complex)
     variants = coords[None, :, :] * CONJ_TABLE[1:].T[:, None, :]  # (9, 3, 8)
@@ -266,15 +263,7 @@ def standardize_coords(coords: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]
     fixers = np.concatenate((support[:1], support[line != line[:1]][:1]))
     theta = np.angle(variants.reshape(9, 24)[:, fixers])
     in_window = (theta + STD_WINDOW_SNAP) % (2.0 * np.pi) < 2.0 * np.pi / 3.0
-    candidates = np.flatnonzero(in_window.all(axis=1))
-    if len(candidates) > 1:
-        # Quantized so float noise cannot drive the tie-break: gauges that
-        # differ anywhere above the snap are separated by the key, and gauges
-        # that agree to the snap everywhere give coordinate tables equal far
-        # below the comparison tolerance, so the choice among them is moot.
-        keys = np.round(variants[candidates].reshape(-1, 24).view(float), 12)  # (re, im) pairs
-        candidates = candidates[np.lexsort(keys.T[::-1])]
-    best = candidates[0]
+    best = np.flatnonzero(in_window.all(axis=1))[0]
     return variants[best], INDEX_ORDER[best]
 
 
@@ -296,10 +285,11 @@ class StandardForm:
 def standard_form(state: GenericState) -> StandardForm:
     """Standard form of a state (unitary factor dressings drop out).
 
-    The gauge is picked by :func:`standardize_coords`, whose choice jumps
-    at its support cut and its phase window's edge: two states within
-    rounding of one gauge orbit can get standard forms in different
-    gauges, far apart entrywise.  Compare states with
+    The gauge is picked by :func:`standardize_coords`'s phase window
+    alone (a tie goes to the first window gauge); the choice jumps at
+    the support cut and the window's edge: two states within rounding
+    of one gauge orbit can get standard forms in different gauges, far
+    apart entrywise.  Compare states with
     :func:`lu_equivalent`, never by their printed standard forms.
     """
     coords, gauge = standardize_coords(gram(state).coords)

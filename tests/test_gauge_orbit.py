@@ -114,23 +114,28 @@ def party_gram(coords):
     return gram_triple((m + m.conj().T) / 2, np.eye(3) / 3, np.eye(3) / 3)
 
 
+#: Coordinate pairs on S_(0,1) and S_(1,1), which fix the gauge of party 0.
+FIXING_PAIRS = {2: 0.05 * np.exp(0.3j), 4: 0.04 * np.exp(1.1j)}
+
+
 def split_pairs():
     """Pairs that lie in one gauge orbit to within the tolerance but that
     the standard form fixes in different gauges, by name."""
     # one coordinate pair on S_(1,0), S_(2,0), its argument 5e-11 either
     # side of the window's lower edge -STD_WINDOW_SNAP
     edge, delta = -STD_WINDOW_SNAP, 5e-11
-    # pairs on S_(0,1) and S_(1,1) fix the gauge; a pair of modulus three
-    # times the support cut on S_(1,0), first in the coordinate order,
-    # takes over the first fixing entry, and at argument pi its window
-    # selects another gauge
-    base = {2: 0.05 * np.exp(0.3j), 4: 0.04 * np.exp(1.1j)}
     return {
         "window-edge": (
             party_gram({0: 0.05 * np.exp(1j * (edge - delta))}),
             party_gram({0: 0.05 * np.exp(1j * (edge + delta))}),
         ),
-        "support-edge": (party_gram(base), party_gram({**base, 0: -3 * STD_SUPPORT_TOL})),
+        # a pair of modulus three times the support cut on S_(1,0), first
+        # in the coordinate order, takes over the first fixing entry, and
+        # at argument pi its window selects another gauge
+        "support-edge": (
+            party_gram(FIXING_PAIRS),
+            party_gram({**FIXING_PAIRS, 0: -3 * STD_SUPPORT_TOL}),
+        ),
     }
 
 
@@ -150,6 +155,23 @@ def test_split_pairs_are_one_orbit(params, name):
     for source, target in ((ga, gb), (gb, ga)):
         dec = sep_feasible(gram_instance(params, source, target))
         assert dec.feasible and not dec.nontrivial
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="STD_COMPARE_ATOL exceeds the support cut ZERO_TOL/3, so LU-equivalent "
+    "states can differ in support (ROADMAP item 14)",
+)
+def test_lu_equivalent_states_convert_separably(params):
+    """States 5e-10 apart on S_(1,0) are one orbit to ``lu_equivalent``, so
+    each converts into the other by a local unitary, which is separable.
+    The pair on S_(1,0) is above the SEP engine's support cut in one state
+    and absent from the other, and ``sep_feasible`` refuses both ways."""
+    ga, gb = party_gram(FIXING_PAIRS), party_gram({**FIXING_PAIRS, 0: -5e-10})
+    states = [GenericState(params, tuple(positive_factor(m) for m in g.mats)) for g in (ga, gb)]
+    assert lu_equivalent(*states)
+    decisions = [sep_feasible(gram_instance(params, s, t)) for s, t in ((ga, gb), (gb, ga))]
+    assert all(dec.feasible for dec in decisions), [(d.reason, d.residual) for d in decisions]
 
 
 def test_gauge_gap_is_one_orbit_distance():

@@ -28,6 +28,9 @@ read each module with the standard library's ``ast``.
   outside a module-level constant with an upper-case name: every cut that
   small is a tolerance, and a tolerance is named once.  Docstrings are
   strings, not float literals, so they may quote the values.
+- No package module calls ``round``, ``around`` or ``rint``, as a builtin,
+  a numpy function or a method: rounding to ``decimals`` places is a cut
+  that the float-literal lint cannot see.
 - ``protocols.py`` builds ``KrausSet(`` only inside ``_kraus_set`` and
   ``LoccProtocol(`` only inside ``_local_protocol``: every construction
   returns through the builder that declares its target by the one trace
@@ -411,6 +414,40 @@ def test_no_unnamed_small_literals(path):
     assert unnamed_small_literals(path.read_text()) == []
 
 
+#: Names of the calls that round a value to a number of decimals.
+ROUNDING = {"round", "around", "rint"}
+
+
+def named_calls(source: str, names: set[str]) -> list[str]:
+    """Each call of a function or method named in ``names``."""
+    return [
+        f"line {node.lineno}: {name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", ""))) in names
+    ]
+
+
+def test_rounding_lint_sees_a_rounded_key():
+    source = (
+        "import numpy as np\nfrom numpy import rint\n\n"
+        "def key(x):\n    return round(x, 12), np.round(x, 12), np.around(x)\n\n"
+        "def snap(x):\n    return rint(x), x.round(3), _round(x), np.floor(x)\n"
+    )
+    assert named_calls(source, ROUNDING) == [
+        "line 5: round",
+        "line 5: round",
+        "line 5: around",
+        "line 8: rint",
+        "line 8: round",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_rounding_calls(path):
+    assert named_calls(path.read_text(), ROUNDING) == []
+
+
 #: Each protocol class with the one function of ``protocols.py`` that builds it.
 BUILDERS = {"KrausSet": "_kraus_set", "LoccProtocol": "_local_protocol"}
 
@@ -446,16 +483,6 @@ def test_protocols_build_only_through_the_builders():
 SEED_DECISIONS = {"check_generic", "canonical"}
 
 
-def seed_decisions(source: str) -> list[str]:
-    """Each call of a function or method named in :data:`SEED_DECISIONS`."""
-    return [
-        f"line {node.lineno}: {name}"
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call)
-        and (name := getattr(node.func, "id", getattr(node.func, "attr", ""))) in SEED_DECISIONS
-    ]
-
-
 def test_seed_lint_sees_a_stray_decision():
     source = (
         "from .seeds import check_generic\n\n"
@@ -463,7 +490,7 @@ def test_seed_lint_sees_a_stray_decision():
         "def g(seed):\n"
         "    return seeds.check_generic(seed.canonical()), _check_generic_file(seed)\n"
     )
-    assert seed_decisions(source) == [
+    assert named_calls(source, SEED_DECISIONS) == [
         "line 4: check_generic",
         "line 7: check_generic",
         "line 7: canonical",
@@ -474,7 +501,7 @@ def test_seed_lint_sees_a_stray_decision():
     "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "seeds.py"], ids=lambda p: p.name
 )
 def test_seed_decisions_stay_in_seeds(path):
-    assert seed_decisions(path.read_text()) == []
+    assert named_calls(path.read_text(), SEED_DECISIONS) == []
 
 
 #: What ``oracle.py`` may import from each engine module it audits: the
