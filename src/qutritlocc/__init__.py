@@ -25,7 +25,6 @@ from .pauli import (
     PAIR_REPS,
     PAULIS,
     ZERO_TOL,
-    apply3,
     from_coords,
     idx_add,
     idx_neg,

@@ -184,18 +184,36 @@ def scaled_into_range(m: np.ndarray) -> np.ndarray:
     return np.ldexp(m.view(float), -exponent).view(complex)
 
 
-def is_invertible(m: np.ndarray) -> bool:
-    """Whether ``|det m|`` clears the zero tolerance at the matrix's scale.
+def is_invertible(m: np.ndarray) -> bool | np.ndarray:
+    """Whether ``|det m|`` clears the zero tolerance at the matrix's scale,
+    for one matrix or for each matrix of a stack ``(..., n, n)``.
 
-    The test is scale-invariant, as states are rays: it runs on
-    :func:`scaled_into_range` of ``m``, which gives the verdict of ``m``
-    itself at any scale.  Non-finite matrices are not invertible.
+    The test is scale-invariant, as states are rays: a matrix whose squared
+    Frobenius norm is extreme runs on its :func:`scaled_into_range`, which
+    gives the verdict of the matrix itself at any scale.  The whole stack
+    takes one ``det`` call.  Non-finite matrices are not invertible.
     """
-    m = scaled_into_range(m)
-    norm2 = abs(np.vdot(m, m))
-    if not math.isfinite(norm2):
-        return False
-    return bool(abs(np.linalg.det(m)) > ZERO_TOL * (norm2 / 3.0) ** 1.5)
+    m = np.asarray(m, dtype=complex)
+    stack = np.array(m.reshape(-1, *m.shape[-2:]))  # a copy, rescaled in place
+    norm2 = _norm2(stack)
+    extreme = [i for i, n in enumerate(norm2) if not SAFE_NORM2_MIN <= n <= SAFE_NORM2_MAX]
+    for i in extreme:
+        stack[i] = scaled_into_range(stack[i])
+    if extreme:
+        norm2 = _norm2(stack)
+    finite = list(map(math.isfinite, norm2))
+    if not all(finite):  # keep NaN out of det, which would warn
+        stack[~np.array(finite)] = 0.0
+    det = np.linalg.det(stack).tolist()
+    verdict = [ok and abs(d) > ZERO_TOL * (n / 3.0) ** 1.5 for ok, d, n in zip(finite, det, norm2)]
+    return np.array(verdict, dtype=bool).reshape(m.shape[:-2]) if m.ndim > 2 else verdict[0]
+
+
+def _norm2(stack: np.ndarray) -> list[float]:
+    """Squared Frobenius norm of each matrix of a contiguous complex stack
+    ``(k, n, n)``; ``einsum`` overflows to ``inf`` without a warning."""
+    parts = stack.view(float)
+    return np.einsum("kij,kij->k", parts, parts).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +259,11 @@ def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return abc.reshape(*abc.shape[:-4], 27, 27)
 
 
-def apply3(a: np.ndarray, b: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply ``a (x) b (x) c`` to a 27-component vector without forming kron3."""
-    t = v.reshape(3, 3, 3)
-    out = np.einsum("ai,bj,ck,ijk->abc", a, b, c, t)
-    return out.reshape(27)
+def _apply_local(ops: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Every vector ``(n, 3, 3, 3)`` under every outcome's local operator
+    ``ops[o, 0] (x) ops[o, 1] (x) ops[o, 2]``, one stacked product per
+    party; the result ``(n * o, 3, 3, 3)`` runs over outcomes fastest."""
+    n, o = len(vectors), len(ops)
+    x = vectors[:, None] @ ops[None, :, None, 2].swapaxes(-1, -2)
+    x = ops[None, :, None, 1] @ x
+    return (ops[None, :, 0] @ x.reshape(n, o, 3, 9)).reshape(n * o, 3, 3, 3)

@@ -43,6 +43,7 @@ from .pauli import (
     PAIR_REPS,
     PAULIS,
     ZERO_TOL,
+    _apply_local,
     dagger,
     idx_neg,
     scaled_into_range,
@@ -50,11 +51,11 @@ from .pauli import (
 from .sep import _triple_uniform, depolarize
 from .states import (
     GenericState,
+    _unit_ray_distance,
     assemble,
     gram,
     lu_equivalent,
     positive_factor,
-    ray_distance,
     span_factor,
 )
 
@@ -167,7 +168,11 @@ def validate_povm(obj: KrausSet | LoccRound | LoccProtocol) -> float:
     if isinstance(obj, KrausSet):
         f = _stacked_factors(obj)
         g = dagger(f) @ f
-        total = np.einsum("nai,nbj,nck->abcijk", g[:, 0], g[:, 1], g[:, 2]).reshape(27, 27)
+        # ab[n] = G0 (x) G1 as (9, 9); summing ab[n] (x) G2 over n is one
+        # (81 x n) @ (n x 9) product, indexed [(a b), (i j), c, k]
+        ab = (g[:, 0, :, None, :, None] * g[:, 1, None, :, None, :]).reshape(-1, 81)
+        total = (ab.T @ g[:, 2].reshape(-1, 9)).reshape(9, 9, 3, 3)
+        total = total.transpose(0, 2, 1, 3).reshape(27, 27)
     elif isinstance(obj, LoccRound):
         m = np.array([op for _, op in obj.povm], dtype=complex).reshape(-1, 3, 3)
         total = (dagger(m) @ m).sum(axis=0)
@@ -194,50 +199,41 @@ def _round_operators(rnd: LoccRound) -> np.ndarray:
     return np.array(ops, dtype=complex).reshape(-1, 3, 3, 3)
 
 
-def _apply_local(ops: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Every vector ``(n, 3, 3, 3)`` under every outcome's local operator
-    ``ops[o, 0] (x) ops[o, 1] (x) ops[o, 2]``, one stacked product per
-    party; the result ``(n * o, 3, 3, 3)`` runs over outcomes fastest."""
-    n, o = len(vectors), len(ops)
-    x = vectors[:, None] @ ops[None, :, None, 2].swapaxes(-1, -2)
-    x = ops[None, :, None, 1] @ x
-    return (ops[None, :, 0] @ x.reshape(n, o, 3, 9)).reshape(n * o, 3, 3, 3)
-
-
 def simulate_branches(obj: KrausSet | LoccProtocol) -> BranchReport:
     """Run every branch on the normalized initial state and compare each
     to the target ray within :data:`BRANCH_MATCH_TOL`.
 
-    Branches are applied as stacks (:func:`_apply_local`): a Kraus set's
-    elements all at once, a protocol's outcomes round by round on the
-    stacked vectors of the round before (earlier rounds' outcomes vary
-    slowest).
-    Zero-probability branches are reported, marked vacuous, and do not
-    count against the match verdict.  A branch with a non-finite vector
-    is unmatched, with residual ``inf``.  Both declared states are
-    assembled as rays (:func:`~qutritlocc.states.assemble`), so their
-    norms cannot overflow.
+    Branches are applied as stacks (:func:`~qutritlocc.pauli._apply_local`):
+    a Kraus set's elements all at once, a protocol's outcomes round by
+    round on the stacked vectors of the round before (earlier rounds'
+    outcomes vary slowest).  Each branch vector is then divided by its
+    norm once, and its distance to the target ray is taken between the
+    unit vectors.  Zero-probability branches are reported, marked
+    vacuous, and do not count against the match verdict.  A branch with a
+    non-finite vector is unmatched, with residual ``inf``.  Both declared
+    states are assembled as rays (:func:`~qutritlocc.states.assemble`),
+    so their norms cannot overflow.
     """
-    v0 = assemble(obj.initial)
-    vectors = (v0 / np.linalg.norm(v0)).reshape(1, 3, 3, 3)
     if isinstance(obj, KrausSet):
         steps = [(_stacked_factors(obj), [el.label for el in obj.elements])]
     else:
         steps = [(_round_operators(rnd), [label for label, _ in rnd.povm]) for rnd in obj.rounds]
     labels = [()]
-    # a non-finite operator gives a non-finite branch, reported below
-    with np.errstate(invalid="ignore", over="ignore"):
+    initial, target = assemble(obj.initial), assemble(obj.target)
+    vectors = (initial / np.linalg.norm(initial)).reshape(1, 3, 3, 3)
+    # a non-finite operator gives a non-finite branch and a vacuous branch
+    # a zero vector: their unit vectors are NaN, and their rows are set below
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for ops, step_labels in steps:
             vectors = _apply_local(ops, vectors)
             labels = [prev + (label,) for prev in labels for label in step_labels]
-    vectors = vectors.reshape(-1, 27)
-
-    prob = np.einsum("ni,ni->n", vectors.conj(), vectors).real
+        vectors = vectors.reshape(-1, 27)
+        prob = (vectors.conj() * vectors).real.sum(axis=1)
+        unit = vectors / np.sqrt(prob)[:, None]
+        distance = _unit_ray_distance(unit, target / np.linalg.norm(target))
     finite = np.isfinite(prob)
     vacuous = finite & (prob <= VACUOUS_PROB)
-    live = finite & ~vacuous
-    residual = np.where(finite, 0.0, np.inf)
-    residual[live] = ray_distance(vectors[live], assemble(obj.target))
+    residual = np.where(vacuous, 0.0, np.where(finite, distance, np.inf))
     matched = vacuous | (residual <= BRANCH_MATCH_TOL)
     records = tuple(
         BranchRecord(labels=lab, probability=p, residual=r, vacuous=v, matched=m)

@@ -329,15 +329,18 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
 # Canonical initial candidates for reachability checks
 # ---------------------------------------------------------------------------
 
-def candidate_initial_grams(final: GramTriple) -> tuple[tuple[str, GramTriple], ...]:
+def candidate_initial_grams(
+    final: GramTriple, tol: float = ZERO_TOL
+) -> tuple[tuple[str, GramTriple], ...]:
     """Initial Gram triples from which a structurally reachable target
-    would be reached: the bare seed, plus, for every detected confined
-    case, the final triple depolarized uniformly over the confined pair's
-    symmetry labels (which leaves the confined parties untouched).  No
-    pair repeats: two confined matches on one pair would confine all three
-    parties to it, and then neither is an LOCC case.
+    would be reached: the bare seed, plus, for every confined case that
+    :func:`~qutritlocc.classify.classify_gram` detects at the support cut
+    ``tol``, the final triple depolarized uniformly over the confined
+    pair's symmetry labels (which leaves the confined parties untouched).
+    No pair repeats: two confined matches on one pair would confine all
+    three parties to it, and then neither is an LOCC case.
     """
     return (("seed", seed_gram()),) + tuple(
         (f"confined-{match.pair}", induced_initial(final, _triple_uniform(match.pair)))
-        for match in classify_gram(final).locc_cases
+        for match in classify_gram(final, tol).locc_cases
     )

@@ -8,9 +8,10 @@ included, raises :class:`SchemaError` naming the offending field's path.
 
 from __future__ import annotations
 
-import cmath
+import bisect
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -126,48 +127,107 @@ def _list(obj: dict, path: str, key: str, expected: str, size=None) -> list:
     return value
 
 
-class _EntryError(ValueError):
-    """A complex entry is malformed; the caller adds the entry's path."""
+#: Why an entry that is not a ``[re, im]`` pair of numbers is refused.
+_NOT_A_PAIR = "expected a [re, im] pair of numbers"
+
+#: Where each entry of a matrix sits, relative to the matrix's path.
+_CELLS = tuple(f"[{i}][{j}]" for i in range(3) for j in range(3))
+
+#: Where each amplitude of a seed sits, relative to the seed's path.
+_AMPLITUDES = (".a", ".b", ".c")
 
 
-def _complex(value: Any) -> complex:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise _EntryError("expected a [re, im] pair of numbers")
-    re, im = value
-    if not (
-        (isinstance(re, float) or isinstance(re, int) and not isinstance(re, bool))
-        and (isinstance(im, float) or isinstance(im, int) and not isinstance(im, bool))
-    ):
-        raise _EntryError("expected a [re, im] pair of numbers")
+def _is_number_type(t: type) -> bool:
+    """Whether values of type ``t`` may be a part of an entry: a float or an
+    int, but not a bool."""
+    return issubclass(t, (float, int)) and not issubclass(t, bool)
+
+
+def _is_pair(value: Any) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2
+
+
+def _overflows(x: Any) -> bool:
+    """Whether the number ``x`` (an int) has no float."""
     try:
-        z = complex(re, im)
-    except OverflowError as exc:
-        raise _EntryError("non-finite number: an integer overflows a float") from exc
-    if not cmath.isfinite(z):
-        raise _EntryError(f"non-finite number {value!r} is not allowed")
-    return z
+        float(x)
+    except OverflowError:
+        return True
+    return False
 
 
-def _parse_num(value: Any, path: str) -> complex:
-    try:
-        return _complex(value)
-    except _EntryError as exc:
-        raise SchemaError(path, str(exc)) from exc
+class _Entries:
+    """The complex entries of one document, gathered in one walk and
+    converted at once.
 
+    The walk hands over each matrix, checked where it is met for three
+    rows of three entries, and each seed's three amplitudes, with their
+    paths.  :meth:`decode` then converts every entry in one typed float
+    array.  The first entry in document order that is not a ``[re, im]``
+    pair of numbers (a bool is not one), whose integer overflows a float
+    or that is not finite raises :class:`SchemaError`, named from its
+    index: its block's path and its place in the block.
+    """
 
-def _parse_mat(value: Any, path: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != 3:
-        raise SchemaError(path, "expected a 3x3 matrix as three rows")
-    entries = []
-    try:
+    def __init__(self) -> None:
+        self.rows: list[list] = []
+        self.starts: list[int] = []
+        self.names: list[tuple[str, tuple[str, ...]]] = []
+        self.size = 0
+
+    def _add(self, rows: list, path: str, places: tuple[str, ...]) -> int:
+        self.rows.extend(rows)
+        self.starts.append(self.size)
+        self.names.append((path, places))
+        self.size += len(places)
+        return self.starts[-1]
+
+    def matrix(self, value: Any, path: str) -> int:
+        """Gather a 3x3 matrix; return the index of its first entry."""
+        if not isinstance(value, list) or len(value) != 3:
+            raise SchemaError(path, "expected a 3x3 matrix as three rows")
         for i, row in enumerate(value):
             if not isinstance(row, list) or len(row) != 3:
                 raise SchemaError(f"{path}[{i}]", "expected a row of three entries")
-            for j, z in enumerate(row):
-                entries.append(_complex(z))
-    except _EntryError as exc:
-        raise SchemaError(f"{path}[{i}][{j}]", str(exc)) from exc
-    return np.array(entries, dtype=complex).reshape(3, 3)
+        return self._add(value, path, _CELLS)
+
+    def seed(self, obj: Any, path: str) -> int:
+        """Gather a seed's amplitudes; return the index of the first."""
+        return self._add([[_get(obj, path, key) for key in "abc"]], path, _AMPLITUDES)
+
+    def decode(self) -> np.ndarray:
+        """Every entry, in the order gathered, as one complex array.
+
+        Each check looks only at the entries before the earliest fault
+        found so far, so the fault raised is the first in document order.
+        """
+        pairs = list(chain.from_iterable(self.rows))
+        fault = None  # (entry, message)
+        if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) == {2}):
+            k = next((k for k, z in enumerate(pairs) if not _is_pair(z)), None)
+            if k is not None:
+                fault, pairs = (k, _NOT_A_PAIR), pairs[:k]
+        parts = list(chain.from_iterable(pairs))
+        odd = {t for t in set(map(type, parts)) if not _is_number_type(t)}
+        if odd:
+            k = next(k for k, x in enumerate(parts) if type(x) in odd) // 2
+            fault, parts = (k, _NOT_A_PAIR), parts[: 2 * k]
+        try:
+            values = np.array(parts, dtype=float)
+        except OverflowError:
+            k = next(k for k, x in enumerate(parts) if _overflows(x)) // 2
+            fault = (k, "non-finite number: an integer overflows a float")
+            values = np.array(parts[: 2 * k], dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
+            k = int(np.argmin(finite)) // 2
+            fault = (k, f"non-finite number {pairs[k]!r} is not allowed")
+        if fault is not None:
+            k, message = fault
+            block = bisect.bisect_right(self.starts, k) - 1
+            path, places = self.names[block]
+            raise SchemaError(path + places[k - self.starts[block]], message)
+        return values.view(complex)
 
 
 def _parse_label(value: Any, path: str) -> tuple[int, int]:
@@ -201,33 +261,62 @@ def _check_version(obj: dict, path: str) -> None:
         )
 
 
-def seed_from_json(obj: Any, path: str = "$") -> SeedParams:
-    abc = [_field(obj, path, key, _parse_num) for key in "abc"]
+def _seed(z: np.ndarray, start: int, path: str) -> SeedParams:
+    """The seed whose amplitudes start at ``z[start]``."""
     try:
-        return SeedParams(*abc)
+        return SeedParams(*z[start : start + 3])
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from exc
+
+
+def _matrix_at(z: np.ndarray, start: int) -> np.ndarray:
+    return z[start : start + 9].reshape(3, 3)
+
+
+def seed_from_json(obj: Any, path: str = "$") -> SeedParams:
+    entries = _Entries()
+    start = entries.seed(obj, path)
+    return _seed(entries.decode(), start, path)
+
+
+def _read_state(obj: Any, path: str, entries: _Entries) -> tuple[int, int]:
+    """Walk a state document, gathering its seed and its three factors;
+    return where each starts."""
+    _check_version(obj, path)
+    seed = entries.seed(_get(obj, path, "seed"), f"{path}.seed")
+    g = _list(obj, path, "g", "expected three factor matrices", (3,))
+    factors = [entries.matrix(f, f"{path}.g[{i}]") for i, f in enumerate(g)]
+    metadata = obj.get("metadata")
+    if metadata is not None and not isinstance(metadata, dict):
+        raise SchemaError(f"{path}.metadata", "expected an object")
+    return seed, factors[0]  # the three factors are gathered one after another
+
+
+def _state(
+    z: np.ndarray, starts: tuple[int, int], path: str, seed: SeedParams | None = None
+) -> GenericState:
+    """The state read by :func:`_read_state`: its seed is ``seed`` when
+    that is given (the same amplitudes, already parsed), else parsed."""
+    if seed is None:
+        seed = _seed(z, starts[0], f"{path}.seed")
+    factors = z[starts[1] : starts[1] + 27].reshape(3, 3, 3)
+    try:
+        return GenericState(seed=seed, factors=tuple(factors))
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 
 
 def state_from_json(obj: Any, path: str = "$") -> GenericState:
-    _check_version(obj, path)
-    seed = _field(obj, path, "seed", seed_from_json)
-    g = _list(obj, path, "g", "expected three factor matrices", (3,))
-    factors = tuple(_parse_mat(f, f"{path}.g[{i}]") for i, f in enumerate(g))
-    metadata = obj.get("metadata")
-    if metadata is not None and not isinstance(metadata, dict):
-        raise SchemaError(f"{path}.metadata", "expected an object")
-    try:
-        return GenericState(seed=seed, factors=factors)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
+    entries = _Entries()
+    starts = _read_state(obj, path, entries)
+    return _state(entries.decode(), starts, path)
 
 
-def _outcome(out: Any, path: str, party: int):
-    """One outcome of a round that ``party`` measures: its POVM entry
-    ``(label, operator)`` and its corrections."""
+def _read_outcome(out: Any, path: str, party: int, entries: _Entries):
+    """One outcome of a round that ``party`` measures: its label, where its
+    operator starts, and its corrections' parties and starts."""
     label = _field(out, path, "label", _parse_label)
-    op = _field(out, path, "operator", _parse_mat)
+    op = entries.matrix(_get(out, path, "operator"), f"{path}.operator")
     corrections = []
     for m, c in enumerate(_list(out, path, "corrections", "expected a list")):
         c_path = f"{path}.corrections[{m}]"
@@ -236,42 +325,75 @@ def _outcome(out: Any, path: str, party: int):
             raise SchemaError(f"{c_path}.party", "expected one of the other two parties")
         if c_party in (p for p, _ in corrections):
             raise SchemaError(f"{c_path}.party", f"party {c_party} is listed twice")
-        corrections.append((c_party, _field(c, c_path, "unitary", _parse_mat)))
-    return (label, op), tuple(corrections)
+        unitary = entries.matrix(_get(c, c_path, "unitary"), f"{c_path}.unitary")
+        corrections.append((c_party, unitary))
+    return label, op, corrections
 
 
 def protocol_from_json(obj: Any, path: str = "$") -> KrausSet | LoccProtocol:
+    """A protocol document, walked once: its fields are checked as they are
+    met, then every entry is converted at once (:class:`_Entries`).  When
+    the target's seed has the initial's amplitudes bit for bit, the two
+    states share one parsed seed."""
     _check_version(obj, path)
     kind = _get(obj, path, "kind")
     notes = _list(obj, path, "notes", "expected a list of strings")
-    common = {
-        "initial": _field(obj, path, "initial", state_from_json),
-        "target": _field(obj, path, "target", state_from_json),
-        "construction": _field(obj, path, "construction", _parse_str),
-        "notes": tuple(_parse_str(n, f"{path}.notes[{i}]") for i, n in enumerate(notes)),
-    }
+    entries = _Entries()
+    initial = _read_state(_get(obj, path, "initial"), f"{path}.initial", entries)
+    target = _read_state(_get(obj, path, "target"), f"{path}.target", entries)
+    construction = _field(obj, path, "construction", _parse_str)
+    notes = tuple(_parse_str(n, f"{path}.notes[{i}]") for i, n in enumerate(notes))
     if kind == "kraus":
-        listed = _list(obj, path, "elements", "expected a nonempty list", _NONEMPTY)
         elements = []
+        listed = _list(obj, path, "elements", "expected a nonempty list", _NONEMPTY)
         for i, el in enumerate(listed):
             el_path = f"{path}.elements[{i}]"
             factors = _list(el, el_path, "factors", "expected three factors", (3,))
             label = _field(el, el_path, "label", _parse_label)
-            mats = (_parse_mat(f, f"{el_path}.factors[{j}]") for j, f in enumerate(factors))
-            elements.append(KrausElement(label=label, factors=tuple(mats)))
-        return KrausSet(elements=tuple(elements), **common)
-    if kind == "locc":
+            mats = [entries.matrix(f, f"{el_path}.factors[{j}]") for j, f in enumerate(factors)]
+            elements.append((label, mats))
+    elif kind == "locc":
         rounds = []
         for i, rnd in enumerate(_list(obj, path, "rounds", "expected a nonempty list", _NONEMPTY)):
             rnd_path = f"{path}.rounds[{i}]"
             party = _field(rnd, rnd_path, "party", _parse_party)
             outcomes = _list(rnd, rnd_path, "outcomes", "expected a nonempty list", _NONEMPTY)
-            povm, corrections = zip(
-                *(_outcome(o, f"{rnd_path}.outcomes[{j}]", party) for j, o in enumerate(outcomes))
+            rounds.append(
+                (party, [_read_outcome(o, f"{rnd_path}.outcomes[{j}]", party, entries)
+                         for j, o in enumerate(outcomes)])
             )
-            rounds.append(LoccRound(party=party, povm=povm, corrections=corrections))
-        return LoccProtocol(rounds=tuple(rounds), **common)
-    raise SchemaError(f"{path}.kind", f"expected 'kraus' or 'locc', got {kind!r}")
+    else:
+        raise SchemaError(f"{path}.kind", f"expected 'kraus' or 'locc', got {kind!r}")
+    z = entries.decode()
+    first = _state(z, initial, f"{path}.initial")
+    same = z[initial[0] : initial[0] + 3].tobytes() == z[target[0] : target[0] + 3].tobytes()
+    common = {
+        "initial": first,
+        "target": _state(z, target, f"{path}.target", first.seed if same else None),
+        "construction": construction,
+        "notes": notes,
+    }
+    if kind == "kraus":
+        return KrausSet(
+            elements=tuple(
+                KrausElement(label=label, factors=tuple(_matrix_at(z, m) for m in mats))
+                for label, mats in elements
+            ),
+            **common,
+        )
+    return LoccProtocol(
+        rounds=tuple(
+            LoccRound(
+                party=party,
+                povm=tuple((label, _matrix_at(z, op)) for label, op, _ in outcomes),
+                corrections=tuple(
+                    tuple((c, _matrix_at(z, u)) for c, u in corr) for _, _, corr in outcomes
+                ),
+            )
+            for party, outcomes in rounds
+        ),
+        **common,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .pauli import (
     INDEX_ORDER,
     NORM_FLOOR,
     ZERO_TOL,
-    apply3,
+    _apply_local,
     dagger,
     idx_neg,
     is_hermitian,
@@ -71,11 +71,13 @@ class GenericState:
     The represented 27-component vector is ``(g1 (x) g2 (x) g3)|seed>``.
     Construction validates that the seed is generic (by its
     :attr:`~qutritlocc.seeds.SeedParams.genericity`, screened once per seed)
-    and every factor finite and invertible; the stored arrays are frozen
-    copies.  The state's Gram triple is computed on the first :func:`gram`
-    call and kept for the state's life, which the frozen factors make safe.
-    Equality is identity (states hash); whether two states are the same up
-    to local unitaries is :func:`lu_equivalent`'s question.
+    and every factor finite and invertible, all three in one stacked
+    :func:`~qutritlocc.pauli.is_invertible` call; the stored arrays are
+    read-only views of one frozen copy.  The state's Gram triple is
+    computed on the first :func:`gram` call and kept for the state's life,
+    which the frozen factors make safe.  Equality is identity (states
+    hash); whether two states are the same up to local unitaries is
+    :func:`lu_equivalent`'s question.
     """
 
     seed: SeedParams
@@ -86,18 +88,18 @@ class GenericState:
         if not report.generic:
             names = ", ".join(name for name, _ in report.violations)
             raise ValueError(f"seed is not generic (violated: {names})")
-        mats = []
-        for i, g in enumerate(self.factors):
-            g = np.asarray(g, dtype=complex)
+        mats = [np.asarray(g, dtype=complex) for g in self.factors]
+        for i, g in enumerate(mats):
             if g.shape != (3, 3):
                 raise ValueError(f"factor {i} must be 3x3, got {g.shape}")
-            if not np.isfinite(g).all():
+        mats = np.array(mats)
+        finite = np.isfinite(mats).all(axis=(-2, -1))
+        for i, (ok, invertible) in enumerate(zip(finite, is_invertible(mats))):
+            if not ok:
                 raise ValueError(f"factor {i} is not finite")
-            if not is_invertible(g):
+            if not invertible:
                 raise ValueError(f"factor {i} is numerically singular")
-            g = g.copy()
-            g.setflags(write=False)
-            mats.append(g)
+        mats.setflags(write=False)
         object.__setattr__(self, "factors", tuple(mats))
 
     @functools.cached_property
@@ -107,15 +109,17 @@ class GenericState:
 
 
 def assemble(state: GenericState) -> np.ndarray:
-    """The represented 27-component vector (not normalized), as a ray.
+    """The represented 27-component vector (not normalized), as a ray:
+    the seed under the three factors, one stacked product per party.
 
     Each factor, and the assembled vector, passes through
     :func:`scaled_into_range`: the result is the same ray at a scale that
     cannot over- or underflow however large or small the factors are, and
     at ordinary scale it is the vector itself.
     """
-    factors = (scaled_into_range(g) for g in state.factors)
-    return scaled_into_range(apply3(*factors, build_seed(state.seed)))
+    factors = np.array([scaled_into_range(g) for g in state.factors])
+    seed = build_seed(state.seed).reshape(1, 3, 3, 3)
+    return scaled_into_range(_apply_local(factors[None], seed).reshape(27))
 
 
 @dataclass(frozen=True)
@@ -350,9 +354,15 @@ def ray_distance(v1: np.ndarray, v2: np.ndarray) -> float | np.ndarray:
     n1, n2 = np.linalg.norm(v1, axis=-1)[..., None], np.linalg.norm(v2)
     if n2 == 0 or np.any(n1 == 0):
         raise ValueError("ray distance of a zero vector is undefined")
-    u1, u2 = v1 / n1, v2 / n2
+    distance = _unit_ray_distance(v1 / n1, v2 / n2)
+    return float(distance) if distance.ndim == 0 else distance
+
+
+def _unit_ray_distance(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """:func:`ray_distance` of unit vectors ``u1`` (one, or a stack of
+    rows) and ``u2``; the phase is taken as 1 where the overlap is zero."""
     overlap = u1 @ u2.conj()
     size = np.abs(overlap)
     phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0)
-    distance = np.linalg.norm(u1 - phase[..., None] * u2, axis=-1)
-    return float(distance) if distance.ndim == 0 else distance
+    d = u1 - phase[..., None] * u2
+    return np.sqrt((d.conj() * d).real.sum(axis=-1))  # np.linalg.norm's sum, undispatched

@@ -59,6 +59,8 @@ TEST_FACING = {
     "verify_symmetries": "acceptance criterion 1 checks the nine symmetries with it",
     "permute_state": "relabels parties for the party-permutation invariance tests",
     "permute_vector": "the vector relabeling that permute_state is checked against",
+    "ray_distance": "the tests' ray metric for assembled states; simulate_branches "
+    "normalizes its branches once and calls its unit-vector core",
 }
 
 

@@ -17,7 +17,7 @@ from qutritlocc.pauli import (
     ZERO_TOL,
     X,
     Z,
-    apply3,
+    _apply_local,
     dagger,
     from_coords,
     idx_add,
@@ -28,6 +28,7 @@ from qutritlocc.pauli import (
     pair_rep,
     pauli_coords,
     pauli_matrix,
+    scaled_into_range,
 )
 
 ATOL = 1e-12
@@ -213,6 +214,42 @@ def test_is_hermitian_of_a_stack_is_per_matrix(re, im, skew):
     assert list(verdicts) == [bool(ratio <= ZERO_TOL)] * 3 + [False, True]
 
 
+def per_matrix_invertible(m):
+    """The one-matrix rule: ``|det|`` against ``ZERO_TOL (||m||^2 / 3)^1.5``
+    on the matrix rescaled into range."""
+    m = scaled_into_range(m)
+    norm2 = abs(np.vdot(m, m))
+    return bool(np.isfinite(norm2) and abs(np.linalg.det(m)) > ZERO_TOL * (norm2 / 3.0) ** 1.5)
+
+
+@settings(max_examples=60)
+@given(re=real_3x3, im=real_3x3, shrink=st.sampled_from([1.0, 1e-4, 1e-9, 1e-14]))
+def test_is_invertible_of_a_stack_is_per_matrix(re, im, shrink):
+    """A stack gets each matrix's own verdict, the one-matrix rule's,
+    whatever the scales and the entries of the others, and a matrix's
+    verdict is the same at scales 1 and 1e+-200.  Singular, zero and
+    non-finite members are never invertible."""
+    m = re + 1j * im
+    m[2] = shrink * m[2] + m[0] + m[1]  # shrink -> 0 makes m singular
+    norm2 = abs(np.vdot(m, m))
+    ratio = abs(np.linalg.det(m)) / max((norm2 / 3.0) ** 1.5, 1e-300)
+    assume(abs(ratio / ZERO_TOL - 1.0) > 1e-6)  # at the cut, rounding decides
+    singular = np.stack([m[0], m[1], m[0] - m[1]])
+    members = [1e200 * m, m, 1e-200 * m, singular, 1e200 * singular, np.zeros((3, 3))]
+    for bad in (np.nan, np.inf, -np.inf):
+        odd = m.copy()
+        odd[1, 2] = bad
+        members.append(odd)
+    stack = np.stack(members)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):  # no warning
+        verdicts = is_invertible(stack)
+    assert verdicts.shape == (len(members),)
+    assert list(verdicts) == [per_matrix_invertible(x) for x in stack]
+    assert list(verdicts) == [bool(norm2 > 0 and ratio > ZERO_TOL)] * 3 + [False] * 6
+    grid = is_invertible(stack.reshape(3, 3, 3, 3))
+    assert grid.tolist() == np.reshape(verdicts, (3, 3)).tolist()
+
+
 def test_kron3_diagonal():
     a, b, c = np.diag([1.0, 2, 3]), np.diag([1.0, 1, 1]), np.diag([2.0, 1, 1])
     k = kron3(a, b, c)
@@ -250,15 +287,19 @@ def test_kron3_is_bit_identical_to_nested_kron(rng):
             assert slice_.tobytes() == np.kron(np.kron(a, b), c).tobytes()
 
 
-def test_apply3_identity(rng):
-    v = rng.normal(size=27) + 1j * rng.normal(size=27)
-    np.testing.assert_allclose(apply3(np.eye(3), np.eye(3), np.eye(3), v), v, atol=0)
+def test_apply_local_identity(rng):
+    v = rng.normal(size=(2, 3, 3, 3)) + 1j * rng.normal(size=(2, 3, 3, 3))
+    got = _apply_local(np.broadcast_to(np.eye(3), (1, 3, 3, 3)), v)
+    np.testing.assert_allclose(got, v, atol=0)
 
 
-def test_apply3_matches_kron3(rng):
-    mats = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3)]
-    v = rng.normal(size=27) + 1j * rng.normal(size=27)
-    np.testing.assert_allclose(apply3(*mats, v), kron3(*mats) @ v, atol=1e-12)
+def test_apply_local_matches_kron3(rng):
+    """Each vector under each outcome's operator, outcomes varying fastest."""
+    ops = rng.normal(size=(4, 3, 3, 3)) + 1j * rng.normal(size=(4, 3, 3, 3))
+    v = rng.normal(size=(2, 27)) + 1j * rng.normal(size=(2, 27))
+    got = _apply_local(ops, v.reshape(2, 3, 3, 3)).reshape(2, 4, 27)
+    for n, o in itertools.product(range(2), range(4)):
+        np.testing.assert_allclose(got[n, o], kron3(*ops[o]) @ v[n], atol=1e-12)
 
 
 def test_predicates():

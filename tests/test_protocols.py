@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 import warnings
 
@@ -27,6 +28,7 @@ from qutritlocc.protocols import (
 )
 from qutritlocc.seeds import SeedParams
 from qutritlocc.sep import gram_instance, sep_feasible
+from qutritlocc.statefile import protocol_from_json, protocol_to_json
 from qutritlocc.states import (
     GenericState,
     assemble,
@@ -332,23 +334,38 @@ def kron_reference(obj):
     return completeness, records
 
 
+def matrices(obj):
+    """Every matrix a protocol holds, in a fixed order."""
+    mats = [*obj.initial.factors, *obj.target.factors]
+    if isinstance(obj, KrausSet):
+        return mats + [f for el in obj.elements for f in el.factors]
+    for rnd in obj.rounds:
+        mats += [m for _, m in rnd.povm] + [u for corr in rnd.corrections for _, u in corr]
+    return mats
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
 @pytest.mark.parametrize("construction", list(SCALED_BUILDS))
 def test_stacked_kernels_match_the_kron_reference(params, construction, scale):
     """The stacked completeness sum and branch simulation agree with full
     Kronecker operators applied one branch at a time, on every
-    construction and with the inputs scaled by 1e+-200."""
-    obj = SCALED_BUILDS[construction](params, np.random.default_rng(0), scale)
-    completeness, records = kron_reference(obj)
-    assert abs(validate_povm(obj) - completeness) <= 1e-14
-    report = simulate_branches(obj)
-    assert [b.labels for b in report.branches] == [r[0] for r in records]
-    assert [b.vacuous for b in report.branches] == [r[3] for r in records]
-    assert [b.matched for b in report.branches] == [r[4] for r in records]
-    for b, (_, prob, residual, _, _) in zip(report.branches, records):
-        assert abs(b.probability - prob) <= 1e-14
-        assert abs(b.residual - residual) <= 1e-14
-    assert abs(report.probability_sum - sum(r[1] for r in records)) <= 1e-14
+    construction and with the inputs scaled by 1e+-200, both as built and
+    after a JSON round trip, which gives back every matrix bit for bit."""
+    built = SCALED_BUILDS[construction](params, np.random.default_rng(0), scale)
+    reloaded = protocol_from_json(json.loads(json.dumps(protocol_to_json(built))))
+    pairs = list(zip(matrices(built), matrices(reloaded), strict=True))
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs)
+    for obj in (built, reloaded):
+        completeness, records = kron_reference(obj)
+        assert abs(validate_povm(obj) - completeness) <= 1e-14
+        report = simulate_branches(obj)
+        assert [b.labels for b in report.branches] == [r[0] for r in records]
+        assert [b.vacuous for b in report.branches] == [r[3] for r in records]
+        assert [b.matched for b in report.branches] == [r[4] for r in records]
+        for b, (_, prob, residual, _, _) in zip(report.branches, records):
+            assert abs(b.probability - prob) <= 1e-14
+            assert abs(b.residual - residual) <= 1e-14
+        assert abs(report.probability_sum - sum(r[1] for r in records)) <= 1e-14
 
 
 def test_confined_map_with_occupied_partners(params, rng):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qutritlocc.pauli import INDEX_ORDER, PAULIS, apply3
+from qutritlocc.pauli import INDEX_ORDER, PAULIS, kron3
 from qutritlocc.seeds import (
     AUDIT_PROJ_TOL,
     AUDIT_SCREEN_MARGIN,
@@ -151,7 +151,7 @@ def test_verify_symmetries(params):
 def test_single_party_shift_is_not_a_symmetry():
     v = build_seed(SeedParams(2, 3, 5))
     s = PAULIS[(1, 0)]
-    moved = apply3(s, np.eye(3), np.eye(3), v)
+    moved = kron3(s, np.eye(3), np.eye(3)) @ v
     assert np.linalg.norm(moved - v) / np.linalg.norm(v) > 0.5
 
 

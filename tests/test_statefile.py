@@ -21,9 +21,12 @@ from qutritlocc.statefile import (
     protocol_to_json,
     save_protocol,
     save_state,
+    seed_to_json,
     state_from_json,
     state_to_json,
 )
+from qutritlocc.generate import random_seed_params
+from qutritlocc.seeds import SeedParams
 from qutritlocc.states import GenericState, positive_factor, span_factor
 
 from helpers import pair_mat
@@ -391,3 +394,155 @@ def test_unreadable_and_invalid_files(tmp_path):
     with pytest.raises(SchemaError) as err:
         load_state(bad)
     assert "not valid JSON" in str(err.value)
+
+
+#: Where a bad entry is planted in a protocol document: the keys down to
+#: a ``[re, im]`` entry, with that entry's path.
+ENTRY_SITES = {
+    "initial-factor": ("kraus", ["initial", "g", 1, 2, 0], "$.initial.g[1][2][0]"),
+    "initial-seed": ("kraus", ["initial", "seed", "b"], "$.initial.seed.b"),
+    "target-factor": ("locc", ["target", "g", 0, 0, 1], "$.target.g[0][0][1]"),
+    "target-seed": ("locc", ["target", "seed", "a"], "$.target.seed.a"),
+    "kraus-factor": (
+        "kraus", ["elements", 4, "factors", 2, 0, 1], "$.elements[4].factors[2][0][1]"
+    ),
+    "correction": (
+        "locc",
+        ["rounds", 0, "outcomes", 1, "corrections", 0, "unitary", 2, 2],
+        "$.rounds[0].outcomes[1].corrections[0].unitary[2][2]",
+    ),
+}
+
+NOT_A_PAIR = "expected a [re, im] pair of numbers"
+
+#: How an entry is spoiled, with the message its path is given.
+BAD_ENTRIES = {
+    "bool-re": (lambda z: [True, z[1]], lambda z: NOT_A_PAIR),
+    "bool-im-zero": (lambda z: [z[0], False], lambda z: NOT_A_PAIR),
+    "string": (lambda z: [str(z[0]), z[1]], lambda z: NOT_A_PAIR),
+    "null": (lambda z: [z[0], None], lambda z: NOT_A_PAIR),
+    "triple": (lambda z: [z[0], z[1], 0.0], lambda z: NOT_A_PAIR),
+    "number": (lambda z: z[0], lambda z: NOT_A_PAIR),
+    "nested": (lambda z: [z, z], lambda z: NOT_A_PAIR),
+    "int-400-digits": (
+        lambda z: [z[0], 10**400],
+        lambda z: "non-finite number: an integer overflows a float",
+    ),
+    "nan": (
+        lambda z: [float("nan"), z[1]],
+        lambda z: f"non-finite number {[float('nan'), z[1]]!r} is not allowed",
+    ),
+    "inf": (
+        lambda z: [z[0], float("inf")],
+        lambda z: f"non-finite number {[z[0], float('inf')]!r} is not allowed",
+    ),
+    "minus-inf": (
+        lambda z: (float("-inf"), z[1]),
+        lambda z: f"non-finite number {(float('-inf'), z[1])!r} is not allowed",
+    ),
+}
+
+
+def planted(params, site):
+    """A document with the entry at ``site``, and that entry's holder and key."""
+    kind, keys, path = ENTRY_SITES[site]
+    doc = json.loads(json.dumps(documents(params)[kind][1]))
+    *parents, last = keys
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    return doc, holder, last, path
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ENTRIES))
+@pytest.mark.parametrize("site", sorted(ENTRY_SITES))
+def test_a_bad_entry_is_named_at_its_path(params, site, bad):
+    """Every kind of bad entry, in either state, a Kraus factor or a
+    correction, is refused at the entry's own path with its own reason,
+    however the rest of the document converts."""
+    doc, holder, key, path = planted(params, site)
+    spoil, reason = BAD_ENTRIES[bad]
+    entry = holder[key]
+    holder[key] = spoil(entry)
+    with pytest.raises(SchemaError) as err:
+        protocol_from_json(doc)
+    assert str(err.value) == f"{path}: {reason(entry)}"
+    assert err.value.path == path
+
+
+def test_the_first_bad_entry_in_document_order_is_named(params):
+    """With several bad entries, the decoder names the first in document
+    order, whichever kind of fault each has."""
+    doc = json.loads(json.dumps(documents(params)["kraus"][1]))
+    factor = doc["elements"][2]["factors"][1]
+    factor[0][1] = [float("nan"), 0.0]
+    factor[1][0] = [True, 0.0]
+    factor[2][2] = [10**400, 0.0]
+    doc["elements"][5]["factors"][0][0][0] = "x"
+    with pytest.raises(SchemaError) as err:
+        protocol_from_json(doc)
+    assert err.value.path == "$.elements[2].factors[1][0][1]"
+    factor[0][1] = [0.5, 0.0]
+    with pytest.raises(SchemaError) as err:
+        protocol_from_json(doc)
+    assert str(err.value) == f"$.elements[2].factors[1][1][0]: {NOT_A_PAIR}"
+    factor[1][0] = (0.5, 0)
+    with pytest.raises(SchemaError, match="overflows") as err:
+        protocol_from_json(doc)
+    assert err.value.path == "$.elements[2].factors[1][2][2]"
+
+
+@pytest.mark.parametrize("kind", ["state", "kraus", "locc"])
+def test_numpy_float_entries_decode_as_floats(params, kind):
+    """A document whose numbers are ``np.float64`` (a float subclass)
+    decodes to the same arrays as its plain-float twin."""
+    decode, doc = documents(params)[kind]
+
+    def typed(value):
+        if isinstance(value, float):
+            return np.float64(value)
+        if isinstance(value, list):
+            return [typed(x) for x in value]
+        if isinstance(value, dict):
+            return {k: typed(v) for k, v in value.items()}
+        return value
+
+    plain, numpy_typed = decode(doc), decode(typed(doc))
+    states = (plain,) if kind == "state" else (plain.initial, plain.target)
+    again = (numpy_typed,) if kind == "state" else (numpy_typed.initial, numpy_typed.target)
+    for a, b in zip(states, again):
+        assert a.seed == b.seed
+        assert all(np.array_equal(x, y) for x, y in zip(a.factors, b.factors))
+    assert json.dumps(protocol_to_json(plain) if kind != "state" else state_to_json(plain)) == (
+        json.dumps(protocol_to_json(numpy_typed) if kind != "state" else state_to_json(numpy_typed))
+    )
+
+
+def test_a_target_seed_equal_to_the_initial_one_is_shared(params):
+    doc = json.loads(json.dumps(documents(params)["locc"][1]))
+    proto = protocol_from_json(doc)
+    assert proto.target.seed is proto.initial.seed
+
+
+def test_differing_seeds_are_each_parsed_and_checked_at_their_path(params, rng):
+    """When the target's seed is another one, it is parsed on its own (a
+    generic seed is kept as the target's), and its faults are named at the
+    target's paths."""
+    doc = json.loads(json.dumps(documents(params)["locc"][1]))
+    other = random_seed_params(rng)
+    doc["target"]["seed"] = seed_to_json(other)
+    proto = protocol_from_json(json.loads(json.dumps(doc)))
+    assert proto.target.seed == other and proto.initial.seed == params
+    doc["target"]["seed"] = {"a": [0.0, 0.0], "b": [0.0, 0.0], "c": [0.0, 0.0]}
+    with pytest.raises(SchemaError) as err:
+        protocol_from_json(doc)
+    assert err.value.path == "$.target.seed"
+    doc["target"]["seed"] = seed_to_json(SeedParams(1, 1, 2))
+    with pytest.raises(SchemaError, match="not generic") as err:
+        protocol_from_json(doc)
+    assert err.value.path == "$.target"
+    doc["initial"]["seed"] = seed_to_json(SeedParams(1, 1, 2))
+    doc["target"]["seed"] = seed_to_json(params)
+    with pytest.raises(SchemaError, match="not generic") as err:
+        protocol_from_json(doc)
+    assert err.value.path == "$.initial"

@@ -86,6 +86,33 @@ def test_non_finite_factor_is_named_before_the_invertibility_test(params, bad):
     assert "singular" not in str(excinfo.value)
 
 
+#: One bad factor of each kind, with the reason ``GenericState`` gives.
+BAD_FACTORS = {
+    "short": (np.eye(3)[:2], "must be 3x3, got (2, 3)"),
+    "flat": (np.ones(9), "must be 3x3, got (9,)"),
+    "stacked": (np.eye(3)[None], "must be 3x3, got (1, 3, 3)"),
+    "nan": (np.diag([1.0, np.nan, 1.0]), "is not finite"),
+    "inf": (np.full((3, 3), np.inf), "is not finite"),
+    "nan-imag": (np.eye(3) + complex(0, np.nan), "is not finite"),
+    "singular": (np.ones((3, 3)), "is numerically singular"),
+    "zero": (np.zeros((3, 3)), "is numerically singular"),
+    "tiny-singular": (1e-200 * np.diag([1.0, 1.0, 1e-12]), "is numerically singular"),
+}
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize("bad", sorted(BAD_FACTORS))
+def test_one_bad_factor_is_named_with_its_reason(params, rng, index, bad):
+    """Whichever factor is bad, and however, the message names that factor
+    and the one reason, and no floating-point warning is raised."""
+    factors = [rng.normal(size=(3, 3)) + 3 * np.eye(3) for _ in range(3)]
+    factors[index], reason = BAD_FACTORS[bad]
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        with pytest.raises(ValueError) as err:
+            GenericState(params, tuple(factors))
+    assert str(err.value) == f"factor {index} {reason}"
+
+
 def test_states_compare_by_identity(params, rng):
     """Equality is identity, so membership tests and hashing work; whether
     two states are the same up to local unitaries is lu_equivalent's."""

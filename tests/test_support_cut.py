@@ -13,13 +13,7 @@ from qutritlocc.generate import random_state
 from qutritlocc.oracle import brute_force_sep
 from qutritlocc.pauli import PAIR_REPS, PAULIS, dagger
 from qutritlocc.protocols import locc_reach_protocol
-from qutritlocc.sep import (
-    _triple_uniform,
-    candidate_initial_grams,
-    gram_instance,
-    induced_initial,
-    sep_feasible,
-)
+from qutritlocc.sep import candidate_initial_grams, gram_instance, sep_feasible
 from qutritlocc.states import gram, gram_triple
 
 
@@ -36,9 +30,7 @@ def test_verdicts_agree_near_the_cut(params, kind, draw, multiple, tol, data):
     of modulus 0.1, 1 or 10 times the cut ``tol / 3``.  ``classify_gram``
     calls it separably reachable exactly when the engine finds a feasible,
     nontrivial conversion from one of its candidate initials at the same
-    cut.  ``candidate_initial_grams`` finds its confined cases at the
-    default cut, so at the coarser cut an extra pair between the two can
-    hide one; such a case is decided from its candidate as well.
+    cut.
 
     The oracle audits the instance as given, with no cut, so it never
     contradicts the engine at the default cut.  It may contradict the
@@ -55,11 +47,7 @@ def test_verdicts_agree_near_the_cut(params, kind, draw, multiple, tol, data):
     mats[party] = mats[party] + z * PAULIS[w] + np.conj(z) * dagger(PAULIS[w])
     target = gram_triple(*mats)
 
-    initials = dict(candidate_initial_grams(target))
-    for match in classify_gram(target, tol).locc_cases:
-        initials.setdefault(
-            f"confined-{match.pair}", induced_initial(target, _triple_uniform(match.pair))
-        )
+    initials = dict(candidate_initial_grams(target, tol))
     engine = False
     for label, initial in initials.items():
         inst = gram_instance(params, initial, target)
@@ -68,6 +56,29 @@ def test_verdicts_agree_near_the_cut(params, kind, draw, multiple, tol, data):
         oracle = brute_force_sep(inst).feasible
         assert oracle is None or oracle == sep_feasible(inst).feasible, label
     assert classify_gram(target, tol).sep_reachable == engine
+
+
+def test_candidates_are_found_at_the_callers_cut(params):
+    """A confined target plus a pair of modulus 3.3e-8 outside a confined
+    party's support is still confined at the cut 1e-6 / 3, so
+    ``classify_gram`` calls it separably reachable; its confined candidate
+    must be offered at that cut and reach it there."""
+    tol = 1e-6
+    base = gram(random_state("confined", np.random.default_rng(0), params))
+    match = classify_gram(base).locc_cases[0]
+    party = match.parties[1]
+    pairs = classify_gram(base).pattern.pairs[party]
+    w = next(w for w in PAIR_REPS if w not in pairs and w != match.pair)
+    mats = list(base.mats)
+    mats[party] = mats[party] + 3.3e-8 * (PAULIS[w] + dagger(PAULIS[w]))
+    target = gram_triple(*mats)
+    assert classify_gram(target, tol).sep_reachable
+    assert not classify_gram(target).locc_cases  # the default cut sees the extra pair
+    candidates = dict(candidate_initial_grams(target, tol))
+    label = f"confined-{match.pair}"
+    assert label in candidates
+    dec = sep_feasible(gram_instance(params, candidates[label], target), tol)
+    assert dec.feasible and dec.nontrivial
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
