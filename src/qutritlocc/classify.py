@@ -27,17 +27,12 @@ reachability; isolation adds non-convertibility.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import COORD_ORDER, PAIR_REPS, ZERO_TOL, pair_rep
+from .pauli import _COORD_SCALE, COORD_ORDER, PAIR_REPS, ZERO_TOL, pair_rep, support_mask
 from .states import GenericState, GramTriple, gram
-
-#: Largest possible magnitude of a trace-normalized Gram coordinate; the
-#: support threshold is relative to this natural scale.
-_COORD_SCALE = 1.0 / 3.0
 
 Pair = tuple[int, int]
 
@@ -54,25 +49,6 @@ class SupportPattern:
 
     pairs: tuple[frozenset[Pair], frozenset[Pair], frozenset[Pair]]
     warnings: tuple[str, ...]
-
-
-def support_mask(coords: np.ndarray, tol: float = ZERO_TOL) -> np.ndarray:
-    """Which coordinates of tables ``(..., 3, 8)`` are in the support at
-    tolerance ``tol``, one verdict per negation pair: the larger partner's
-    modulus is above the cut ``tol / 3`` and the smaller's above a tenth of
-    it.  Hermiticity ties the partner moduli together, so a straddle within
-    a decade is noise and is rescued; one far below is inconsistent data.
-
-    Raises ``ValueError`` unless ``tol`` is finite and positive: a NaN or
-    infinite cut would empty every support, and a cut of 0 would keep
-    every coordinate."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"the support cut {tol!r} is not a finite positive number")
-    cut = tol * _COORD_SCALE
-    mags = np.abs(coords)
-    m1, m2 = mags[..., 0::2], mags[..., 1::2]
-    keep = (np.maximum(m1, m2) > cut) & (np.minimum(m1, m2) > cut / 10.0)
-    return np.repeat(keep, 2, axis=-1)
 
 
 def support_pattern(gt: GramTriple, tol: float = ZERO_TOL) -> SupportPattern:

@@ -241,6 +241,35 @@ def from_coords(g0: complex, g: np.ndarray) -> np.ndarray:
     return (np.concatenate(([g0], g))[:, None, None] * BASIS).sum(axis=0)
 
 
+#: Largest possible magnitude of a trace-normalized Gram coordinate; the
+#: support threshold is relative to this natural scale.
+_COORD_SCALE = 1.0 / 3.0
+
+
+def support_mask(coords: np.ndarray, tol: float = ZERO_TOL) -> np.ndarray:
+    """Which trace-normalized coordinates of rows ``(..., 8)`` in
+    :data:`COORD_ORDER` (negation partners at positions 2j and 2j+1) are
+    in the support at tolerance ``tol``.  This is the package's one rule
+    for a zero coordinate, read by the classifier, the SEP engine and
+    :func:`~qutritlocc.states.span_factor`.
+
+    The verdict is one per negation pair: the larger partner's
+    modulus is above the cut ``tol / 3`` and the smaller's above a tenth of
+    it.  Hermiticity ties the partner moduli together, so a straddle within
+    a decade is noise and is rescued; one far below is inconsistent data.
+
+    Raises ``ValueError`` unless ``tol`` is finite and positive: a NaN or
+    infinite cut would empty every support, and a cut of 0 would keep
+    every coordinate."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"the support cut {tol!r} is not a finite positive number")
+    cut = tol * _COORD_SCALE
+    mags = np.abs(coords)
+    m1, m2 = mags[..., 0::2], mags[..., 1::2]
+    keep = (np.maximum(m1, m2) > cut) & (np.minimum(m1, m2) > cut / 10.0)
+    return np.repeat(keep, 2, axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # Three-party helpers
 # ---------------------------------------------------------------------------

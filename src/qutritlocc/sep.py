@@ -21,8 +21,10 @@ reciprocals, first of its largest modulus and then of its length.  This
 module solves each fit in closed form (least-squares point and
 nullspace), then enumerates the polytope's vertices and reports
 feasibility, uniqueness and nontriviality of the conversion.  Whether a
-coordinate is zero is decided once, by the classifier's
-:func:`~qutritlocc.classify.support_mask`.
+coordinate is zero is decided once, by
+:func:`~qutritlocc.pauli.support_mask`: the one zero rule that
+:func:`~qutritlocc.classify.classify`, :func:`sep_feasible` and
+:func:`~qutritlocc.states.span_factor` share.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import classify_gram, support_mask
+from .classify import classify_gram
 from .pauli import (
     CONJ_TABLE,
     INDEX_ORDER,
@@ -43,6 +45,7 @@ from .pauli import (
     idx_add,
     idx_neg,
     pauli_coords,
+    support_mask,
 )
 from .seeds import SeedParams
 from .states import (
@@ -265,7 +268,7 @@ def sep_feasible(inst: SepInstance, tol: float = ZERO_TOL) -> SepFeasibility:
     """Decide an instance by exact polytope analysis.
 
     Every coordinate of either triple outside its support at the cut
-    ``tol`` (:func:`~qutritlocc.classify.support_mask`, as in
+    ``tol`` (:func:`~qutritlocc.pauli.support_mask`, as in
     :func:`~qutritlocc.classify.classify_gram`) is set to zero first.  The
     spectrum is then fitted one character at a time in closed form
     (:func:`_character_fit`); the pairs whose blocks are both zero span the

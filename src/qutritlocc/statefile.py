@@ -8,8 +8,8 @@ included, raises :class:`SchemaError` naming the offending field's path.
 
 from __future__ import annotations
 
-import bisect
 import json
+import math
 import sys
 from itertools import chain
 from pathlib import Path
@@ -143,17 +143,19 @@ def _is_number_type(t: type) -> bool:
     return issubclass(t, (float, int)) and not issubclass(t, bool)
 
 
-def _is_pair(value: Any) -> bool:
-    return isinstance(value, (list, tuple)) and len(value) == 2
-
-
-def _overflows(x: Any) -> bool:
-    """Whether the number ``x`` (an int) has no float."""
+def _entry_fault(z: Any) -> str | None:
+    """Why the entry ``z`` is refused, or ``None`` when it is a ``[re, im]``
+    pair of finite numbers.  A shape or type fault comes first, then an
+    integer that overflows a float, then a non-finite part."""
+    if not isinstance(z, (list, tuple)) or len(z) != 2 or not all(
+        _is_number_type(type(x)) for x in z
+    ):
+        return _NOT_A_PAIR
     try:
-        float(x)
+        finite = [math.isfinite(x) for x in z]
     except OverflowError:
-        return True
-    return False
+        return "non-finite number: an integer overflows a float"
+    return None if all(finite) else f"non-finite number {z!r} is not allowed"
 
 
 class _Entries:
@@ -161,26 +163,22 @@ class _Entries:
     converted at once.
 
     The walk hands over each matrix, checked where it is met for three
-    rows of three entries, and each seed's three amplitudes, with their
-    paths.  :meth:`decode` then converts every entry in one typed float
-    array.  The first entry in document order that is not a ``[re, im]``
-    pair of numbers (a bool is not one), whose integer overflows a float
-    or that is not finite raises :class:`SchemaError`, named from its
-    index: its block's path and its place in the block.
+    rows of three entries, and each seed's three amplitudes as one row,
+    with their paths.  :meth:`decode` then converts every entry in one
+    typed float array.  Only when that fails are the entries scanned in
+    document order, and the first that :func:`_entry_fault` refuses
+    raises :class:`SchemaError` at its path.
     """
 
     def __init__(self) -> None:
         self.rows: list[list] = []
-        self.starts: list[int] = []
         self.names: list[tuple[str, tuple[str, ...]]] = []
-        self.size = 0
 
     def _add(self, rows: list, path: str, places: tuple[str, ...]) -> int:
+        start = 3 * len(self.rows)  # every row holds three entries
         self.rows.extend(rows)
-        self.starts.append(self.size)
         self.names.append((path, places))
-        self.size += len(places)
-        return self.starts[-1]
+        return start
 
     def matrix(self, value: Any, path: str) -> int:
         """Gather a 3x3 matrix; return the index of its first entry."""
@@ -196,38 +194,24 @@ class _Entries:
         return self._add([[_get(obj, path, key) for key in "abc"]], path, _AMPLITUDES)
 
     def decode(self) -> np.ndarray:
-        """Every entry, in the order gathered, as one complex array.
-
-        Each check looks only at the entries before the earliest fault
-        found so far, so the fault raised is the first in document order.
-        """
+        """Every entry, in the order gathered, as one complex array."""
         pairs = list(chain.from_iterable(self.rows))
-        fault = None  # (entry, message)
-        if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) == {2}):
-            k = next((k for k, z in enumerate(pairs) if not _is_pair(z)), None)
-            if k is not None:
-                fault, pairs = (k, _NOT_A_PAIR), pairs[:k]
-        parts = list(chain.from_iterable(pairs))
-        odd = {t for t in set(map(type, parts)) if not _is_number_type(t)}
-        if odd:
-            k = next(k for k, x in enumerate(parts) if type(x) in odd) // 2
-            fault, parts = (k, _NOT_A_PAIR), parts[: 2 * k]
-        try:
-            values = np.array(parts, dtype=float)
-        except OverflowError:
-            k = next(k for k, x in enumerate(parts) if _overflows(x)) // 2
-            fault = (k, "non-finite number: an integer overflows a float")
-            values = np.array(parts[: 2 * k], dtype=float)
-        finite = np.isfinite(values)
-        if not finite.all():
-            k = int(np.argmin(finite)) // 2
-            fault = (k, f"non-finite number {pairs[k]!r} is not allowed")
-        if fault is not None:
-            k, message = fault
-            block = bisect.bisect_right(self.starts, k) - 1
-            path, places = self.names[block]
-            raise SchemaError(path + places[k - self.starts[block]], message)
-        return values.view(complex)
+        sequences = all(issubclass(t, (list, tuple)) for t in set(map(type, pairs)))
+        if sequences and set(map(len, pairs)) == {2}:
+            parts = list(chain.from_iterable(pairs))
+            if all(map(_is_number_type, set(map(type, parts)))):
+                try:
+                    values = np.array(parts, dtype=float)
+                except OverflowError:
+                    pass
+                else:
+                    if np.isfinite(values).all():
+                        return values.view(complex)
+        # the tests above accept exactly the entries _entry_fault accepts, so
+        # a document that fails them has a first entry to name
+        paths = (path + place for path, places in self.names for place in places)
+        faults = ((path, _entry_fault(z)) for path, z in zip(paths, pairs))
+        raise SchemaError(*next(fault for fault in faults if fault[1] is not None))
 
 
 def _parse_label(value: Any, path: str) -> tuple[int, int]:

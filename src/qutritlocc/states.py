@@ -29,6 +29,7 @@ from .pauli import (
     is_invertible,
     pauli_coords,
     scaled_into_range,
+    support_mask,
 )
 from .seeds import SeedParams, build_seed
 
@@ -206,19 +207,24 @@ def span_factor(m: np.ndarray, w: tuple[int, int]) -> np.ndarray:
 
     The factor is :func:`positive_factor`'s: the unique positive root of a
     matrix that commutes with ``S_w`` commutes with it too, so it is again
-    confined to the span.  Confinement is tested on coordinates: every
-    ``S_l`` with ``l`` outside ``{0, w, -w}`` is off-diagonal in the
-    eigenbasis of ``S_w``, and the part of ``m`` they span has Frobenius
-    norm ``sqrt(3)`` times the norm of their coordinates.
+    confined to the span.  Confinement is read by
+    :func:`~qutritlocc.pauli.support_mask` on the trace-normalized
+    coordinates of ``scaled_into_range(m)``, so a Gram matrix gets its
+    factor exactly when the classifier confines its party to the pair of
+    ``w``.  A matrix whose trace is not positive is left to
+    :func:`positive_factor`, which refuses it.
     """
     if w == (0, 0):
         raise ValueError("the span direction must be a nonzero index")
-    scaled = scaled_into_range(m)  # exact rescale: no norm overflows and the cut stays relative
-    _, g = pauli_coords(scaled)
-    outside = [k not in (w, idx_neg(w)) for k in COORD_ORDER]
-    off = np.sqrt(3.0) * float(np.linalg.norm(g[outside]))
-    if off > ZERO_TOL * float(np.linalg.norm(scaled)):
-        raise ValueError(f"matrix is not confined to the span (off-diagonal {off:.3e})")
+    with np.errstate(invalid="ignore"):  # non-finite entries read NaN: no support
+        scaled = scaled_into_range(m)
+        tr = np.trace(scaled).real
+        if tr > 0:
+            _, g = pauli_coords(scaled / tr)
+            outside = [k not in (w, idx_neg(w)) for k in COORD_ORDER]
+            if support_mask(g)[outside].any():
+                off = np.abs(g[outside]).max()
+                raise ValueError(f"matrix is not confined to the span (off-span modulus {off:.3e})")
     return positive_factor(m)
 
 

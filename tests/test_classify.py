@@ -7,11 +7,10 @@ from qutritlocc.classify import (
     CaseMatch,
     classify,
     classify_gram,
-    support_mask,
     support_pattern,
 )
 from qutritlocc.generate import KINDS, random_state
-from qutritlocc.pauli import COORD_ORDER, from_coords, idx_neg, pair_rep
+from qutritlocc.pauli import COORD_ORDER, from_coords, idx_neg, pair_rep, support_mask
 from qutritlocc.states import (
     GenericState,
     gram,

@@ -41,6 +41,9 @@ read each module with the standard library's ``ast``.
 - ``oracle.py`` imports only ``SepInstance`` from ``sep`` and nothing from
   ``classify``, ``states`` or ``protocols``: the oracle re-decides what
   the engine decides, so it must not reuse the engine's code.
+- ``statefile.py`` makes exactly one ``np.array(`` call, inside
+  ``_Entries.decode``: a document's entries are converted in one typed
+  array, which is faster than one conversion per matrix.
 """
 
 import ast
@@ -557,3 +560,39 @@ def test_engine_lint_sees_the_engine_imported():
 
 def test_oracle_imports_nothing_of_the_engine_but_the_instance():
     assert engine_imports((PACKAGE / "oracle.py").read_text()) == []
+
+
+def array_calls(source: str) -> list[str]:
+    """Each ``np.array(`` call of a module, with its line and the dotted name
+    of the innermost function or class around it (``<module>`` if none)."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "np.array":
+                found.append(f"line {child.lineno}: {scope or '<module>'}")
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_array_lint_sees_every_conversion():
+    source = (
+        "import numpy as np\n\nZERO = np.array([0.0])\n\n"
+        "class _Entries:\n    def decode(self, parts):\n        return np.array(parts)\n\n"
+        "def _matrix(rows):\n    return np.asarray(rows), np.array(rows, dtype=float)\n"
+    )
+    assert array_calls(source) == [
+        "line 3: <module>",
+        "line 7: _Entries.decode",
+        "line 10: _matrix",
+    ]
+
+
+def test_statefile_converts_entries_in_one_array():
+    calls = array_calls((PACKAGE / "statefile.py").read_text())
+    assert [call.split(": ")[1] for call in calls] == ["_Entries.decode"], calls

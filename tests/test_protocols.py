@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qutritlocc import protocols
+from qutritlocc import protocols, statefile
 from qutritlocc.classify import classify, support_pattern
 from qutritlocc.generate import random_state
 from qutritlocc.pauli import PAULIS, dagger, idx_neg, is_hermitian, scaled_into_range
@@ -28,7 +28,12 @@ from qutritlocc.protocols import (
 )
 from qutritlocc.seeds import SeedParams
 from qutritlocc.sep import gram_instance, sep_feasible
-from qutritlocc.statefile import protocol_from_json, protocol_to_json
+from qutritlocc.statefile import (
+    protocol_from_json,
+    protocol_to_json,
+    seed_from_json,
+    state_from_json,
+)
 from qutritlocc.states import (
     GenericState,
     assemble,
@@ -366,6 +371,24 @@ def test_stacked_kernels_match_the_kron_reference(params, construction, scale):
             assert abs(b.probability - prob) <= 1e-14
             assert abs(b.residual - residual) <= 1e-14
         assert abs(report.probability_sum - sum(r[1] for r in records)) <= 1e-14
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+@pytest.mark.parametrize("construction", list(SCALED_BUILDS))
+def test_a_valid_document_never_reaches_the_fault_scan(monkeypatch, params, construction, scale):
+    """Each construction's document, its initial state and that state's
+    bare seed decode through the one-array conversion alone: the ordered
+    scan that names a bad entry is not entered."""
+    built = SCALED_BUILDS[construction](params, np.random.default_rng(0), scale)
+    doc = json.loads(json.dumps(protocol_to_json(built)))
+
+    def scanned(z):
+        raise AssertionError(f"the fault scan was entered at {z!r}")
+
+    monkeypatch.setattr(statefile, "_entry_fault", scanned)
+    protocol_from_json(doc)
+    state_from_json(doc["initial"])
+    seed_from_json(doc["initial"]["seed"])
 
 
 def test_confined_map_with_occupied_partners(params, rng):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qutritlocc import sep as sep_module
-from qutritlocc.classify import classify_gram, support_mask
+from qutritlocc.classify import classify_gram
 from qutritlocc.generate import KINDS, random_seed_params, random_state
 from qutritlocc.pauli import (
     CONJ_TABLE,
@@ -22,6 +22,7 @@ from qutritlocc.pauli import (
     idx_add,
     idx_neg,
     kron3,
+    support_mask,
 )
 from qutritlocc.sep import (
     RESIDUAL_TOL,

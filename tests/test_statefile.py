@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qutritlocc import statefile
 from qutritlocc.protocols import (
@@ -490,6 +493,93 @@ def test_the_first_bad_entry_in_document_order_is_named(params):
     with pytest.raises(SchemaError, match="overflows") as err:
         protocol_from_json(doc)
     assert err.value.path == "$.elements[2].factors[1][2][2]"
+
+
+def entry_sites(doc):
+    """The keys down to every entry of a protocol document, with the
+    entry's path, in document order."""
+
+    def matrix(keys, path):
+        return [(keys + [i, j], f"{path}[{i}][{j}]") for i in range(3) for j in range(3)]
+
+    sites = []
+    for name in ("initial", "target"):
+        sites += [([name, "seed", a], f"$.{name}.seed.{a}") for a in "abc"]
+        for i in range(3):
+            sites += matrix([name, "g", i], f"$.{name}.g[{i}]")
+    for i in range(len(doc.get("elements", []))):
+        for j in range(3):
+            sites += matrix(["elements", i, "factors", j], f"$.elements[{i}].factors[{j}]")
+    for i, rnd in enumerate(doc.get("rounds", [])):
+        for j, out in enumerate(rnd["outcomes"]):
+            keys, path = ["rounds", i, "outcomes", j], f"$.rounds[{i}].outcomes[{j}]"
+            sites += matrix(keys + ["operator"], f"{path}.operator")
+            for m in range(len(out["corrections"])):
+                sites += matrix(
+                    keys + ["corrections", m, "unitary"], f"{path}.corrections[{m}].unitary"
+                )
+    return sites
+
+
+def reference_fault(z):
+    """Why an entry is refused, or ``None``: not a pair of non-bool ints or
+    floats, then an int beyond the float range, then a non-finite part."""
+    if not (
+        isinstance(z, (list, tuple))
+        and len(z) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in z)
+    ):
+        return NOT_A_PAIR
+    if any(isinstance(x, int) and abs(x) >= 2**1024 for x in z):
+        return "non-finite number: an integer overflows a float"
+    if not all(math.isfinite(x) for x in z):
+        return f"non-finite number {z!r} is not allowed"
+    return None
+
+
+def holder_of(doc, keys):
+    """The list or object that holds the entry at ``keys``, and its key there."""
+    *parents, last = keys
+    for key in parents:
+        doc = doc[key]
+    return doc, last
+
+
+def entry_at(doc, keys):
+    holder, key = holder_of(doc, keys)
+    return holder[key]
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_planted_faults_are_named_as_an_ordered_scan_names_them(params, data):
+    """One to three bad entries of any kinds, planted anywhere in a Kraus
+    or a LOCC document (seeds, state factors, Kraus factors, round
+    operators, correction unitaries), raise the path and message that a
+    scan of the entries in document order gives for the first it refuses."""
+    kind = data.draw(st.sampled_from(["kraus", "locc"]))
+    doc = json.loads(json.dumps(documents(params)[kind][1]))
+    sites = entry_sites(doc)
+    assert all(reference_fault(entry_at(doc, keys)) is None for keys, _ in sites)
+    spots = data.draw(st.lists(st.integers(0, len(sites) - 1), min_size=1, max_size=3, unique=True))
+    for k in spots:
+        holder, key = holder_of(doc, sites[k][0])
+        spoil, _ = BAD_ENTRIES[data.draw(st.sampled_from(sorted(BAD_ENTRIES)))]
+        holder[key] = spoil(holder[key])
+    faults = ((path, reference_fault(entry_at(doc, keys))) for keys, path in sites)
+    path, reason = next(fault for fault in faults if fault[1] is not None)
+    with pytest.raises(SchemaError) as err:
+        protocol_from_json(doc)
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {reason}")
+
+
+@pytest.mark.parametrize("entry", [[float("nan"), 10**400], (10**400, float("-inf"))])
+def test_an_overflowing_part_is_named_before_a_non_finite_one(params, entry):
+    doc, holder, key, path = planted(params, "kraus-factor")
+    holder[key] = entry
+    with pytest.raises(SchemaError) as err:
+        protocol_from_json(doc)
+    assert str(err.value) == f"{path}: non-finite number: an integer overflows a float"
 
 
 @pytest.mark.parametrize("kind", ["state", "kraus", "locc"])

@@ -1,17 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qutritlocc import states
-from qutritlocc.classify import classify
+from qutritlocc.classify import classify, support_pattern
 from qutritlocc.generate import KINDS, random_state
 from qutritlocc.pauli import (
     CONJ_TABLE,
     COORD_ORDER,
     INDEX_ORDER,
+    PAIR_REPS,
     PAULIS,
     ZERO_TOL,
     dagger,
     idx_neg,
+    pair_rep,
     pauli_coords,
 )
 from qutritlocc.seeds import SeedParams, build_seed
@@ -36,6 +40,8 @@ from qutritlocc.states import (
     standard_form,
     standardize_coords,
 )
+
+from helpers import pair_mat
 
 RT_ATOL = 1e-12
 
@@ -481,6 +487,26 @@ def test_span_factor_cut_is_scale_free(scale):
     np.testing.assert_allclose(
         span_factor(scale * m, (0, 1)), np.sqrt(scale) * span_factor(m, (0, 1)), rtol=1e-14
     )
+
+
+@pytest.mark.parametrize("eps", [2.5e-10, 3e-10, 3.3e-10, 3.4e-10, 1e-9])
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_span_factor_confines_where_the_classifier_does(eps, scale):
+    """A matrix on one pair with a second pair of size ``eps`` near the
+    support cut ``ZERO_TOL / 3`` gets a span factor for a direction exactly
+    when :func:`support_pattern` puts its party inside that direction's
+    pair: the two read one zero rule."""
+    for w, v in itertools.permutations(PAIR_REPS, 2):
+        m = scale * (pair_mat(w, 0.1) + eps * (PAULIS[v] + dagger(PAULIS[v])))
+        support = support_pattern(gram_triple(m, m, m)).pairs[0]
+        for d in COORD_ORDER:
+            confined = support <= {pair_rep(d)}
+            try:
+                span_factor(m, d)
+            except ValueError as exc:
+                assert not confined and "not confined" in str(exc), (w, v, d)
+            else:
+                assert confined, (w, v, d)
 
 
 # ---------------------------------------------------------------------------
