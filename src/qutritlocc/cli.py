@@ -301,8 +301,8 @@ def _cmd_symmetry_audit(args: argparse.Namespace) -> _Report:
         "seed": seed_to_json(seed),
         "generic": report.genericity.generic,
         "candidates": report.n_candidates,
+        "stabilizer_sizes": list(report.stabilizer_sizes),
         "pairs_screened": report.n_pairs,
-        "pairs_live": report.n_live_pairs,
         "survivors": [
             {
                 "pauli": list(r.pauli) if r.pauli else None,

@@ -8,8 +8,21 @@ A seed state is determined by a complex triple ``(a, b, c)``:
 For generic parameters the state's only product symmetries are the nine
 triples ``S_k (x) S_k (x) S_k`` of generalized Pauli operators.  This module
 constructs seeds, screens the 22 polynomial genericity conditions, verifies
-the symmetry group directly, and runs an exhaustive candidate-enumeration
-audit that re-derives the group from first principles.
+the nine symmetries directly, and audits them from first principles.
+
+The audit rests on the slice cubics.  Party 1's cubic is
+``F_1(x) = det(sum_j x_j psi[:, j, :])``, which for a seed is proportional
+to ``x0^3 + x1^3 + x2^3 + t x0 x1 x2`` with ``t = -(a^3+b^3+c^3)/(abc)``: a
+member of the Hesse pencil, smooth for a generic seed, and the slices of
+party 2 give the same cubic.  A symmetry ``A (x) B (x) C`` maps ``F_1`` to
+``det(A) det(C) F_1(B^T x)``, so ``B`` fixes ``F_1`` up to scale, and ``C``
+fixes ``F_2``.  The projective automorphisms of a smooth cubic of the Hesse
+pencil lie in the Hessian group of order 216 (Artebani and Dolgachev,
+L'Enseignement Math. 55, 2009), the one-qutrit Clifford group modulo
+phases: 18 of them, 36 at j = 1728 (``t^3 = -270 +- 162 sqrt(3)``) and 54
+at j = 0 (``t^3 = 216``).  So the audit checks exactly the pairs of
+elements of one 216-element table that fix the two cubics, and no
+symmetry escapes the restriction.
 """
 
 from __future__ import annotations
@@ -28,18 +41,19 @@ from .pauli import BASIS, INDEX_ORDER, OMEGA, ZERO_TOL
 #: exceed this in absolute value.
 GENERIC_THRESHOLD = 1e-6
 
-#: Residual below which a candidate pair survives the projection screen of
+#: Residual below which a stabilizer pair survives the projection screen of
 #: the symmetry audit (all inputs unit-normalized).
 AUDIT_PROJ_TOL = 1e-8
 
-#: Slack on ``proj_tol**2`` in the quadratic-form screen of the symmetry
-#: audit.  The form and the direct squared probe-0 residual are computed
-#: from the same unit-normalized seed, candidates and probe, so every sum of
-#: absolute products that either rounds is at most 1, and each takes fewer
-#: than 100 roundings on any path: each lies within gamma_100 (about
-#: 1.1e-14) of the exact squared residual.  A pair whose direct residual
-#: passes the cut therefore passes the form's cut plus this slack.
-AUDIT_SCREEN_MARGIN = 1e-12
+#: Largest sine of the angle between a slice cubic's coefficients and those
+#: of the cubic moved by a table element that still counts the element as
+#: fixing the cubic.  A true stabilizer element reads rounding, below 1e-14;
+#: every other element read at least 3e-2 on the seeds drawn from
+#: ``default_rng(0)`` to ``default_rng(99)``.  The cut
+#: sits far above rounding, so rounding can only add elements, never drop
+#: them, and an added element only adds pairs that the probe residual and
+#: the full residual still judge.
+AUDIT_STABILIZER_TOL = 1e-6
 
 #: A surviving pair of the symmetry audit is a Pauli triple only when the
 #: full residual of its recovered product operator is at or below this.
@@ -269,54 +283,93 @@ def probe_states(params: SeedParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Candidate enumeration
+# The Hessian group and the slice cubics
 # ---------------------------------------------------------------------------
 
-def monomial_candidates() -> np.ndarray:
-    """All monomial matrices with cube-root-of-unity entries, projectively.
+@functools.cache
+def _hessian_table() -> np.ndarray:
+    """The Hessian group, one unit-norm matrix per element, (216, 3, 3).
 
-    One invertible entry per row and column, entries from {1, w, w^2}; the
-    global phase is fixed by setting the first row's entry to 1, leaving
-    6 supports x 9 phase patterns = 54 projective classes.  The nine
-    generalized Pauli operators appear among the 27 classes whose support
-    is an even permutation.
+    The group is the one-qutrit Clifford group modulo phases.  It is built
+    once, as 24 coset representatives ``r_j`` of the Pauli subgroup: the
+    closure of the identity under left multiplication by the Fourier
+    matrix and the phase gate ``diag(1, 1, w)``, one element per coset.
+    Element ``9 j + k`` is ``r_j S_k``, ``S_k`` the ``k``-th Pauli in
+    :data:`~qutritlocc.pauli.INDEX_ORDER`, labelled ``hessian:{9 j + k}``;
+    ``r_0`` is the identity, so the first nine elements are the Paulis.
+    Two unit-norm elements are one projective class when ``|<g, h>|``
+    exceeds 0.9: for distinct classes it is ``|tr(g^-1 h)| / 3``, at most
+    ``1 / sqrt(3)``.  The array is read-only.
     """
     w = OMEGA
-    mats = []
-    for perm in itertools.permutations(range(3)):
-        for p1 in range(3):
-            for p2 in range(3):
-                m = np.zeros((3, 3), dtype=complex)
-                m[0, perm[0]] = 1.0
-                m[1, perm[1]] = w**p1
-                m[2, perm[2]] = w**p2
-                mats.append(m)
-    return np.array(mats)
+    fourier = np.array([[1, 1, 1], [1, w, w * w], [1, w * w, w]]) / np.sqrt(3.0)
+    generators = np.array([fourier, np.diag([1, 1, w])])
+
+    def cosets(reps: np.ndarray) -> np.ndarray:
+        return (reps[:, None] @ BASIS).reshape(-1, 9, 9)
+
+    reps = frontier = np.eye(3)[None] / np.sqrt(3.0)
+    while len(frontier):
+        products = (generators[:, None] @ frontier).reshape(-1, 3, 3)
+        flat = products.reshape(-1, 9)
+        known = (np.abs(cosets(reps).reshape(-1, 9).conj() @ flat.T) > 0.9).any(axis=0)
+        products, flat = products[~known], flat[~known]
+        same = (np.abs(cosets(products).conj() @ flat.T) > 0.9).any(axis=1)
+        frontier = products[~np.triu(same, 1).any(axis=0)]
+        reps = np.concatenate([reps, frontier])
+    table = cosets(reps).reshape(-1, 3, 3)
+    table.setflags(write=False)
+    return table
 
 
-def dense_candidates() -> np.ndarray:
-    """The 162 dense candidate matrices with unit top-left entry.
+#: The ten cubic monomials ``x_i x_j x_k``, ``i <= j <= k``, as index triples.
+_MONOMIALS = np.array(list(itertools.combinations_with_replacement(range(3), 3)))
 
-    Entries are cube roots of unity with row phases ``k, l`` free, column
-    phases ``i, j`` free and a twist ``m in {1, 2}`` winding the lower
-    2x2 block; these are exactly the dense matrices that survive the
-    rank-dichotomy constraints of the audit's algebraic narrowing.
+#: Ten points of the plane, the monomials' exponent vectors: the degree-3
+#: triangular lattice, on which a cubic's ten values fix its coefficients.
+_POINTS = np.array([np.bincount(m, minlength=3) for m in _MONOMIALS], dtype=float)
+
+
+def _monomials(y: np.ndarray) -> np.ndarray:
+    """The ten cubic monomials at each point of a stack ``(..., 3)``."""
+    return y[..., _MONOMIALS[:, 0]] * y[..., _MONOMIALS[:, 1]] * y[..., _MONOMIALS[:, 2]]
+
+
+@functools.cache
+def _cubic_action() -> tuple[np.ndarray, np.ndarray]:
+    """``(interp, action)``, built once and read-only.  ``interp`` (10, 10)
+    maps a cubic's values at :data:`_POINTS` to its coefficients; rows
+    ``10 j`` to ``10 j + 9`` of ``action`` (240, 10) map the coefficients
+    of ``F`` to those of ``x -> F(r_j^T x)``, for the coset representative
+    ``r_j`` of :func:`_hessian_table`."""
+    interp = np.linalg.inv(_monomials(_POINTS))
+    action = (interp @ _monomials(_POINTS @ _hessian_table()[::9])).reshape(-1, 10)
+    interp.setflags(write=False)
+    action.setflags(write=False)
+    return interp, action
+
+
+def _cubic_stabilizers(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Table indices of the elements that fix the slice cubics of parties
+    1 and 2 of the seed tensor ``t`` up to scale.
+
+    Party 1's cubic is ``det(sum_j x_j t[:, j, :])``, party 2's likewise
+    over ``t[:, :, k]``; each one's coefficients come from its values at
+    the ten points.  The Paulis are the seed's symmetries, so they fix
+    both cubics, and a stabilizer is a union of Pauli cosets: the coset of
+    ``r_j`` belongs to it when the sine of the angle between the
+    coefficients of ``F(r_j^T x)`` and of ``F`` is at most
+    :data:`AUDIT_STABILIZER_TOL`.
     """
-    w = OMEGA
-    mats = []
-    for i, j, k, l in itertools.product(range(3), repeat=4):
-        for m in (1, 2):
-            mats.append(
-                np.array(
-                    [
-                        [1.0, w**i, w**j],
-                        [w**k, w ** (k + i + m), w ** (k + j + 2 * m)],
-                        [w**l, w ** (l + i + 2 * m), w ** (l + j + m)],
-                    ],
-                    dtype=complex,
-                )
-            )
-    return np.array(mats)
+    interp, action = _cubic_action()
+    slices = np.stack([t.transpose(1, 0, 2), t.transpose(2, 0, 1)]).reshape(2, 3, 9)
+    coeffs = np.linalg.det((_POINTS @ slices).reshape(2, 10, 3, 3)) @ interp.T
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    moved = (action @ coeffs.T).reshape(-1, 10, 2).transpose(2, 0, 1)
+    along = moved @ coeffs.conj()[:, :, None]
+    off = np.linalg.norm(moved - along * coeffs[:, None], axis=2) / np.linalg.norm(moved, axis=2)
+    stable = off <= AUDIT_STABILIZER_TOL
+    return tuple((9 * np.flatnonzero(row)[:, None] + np.arange(9)).ravel() for row in stable)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +378,7 @@ def dense_candidates() -> np.ndarray:
 
 @dataclass(frozen=True)
 class SurvivorRecord:
-    """One candidate pair that passed the projection screen."""
+    """One stabilizer pair whose nine-probe residual is within ``proj_tol``."""
 
     b_label: str
     c_label: str
@@ -336,84 +389,30 @@ class SurvivorRecord:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Result of the exhaustive symmetry audit of a generic seed.
+    """Result of the symmetry audit of a generic seed.
 
     For a generic seed the survivors must be exactly the nine Pauli pairs;
-    anything else lands in ``surplus``.  ``n_live_pairs`` counts the pairs
-    that passed the first probe and so were screened by all nine.
+    anything else lands in ``surplus``.  ``stabilizer_sizes`` counts the
+    table elements that fix the slice cubics of parties 1 and 2 (18 for a
+    generic seed, 36 at j = 1728, 54 at j = 0), and ``n_pairs``, their
+    product, the pairs checked.
     """
 
     survivors: tuple[SurvivorRecord, ...]
     surplus: tuple[SurvivorRecord, ...]
     n_candidates: int
-    n_pairs: int
-    n_live_pairs: int
+    stabilizer_sizes: tuple[int, int]
     max_full_residual: float
     genericity: GenericityReport
+
+    @property
+    def n_pairs(self) -> int:
+        return math.prod(self.stabilizer_sizes)
 
     @property
     def clean(self) -> bool:
         found = {r.pauli for r in self.survivors}
         return not self.surplus and found == set(INDEX_ORDER)
-
-
-@functools.cache
-def _all_candidates() -> tuple[np.ndarray, list[str]]:
-    """Stacked candidate array (n, 3, 3) and parallel labels, built once."""
-    mono = monomial_candidates()
-    dense = dense_candidates()
-    labels = [f"monomial:{i}" for i in range(len(mono))] + [
-        f"dense:{i}" for i in range(len(dense))
-    ]
-    return np.concatenate([mono, dense]), labels
-
-
-#: Flat positions ``6 k + l``, ``k <= l``, of a 6 x 6 matrix's upper triangle.
-_UPPER = np.array([6 * k + l for k in range(6) for l in range(k, 6)])
-
-#: Candidates B per product of the probe-0 screen.  A block's output, 54 x
-#: 216 floats (93 KB), stays below the 128 KiB from which glibc's malloc
-#: maps fresh pages for each request; one 216 x 216 output (373 KB) would
-#: fault its pages in on every call, about a quarter of the audit's time.
-_SCREEN_ROWS = 54
-
-
-@functools.cache
-def _screen_candidates() -> tuple[np.ndarray, np.ndarray]:
-    """The candidates scaled to unit norm, (n, 3, 3), and the real form of
-    each one's rows 1-2 for the probe-0 screen, (n, 42): ``[Re, -Im]`` of
-    the products ``B_k conj(B_l)``, ``k <= l``, of those rows' six entries,
-    doubled off the diagonal, where each stands for itself and its
-    conjugate.  Both are built once and read-only."""
-    mats, _ = _all_candidates()
-    n = len(mats)
-    unit = mats / np.linalg.norm(mats.reshape(n, 9), axis=1)[:, None, None]
-    rows = unit[:, 1:].reshape(n, 6)
-    outer = (rows[:, :, None] * rows[:, None, :].conj()).reshape(n, 36).take(_UPPER, axis=1)
-    twice = np.where(_UPPER // 6 == _UPPER % 6, 1.0, 2.0)
-    form = (twice * outer.conj()).view(float)
-    unit.setflags(write=False)
-    form.setflags(write=False)
-    return unit, form
-
-
-def _probe0_form(k0: np.ndarray, probe0: np.ndarray) -> np.ndarray:
-    """The C side of the probe-0 screen, shape (42, n), a column per
-    candidate C: the cached B features of :func:`_screen_candidates` times
-    it give the squared probe-0 residual of every candidate pair (B, C).
-
-    Probe 0's row 0 is zero, so the residual vector of a pair is
-    ``sum_k B_k w_c[k]`` over the six entries B_k of B's rows 1-2, with
-    ``w_c`` (6 x 3) probe 0 applied to ``k0[c]``, C's lift of the seed.  Its
-    squared norm is the Hermitian form ``sum_kl B_k conj(B_l) G_c[k, l]``
-    with ``G_c = w_c w_c^H``; column c holds ``[Re, Im]`` of ``G_c``'s upper
-    triangle.
-    """
-    n = len(k0)
-    w = (probe0[1:] @ k0.transpose(2, 0, 1, 3).reshape(3, -1)).reshape(2, n, 9)
-    w = w.transpose(1, 0, 2).reshape(n, 6, 3)
-    g = w @ w.conj().transpose(0, 2, 1)
-    return g.reshape(n, 36).take(_UPPER, axis=1).view(float).T
 
 
 def _pauli_match(mats: np.ndarray) -> list[tuple[int, int] | None]:
@@ -438,30 +437,27 @@ def _pauli_match(mats: np.ndarray) -> list[tuple[int, int] | None]:
 
 
 def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> AuditReport:
-    """Enumerate all candidate product symmetries of a generic seed.
+    """Re-derive the product symmetries of a generic seed.
 
-    Every pair (B, C) from the monomial and dense candidate families is run
-    through the projection screen; survivors get their first-party factor
-    recovered by least squares and are checked as full product symmetries.
-    A pair's projection residual is the largest over the nine probe states
-    of ``|| <probe_i| (B (x) C) |psi> ||``, so the screen runs in two exact
-    stages.  Probe 0 alone screens all 46,656 pairs: its squared residual
-    is a Hermitian form in B's rows 1-2 whose 6 x 6 matrix depends on C
-    (:func:`_probe0_form`), evaluated for every pair as a real
-    (216 x 42) @ (42 x 216) product, in blocks of rows, against features of
-    the candidates cached at first use.  Pairs whose form is within
-    :data:`AUDIT_SCREEN_MARGIN` of ``proj_tol**2``, a bound on the rounding
-    of the form and of the direct residual, are rechecked by their direct
-    probe-0 residual, which decides the live pairs (``n_live_pairs``); a
-    pair probe 0 rejects cannot pass the maximum.  At ``proj_tol = 0`` the
-    live pairs are those whose computed residual is exactly zero, which
-    depends on the order of the roundings.  Only the live pairs get the
-    residual over all nine probes, which is the ``projection_residual``
-    compared with ``proj_tol``.  The seed is held in canonical gauge, so its
-    probes are unit-normalized and every representative of one ray gets the
-    same screen.  The audit refuses non-generic seeds, for which the
-    candidate narrowing arguments do not apply, and a ``proj_tol`` that is
-    not a finite number >= 0.
+    A symmetry ``A (x) B (x) C`` maps party 1's slice cubic ``F_1`` to
+    ``det(A) det(C) F_1(B^T x)``, so ``B`` fixes ``F_1`` up to scale, and
+    ``C`` fixes party 2's cubic ``F_2``.  A generic seed's cubics are
+    smooth members of the Hesse pencil, whose projective automorphisms lie
+    in the Hessian group of order 216, so ``B`` and ``C`` are, up to
+    scale, elements of :func:`_hessian_table` in the cubic stabilizers of
+    their parties (:func:`_cubic_stabilizers`).  Every pair of the two
+    stabilizers (18 x 18 = 324 for a generic seed) gets its projection
+    residual: the largest over the nine probe states of
+    ``|| <probe_i| (B (x) C) |psi> ||``, contracted for all pairs as one
+    ``(3 |S_1| x 3) @ (3 x 9 |S_2|)`` product and one probe product.  The
+    pairs within ``proj_tol`` get their first-party factor recovered by
+    least squares and are checked as full product symmetries; a pair is a
+    survivor when all three factors match one Pauli operator and its full
+    residual is within :data:`AUDIT_FULL_TOL`, and surplus otherwise.  The
+    seed is held in canonical gauge, so its probes are unit-normalized and
+    every representative of one ray gets the same audit.  The audit refuses
+    non-generic seeds, whose cubics may be singular, and a ``proj_tol``
+    that is not a finite number >= 0.
     """
     proj_tol = float(proj_tol)
     if not (math.isfinite(proj_tol) and proj_tol >= 0):
@@ -475,32 +471,19 @@ def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> Audi
     psi = psi / np.linalg.norm(psi)
     t = psi.reshape(3, 3, 3)
     probes = probe_states(params).conj()
+    unit = _hessian_table()
+    s1, s2 = _cubic_stabilizers(t)
+    nb, nc = len(s1), len(s2)
 
-    mats, labels = _all_candidates()
-    unit, b_form = _screen_candidates()
-    n = len(mats)
-
-    # residual[b, c, i, x] = sum_{r,s,u,v} probes[i,r,u] B[r,s] C[u,v] t[x,s,v],
-    # through k0[c, s, u, x] = sum_v C[u,v] t[x,s,v], the seed with C applied
-    k0 = np.einsum("cuv,xsv->csux", unit, t)
-    # stage 1: probe 0's squared residual of every pair as a quadratic form;
-    # the pairs within the rounding margin of proj_tol**2 are rechecked
-    cut = proj_tol * proj_tol
-    c_form = _probe0_form(k0, probes[0])
-    near = np.concatenate([
-        np.flatnonzero(b_form[i : i + _SCREEN_ROWS] @ c_form <= cut + AUDIT_SCREEN_MARGIN) + i * n
-        for i in range(0, n, _SCREEN_ROWS)
-    ])
-    near_b, near_c = divmod(near, n)
-    # all nine probes for those pairs, through the lift (I (x) B (x) C) psi of
-    # each as [p, r, (u, x)]; probe 0's direct residual decides the live pairs
-    block = probes.reshape(9, 9) @ (unit[near_b] @ k0[near_c].reshape(-1, 3, 9)).reshape(-1, 9, 3)
-    live = np.vecdot(block[:, 0], block[:, 0]).real <= cut
-    live_b, live_c, block = near_b[live], near_c[live], block[live]
-    # stage 2: the residual over all nine probes of the live pairs
-    resid = np.linalg.norm(block, axis=2).max(axis=1, initial=0.0)
-    keep = resid <= proj_tol
-    bi, ci, resid = live_b[keep], live_c[keep], resid[keep]
+    # residual[i, b, c, x] = sum_{r,s,u} probes[i,r,u] B[r,s] k0[c,s,u,x], through
+    # k0[c, s, u, x] = sum_v C[u,v] t[x,s,v], the seed with C applied
+    k0 = np.einsum("cuv,xsv->scux", unit[s2], t).reshape(3, -1)
+    lift = (unit[s1].reshape(-1, 3) @ k0).reshape(nb, 3, nc, 3, 3)
+    block = probes.reshape(9, 9) @ lift.transpose(1, 3, 0, 2, 4).reshape(9, -1)
+    block = block.view(float).reshape(9, nb, nc, 6)
+    resid = np.sqrt(np.einsum("ibcx,ibcx->ibc", block, block).max(axis=0))
+    bi, ci = np.nonzero(resid <= proj_tol)
+    resid, bi, ci = resid[bi, ci], s1[bi], s2[ci]
 
     # recover each first-party factor by least squares on the unfolding
     b_mats, c_mats = unit[bi], unit[ci]
@@ -512,15 +495,15 @@ def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> Audi
     # of its real and imaginary parts, so it is the per-pair residual bit for bit
     full = np.sqrt(np.vecdot(moved.real, moved.real) + np.vecdot(moved.imag, moved.imag))
     m = len(bi)
-    matches = _pauli_match(np.concatenate([mats[bi], mats[ci], a_mats]))
+    matches = _pauli_match(np.concatenate([b_mats, c_mats, a_mats]))
     survivors: list[SurvivorRecord] = []
     surplus: list[SurvivorRecord] = []
     records = zip(bi.tolist(), ci.tolist(), resid.tolist(), full.tolist())
     for (b, c, r, f), kb, kc, ka in zip(records, matches[:m], matches[m : 2 * m], matches[2 * m :]):
         pauli = kb if (kb is not None and kb == kc == ka and f <= AUDIT_FULL_TOL) else None
         rec = SurvivorRecord(
-            b_label=labels[b],
-            c_label=labels[c],
+            b_label=f"hessian:{b}",
+            c_label=f"hessian:{c}",
             pauli=pauli,
             projection_residual=r,
             full_residual=f,
@@ -530,9 +513,8 @@ def symmetry_audit(params: SeedParams, proj_tol: float = AUDIT_PROJ_TOL) -> Audi
     return AuditReport(
         survivors=tuple(survivors),
         surplus=tuple(surplus),
-        n_candidates=n,
-        n_pairs=n**2,
-        n_live_pairs=len(live_b),
+        n_candidates=len(unit),
+        stabilizer_sizes=(nb, nc),
         max_full_residual=float(full.max(initial=0.0)),
         genericity=genericity,
     )

@@ -42,6 +42,11 @@ STD_SUPPORT_TOL = 1e-10
 #: (argument 0, which floats may render as -1e-16) inside one window.
 STD_WINDOW_SNAP = 1e-7
 
+#: :func:`span_factor` refuses a matrix whose |trace| is at most this times
+#: its Frobenius norm: such a trace can be pure rounding, and dividing by it
+#: would give coordinates that mean nothing.
+TRACE_ROUNDING_TOL = 1e-14
+
 #: Largest gauge-orbit gap (:func:`gauge_gap`) between the Gram coordinate
 #: tables of local-unitary equivalent states.
 STD_COMPARE_ATOL = 1e-9
@@ -211,16 +216,25 @@ def span_factor(m: np.ndarray, w: tuple[int, int]) -> np.ndarray:
     :func:`~qutritlocc.pauli.support_mask` on the trace-normalized
     coordinates of ``scaled_into_range(m)``, so a Gram matrix gets its
     factor exactly when the classifier confines its party to the pair of
-    ``w``.  A matrix whose trace is not positive is left to
-    :func:`positive_factor`, which refuses it.
+    ``w``.  A finite matrix whose trace is within rounding of zero
+    (:data:`TRACE_ROUNDING_TOL`) is refused before the trace divides it,
+    and one whose trace is otherwise not positive, or that is not finite,
+    is left to :func:`positive_factor`, which refuses it.
     """
     if w == (0, 0):
         raise ValueError("the span direction must be a nonzero index")
-    with np.errstate(invalid="ignore"):  # non-finite entries read NaN: no support
+    # non-finite entries read NaN (no support) and an infinite norm (no trace check)
+    with np.errstate(invalid="ignore", over="ignore"):
         scaled = scaled_into_range(m)
-        tr = np.trace(scaled).real
-        if tr > 0:
-            _, g = pauli_coords(scaled / tr)
+        tr, size = np.trace(scaled), np.linalg.norm(scaled)
+        if np.isfinite(size) and abs(tr) <= TRACE_ROUNDING_TOL * size:
+            raise ValueError(
+                f"matrix trace {abs(tr):.3e} is at the rounding of its norm {size:.3e}, so "
+                "it has no trace-normalized coordinates; a positive-definite matrix's "
+                "trace is at least its norm"
+            )
+        if tr.real > 0:
+            _, g = pauli_coords(scaled / tr.real)
             outside = [k not in (w, idx_neg(w)) for k in COORD_ORDER]
             if support_mask(g)[outside].any():
                 off = np.abs(g[outside]).max()

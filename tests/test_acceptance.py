@@ -99,6 +99,7 @@ def test_criterion_2_symmetry_audit():
     rng = np.random.default_rng(2)
     start = time.perf_counter()
     worst = 0.0
+    sizes, pairs = set(), 0
     for _ in range(20):
         report = symmetry_audit(random_seed_params(rng))
         assert len(report.survivors) == 9
@@ -106,10 +107,13 @@ def test_criterion_2_symmetry_audit():
         assert {r.pauli for r in report.survivors} == set(INDEX_ORDER)
         assert not report.surplus
         worst = max(worst, report.max_full_residual)
+        sizes.add(report.stabilizer_sizes)
+        pairs += report.n_pairs
     elapsed = time.perf_counter() - start
     ok = elapsed < 60.0
     _report(2, ok, f"20 audits, 9 Pauli-identified survivors each, worst residual "
-                   f"{worst:.2e}; {elapsed:.1f}s (limit 60s)")
+                   f"{worst:.2e}; cubic stabilizer sizes {sorted(sizes)}, {pairs} pairs "
+                   f"checked; {elapsed:.1f}s (limit 60s)")
     assert elapsed < 60.0
 
 

@@ -353,7 +353,8 @@ def test_symmetry_audit_clean_seed(capsys, files):
     assert report["clean"] is True
     assert len(report["survivors"]) == 9
     assert report["surplus"] == 0
-    assert report["pairs_live"] == 81
+    assert report["stabilizer_sizes"] == [18, 18]
+    assert report["pairs_screened"] == 324
 
 
 def test_symmetry_audit_refuses_degenerate_seed(capsys, files):

@@ -3,24 +3,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qutritlocc.pauli import INDEX_ORDER, PAULIS, kron3
+from qutritlocc.pauli import BASIS, INDEX_ORDER, PAULIS, kron3
 from qutritlocc.seeds import (
     AUDIT_PROJ_TOL,
-    AUDIT_SCREEN_MARGIN,
     GENERIC_THRESHOLD,
     SeedParams,
     build_seed,
     check_generic,
-    dense_candidates,
-    monomial_candidates,
     probe_states,
     symmetry_audit,
     verify_symmetries,
-    _all_candidates,
+    _cubic_stabilizers,
     _exclusion_polynomials,
+    _hessian_table,
     _pauli_match,
-    _probe0_form,
-    _screen_candidates,
 )
 from qutritlocc.generate import random_seed_params
 
@@ -163,72 +159,98 @@ def test_probes_annihilate_seed():
         np.testing.assert_allclose(out, np.zeros((9, 3)), atol=1e-12)
 
 
-def test_monomial_candidates():
-    mats = monomial_candidates()
-    assert mats.shape == (54, 3, 3)
-    for m in mats:
-        assert np.count_nonzero(m) == 3
-        assert np.count_nonzero(m, axis=0).tolist() == [1, 1, 1]
-        assert np.count_nonzero(m, axis=1).tolist() == [1, 1, 1]
-        entries = m[np.nonzero(m)]
-        np.testing.assert_allclose(np.abs(entries), 1.0, atol=1e-12)
-    # every Pauli operator appears projectively exactly once
-    for k in INDEX_ORDER:
-        s = PAULIS[k]
-        hits = [
-            m
-            for m in mats
-            if abs(np.vdot(s, m)) / (np.linalg.norm(s) * np.linalg.norm(m)) > 1 - 1e-12
-        ]
-        assert len(hits) == 1
+def test_hessian_table_is_a_group():
+    """The table holds 216 distinct projective classes, the first nine the
+    Paulis in ``INDEX_ORDER``; every product of two elements is, up to
+    phase, an element; every element conjugates each Pauli into a phase
+    times a Pauli; and the label maps ``k -> l`` they induce are 24
+    distinct permutations, the order of SL(2, 3)."""
+    table = _hessian_table()
+    flat = table.reshape(216, 9)
+    assert table.shape == (216, 3, 3)
+    overlap = np.abs(flat.conj() @ flat.T)
+    np.testing.assert_allclose(np.diag(overlap), 1.0, rtol=0, atol=1e-12)
+    assert np.all(overlap[~np.eye(216, dtype=bool)] <= 1 / np.sqrt(3) + 1e-12)
+    np.testing.assert_allclose(table[:9] * np.sqrt(3), BASIS, rtol=0, atol=1e-15)
+
+    products = np.sqrt(3) * (table[:, None] @ table[None]).reshape(-1, 9)
+    best = np.abs(products @ flat.conj().T).max(axis=1)
+    np.testing.assert_allclose(best, 1.0, rtol=0, atol=1e-12)
+
+    unitary = np.sqrt(3) * table
+    conjugated = unitary[:, None] @ BASIS[None] @ unitary.conj().transpose(0, 2, 1)[:, None]
+    hits = np.abs(np.einsum("nkij,lij->nkl", conjugated, BASIS.conj())) / 3
+    assert np.all(np.isclose(hits, 0, atol=1e-12) | np.isclose(hits, 1, atol=1e-12))
+    assert np.all(hits.sum(axis=2) > 1 - 1e-12)
+    permutations = {tuple(row) for row in hits.argmax(axis=2).tolist()}
+    assert len(permutations) == 24
+    assert all(sorted(p) == list(range(9)) for p in permutations)
 
 
-def test_dense_candidates():
-    mats = dense_candidates()
-    assert mats.shape == (162, 3, 3)
-    assert np.all(np.abs(mats) > 0.999)
-    # distinct as projective classes (top-left entry is 1 in all of them)
-    flat = mats.reshape(162, 9).round(9)
-    assert len({tuple(row) for row in flat}) == 162
+@pytest.mark.parametrize("seed", range(5))
+def test_cubic_stabilizers_match_determinant_reference(seed):
+    """The cubic stabilizers read from the coefficient action are the
+    elements ``g`` for which ``det(sum_j (g^T x)_j M_j)`` is one multiple
+    of ``det(sum_j x_j M_j)`` at twelve random points, for the slices
+    ``M_j`` of party 1 and of party 2; a generic seed has 18 at each."""
+    params = random_seed_params(np.random.default_rng(seed))
+    psi = build_seed(params)
+    t = (psi / np.linalg.norm(psi)).reshape(3, 3, 3)
+    rng = np.random.default_rng(100 + seed)
+    x = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    table = _hessian_table()
+    for slices, found in zip((t.transpose(1, 0, 2), t.transpose(2, 0, 1)), _cubic_stabilizers(t)):
+        cubic = np.linalg.det(np.einsum("pj,jik->pik", x, slices))
+        moved = np.linalg.det(np.einsum("gpj,jik->gpik", x @ table, slices))
+        ratio = moved / cubic
+        spread = np.abs(ratio - ratio[:, :1]).max(axis=1) / np.abs(ratio).max(axis=1)
+        assert sorted(found.tolist()) == np.flatnonzero(spread <= 1e-9).tolist()
+        assert len(found) == 18
+        assert np.sort(spread)[18] > 1e-3
 
 
 def test_audit_is_clean_on_generic_seed(params):
     report = symmetry_audit(params)
     assert report.clean
     assert report.n_candidates == 216
-    assert report.n_pairs == 216**2
+    assert report.stabilizer_sizes == (18, 18)
+    assert report.n_pairs == 18 * 18
     assert len(report.survivors) == 9
     assert report.surplus == ()
     assert {r.pauli for r in report.survivors} == set(INDEX_ORDER)
     assert report.max_full_residual <= 1e-8
     for r in report.survivors:
         assert r.projection_residual <= 1e-8
-        assert r.b_label.startswith("monomial:")
+        assert r.b_label == r.c_label == f"hessian:{INDEX_ORDER.index(r.pauli)}"
+
+
+def _label_index(label):
+    return int(label.removeprefix("hessian:"))
+
+
+def _screened(report):
+    return {
+        (_label_index(r.b_label), _label_index(r.c_label)): r.projection_residual
+        for r in report.survivors + report.surplus
+    }
 
 
 @pytest.mark.parametrize("proj_tol", [AUDIT_PROJ_TOL, 0.05])
 def test_audit_screen_matches_einsum_reference(params, proj_tol):
-    """The per-probe matrix products give the residuals of the direct
-    three-``einsum`` contraction, and the same survivor set.  The loose
-    tolerance lets 432 pairs with residuals up to ~0.05 through."""
-    report = symmetry_audit(params, proj_tol=proj_tol)
+    """On the stabilizer pairs, the audit passes exactly the pairs whose
+    residual from the direct three-``einsum`` contraction over the full
+    grid is within ``proj_tol``, with that residual.  At the loose
+    tolerance 45 stabilizer pairs pass, of the full grid's 432."""
     psi = build_seed(params)
-    t = (psi / np.linalg.norm(psi)).reshape(3, 3, 3)
-    probes = probe_states(params).conj()
-    mats, labels = _all_candidates()
-    unit = mats / np.linalg.norm(mats.reshape(len(mats), 9), axis=1)[:, None, None]
-    k0 = np.einsum("cuv,xsv->cuxs", unit, t)
-    k1 = np.einsum("iru,cuxs->icrxs", probes, k0)
-    res = np.einsum("brs,icrxs->bcix", unit, k1)
-    resid = np.max(np.linalg.norm(res, axis=3), axis=2)
-
-    index = {label: i for i, label in enumerate(labels)}
-    records = report.survivors + report.surplus
-    screened = {(index[r.b_label], index[r.c_label]) for r in records}
-    assert screened == set(zip(*np.nonzero(resid <= proj_tol)))
-    for r in records:
-        ref = resid[index[r.b_label], index[r.c_label]]
-        assert abs(r.projection_residual - ref) <= 1e-12
+    s1, s2 = _cubic_stabilizers((psi / np.linalg.norm(psi)).reshape(3, 3, 3))
+    resid = _full_grid_residuals(params).max(axis=2)
+    expected = {(b, c) for b in s1.tolist() for c in s2.tolist() if resid[b, c] <= proj_tol}
+    screened = _screened(symmetry_audit(params, proj_tol=proj_tol))
+    assert set(screened) == expected
+    assert len(expected) == (9 if proj_tol == AUDIT_PROJ_TOL else 45)
+    assert np.count_nonzero(resid <= proj_tol) == (9 if proj_tol == AUDIT_PROJ_TOL else 432)
+    for (b, c), r in screened.items():
+        assert abs(r - resid[b, c]) <= 1e-12
 
 
 def test_audit_refuses_non_generic():
@@ -259,7 +281,7 @@ def test_audit_screen_does_not_depend_on_the_seed_scale(params, scale):
     scaled = SeedParams(params.a * scale, params.b * scale, params.c * scale)
     base = symmetry_audit(params, proj_tol=0.05)
     audit = symmetry_audit(scaled, proj_tol=0.05)
-    assert audit.n_live_pairs == base.n_live_pairs
+    assert audit.stabilizer_sizes == base.stabilizer_sizes
     for got, ref in ((audit.survivors, base.survivors), (audit.surplus, base.surplus)):
         assert [(r.b_label, r.c_label, r.pauli) for r in got] == [
             (r.b_label, r.c_label, r.pauli) for r in ref
@@ -280,65 +302,58 @@ def test_audit_rejects_bad_projection_tolerance(params, proj_tol):
 
 
 def _full_grid_residuals(params):
-    """Residual of every pair under each probe, shape (216, 216, 9), from the
-    direct three-``einsum`` contraction."""
+    """Residual of every pair of table elements under each probe, shape
+    (216, 216, 9), from the direct three-``einsum`` contraction."""
     psi = build_seed(params)
     t = (psi / np.linalg.norm(psi)).reshape(3, 3, 3)
     probes = probe_states(params).conj()
-    mats, _ = _all_candidates()
-    unit = mats / np.linalg.norm(mats.reshape(len(mats), 9), axis=1)[:, None, None]
+    unit = _hessian_table()
     k0 = np.einsum("cuv,xsv->cuxs", unit, t)
     k1 = np.einsum("iru,cuxs->icrxs", probes, k0)
     return np.linalg.norm(np.einsum("brs,icrxs->bcix", unit, k1), axis=3)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_quadratic_form_is_the_reference_probe_0_residual_squared(seed):
-    """The screen's quadratic form gives every pair's squared probe-0
-    residual of the direct contraction, to a hundredth of its rounding
-    margin, on all 46,656 pairs."""
-    params = random_seed_params(np.random.default_rng(seed))
-    psi = build_seed(params)
-    t = (psi / np.linalg.norm(psi)).reshape(3, 3, 3)
-    unit, b_form = _screen_candidates()
-    k0 = np.einsum("cuv,xsv->csux", unit, t)
-    squares = b_form @ _probe0_form(k0, probe_states(params).conj()[0])
-    reference = _full_grid_residuals(params)[:, :, 0] ** 2
-    assert squares.shape == reference.shape == (216, 216)
-    assert np.abs(squares - reference).max() <= AUDIT_SCREEN_MARGIN / 100
+def _assert_full_grid_survivors(params, report):
+    """The audit screens exactly the pairs of the full 46,656-pair grid
+    whose nine-probe residual is within the default ``proj_tol``."""
+    resid = _full_grid_residuals(params).max(axis=2)
+    assert set(_screened(report)) == set(zip(*np.nonzero(resid <= AUDIT_PROJ_TOL)))
 
 
 @settings(max_examples=3)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_two_stage_screen_matches_full_grid_reference(seed):
-    """At every tolerance, the probe-0 screen passes exactly the pairs whose
-    probe-0 residual is within ``proj_tol``, and the screened pairs and their
-    residuals are those of the full grid.  Besides fixed tolerances, the cut
-    is put into each gap between consecutive distinct probe-0 residuals
-    (their squares wider apart than the screen's margin) that has at most
-    3600 pairs below it: halfway across, and just below the pairs above it,
-    within the margin of their squared residual, where only the recheck by
-    the direct residual keeps them dead."""
+def test_audit_survivors_match_full_grid_reference(seed):
     params = random_seed_params(np.random.default_rng(seed))
-    per_probe = _full_grid_residuals(params)
-    resid = per_probe.max(axis=2)
-    _, labels = _all_candidates()
-    index = {label: i for i, label in enumerate(labels)}
-    probe0 = np.sort(per_probe[:, :, 0], axis=None)
-    wide = np.flatnonzero(np.diff(probe0**2) > AUDIT_SCREEN_MARGIN)
-    wide = wide[wide < 3600]
-    assert len(wide) >= 3
-    above = probe0[wide + 1]
-    cuts = [*(probe0[wide] + above) / 2, *np.sqrt(above**2 - AUDIT_SCREEN_MARGIN / 2)]
-    for proj_tol in (AUDIT_PROJ_TOL, 0.05, 0.5, *cuts):
-        report = symmetry_audit(params, proj_tol=proj_tol)
-        assert report.n_live_pairs == np.count_nonzero(per_probe[:, :, 0] <= proj_tol)
-        records = report.survivors + report.surplus
-        screened = {(index[r.b_label], index[r.c_label]) for r in records}
-        assert screened == set(zip(*np.nonzero(resid <= proj_tol)))
-        for r in records:
-            ref = resid[index[r.b_label], index[r.c_label]]
-            assert abs(r.projection_residual - ref) <= 1e-12
+    report = symmetry_audit(params)
+    assert report.clean and report.stabilizer_sizes == (18, 18)
+    _assert_full_grid_survivors(params, report)
+
+
+def seed_with_t_cubed(t_cubed, b=1.0, c=0.5 + 0.3j):
+    """A seed whose cubic parameter ``t = -(a^3+b^3+c^3)/(abc)`` has the given
+    cube: ``a`` is a root of ``a^3 + t b c a + b^3 + c^3``."""
+    t = complex(t_cubed) ** (1 / 3)
+    return SeedParams(np.roots([1, 0, t * b * c, b**3 + c**3])[0], b, c)
+
+
+@pytest.mark.parametrize(
+    "t_cubed, size",
+    [(216, 54), (-270 - 162 * np.sqrt(3), 36), (-270 + 162 * np.sqrt(3), 36)],
+    ids=["j=0", "j=1728-plus", "j=1728-minus"],
+)
+def test_special_j_seeds_have_larger_stabilizers(t_cubed, size):
+    """At j = 0 (``t^3 = 216``) and j = 1728 (``t^3 = -270 -+ 162 sqrt(3)``)
+    the genericity screen admits the seed, each slice cubic has 54 or 36
+    automorphisms, and the audit is still clean, with the full grid's
+    survivors."""
+    params = seed_with_t_cubed(t_cubed)
+    a, b, c = params.as_array()
+    assert abs((-(a**3 + b**3 + c**3) / (a * b * c)) ** 3 - t_cubed) <= 1e-9 * abs(t_cubed)
+    assert check_generic(params).generic
+    report = symmetry_audit(params)
+    assert report.stabilizer_sizes == (size, size)
+    assert report.clean and len(report.survivors) == 9
+    _assert_full_grid_survivors(params, report)
 
 
 def _loop_pauli_match(m):
@@ -361,7 +376,7 @@ def test_stacked_pauli_match_agrees_with_operator_loop(rng):
         for k, row in zip(INDEX_ORDER, phases)
         for phase, scale in zip(row, (1.0, 1e200, 1e-200))
     ]
-    candidates, _ = _all_candidates()
+    candidates = _hessian_table()
     noise = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
     near = [PAULIS[(1, 1)] + 1e-3 * noise[0], PAULIS[(2, 1)] + 1e-10 * noise[1]]
     mats = np.array([np.zeros((3, 3)), *scaled_paulis, *candidates, *near], dtype=complex)

@@ -475,6 +475,20 @@ def test_span_factor_rejects(m, w):
         span_factor(m, w)
 
 
+@pytest.mark.parametrize("w", [(1, 0), (0, 1)])
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_span_factor_refuses_a_rounding_level_trace(w, scale):
+    """``S_(0,1) + S_(0,2)`` is traceless up to rounding (4.4e-16 +
+    8.9e-16j).  It is refused for that trace, in or off the span, rather
+    than with an off-span modulus of order 1e15 from dividing by it.  A
+    non-finite matrix keeps its own refusal."""
+    m = scale * (PAULIS[(0, 1)] + PAULIS[(0, 2)])
+    with pytest.raises(ValueError, match="at the rounding of its norm"):
+        span_factor(m, w)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        span_factor(scale * np.diag([np.inf, 1.0, 1.0]), w)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-14, 1e-40, 1e-100, 1e100])
 def test_span_factor_cut_is_scale_free(scale):
     """A matrix confined to the (1, 0) span is refused for the (0, 1) span
