@@ -187,6 +187,41 @@ def test_hessian_table_is_a_group():
     assert all(sorted(p) == list(range(9)) for p in permutations)
 
 
+def _table_part(n_nonzero):
+    table = _hessian_table()
+    return table[np.count_nonzero(np.abs(table) > 1e-12, axis=(1, 2)) == n_nonzero]
+
+
+def test_monomial_candidates():
+    """54 table elements are monomial: one entry of modulus ``1 / sqrt(3)``
+    in each row and column, and every Pauli is one of them, once."""
+    mats = _table_part(3)
+    assert mats.shape == (54, 3, 3)
+    for m in mats:
+        support = np.abs(m) > 1e-12
+        assert support.sum(axis=0).tolist() == [1, 1, 1]
+        assert support.sum(axis=1).tolist() == [1, 1, 1]
+        np.testing.assert_allclose(np.abs(m[support]), 1 / np.sqrt(3), atol=1e-12)
+    for k in INDEX_ORDER:
+        s = PAULIS[k]
+        hits = [
+            m
+            for m in mats
+            if abs(np.vdot(s, m)) / (np.linalg.norm(s) * np.linalg.norm(m)) > 1 - 1e-12
+        ]
+        assert len(hits) == 1
+
+
+def test_dense_candidates():
+    """The other 162 table elements are dense, every entry of modulus
+    ``1 / 3``, and distinct as projective classes."""
+    mats = _table_part(9)
+    assert mats.shape == (162, 3, 3)
+    np.testing.assert_allclose(np.abs(mats), 1 / 3, atol=1e-12)
+    flat = (mats / mats[:, :1, :1]).reshape(162, 9).round(9)
+    assert len({tuple(row) for row in flat}) == 162
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_cubic_stabilizers_match_determinant_reference(seed):
     """The cubic stabilizers read from the coefficient action are the
